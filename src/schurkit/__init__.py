@@ -68,6 +68,7 @@ from .schur import (
 )
 from .semisimple import (
     SemisimplicityReport,
+    ZeroFormIndex,
     cross_check_criterion,
     is_semisimple,
     separation_failure_cases,

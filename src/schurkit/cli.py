@@ -53,8 +53,8 @@ from .schur import (
 )
 from .semisimple import (
     SemisimplicityReport,
+    ZeroFormIndex,
     cross_check_criterion,
-    is_semisimple,
     separation_failure_cases,
     random_specialization,
     schur_elements_table,
@@ -149,8 +149,17 @@ def _cmd_enumerate(args) -> int:
 def _parse_single_multipartition(args) -> Multipartition:
     try:
         data = json.loads(args.multipartition)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--multipartition: {exc}")
+    if not isinstance(data, list) or not all(
+        isinstance(comp, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in comp)
+        for comp in data
+    ):
+        raise UsageError("--multipartition must be a JSON array of integer arrays")
+    try:
         mp = multipartition(data)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"--multipartition: {exc}")
     if args.m is not None and args.m != len(mp):
         raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} components")
@@ -211,7 +220,10 @@ def _parse_theta(args, m: int) -> Specialization:
         if key == "x":
             x_value = val
         elif key.startswith("q") and key[1:].isdigit():
-            values[int(key[1:])] = val
+            s = int(key[1:])
+            if not 1 <= s <= m:
+                raise UsageError(f"--set {token!r}: --m {m} has parameters q1..q{m}")
+            values[s] = val
         else:
             raise UsageError(f"--set {token!r}: name must be q<i> or x")
     missing = [s for s in range(1, m + 1) if s not in values]
@@ -231,7 +243,7 @@ def _cmd_semisimple(args) -> int:
         p_value = fr_eval(p_invariant(args.m, args.n), theta)
         report = SemisimplicityReport(
             p_value=p_value,
-            semisimple=is_semisimple(args.m, args.n, theta),
+            semisimple=p_value != 0,
             vanishing=None,
             agreement=None,
             field=theta.field_tag(),
@@ -396,7 +408,7 @@ def _suite_trace_identity(args):
 def _suite_criterion(args):
     if args.seed is None:
         raise UsageError("--suite criterion requires --seed")
-    table = schur_elements_table(args.m, args.n)
+    index = ZeroFormIndex(schur_elements_table(args.m, args.n))
     rng = random.Random(args.seed)
     primes = [args.mod] if args.mod is not None else [None, 101]
     mismatches = []
@@ -404,7 +416,7 @@ def _suite_criterion(args):
     for prime in primes:
         for _ in range(args.trials):
             theta = random_specialization(args.m, args.n, rng, prime=prime)
-            report = cross_check_criterion(args.m, args.n, theta, table)
+            report = cross_check_criterion(args.m, args.n, theta, index)
             checked += 1
             if not report.agreement:
                 mismatches.append(
@@ -415,7 +427,7 @@ def _suite_criterion(args):
                     }
                 )
     for name, theta, witness in separation_failure_cases(args.m, args.n):
-        report = cross_check_criterion(args.m, args.n, theta, table)
+        report = cross_check_criterion(args.m, args.n, theta, index)
         checked += 1
         if report.semisimple or witness not in report.vanishing or not report.agreement:
             mismatches.append(
@@ -448,6 +460,8 @@ def _cmd_verify(args) -> int:
         if getattr(args, flag) is None:
             raise UsageError(f"--suite {args.suite} requires --{flag}")
     checked, unit, mismatches = driver(args)
+    if not checked:
+        raise UsageError(f"--suite {args.suite} checked no {unit}")
     for record in mismatches:
         print(json.dumps(record))
     print(f"checked {checked} {unit}, {len(mismatches)} mismatches")
@@ -455,6 +469,16 @@ def _cmd_verify(args) -> int:
 
 
 # ----------------------------------------------------------------- parser
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--size", type=int, default=5, help="partition size bound for pair suites")
+    p.add_argument("--size", type=_positive_int, default=5, help="partition size bound for pair suites")
     p.add_argument("--seed", type=int, help="rng seed (criterion suite)")
-    p.add_argument("--trials", type=int, default=100, help="samples per field (criterion suite)")
+    p.add_argument("--trials", type=_positive_int, default=100, help="samples per field (criterion suite)")
     p.add_argument("--mod", type=int, help="restrict the criterion suite to F_p")
     p.set_defaults(handler=_cmd_verify)
 

@@ -329,14 +329,35 @@ def negate_x(a: FactoredRational) -> FactoredRational:
     return b.build()
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2015); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p < MAX_MODULUS; ValueError beyond it."""
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is too large: primality is decided only below {MAX_MODULUS}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -4,8 +4,15 @@ A specialization theta of the parameters makes the algebra semisimple
 exactly when theta(P) != 0 for the separation polynomial P, and that in
 turn happens exactly when no Schur element vanishes under theta.  Both
 sides are computable here, so the equivalence itself can be stress
-tested; vanishing is always detected on the cancellation-free formula,
-which is a denominator-free product of linear forms.
+tested.
+
+Vanishing is read off the cancellation-free formula without evaluating
+it: each element is an integer constant times a product of forms
+c + q_s - q_t, so it vanishes under theta exactly when its constant is
+zero in the field or one of its forms is.  ZeroFormIndex inverts the
+table once, variable pair -> c -> element positions, and a query looks
+up theta(q_t) - theta(q_s) for each pair.  P(theta) is still evaluated
+factor by factor, so agreement compares two independent computations.
 """
 
 from __future__ import annotations
@@ -44,20 +51,70 @@ def is_semisimple(m: int, n: int, theta: Specialization) -> bool:
     return fr_eval(p_invariant(m, n), theta) != 0
 
 
+class ZeroFormIndex:
+    """Inverted index of the zero forms of a table of Schur elements.
+
+    Built once from (multipartition, element) pairs whose exponents are
+    all positive.  A query costs one dictionary lookup per variable pair
+    over Q, one check per stored offset c over F_p, plus the size of the
+    answer.
+    """
+
+    def __init__(self, elements: Sequence[tuple[Multipartition, FactoredRational]]):
+        self._multipartitions = [mp for mp, _ in elements]
+        self._constants = [el.constant for _, el in elements]
+        # (pos, neg) -> c -> positions of the elements with a factor c + pos - neg
+        self._forms: dict[tuple[str, Optional[str]], dict[int, list[int]]] = {}
+        for i, (mp, el) in enumerate(elements):
+            for form, exp in el.factors.items():
+                if exp < 0:
+                    raise ValueError(
+                        f"{form.render()} has exponent {exp} in the element of {mp}; "
+                        "the zero-form index needs denominator-free products"
+                    )
+                by_c = self._forms.setdefault((form.pos, form.neg), {})
+                by_c.setdefault(form.c, []).append(i)
+        # field (None for Q, else p) -> positions whose constant is zero there
+        self._zero_constants: dict[Optional[int], list[int]] = {}
+
+    def _constant_hits(self, theta: Specialization) -> list[int]:
+        hits = self._zero_constants.get(theta.prime)
+        if hits is None:
+            hits = [i for i, k in enumerate(self._constants) if theta.constant_value(k) == 0]
+            self._zero_constants[theta.prime] = hits
+        return hits
+
+    def vanishing(self, theta: Specialization) -> list[Multipartition]:
+        """Multipartitions whose element vanishes under theta, in table order."""
+        hits = set(self._constant_hits(theta))
+        p = theta.prime
+        for (pos, neg), by_c in self._forms.items():
+            # c + theta(pos) - theta(neg) = 0  <=>  c = target
+            target = (0 if neg is None else theta.value_of(neg)) - theta.value_of(pos)
+            if p is None:
+                # a Fraction key equals an int key only when it is integral
+                hits.update(by_c.get(target, ()))
+            else:
+                for c, positions in by_c.items():
+                    if (c - target) % p == 0:
+                        hits.update(positions)
+        return [self._multipartitions[i] for i in sorted(hits)]
+
+
 def vanishing_schur_elements(
     m: int,
     n: int,
     theta: Specialization,
-    elements: Optional[Sequence[tuple[Multipartition, FactoredRational]]] = None,
+    index: Optional[ZeroFormIndex] = None,
 ) -> list[Multipartition]:
     """All multipartitions whose Schur element vanishes under theta.
 
-    Returned in enumeration order.  Precomputed (multipartition,
-    element) pairs may be passed to amortize repeated scans.
+    Returned in enumeration order.  Pass a ZeroFormIndex of the (m, n)
+    table to amortize its construction over repeated queries.
     """
-    if elements is None:
-        elements = schur_elements_table(m, n)
-    return [mp for mp, el in elements if fr_eval(el, theta) == 0]
+    if index is None:
+        index = ZeroFormIndex(schur_elements_table(m, n))
+    return index.vanishing(theta)
 
 
 def schur_elements_table(
@@ -71,15 +128,15 @@ def cross_check_criterion(
     m: int,
     n: int,
     theta: Specialization,
-    elements: Optional[Sequence[tuple[Multipartition, FactoredRational]]] = None,
+    index: Optional[ZeroFormIndex] = None,
 ) -> SemisimplicityReport:
-    """Evaluate the criterion AND scan all Schur elements, reporting agreement.
+    """Evaluate the criterion AND find the vanishing Schur elements, reporting agreement.
 
     agreement is (p_value != 0) == (no element vanishes); a False value
     signals an implementation bug, never a mathematical possibility.
     """
     p_value = fr_eval(p_invariant(m, n), theta)
-    vanishing = vanishing_schur_elements(m, n, theta, elements)
+    vanishing = vanishing_schur_elements(m, n, theta, index)
     semisimple = p_value != 0
     return SemisimplicityReport(
         p_value=p_value,

@@ -35,6 +35,7 @@ from schurkit.schur import (
     z_kernel,
 )
 from schurkit.semisimple import (
+    ZeroFormIndex,
     cross_check_criterion,
     separation_failure_cases,
     random_specialization,
@@ -180,20 +181,20 @@ def test_criterion_7_semisimplicity_criterion():
     rng = random.Random(20240817)
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4):
-            table = schur_elements_table(m, n)
+            index = ZeroFormIndex(schur_elements_table(m, n))
             for prime in (None, 101):
                 for _ in range(100):
                     theta = random_specialization(m, n, rng, prime=prime)
-                    report = cross_check_criterion(m, n, theta, table)
+                    report = cross_check_criterion(m, n, theta, index)
                     if not report.agreement:
                         failures.append(("agreement", m, n, prime, theta.q_values))
             for name, theta, witness in separation_failure_cases(m, n):
-                report = cross_check_criterion(m, n, theta, table)
+                report = cross_check_criterion(m, n, theta, index)
                 if report.semisimple or witness not in report.vanishing:
                     failures.append(("witness", name, m, n))
                 if not report.agreement:
                     failures.append(("witness-agreement", name, m, n))
-    _report(7, "criterion vs exhaustive scan, 100 samples/(m,n) over Q and F_101 "
+    _report(7, "criterion vs zero-form index, 100 samples/(m,n) over Q and F_101 "
                "plus targeted failure witnesses", failures, started)
 
 

@@ -1,11 +1,14 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
 import json
+import time
 
 import pytest
 
+import schurkit.cli as cli_module
+import schurkit.semisimple as semisimple_module
 from schurkit.cli import SUITES, format_output, mp_text, run
-from schurkit.exact import FactoredRational, fr_equal
+from schurkit.exact import MAX_MODULUS, FactoredRational, fr_equal
 from schurkit.schur import p_invariant, schur_element
 
 
@@ -228,3 +231,79 @@ def test_format_output_rejects_unknown_type():
 def test_mp_text():
     assert mp_text(((3, 1), ())) == "((3,1);(0))"
     assert mp_text(((),)) == "((0))"
+
+
+def usage_error(capsys, *argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2, argv
+    assert out == "" and "error" in err and "Traceback" not in err, argv
+    return err
+
+
+def test_semisimple_no_vanishing_evaluates_p_once(capsys, monkeypatch):
+    calls = []
+    real = cli_module.fr_eval
+
+    def counting(value, theta):
+        calls.append(value)
+        return real(value, theta)
+
+    monkeypatch.setattr(cli_module, "fr_eval", counting)
+    monkeypatch.setattr(semisimple_module, "fr_eval", counting)
+    code, out, _ = invoke(
+        capsys, "semisimple", "--m", "3", "--n", "2", "--set", "q1=0",
+        "--set", "q2=1", "--set", "q3=5", "--no-vanishing",
+    )
+    assert code == 0
+    assert json.loads(out) == {"p_value": "0", "semisimple": False, "field": "Q"}
+    assert len(calls) == 1
+
+
+def test_semisimple_large_prime_is_prompt(capsys):
+    started = time.perf_counter()
+    code, out, _ = invoke(
+        capsys, "semisimple", "--m", "2", "--n", "3", "--set", "q1=0", "--set", "q2=9",
+        "--mod", "1000000000000000003",
+    )
+    assert time.perf_counter() - started < 5
+    assert code == 0
+    report = json.loads(out)
+    assert report["field"] == "Fp:1000000000000000003" and report["semisimple"]
+
+
+def test_semisimple_modulus_primality(capsys):
+    argv = ("semisimple", "--m", "1", "--n", "1", "--set", "q1=1")
+    assert "561 is not prime" in usage_error(capsys, *argv, "--mod", "561")  # Carmichael
+    assert invoke(capsys, *argv, "--mod", "2")[0] == 0
+    assert invoke(capsys, *argv, "--mod", "101")[0] == 0
+    assert "too large" in usage_error(capsys, *argv, "--mod", str(MAX_MODULUS))
+    usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
+                "--seed", "1", "--mod", "561")
+
+
+def test_verify_rejects_nonpositive_size(capsys):
+    assert "--size" in usage_error(capsys, "verify", "--suite", "beta-shift", "--size", "-3")
+    assert "--size" in usage_error(capsys, "verify", "--suite", "mu-identity", "--size", "0")
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("-5", "0"):
+        err = usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
+                          "--seed", "1", "--trials", trials)
+        assert "--trials" in err
+
+
+def test_semisimple_rejects_parameter_beyond_m(capsys):
+    argv = ("semisimple", "--m", "2", "--n", "2", "--set", "q1=0", "--set", "q2=3")
+    assert "q3" in usage_error(capsys, *argv, "--set", "q3=5")
+    usage_error(capsys, *argv, "--set", "q0=5")
+
+
+def test_schur_rejects_non_array_component(capsys):
+    for raw in ('[[1],{}]', '[[1],"21"]', '{"0": [1]}', '[[1.5]]', '[[true]]', '[1]'):
+        assert "--multipartition" in usage_error(capsys, "schur", "--multipartition", raw), raw
+
+
+def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
+    monkeypatch.setitem(SUITES, "three-formulas", (lambda args: (0, "things", []), ()))
+    assert "checked no things" in usage_error(capsys, "verify", "--suite", "three-formulas")

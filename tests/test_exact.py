@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from schurkit.exact import (
+    MAX_MODULUS,
     X,
     FactoredRational,
     LinearForm,
@@ -28,6 +29,7 @@ from schurkit.exact import (
     qvar,
     substitute_x,
 )
+from schurkit.exact import _is_prime
 from schurkit.schur import y_kernel
 
 
@@ -348,3 +350,28 @@ def test_sparse_poly_json_graded_lex():
     data = poly.to_json()
     assert data == [[[2, 0], "-1"], [[1, 1], "2"], [[0, 2], "-1"], [[0, 0], "1"]]
     assert SparsePoly.from_json(data, ("q1", "q2")) == poly
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(p) == _trial_division(p) for p in range(-3, 20000))
+
+
+def test_is_prime_large_and_adversarial():
+    # Carmichael numbers and strong pseudoprimes to the first 8 and 12 prime bases
+    for composite in (561, 1105, 1729, 41041, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite), composite
+    for prime in (1000000000000000003, 2**61 - 1, 2**31 - 1):
+        assert _is_prime(prime), prime
+    assert not _is_prime(2**61 + 1)
+
+
+def test_is_prime_refuses_moduli_beyond_the_bound():
+    assert not _is_prime(MAX_MODULUS - 1)  # even
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(MAX_MODULUS)
+    with pytest.raises(ValueError, match="too large"):
+        Specialization({1: 0}, prime=2**89 - 1)

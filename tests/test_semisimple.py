@@ -3,12 +3,14 @@
 import random
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from schurkit.exact import Specialization, fr_eval
+from schurkit.exact import FactoredRational, Specialization, fr_eval, fr_form
 from schurkit.schur import p_invariant, schur_element
 from schurkit.semisimple import (
+    ZeroFormIndex,
     cross_check_criterion,
     is_semisimple,
     separation_failure_cases,
@@ -102,11 +104,11 @@ def test_random_agreement_full_bounds():
     rng = random.Random(2024)
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4):
-            table = schur_elements_table(m, n)
+            index = ZeroFormIndex(schur_elements_table(m, n))
             for prime in (None, 7, 101):
                 for _ in range(100):
                     theta = random_specialization(m, n, rng, prime=prime)
-                    report = cross_check_criterion(m, n, theta, table)
+                    report = cross_check_criterion(m, n, theta, index)
                     assert report.agreement, (m, n, prime, theta.q_values)
 
 
@@ -141,3 +143,110 @@ def test_vanishing_never_raises_poles():
     for mp, element in schur_elements_table(3, 3):
         fr_eval(element, theta)
         assert element == schur_element(mp, "cancellation")
+
+
+# ------------------------------------------------- zero-form index vs oracle
+
+
+@lru_cache(maxsize=None)
+def _table(m, n):
+    return tuple(schur_elements_table(m, n))
+
+
+def oracle_vanishing(table, theta):
+    """Evaluate every element in full and keep those that are zero."""
+    return [mp for mp, element in table if fr_eval(element, theta) == 0]
+
+
+ORACLE_SHAPES = [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3)]
+ORACLE_FIELDS = (None, 2, 3, 5, 7, 101)
+
+
+def _oracle_theta(m, n, prime, rng):
+    """q values k/d with d in {1, 2, 3}: integers near [-n, n], halves, thirds.
+
+    Over F_p the denominators that vanish mod p are left out, and the
+    numerators range over a few multiples of p so that residues repeat.
+    """
+    dens = [d for d in (1, 2, 3) if prime is None or d % prime]
+    d = rng.choice(dens)
+    span = (n + 1) * d if prime is None else 2 * prime
+    values = {}
+    for s in range(1, m + 1):
+        # mostly one shared denominator, so that differences are often integral
+        ds = d if rng.random() < 0.8 else rng.choice(dens)
+        values[s] = Fraction(rng.randint(-span, span), ds)
+    return Specialization(values, prime=prime)
+
+
+@pytest.mark.parametrize("m,n", ORACLE_SHAPES)
+def test_zero_form_index_matches_oracle(m, n):
+    table = _table(m, n)
+    index = ZeroFormIndex(table)
+    rng = random.Random(1000 * m + n)
+    hits = 0
+    for prime in ORACLE_FIELDS:
+        for _ in range(20):
+            theta = _oracle_theta(m, n, prime, rng)
+            expected = oracle_vanishing(table, theta)
+            assert index.vanishing(theta) == expected, (m, n, prime, theta.q_values)
+            hits += bool(expected)
+    # the draws reach vanishing elements; P_{1,1} has the single element 1
+    assert hits or (m, n) == (1, 1)
+
+
+def test_zero_form_index_integer_grid_over_q():
+    # every integer point of the box [-n-1, n+1]^2, for two components
+    for n in range(1, 6):
+        table = _table(2, n)
+        index = ZeroFormIndex(table)
+        for a in range(-n - 1, n + 2):
+            for b in range(-n - 1, n + 2):
+                theta = Specialization({1: a, 2: b})
+                assert index.vanishing(theta) == oracle_vanishing(table, theta), (n, a, b)
+
+
+def test_zero_form_index_synthetic_table():
+    # a zero element, a constant, a one-variable form and a pair form
+    table = [
+        (((1,), ()), FactoredRational(Fraction(0), {})),
+        (((), (1,)), FactoredRational(Fraction(6), {})),
+        (((2,), ()), fr_form(-3, "q2")),
+        (((1,), (1,)), fr_form(2, "q1", "q2", exp=3)),
+    ]
+    index = ZeroFormIndex(table)
+    for prime in (None, 2, 3, 5):
+        for q1, q2 in ((0, 0), (0, 3), (1, 3), (5, 1), (Fraction(1, 7), Fraction(15, 7))):
+            theta = Specialization({1: q1, 2: q2}, prime=prime)
+            assert index.vanishing(theta) == oracle_vanishing(table, theta), (prime, q1, q2)
+    assert index.vanishing(Specialization({1: 1, 2: 3})) == [((1,), ()), ((2,), ()), ((1,), (1,))]
+
+
+def test_zero_form_index_rejects_negative_exponents():
+    element = fr_form(1, "q1", "q2", exp=-1)
+    with pytest.raises(ValueError):
+        ZeroFormIndex([(((1,), ()), element)])
+
+
+def test_zero_form_index_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        shape=st.sampled_from([(m, n) for m in (1, 2, 3, 4) for n in range(1, 7) if m * n <= 16]),
+        prime=st.sampled_from((None, 2, 3, 5, 7, 11, 101, 10007)),
+        data=st.data(),
+    )
+    def check(shape, prime, data):
+        m, n = shape
+        dens = [d for d in range(1, 5) if prime is None or d % prime]
+        values = {
+            s: Fraction(data.draw(st.integers(-2 * n, 2 * n)), data.draw(st.sampled_from(dens)))
+            for s in range(1, m + 1)
+        }
+        theta = Specialization(values, prime=prime)
+        table = _table(m, n)
+        assert ZeroFormIndex(table).vanishing(theta) == oracle_vanishing(table, theta)
+
+    check()
