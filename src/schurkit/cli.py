@@ -4,8 +4,7 @@ Subcommands: enumerate, schur, pinv, verify, semisimple.  All JSON goes
 to stdout, diagnostics to stderr; exit code 0 on success, 1 when a
 verify suite finds a counterexample, 2 on usage errors.  Output is a
 pure function of argv plus the seed, so repeated runs are byte
-identical.  SCHURKIT_THREADS caps the fan-out of sweeps; results are
-always emitted in enumeration order.
+identical.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import (
     FactoredRational,
@@ -110,29 +107,6 @@ def _report_text(report: SemisimplicityReport, latex: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SCHURKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise UsageError(f"SCHURKIT_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
-def _sweep(fn: Callable, items: Iterable) -> list:
-    """Order-preserving map, fanned out when SCHURKIT_THREADS > 1."""
-    items = list(items)
-    threads = _thread_count()
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -184,7 +158,7 @@ def _cmd_schur(args) -> int:
                 f"--L {args.L} is smaller than the length of {mp_text(too_short[0])}"
             )
 
-    rows = _sweep(lambda mp: (mp, schur_element(mp, args.formula, args.L)), mps)
+    rows = [(mp, schur_element(mp, args.formula, args.L)) for mp in mps]
     if args.format == "json":
         payload = [{"multipartition": mp_json(mp), "schur": el.to_json()} for mp, el in rows]
         if args.multipartition is not None:
@@ -281,7 +255,7 @@ def _suite_three_formulas(args):
         return bad
 
     mps = list(enumerate_multipartitions(args.m, args.n))
-    mismatches = [b for bad in _sweep(check, mps) for b in bad]
+    mismatches = [b for mp in mps for b in check(mp)]
     return len(mps), "multipartitions", mismatches
 
 
@@ -303,13 +277,13 @@ def _suite_beta_shift(args):
         return bad
 
     pairs = _partition_pairs(args.size)
-    mismatches = [b for bad in _sweep(check, pairs) for b in bad]
+    mismatches = [b for pair in pairs for b in check(pair)]
     return len(pairs), "partition pairs", mismatches
 
 
 def _suite_x_symmetry(args):
     pairs = _partition_pairs(args.size)
-    flags = _sweep(lambda pair: verify_x_symmetry(*pair), pairs)
+    flags = [verify_x_symmetry(*pair) for pair in pairs]
     mismatches = [
         {"pair": [list(lam), list(mu)], "check": "x-symmetry"}
         for (lam, mu), ok in zip(pairs, flags)
@@ -325,7 +299,7 @@ def _suite_mu_identity(args):
         for mu in partitions_of(k)
         for ell in range(1, mu[0] + 1)
     ]
-    flags = _sweep(lambda case: verify_mu_identity(*case), cases)
+    flags = [verify_mu_identity(*case) for case in cases]
     mismatches = [
         {"mu": list(mu), "ell": ell}
         for (mu, ell), ok in zip(cases, flags)
@@ -341,7 +315,7 @@ def _suite_hook_beta(args):
         for lam in partitions_of(k)
         for extra in range(4)
     ]
-    flags = _sweep(lambda case: verify_hook_beta_identity(*case), cases)
+    flags = [verify_hook_beta_identity(*case) for case in cases]
     mismatches = [
         {"partition": list(lam), "L": L}
         for (lam, L), ok in zip(cases, flags)
@@ -352,7 +326,7 @@ def _suite_hook_beta(args):
 
 def _suite_sm_action(args):
     mps = list(enumerate_multipartitions(args.m, args.n))
-    elements = dict(zip(mps, _sweep(lambda mp: schur_element(mp), mps)))
+    elements = {mp: schur_element(mp) for mp in mps}
     mismatches = []
     for mp in mps:
         for sigma in itertools.permutations(range(1, args.m + 1)):
@@ -387,11 +361,13 @@ def _suite_integrality(args):
         return []
 
     mps = list(enumerate_multipartitions(args.m, args.n))
-    mismatches = [b for bad in _sweep(check, mps) for b in bad]
+    mismatches = [b for mp in mps for b in check(mp)]
     return len(mps), "multipartitions", mismatches
 
 
 def _suite_trace_identity(args):
+    if args.n < 1:
+        raise UsageError(f"--suite trace-identity needs --n >= 1, got {args.n}")
     got, expected = trace_identity_sides(args.m, args.n)
     mismatches = []
     if got != expected:

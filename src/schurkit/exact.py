@@ -504,9 +504,6 @@ class SparsePoly:
             terms[zero] = terms.get(zero, 0) + form.c
         return terms
 
-    def mul_form(self, form: LinearForm) -> "SparsePoly":
-        return self * SparsePoly(self.variables, self._form_terms(form))
-
     def div_form_exact(self, form: LinearForm) -> "SparsePoly":
         """Exact division by a linear form; raises NotAPolynomialError on remainder.
 
@@ -611,26 +608,50 @@ def fr_expand(
     Positive-exponent factors are multiplied out; each negative-exponent
     factor must divide the accumulated numerator exactly.  The rational
     constant must leave every coefficient integral.
+
+    A monomial is packed into one int whose base-B digit i, with
+    B = total positive degree + 1, is the exponent of variables[i]; no
+    digit can carry, so multiplying by c + pos - neg is one shift-add.
     """
     if variables is None:
         variables = a.variables()
-    poly = SparsePoly.constant(tuple(variables), 1)
+    variables = tuple(variables)
+    missing = set(a.variables()) - set(variables)
+    if missing:
+        raise ValueError(f"{sorted(missing)} are not among the variables {variables}")
+    base = 1 + sum(exp for exp in a.factors.values() if exp > 0)
+    units = [base**i for i in range(len(variables))]
+    unit = dict(zip(variables, units))
+    packed = {0: 1}
     negatives: list[tuple[LinearForm, int]] = []
     for form, exp in a.sorted_factors():
-        if exp > 0:
-            for _ in range(exp):
-                poly = poly.mul_form(form)
-        else:
+        if exp < 0:
             negatives.append((form, -exp))
+            continue
+        c, up = form.c, unit[form.pos]
+        un = 0 if form.neg is None else unit[form.neg]
+        for _ in range(exp):
+            new = {k: c * v for k, v in packed.items()} if c else {}
+            get = new.get
+            for k, v in packed.items():
+                k1 = k + up
+                new[k1] = get(k1, 0) + v
+                if un:
+                    k2 = k + un
+                    new[k2] = get(k2, 0) - v
+            packed = new
+    terms = {tuple([k // u % base for u in units]): v for k, v in packed.items() if v}
+    poly = SparsePoly(variables, terms)
     for form, exp in negatives:
         for _ in range(exp):
             poly = poly.div_form_exact(form)
-    terms: dict[tuple[int, ...], int] = {}
-    for e, c in poly.terms.items():
-        scaled = c * a.constant
-        if scaled.denominator != 1:
+    num, den = a.constant.numerator, a.constant.denominator
+    scaled: dict[tuple[int, ...], int] = {}
+    for e, v in poly.terms.items():
+        q, r = divmod(v * num, den)
+        if r:
             raise NonIntegerConstantError(
-                f"constant {a.constant} leaves non-integer coefficient {scaled}"
+                f"constant {a.constant} leaves non-integer coefficient {Fraction(v * num, den)}"
             )
-        terms[e] = int(scaled)
-    return SparsePoly(poly.variables, terms)
+        scaled[e] = q
+    return SparsePoly(variables, scaled)

@@ -9,6 +9,7 @@ import schurkit.cli as cli_module
 import schurkit.semisimple as semisimple_module
 from schurkit.cli import SUITES, format_output, mp_text, run
 from schurkit.exact import MAX_MODULUS, FactoredRational, fr_equal
+from schurkit.partitions import multipartition_count
 from schurkit.schur import p_invariant, schur_element
 
 
@@ -209,20 +210,6 @@ def test_determinism_byte_identical(capsys):
     assert invoke(capsys, *argv) == invoke(capsys, *argv)
 
 
-def test_threaded_sweep_matches_serial(capsys, monkeypatch):
-    argv = ["schur", "--m", "2", "--n", "3", "--format", "json"]
-    serial = invoke(capsys, *argv)
-    monkeypatch.setenv("SCHURKIT_THREADS", "3")
-    threaded = invoke(capsys, *argv)
-    assert serial == threaded
-
-
-def test_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("SCHURKIT_THREADS", "zero")
-    code, _, err = invoke(capsys, "schur", "--m", "2", "--n", "1")
-    assert code == 2 and "SCHURKIT_THREADS" in err
-
-
 def test_format_output_rejects_unknown_type():
     with pytest.raises(TypeError):
         format_output(object(), "text")
@@ -307,3 +294,26 @@ def test_schur_rejects_non_array_component(capsys):
 def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
     monkeypatch.setitem(SUITES, "three-formulas", (lambda args: (0, "things", []), ()))
     assert "checked no things" in usage_error(capsys, "verify", "--suite", "three-formulas")
+
+
+def test_trace_identity_rejects_empty_size(capsys):
+    # n = 0 has the single empty multipartition with s = 1, so the sum
+    # is 1 for every m: not a counterexample, but no instance of the claim
+    for n in ("0", "-2"):
+        err = usage_error(capsys, "verify", "--suite", "trace-identity", "--m", "2", "--n", n)
+        assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "suite, m, n",
+    [("trace-identity", 2, 7), ("trace-identity", 3, 4), ("integrality", 4, 4)],
+)
+def test_expand_workload_summary_lines(capsys, suite, m, n):
+    """The exact summary lines that the benchmark's expand workload gates on."""
+    if suite == "integrality":
+        expected = f"checked {multipartition_count(m, n)} multipartitions, 0 mismatches\n"
+    else:
+        expected = "checked 1 identities, 0 mismatches\n"
+    assert invoke(capsys, "verify", "--suite", suite, "--m", str(m), "--n", str(n)) == (
+        0, expected, ""
+    )

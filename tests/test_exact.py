@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from schurkit.exact import (
     X,
     FactoredRational,
     LinearForm,
+    NonIntegerConstantError,
     NotAPolynomialError,
     PoleError,
     ProductBuilder,
@@ -30,7 +32,8 @@ from schurkit.exact import (
     substitute_x,
 )
 from schurkit.exact import _is_prime
-from schurkit.schur import y_kernel
+from schurkit.partitions import enumerate_multipartitions
+from schurkit.schur import schur_element, y_kernel
 
 
 def random_factored(rng: random.Random, max_factors: int = 4) -> FactoredRational:
@@ -132,8 +135,6 @@ def test_fr_expand_rejects_true_quotient():
 
 
 def test_fr_expand_rejects_fractional_constant():
-    from schurkit.exact import NonIntegerConstantError
-
     with pytest.raises(NonIntegerConstantError):
         fr_expand(fr_mul(fr_const(Fraction(1, 2)), fr_form(0, qvar(1))))
 
@@ -155,6 +156,103 @@ def test_sparse_poly_exact_division():
     assert (diff * total).div_form_exact(form) == total
     with pytest.raises(NotAPolynomialError):
         (diff * total + SparsePoly.constant(("q1", "q2"), 1)).div_form_exact(form)
+
+
+def test_fr_expand_rejects_variable_outside_the_tuple():
+    with pytest.raises(ValueError, match="q3"):
+        fr_expand(fr_form(0, qvar(1), qvar(3)), ("q1", "q2"))
+    with pytest.raises(ValueError, match="q3"):
+        fr_expand(fr_div(fr_form(0, qvar(1)), fr_form(2, qvar(3))), ("q1", "q2"))
+
+
+def test_fr_expand_with_unused_variables():
+    value = fr_mul(fr_const(-2), fr_form(1, qvar(1), qvar(3)), fr_form(0, qvar(3)))
+    poly = fr_expand(value, ("q1", "q2", "q3", "q4"))
+    assert poly.variables == ("q1", "q2", "q3", "q4")
+    # -2 (1 + q1 - q3) q3 = -2 q3 - 2 q1 q3 + 2 q3^2
+    assert poly.terms == {(0, 0, 1, 0): -2, (1, 0, 1, 0): -2, (0, 0, 2, 0): 2}
+    small = fr_expand(value, ("q1", "q3"))
+    assert {(a, 0, b, 0): c for (a, b), c in small.terms.items()} == poly.terms
+
+
+def test_fr_expand_constant_only():
+    assert fr_expand(fr_const(-6), ("q1", "q2")).terms == {(0, 0): -6}
+    assert fr_expand(fr_const(Fraction(12, 4))).terms == {(): 3}
+    assert fr_expand(fr_const(0), ("q1",)).is_zero()
+    with pytest.raises(NonIntegerConstantError):
+        fr_expand(fr_const(Fraction(-5, 3)), ("q1",))
+
+
+def test_fr_expand_high_power_fills_the_packing_base():
+    # total positive degree 25, so the packed base is 26 and q^25 is its top digit
+    for variables, index in ((("q1", "q2"), 0), (("q2", "q1"), 1)):
+        poly = fr_expand(fr_form(3, qvar(1), exp=25), variables)
+        expected = {}
+        for k in range(26):
+            e = [0, 0]
+            e[index] = k
+            expected[tuple(e)] = comb(25, k) * 3 ** (25 - k)
+        assert poly.terms == expected
+    value = fr_mul(fr_form(-1, qvar(1), qvar(2), exp=9), fr_form(2, qvar(2), exp=7))
+    generic = SparsePoly.constant(("q1", "q2"), 1)
+    for form, exp in value.factors.items():
+        for _ in range(exp):
+            generic = generic * fr_expand(fr_form(form.c, form.pos, form.neg), ("q1", "q2"))
+    assert fr_expand(value, ("q1", "q2")) == generic
+
+
+def test_fr_expand_negative_exponent_takes_the_division_path():
+    # distinct canonical forms never divide each other, so a true quotient
+    # always fails the exact division, whatever the numerator
+    value = fr_div(fr_mul(fr_const(4), fr_form(1, qvar(1), qvar(2), exp=3)),
+                   fr_form(0, qvar(2), qvar(3), exp=2))
+    with pytest.raises(NotAPolynomialError, match="does not divide"):
+        fr_expand(value, ("q1", "q2", "q3"))
+
+
+def _sympy_oracle(sympy, value: FactoredRational, variables):
+    """value as a sympy polynomial dict, or None when it is not an integer polynomial."""
+    syms = {v: sympy.Symbol(v) for v in variables}
+    expr = sympy.Rational(value.constant.numerator, value.constant.denominator)
+    for form, exp in value.factors.items():
+        linear = form.c + syms[form.pos] - (syms[form.neg] if form.neg else 0)
+        expr *= linear**exp
+    num, den = sympy.fraction(sympy.cancel(expr))
+    if not den.is_number:
+        return None
+    poly = sympy.Poly(sympy.expand(num / den), *[syms[v] for v in variables])
+    coeffs = poly.as_dict()
+    if not all(c.is_integer for c in coeffs.values()):
+        return None
+    return {e: int(c) for e, c in coeffs.items() if c}
+
+
+def test_fr_expand_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m, n in ((2, 4), (3, 3), (4, 2)):
+        variables = tuple(qvar(s) for s in range(1, m + 1))
+        for mp in enumerate_multipartitions(m, n):
+            element = schur_element(mp)
+            assert fr_expand(element, variables).terms == _sympy_oracle(
+                sympy, element, variables
+            ), mp
+    variables = ("q1", "q2", "q3")
+    hand_built = [
+        fr_mul(fr_const(Fraction(1, 2)), fr_form(0, qvar(1), qvar(2)), fr_form(1, qvar(1), qvar(2))),
+        fr_mul(fr_const(Fraction(-3, 4)), fr_form(2, qvar(3), exp=3)),
+        fr_mul(fr_const(Fraction(6, 4)), fr_const(2), fr_form(-1, qvar(2), qvar(3), exp=2)),
+        fr_div(fr_form(1, qvar(1), qvar(2), exp=2), fr_form(0, qvar(3))),
+        fr_div(fr_mul(fr_const(Fraction(5, 2)), fr_form(0, qvar(1))), fr_form(3, qvar(1), qvar(3))),
+        fr_const(Fraction(7, 3)),
+        fr_const(-8),
+    ]
+    for value in hand_built:
+        expected = _sympy_oracle(sympy, value, variables)
+        if expected is None:
+            with pytest.raises(NotAPolynomialError):
+                fr_expand(value, variables)
+        else:
+            assert fr_expand(value, variables).terms == expected, value
 
 
 # -------------------------------------------------------------------- eval
