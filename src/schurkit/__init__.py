@@ -20,7 +20,6 @@ from .exact import (
     canonical_parts,
     fr_const,
     fr_div,
-    fr_equal,
     fr_eval,
     fr_expand,
     fr_form,

@@ -23,7 +23,6 @@ from .exact import (
     SparsePoly,
     Specialization,
     apply_permutation,
-    fr_equal,
     fr_eval,
     fr_expand,
     qvar,
@@ -243,7 +242,7 @@ def _suite_three_formulas(args):
         for L in range(ell, ell + 3):
             candidates.append((f"symbol:L={L}", schur_element(mp, "symbol", L)))
         for name, value in candidates:
-            if not fr_equal(value, base):
+            if value != base:
                 bad.append(
                     {
                         "multipartition": mp_json(mp),
@@ -268,11 +267,11 @@ def _suite_beta_shift(args):
         bad = []
         ys = {L: y_kernel(lam, mu, L) for L in range(base_l, base_l + 4)}
         for L in range(base_l, base_l + 3):
-            if not fr_equal(ys[L], ys[L + 1]):
+            if ys[L] != ys[L + 1]:
                 bad.append({"pair": [list(lam), list(mu)], "check": f"shift:L={L}"})
-        if not fr_equal(x, ys[base_l]):
+        if x != ys[base_l]:
             bad.append({"pair": [list(lam), list(mu)], "check": "x=y"})
-        if not fr_equal(x, z):
+        if x != z:
             bad.append({"pair": [list(lam), list(mu)], "check": "x=z"})
         return bad
 
@@ -332,7 +331,7 @@ def _suite_sm_action(args):
         for sigma in itertools.permutations(range(1, args.m + 1)):
             lhs = elements[permute_components(mp, sigma)]
             rhs = apply_permutation(sigma, elements[mp])
-            if not fr_equal(lhs, rhs):
+            if lhs != rhs:
                 mismatches.append(
                     {"multipartition": mp_json(mp), "sigma": list(sigma)}
                 )

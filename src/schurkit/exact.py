@@ -19,6 +19,7 @@ Canonical orientation of a form:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -84,19 +85,21 @@ class LinearForm:
         return {"c": self.c, "pos": self.pos, "neg": self.neg}
 
 
+@cache
 def canonical_parts(
-    c: int, pos: Optional[str] = None, neg: Optional[str] = None
+    c: int, pos: Optional[str], neg: Optional[str], /
 ) -> tuple[Optional[LinearForm], int]:
-    """Reduce c + pos - neg to canonical (form, sign), or (None, c) if constant."""
+    """Reduce c + pos - neg to canonical (form, sign), or (None, c) if constant.
+
+    Memoized on the positional triple, and a flipped orientation is
+    answered from its canonical triple, so every canonical form is one
+    interned LinearForm.
+    """
     if pos == neg:
         return None, c
-    if pos is None:
-        return LinearForm(-c, neg), -1
-    if neg is None:
-        return LinearForm(c, pos), 1
-    if _rank(pos) < _rank(neg):
-        return LinearForm(c, pos, neg), 1
-    return LinearForm(-c, neg, pos), -1
+    if pos is None or (neg is not None and _rank(neg) < _rank(pos)):
+        return canonical_parts(-c, neg, pos)[0], -1
+    return LinearForm(c, pos, neg), 1
 
 
 class FactoredRational:
@@ -186,20 +189,36 @@ class FactoredRational:
 
 
 class ProductBuilder:
-    """Accumulates a canonical product of constants and linear-form powers."""
+    """Accumulates a canonical product of constants and linear-form powers.
 
-    __slots__ = ("constant", "factors")
+    Occurrences are only tallied: form() adds its exponent under the raw
+    triple (c, pos, neg) and const() multiplies an integer numerator and
+    denominator.  build() canonicalizes each distinct triple once, so the
+    cost of canonicalization and of the one Fraction reduction does not
+    grow with the number of occurrences.
+    """
+
+    __slots__ = ("num", "den", "raw")
 
     def __init__(self) -> None:
-        self.constant = Fraction(1)
-        self.factors: dict[LinearForm, int] = {}
+        self.num = 1
+        self.den = 1
+        self.raw: dict[tuple[int, Optional[str], Optional[str]], int] = {}
 
     def const(self, value: Union[int, Fraction], exp: int = 1) -> "ProductBuilder":
         if exp == 0:
             return self
         if value == 0 and exp < 0:
             raise ZeroDivisionError("zero constant factor with negative exponent")
-        self.constant *= Fraction(value) ** exp
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        if exp < 0:
+            num, den, exp = den, num, -exp
+        self.num *= num**exp
+        self.den *= den**exp
         return self
 
     def form(
@@ -211,32 +230,35 @@ class ProductBuilder:
     ) -> "ProductBuilder":
         if exp == 0:
             return self
-        form, sign = canonical_parts(c, pos, neg)
-        if form is None:
-            return self.const(sign, exp)
-        if sign < 0 and exp % 2:
-            self.constant = -self.constant
-        new = self.factors.get(form, 0) + exp
-        if new:
-            self.factors[form] = new
-        else:
-            self.factors.pop(form, None)
+        if pos == neg:
+            return self.const(c, exp)
+        key = (c, pos, neg)
+        raw = self.raw
+        raw[key] = raw.get(key, 0) + exp
         return self
 
     def fr(self, value: FactoredRational, exp: int = 1) -> "ProductBuilder":
         if exp == 0:
             return self
         self.const(value.constant, exp)
+        raw = self.raw
         for form, e in value.factors.items():
-            new = self.factors.get(form, 0) + e * exp
-            if new:
-                self.factors[form] = new
-            else:
-                self.factors.pop(form, None)
+            key = (form.c, form.pos, form.neg)
+            raw[key] = raw.get(key, 0) + e * exp
         return self
 
     def build(self) -> FactoredRational:
-        return FactoredRational(self.constant, self.factors)
+        num = self.num
+        factors: dict[LinearForm, int] = {}
+        for (c, pos, neg), exp in self.raw.items():
+            if exp:
+                form, sign = canonical_parts(c, pos, neg)
+                if sign < 0 and exp % 2:
+                    num = -num
+                factors[form] = factors.get(form, 0) + exp
+        if 0 in factors.values():  # both orientations of a form cancelled
+            factors = {form: e for form, e in factors.items() if e}
+        return FactoredRational(Fraction(num, self.den), factors)
 
 
 def fr_const(value: Union[int, Fraction]) -> FactoredRational:
@@ -264,11 +286,6 @@ def fr_div(a: FactoredRational, b: FactoredRational) -> FactoredRational:
     if b.is_zero():
         raise ZeroDivisionError("division by the zero product")
     return ProductBuilder().fr(a).fr(b, exp=-1).build()
-
-
-def fr_equal(a: FactoredRational, b: FactoredRational) -> bool:
-    """Exact equality of values, decided on canonical representations."""
-    return a == b
 
 
 def apply_permutation(

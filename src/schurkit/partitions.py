@@ -98,11 +98,6 @@ def removable_nodes(lam: Partition) -> list[tuple[int, int]]:
     return out
 
 
-def remove_node(lam: Partition, i: int) -> Partition:
-    """Remove the removable node in row i."""
-    return partition(lam[: i - 1] + (lam[i - 1] - 1,) + lam[i:])
-
-
 def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
     """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing.
 

@@ -18,6 +18,7 @@ of them can be checked on concrete instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 
 from .exact import (
@@ -25,7 +26,6 @@ from .exact import (
     FactoredRational,
     ProductBuilder,
     SparsePoly,
-    fr_equal,
     fr_expand,
     negate_x,
     qvar,
@@ -144,21 +144,22 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
     if length is None:
         length = mp_length(mp)
     rows = l_symbol(mp, length)
+    q = [qvar(s) for s in range(1, m + 1)]
     b = ProductBuilder()
     b.const((-1) ** (comb(m, 2) * comb(length, 2)))
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            b.form(0, qvar(s), qvar(t), exp=length)
-    for s in range(1, m + 1):
-        for t in range(1, m + 1):
-            for a in rows[s - 1]:
+    for s in range(m):
+        for t in range(s + 1, m):
+            b.form(0, q[s], q[t], exp=length)
+    for s in range(m):
+        for t in range(m):
+            for a in rows[s]:
                 for k in range(1, a + 1):
-                    b.form(k, qvar(s), qvar(t))
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            for a_s in rows[s - 1]:
-                for a_t in rows[t - 1]:
-                    b.form(a_s - a_t, qvar(s), qvar(t), exp=-1)
+                    b.form(k, q[s], q[t])
+    for s in range(m):
+        for t in range(s + 1, m):
+            for a_s in rows[s]:
+                for a_t in rows[t]:
+                    b.form(a_s - a_t, q[s], q[t], exp=-1)
     for row in rows:
         for i in range(len(row)):
             for j in range(i + 1, len(row)):
@@ -167,20 +168,22 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
 
 
 def _schur_cancellation(mp: Multipartition) -> FactoredRational:
-    m = len(mp)
+    q = [qvar(s) for s in range(1, len(mp) + 1)]
     b = ProductBuilder()
-    for s, lam in enumerate(mp, 1):
+    for q_s, lam in zip(q, mp):
         for i, j in nodes(lam):
-            for t in range(1, m + 1):
-                b.form(generalized_hook_length(lam, mp[t - 1], i, j), qvar(s), qvar(t))
+            for q_t, mu in zip(q, mp):
+                b.form(generalized_hook_length(lam, mu, i, j), q_s, q_t)
     return b.build()
 
 
+@cache
 def p_invariant(m: int, n: int) -> FactoredRational:
     """The separation polynomial n! * prod_{i<j} prod_{|d|<n} (d + q_i - q_j).
 
     Its non-vanishing under a specialization is equivalent to the
-    specialized algebra being semisimple.
+    specialized algebra being semisimple.  Memoized: callers share the
+    returned value, which like every FactoredRational is never mutated.
     """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")
@@ -215,7 +218,7 @@ def verify_mu_identity(mu: Partition, ell: int) -> bool:
         cj = conjugate_part(mu, j)
         rhs.form(j - cj - 1, pos=X)
         rhs.form(j - cj, pos=X, exp=-1)
-    return fr_equal(lhs.build(), rhs.build())
+    return lhs.build() == rhs.build()
 
 
 def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
@@ -233,7 +236,7 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
     """Check that swapping the pair is the same as negating x in the kernel."""
-    return fr_equal(x_kernel(lam, mu), negate_x(x_kernel(mu, lam)))
+    return x_kernel(lam, mu) == negate_x(x_kernel(mu, lam))
 
 
 def trace_identity_sides(m: int, n: int) -> tuple[SparsePoly, SparsePoly]:
@@ -255,10 +258,12 @@ def trace_identity_sides(m: int, n: int) -> tuple[SparsePoly, SparsePoly]:
             lcm_factors[form] = max(lcm_factors.get(form, 0), exp)
     denom = FactoredRational(Fraction(lcm_const), lcm_factors)
     variables = tuple(qvar(s) for s in range(1, m + 1))
-    total = SparsePoly.constant(variables, 0)
+    terms: dict[tuple[int, ...], int] = {}
     for mp, el in zip(mps, elements):
-        cofactor = fr_expand(denom / el, variables)
-        total = total + cofactor.scale(num_standard_tableaux(mp))
+        f = num_standard_tableaux(mp)
+        for e, c in fr_expand(denom / el, variables).terms.items():
+            terms[e] = terms.get(e, 0) + f * c
+    total = SparsePoly(variables, terms)
     expected = fr_expand(denom, variables) if m == 1 else SparsePoly.constant(variables, 0)
     return total, expected
 

@@ -13,7 +13,6 @@ from schurkit.cli import run as cli_run
 from schurkit.exact import (
     FactoredRational,
     apply_permutation,
-    fr_equal,
     fr_expand,
     negate_x,
     qvar,
@@ -61,11 +60,11 @@ def test_criterion_1_three_formula_agreement():
     for m, n in _level_size_grid():
         for mp in enumerate_multipartitions(m, n):
             base = schur_element(mp, "cancellation")
-            if not fr_equal(schur_element(mp, "product"), base):
+            if schur_element(mp, "product") != base:
                 failures.append((mp, "product"))
             ell = mp_length(mp)
             for L in (ell, ell + 1, ell + 2):
-                if not fr_equal(schur_element(mp, "symbol", L), base):
+                if schur_element(mp, "symbol", L) != base:
                     failures.append((mp, f"symbol:L={L}"))
     _report(1, "three-formula agreement (m<=3 n<=5; m<=2 n<=6)", failures, started)
 
@@ -77,13 +76,13 @@ def test_criterion_2_kernel_lemmas():
     for lam in parts:
         for mu in parts:
             x = x_kernel(lam, mu)
-            if not fr_equal(x, z_kernel(lam, mu)):
+            if x != z_kernel(lam, mu):
                 failures.append((lam, mu, "x=z"))
             base = max(len(lam), len(mu))
             for L in (base, base + 1, base + 2):
-                if not fr_equal(x, y_kernel(lam, mu, L)):
+                if x != y_kernel(lam, mu, L):
                     failures.append((lam, mu, f"x=y:L={L}"))
-            if not fr_equal(x, negate_x(x_kernel(mu, lam))):
+            if x != negate_x(x_kernel(mu, lam)):
                 failures.append((lam, mu, "swap-negate"))
     _report(2, "kernel lemmas X=Y, X=Z, swap symmetry (sizes <= 5)", failures, started)
 
@@ -140,7 +139,7 @@ def test_criterion_5_symmetric_group_equivariance():
                 for sigma in itertools.permutations(range(1, m + 1)):
                     lhs = elements[permute_components(mp, sigma)]
                     rhs = apply_permutation(sigma, elements[mp])
-                    if not fr_equal(lhs, rhs):
+                    if lhs != rhs:
                         failures.append((mp, sigma))
     _report(5, "S_m equivariance (m<=3, n<=5, all sigma)", failures, started)
 
@@ -228,13 +227,13 @@ def test_criterion_8_cli_determinism_and_round_trip(capsys):
     for record in json.loads(out):
         mp = tuple(tuple(lam) for lam in record["multipartition"])
         parsed = FactoredRational.from_json(record["schur"])
-        if not fr_equal(parsed, schur_element(mp)):
+        if parsed != schur_element(mp):
             failures.append(("round-trip", mp))
 
     code, out, _ = invoke("pinv", "--m", "3", "--n", "2", "--format", "json")
     from schurkit.schur import p_invariant
 
-    if not fr_equal(FactoredRational.from_json(json.loads(out)), p_invariant(3, 2)):
+    if FactoredRational.from_json(json.loads(out)) != p_invariant(3, 2):
         failures.append(("round-trip", "pinv"))
     _report(8, "CLI determinism (byte-identical reruns) and JSON round-trip",
             failures, started)

@@ -1,16 +1,20 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 import schurkit.cli as cli_module
 import schurkit.semisimple as semisimple_module
 from schurkit.cli import SUITES, format_output, mp_text, run
-from schurkit.exact import MAX_MODULUS, FactoredRational, fr_equal
+from schurkit.exact import MAX_MODULUS, FactoredRational
 from schurkit.partitions import multipartition_count
-from schurkit.schur import p_invariant, schur_element
+from schurkit.schur import FORMULAS, p_invariant, schur_element
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 
 def invoke(capsys, *argv):
@@ -29,7 +33,7 @@ def test_pinv_latex_and_json(capsys):
     assert code == 0
     assert out == "2*(-1+q_{1}-q_{2})(q_{1}-q_{2})(1+q_{1}-q_{2})\n"
     code, out, _ = invoke(capsys, "pinv", "--m", "2", "--n", "2", "--format", "json")
-    assert fr_equal(FactoredRational.from_json(json.loads(out)), p_invariant(2, 2))
+    assert FactoredRational.from_json(json.loads(out)) == p_invariant(2, 2)
 
 
 def test_enumerate_text_and_json(capsys):
@@ -51,7 +55,7 @@ def test_schur_sweep_json_round_trip(capsys):
     for record in records:
         mp = tuple(tuple(lam) for lam in record["multipartition"])
         parsed = FactoredRational.from_json(record["schur"])
-        assert fr_equal(parsed, schur_element(mp, "cancellation"))
+        assert parsed == schur_element(mp, "cancellation")
 
 
 def test_schur_single_multipartition(capsys):
@@ -317,3 +321,19 @@ def test_expand_workload_summary_lines(capsys, suite, m, n):
     assert invoke(capsys, "verify", "--suite", suite, "--m", str(m), "--n", str(n)) == (
         0, expected, ""
     )
+
+
+BUILD_COMMANDS = [
+    f"schur --m 4 --n 6 --formula {formula} --format {fmt}"
+    for formula in FORMULAS
+    for fmt in ("json", "latex", "text")
+] + [f"pinv --m 5 --n 8 --format {fmt}" for fmt in ("json", "latex", "text")]
+
+
+@pytest.mark.parametrize("command", BUILD_COMMANDS)
+def test_build_workload_stdout_digests(capsys, command):
+    """The schur/pinv stdout that the benchmark's build workload gates on, byte for byte."""
+    digest = json.loads(REFERENCE.read_text())[command]
+    code, out, err = invoke(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

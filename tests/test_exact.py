@@ -21,7 +21,6 @@ from schurkit.exact import (
     canonical_parts,
     fr_const,
     fr_div,
-    fr_equal,
     fr_eval,
     fr_expand,
     fr_form,
@@ -71,6 +70,9 @@ def test_canonical_orientation():
     assert canonical_parts(4, qvar(2), qvar(2)) == (None, 4)
     form, sign = canonical_parts(-1, X, qvar(3))
     assert (form, sign) == (LinearForm(1, "q3", "x"), -1)
+    # both orientations share one interned form
+    assert canonical_parts(1, qvar(3), X)[0] is form
+    assert canonical_parts(3, None, X)[0] is canonical_parts(-3, X, None)[0]
 
 
 def test_constants_never_stored_as_factors():
@@ -97,9 +99,9 @@ def test_fr_mul_examples():
 def test_fr_equal_examples():
     x = fr_form(0, X)
     one_plus_x = fr_form(1, X)
-    assert fr_equal(fr_div(fr_mul(x, one_plus_x), one_plus_x), x)
-    assert not fr_equal(fr_form(0, qvar(1), qvar(2)), fr_form(0, qvar(2), qvar(1)))
-    assert fr_equal(y_kernel((1,), (), 2), y_kernel((1,), (), 3))
+    assert fr_div(fr_mul(x, one_plus_x), one_plus_x) == x
+    assert fr_form(0, qvar(1), qvar(2)) != fr_form(0, qvar(2), qvar(1))
+    assert y_kernel((1,), (), 2) == y_kernel((1,), (), 3)
 
 
 def test_zero_value():
@@ -107,6 +109,113 @@ def test_zero_value():
     assert zero.is_zero() and zero.factors == {}
     with pytest.raises(ZeroDivisionError):
         fr_div(fr_const(1), zero)
+
+
+# ---------------------------------------------------------- builder oracle
+
+
+def _oriented(c, pos, neg):
+    """Canonical (c, pos, neg) and sign, by the orientation rule of exact.py."""
+
+    def rank(v):
+        return (1, 0) if v == X else (0, int(v[1:]))
+
+    if pos is None:
+        return (-c, neg, None), -1
+    if neg is None or rank(pos) < rank(neg):
+        return (c, pos, neg), 1
+    return (-c, neg, pos), -1
+
+
+def _fold_each_occurrence(occurrences):
+    """Reference builder: canonicalize every occurrence as it arrives."""
+    constant = Fraction(1)
+    factors = {}
+    for c, pos, neg, exp in occurrences:
+        if pos == neg:
+            constant *= Fraction(c) ** exp
+            continue
+        key, sign = _oriented(c, pos, neg)
+        constant *= Fraction(sign) ** exp
+        factors[key] = factors.get(key, 0) + exp
+    return FactoredRational(constant, {LinearForm(*k): e for k, e in factors.items() if e})
+
+
+def _random_occurrences(rng):
+    """Occurrences (c, pos, neg, exp); pos == neg == None marks a constant c."""
+    names = [qvar(1), qvar(2), qvar(3), X, None]
+    pool = [(rng.randint(-3, 3), rng.choice(names), rng.choice(names)) for _ in range(4)]
+    out = []
+    for _ in range(rng.randint(0, 14)):
+        roll = rng.random()
+        if roll < 0.15:
+            value = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            exp = rng.choice([-2, -1, 1, 2, 3]) if value else rng.choice([1, 2])
+            out.append((value, None, None, exp))
+            continue
+        c, pos, neg = rng.choice(pool)
+        if rng.random() < 0.5:  # the other orientation of the same form
+            c, pos, neg = -c, neg, pos
+        if pos == neg and c == 0:
+            exp = rng.choice([1, 2])
+        else:
+            exp = rng.choice([-3, -2, -1, 0, 1, 2, 3])
+        out.append((c, pos, neg, exp))
+        if roll > 0.85 and (pos != neg or c):  # a later occurrence cancels this one
+            out.append((c, pos, neg, -exp) if rng.random() < 0.5 else (-c, neg, pos, -exp))
+    rng.shuffle(out)
+    return out
+
+
+def _product_at(occurrences, values):
+    """The product evaluated occurrence by occurrence; None at a pole."""
+    def at(v):
+        return 0 if v is None else values[v]
+
+    result = Fraction(1)
+    for c, pos, neg, exp in occurrences:
+        v = c + at(pos) - at(neg)
+        if v == 0 and exp < 0:
+            return None
+        result *= Fraction(v) ** exp
+    return result
+
+
+def test_builder_matches_occurrence_fold_and_evaluation():
+    rng = random.Random(31)
+    checked_points = 0
+    for _ in range(600):
+        occurrences = _random_occurrences(rng)
+        b = ProductBuilder()
+        for c, pos, neg, exp in occurrences:
+            if pos is None and neg is None and rng.random() < 0.5:
+                b.const(c, exp)
+            else:
+                b.form(c, pos, neg, exp=exp)
+        value = b.build()
+        assert value == _fold_each_occurrence(occurrences), occurrences
+        assert b.build() == value
+        for _ in range(3):
+            values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                      for v in (qvar(1), qvar(2), qvar(3), X)}
+            expected = _product_at(occurrences, values)
+            if expected is None:
+                continue
+            theta = Specialization({s: values[qvar(s)] for s in (1, 2, 3)}, x_value=values[X])
+            assert fr_eval(value, theta) == expected, occurrences
+            checked_points += 1
+    assert checked_points > 1500
+
+
+def test_builder_rejects_zero_to_a_negative_power_at_the_call():
+    b = ProductBuilder()
+    with pytest.raises(ZeroDivisionError):
+        b.const(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        b.const(Fraction(0), -2)
+    with pytest.raises(ZeroDivisionError):
+        b.form(0, qvar(1), qvar(1), exp=-1)
+    assert b.build() == fr_const(1)
 
 
 # ------------------------------------------------------------------ expand

@@ -11,7 +11,6 @@ from schurkit.exact import (
     Specialization,
     apply_permutation,
     fr_const,
-    fr_equal,
     fr_eval,
     fr_expand,
     fr_form,
@@ -57,7 +56,7 @@ def test_y_kernel_examples():
     assert y_kernel((1,), (), 1) == fr_form(0, X)
     # (1+x)(1-x): canonically -(-1+x)(1+x), expanding to 1 - x^2
     val = y_kernel((1,), (1,), 1)
-    assert fr_equal(val, x_kernel((1,), (1,)))
+    assert val == x_kernel((1,), (1,))
     assert fr_expand(val, (X,)).terms == {(0,): 1, (2,): -1}
 
 
@@ -69,7 +68,7 @@ def test_y_kernel_requires_large_l():
 def test_z_kernel_examples():
     assert z_kernel((1,), ()) == fr_form(0, X)
     assert z_kernel((), (1,)) == fr_mul(fr_const(-1), fr_form(0, X))
-    assert fr_equal(z_kernel((1,), (1,)), x_kernel((1,), (1,)))
+    assert z_kernel((1,), (1,)) == x_kernel((1,), (1,))
 
 
 def test_z_kernel_is_a_pure_product():
@@ -85,10 +84,10 @@ def test_kernel_agreement_small_sweep():
     for lam in parts:
         for mu in parts:
             x = x_kernel(lam, mu)
-            assert fr_equal(x, z_kernel(lam, mu))
+            assert x == z_kernel(lam, mu)
             base = max(len(lam), len(mu))
             for length in range(base, base + 3):
-                assert fr_equal(x, y_kernel(lam, mu, length))
+                assert x == y_kernel(lam, mu, length)
 
 
 def test_beta_shift_invariance_small_sweep():
@@ -97,7 +96,7 @@ def test_beta_shift_invariance_small_sweep():
         for mu in parts:
             base = max(len(lam), len(mu))
             values = [y_kernel(lam, mu, L) for L in range(base, base + 4)]
-            assert all(fr_equal(values[0], v) for v in values[1:])
+            assert all(values[0] == v for v in values[1:])
 
 
 # ------------------------------------------------------------ Schur element
@@ -143,10 +142,10 @@ def test_three_formula_agreement_small_sweep():
         for n in range(4):
             for mp in enumerate_multipartitions(m, n):
                 base = schur_element(mp, "cancellation")
-                assert fr_equal(schur_element(mp, "product"), base)
+                assert schur_element(mp, "product") == base
                 ell = mp_length(mp)
                 for L in range(ell, ell + 3):
-                    assert fr_equal(schur_element(mp, "symbol", L), base)
+                    assert schur_element(mp, "symbol", L) == base
 
 
 def test_schur_equivariance_small_sweep():
@@ -159,7 +158,7 @@ def test_schur_equivariance_small_sweep():
             for mp in mps:
                 for sigma in itertools.permutations(range(1, m + 1)):
                     lhs = elements[permute_components(mp, sigma)]
-                    assert fr_equal(lhs, apply_permutation(sigma, elements[mp]))
+                    assert lhs == apply_permutation(sigma, elements[mp])
 
 
 # -------------------------------------------------------------- P invariant
