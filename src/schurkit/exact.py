@@ -622,9 +622,10 @@ def fr_expand(
 ) -> SparsePoly:
     """Expand a factored value into a SparsePoly with integer coefficients.
 
-    Positive-exponent factors are multiplied out; each negative-exponent
-    factor must divide the accumulated numerator exactly.  The rational
-    constant must leave every coefficient integral.
+    A value with a negative exponent is rejected at once: its forms are
+    pairwise non-associate irreducibles, so no form of the denominator
+    divides the numerator.  The positive-exponent factors are multiplied
+    out, and the rational constant must leave every coefficient integral.
 
     A monomial is packed into one int whose base-B digit i, with
     B = total positive degree + 1, is the exponent of variables[i]; no
@@ -636,15 +637,15 @@ def fr_expand(
     missing = set(a.variables()) - set(variables)
     if missing:
         raise ValueError(f"{sorted(missing)} are not among the variables {variables}")
-    base = 1 + sum(exp for exp in a.factors.values() if exp > 0)
+    factors = a.sorted_factors()
+    for form, exp in factors:
+        if exp < 0:
+            raise NotAPolynomialError(f"{form.render()} does not divide the numerator exactly")
+    base = 1 + sum(exp for _, exp in factors)
     units = [base**i for i in range(len(variables))]
     unit = dict(zip(variables, units))
     packed = {0: 1}
-    negatives: list[tuple[LinearForm, int]] = []
-    for form, exp in a.sorted_factors():
-        if exp < 0:
-            negatives.append((form, -exp))
-            continue
+    for form, exp in factors:
         c, up = form.c, unit[form.pos]
         un = 0 if form.neg is None else unit[form.neg]
         for _ in range(exp):
@@ -657,18 +658,15 @@ def fr_expand(
                     k2 = k + un
                     new[k2] = get(k2, 0) - v
             packed = new
-    terms = {tuple([k // u % base for u in units]): v for k, v in packed.items() if v}
-    poly = SparsePoly(variables, terms)
-    for form, exp in negatives:
-        for _ in range(exp):
-            poly = poly.div_form_exact(form)
     num, den = a.constant.numerator, a.constant.denominator
     scaled: dict[tuple[int, ...], int] = {}
-    for e, v in poly.terms.items():
+    for k, v in packed.items():
+        if not v:
+            continue
         q, r = divmod(v * num, den)
         if r:
             raise NonIntegerConstantError(
                 f"constant {a.constant} leaves non-integer coefficient {Fraction(v * num, den)}"
             )
-        scaled[e] = q
+        scaled[tuple([k // u % base for u in units])] = q
     return SparsePoly(variables, scaled)

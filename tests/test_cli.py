@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import schurkit.cli as cli_module
+import schurkit.schur as schur_module
 import schurkit.semisimple as semisimple_module
 from schurkit.cli import SUITES, format_output, mp_text, run
 from schurkit.exact import MAX_MODULUS, FactoredRational
-from schurkit.partitions import multipartition_count
-from schurkit.schur import FORMULAS, p_invariant, schur_element
+from schurkit.partitions import enumerate_multipartitions, multipartition_count
+from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
@@ -306,6 +307,20 @@ def test_trace_identity_rejects_empty_size(capsys):
     for n in ("0", "-2"):
         err = usage_error(capsys, "verify", "--suite", "trace-identity", "--m", "2", "--n", n)
         assert "--n" in err
+
+
+def test_trace_identity_mismatch_record(capsys, monkeypatch):
+    true_count = schur_module.num_standard_tableaux
+    wrong = list(enumerate_multipartitions(3, 3))[4]
+    monkeypatch.setattr(
+        schur_module, "num_standard_tableaux", lambda mp: true_count(mp) + (mp == wrong)
+    )
+    got, expected = trace_identity_sides(3, 3)
+    code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", "3", "--n", "3")
+    assert (code, err) == (1, "")
+    record, summary = out.splitlines()
+    assert json.loads(record) == {"m": 3, "n": 3, "difference": (got - expected).to_json()}
+    assert summary == "checked 1 identities, 1 mismatches"
 
 
 @pytest.mark.parametrize(

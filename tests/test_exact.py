@@ -310,13 +310,29 @@ def test_fr_expand_high_power_fills_the_packing_base():
     assert fr_expand(value, ("q1", "q2")) == generic
 
 
-def test_fr_expand_negative_exponent_takes_the_division_path():
+def _no_division(monkeypatch):
+    def fail(self, form):
+        raise AssertionError("fr_expand called div_form_exact")
+
+    monkeypatch.setattr(SparsePoly, "div_form_exact", fail)
+
+
+def test_fr_expand_rejects_negative_exponents_without_dividing(monkeypatch):
     # distinct canonical forms never divide each other, so a true quotient
-    # always fails the exact division, whatever the numerator
+    # is rejected before anything is multiplied or divided
+    _no_division(monkeypatch)
     value = fr_div(fr_mul(fr_const(4), fr_form(1, qvar(1), qvar(2), exp=3)),
                    fr_form(0, qvar(2), qvar(3), exp=2))
     with pytest.raises(NotAPolynomialError, match="does not divide"):
         fr_expand(value, ("q1", "q2", "q3"))
+    # the first denominator form in sorted_factors() order is named, and the
+    # quotient error comes before the one for a fractional constant
+    value = fr_div(fr_mul(fr_const(Fraction(1, 2)), fr_form(0, qvar(1))),
+                   fr_mul(fr_form(2, qvar(2), qvar(3)), fr_form(-1, qvar(1), qvar(3))))
+    with pytest.raises(NotAPolynomialError) as info:
+        fr_expand(value, ("q1", "q2", "q3"))
+    assert type(info.value) is NotAPolynomialError
+    assert str(info.value) == "(-1+q1-q3) does not divide the numerator exactly"
 
 
 def _sympy_oracle(sympy, value: FactoredRational, variables):
@@ -336,8 +352,9 @@ def _sympy_oracle(sympy, value: FactoredRational, variables):
     return {e: int(c) for e, c in coeffs.items() if c}
 
 
-def test_fr_expand_matches_sympy():
+def test_fr_expand_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
+    _no_division(monkeypatch)
     for m, n in ((2, 4), (3, 3), (4, 2)):
         variables = tuple(qvar(s) for s in range(1, m + 1))
         for mp in enumerate_multipartitions(m, n):

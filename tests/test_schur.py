@@ -2,14 +2,16 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+import schurkit.schur as schur_module
 from schurkit.exact import (
     X,
     Specialization,
     apply_permutation,
+    canonical_parts,
     fr_const,
     fr_eval,
     fr_expand,
@@ -28,6 +30,7 @@ from schurkit.schur import (
     p_invariant,
     schur_element,
     trace_identity_sides,
+    vanishes_identically,
     verify_hook_beta_identity,
     verify_mu_identity,
     verify_trace_identity,
@@ -284,6 +287,104 @@ def test_trace_identity_small():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             assert verify_trace_identity(m, n)
+    assert verify_trace_identity(3, 6)
+
+
+def test_trace_identity_grid_agrees_with_expansion():
+    cases = [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7)]
+    for m, n in cases:
+        got, expected = trace_identity_sides(m, n)
+        assert verify_trace_identity(m, n) == (got == expected), (m, n)
+
+
+def test_trace_identity_grid_rejects_a_wrong_dimension(monkeypatch):
+    true_count = schur_module.num_standard_tableaux
+    for m, n in ((2, 3), (3, 3), (3, 4)):
+        wrong = list(enumerate_multipartitions(m, n))[n]
+        monkeypatch.setattr(
+            schur_module,
+            "num_standard_tableaux",
+            lambda mp, wrong=wrong: true_count(mp) + (mp == wrong),
+        )
+        assert not verify_trace_identity(m, n), (m, n)
+        got, expected = trace_identity_sides(m, n)
+        assert got != expected
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_vanishes_identically_needs_the_whole_grid(d):
+    # prod_{k<d} (-k + q1 - q2) has degree d in q1 and, at q2 = 0, vanishes
+    # at q1 = 0..d-1: a grid of d points per variable would miss it
+    forms = [canonical_parts(-k, "q1", "q2")[0] for k in range(d)]
+    factors = [(k, 1) for k in range(d)]
+    assert all(prod(-k + q1 for k in range(d)) == 0 for q1 in range(d))
+    assert not vanishes_identically(2, forms, [(1, factors)])
+    assert vanishes_identically(2, forms, [(1, factors), (-1, factors)])
+    # a third variable and a zero exponent on a form that vanishes on the
+    # grid (q2 - q3 at q2 = 0) change nothing
+    forms3 = forms + [canonical_parts(0, "q2", "q3")[0]]
+    assert not vanishes_identically(3, forms3, [(1, factors + [(d, 0)])])
+    assert vanishes_identically(3, forms3, [(1, factors + [(d, 0)]), (-1, factors)])
+
+
+def test_vanishes_identically_rejects_other_forms():
+    with pytest.raises(ValueError, match="not a form"):
+        vanishes_identically(2, [canonical_parts(1, "q1", None)[0]], [(1, [(0, 1)])])
+    with pytest.raises(ValueError, match="not a form"):
+        vanishes_identically(2, [canonical_parts(1, "q1", "q3")[0]], [(1, [(0, 1)])])
+    with pytest.raises(ValueError, match="negative exponent"):
+        vanishes_identically(2, [canonical_parts(1, "q1", "q2")[0]], [(1, [(0, -1)])])
+
+
+def _oracle_partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _oracle_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _oracle_multipartitions(m, n):
+    if m == 1:
+        yield from ((lam,) for lam in _oracle_partitions(n))
+        return
+    for k in range(n + 1):
+        for lam in _oracle_partitions(k):
+            for rest in _oracle_multipartitions(m - 1, n - k):
+                yield (lam,) + rest
+
+
+def _oracle_hook(lam, mu, i, j):
+    """lam_i - i + mu'_j - j + 1 for the node (i, j) of lam, 1-based."""
+    return lam[i - 1] - i + sum(1 for row in mu if row >= j) - j + 1
+
+
+def test_trace_identity_matches_sympy():
+    """sum_L f^L / s_L = [m = 1], with elements, hooks and f^L built here."""
+    sympy = pytest.importorskip("sympy")
+    for m, n in ((1, 3), (2, 3), (3, 2), (2, 4)):
+        q = sympy.symbols(f"q1:{m + 1}")
+        names = {f"q{s}": q[s - 1] for s in range(1, m + 1)}
+        summands = []
+        for mp in _oracle_multipartitions(m, n):
+            element = sympy.Integer(1)
+            hooks = 1
+            for s, lam in enumerate(mp):
+                for i, row in enumerate(lam, 1):
+                    for j in range(1, row + 1):
+                        hooks *= _oracle_hook(lam, lam, i, j)
+                        for t, mu in enumerate(mp):
+                            element *= _oracle_hook(lam, mu, i, j) + q[s] - q[t]
+            summands.append(sympy.Integer(factorial(n) // hooks) / element)
+            # the library's element is the same polynomial
+            value = schur_element(mp)
+            ours = sympy.Rational(value.constant.numerator, value.constant.denominator)
+            for form, exp in value.factors.items():
+                ours *= (form.c + names[form.pos] - names[form.neg]) ** exp
+            assert sympy.expand(element - ours) == 0, mp
+        total = sympy.cancel(sympy.together(sympy.Add(*summands)))
+        assert total == (1 if m == 1 else 0), (m, n)
 
 
 def test_trace_identity_sides_level_one():
