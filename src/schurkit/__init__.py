@@ -19,12 +19,9 @@ from .exact import (
     apply_permutation,
     canonical_parts,
     fr_const,
-    fr_div,
     fr_eval,
     fr_expand,
     fr_form,
-    fr_mul,
-    fr_pow,
     negate_x,
     qvar,
     substitute_x,

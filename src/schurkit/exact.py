@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 X = "x"
 
@@ -133,13 +133,15 @@ class FactoredRational:
         return hash((self.constant, frozenset(self.factors.items())))
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return fr_mul(self, other)
+        return ProductBuilder().fr(self).fr(other).build()
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return fr_div(self, other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero product")
+        return ProductBuilder().fr(self).fr(other, exp=-1).build()
 
     def __pow__(self, k: int) -> "FactoredRational":
-        return fr_pow(self, k)
+        return ProductBuilder().fr(self, exp=k).build()
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.render()})"
@@ -271,36 +273,18 @@ def fr_form(
     return ProductBuilder().form(c, pos, neg, exp=exp).build()
 
 
-def fr_mul(*values: FactoredRational) -> FactoredRational:
-    b = ProductBuilder()
-    for v in values:
-        b.fr(v)
-    return b.build()
-
-
-def fr_pow(a: FactoredRational, k: int) -> FactoredRational:
-    return ProductBuilder().fr(a, exp=k).build()
-
-
-def fr_div(a: FactoredRational, b: FactoredRational) -> FactoredRational:
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero product")
-    return ProductBuilder().fr(a).fr(b, exp=-1).build()
-
-
-def apply_permutation(
-    sigma: Sequence[int], value: Union[FactoredRational, "SparsePoly"]
-) -> Union[FactoredRational, "SparsePoly"]:
+def apply_permutation(sigma: Sequence[int], value: FactoredRational) -> FactoredRational:
     """Rename q_s -> q_{sigma(s)} and re-canonicalize; sigma is 1-based images."""
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{len(sigma)}")
-    if isinstance(value, SparsePoly):
-        return value.apply_permutation(sigma)
 
     def rename(v: Optional[str]) -> Optional[str]:
         if v is None or v == X:
             return v
-        return qvar(sigma[int(v[1:]) - 1])
+        s = int(v[1:])
+        if s > len(sigma):
+            raise ValueError(f"{v} is beyond the permutation {tuple(sigma)} of 1..{len(sigma)}")
+        return qvar(sigma[s - 1])
 
     b = ProductBuilder()
     b.const(value.constant)
@@ -429,9 +413,6 @@ class Specialization:
     def constant_value(self, constant: Fraction) -> FieldElement:
         return self._coerce(constant)
 
-    def render(self, v: FieldElement) -> str:
-        return str(v)
-
 
 def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
     """Exact value of a under theta; raises PoleError on vanishing denominators."""
@@ -449,7 +430,12 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
 
 
 class SparsePoly:
-    """Expanded integer-coefficient polynomial over a fixed variable tuple."""
+    """Expanded integer-coefficient polynomial over a fixed variable tuple.
+
+    It serves only as the result of fr_expand, in the expansion oracle
+    trace_identity_sides, and as the difference polynomial in the
+    mismatch record of verify --suite trace-identity.
+    """
 
     __slots__ = ("variables", "terms")
 
@@ -457,21 +443,10 @@ class SparsePoly:
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c}
 
-    @classmethod
-    def constant(cls, variables: Sequence[str], value: int) -> "SparsePoly":
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: value} if value else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items())))
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         terms = dict(self.terms)
@@ -500,9 +475,6 @@ class SparsePoly:
                 else:
                     terms.pop(e, None)
         return SparsePoly(self.variables, terms)
-
-    def scale(self, k: int) -> "SparsePoly":
-        return SparsePoly(self.variables, {e: k * c for e, c in self.terms.items()})
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -552,37 +524,12 @@ class SparsePoly:
                     p.pop(e, None)
         return SparsePoly(self.variables, q)
 
-    def evaluate(self, theta: Specialization) -> FieldElement:
-        acc: FieldElement = Fraction(0) if theta.prime is None else 0
-        values = [theta.value_of(v) for v in self.variables]
-        for e, c in self.terms.items():
-            term: FieldElement = c
-            for v, k in zip(values, e):
-                if k:
-                    term *= pow(v, k, theta.prime) if theta.prime else v**k
-            acc += term
-        return acc % theta.prime if theta.prime is not None else acc
-
-    def apply_permutation(self, sigma: Sequence[int]) -> "SparsePoly":
-        def rename(v: str) -> str:
-            return v if v == X else qvar(sigma[int(v[1:]) - 1])
-
-        renamed = [rename(v) for v in self.variables]
-        order = sorted(range(len(renamed)), key=lambda i: _rank(renamed[i]))
-        variables = tuple(renamed[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in self.terms.items()}
-        return SparsePoly(variables, terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Graded-lex order, leading term first."""
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def to_json(self) -> list:
         return [[list(e), str(c)] for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, data: Iterable, variables: Sequence[str]) -> "SparsePoly":
-        return cls(variables, {tuple(e): int(c) for e, c in data})
 
     def render(self, latex: bool = False) -> str:
         if not self.terms:

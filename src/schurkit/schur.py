@@ -281,7 +281,7 @@ def trace_identity_sides(m: int, n: int) -> tuple[SparsePoly, SparsePoly]:
         for e, c in fr_expand(denom / el, variables).terms.items():
             terms[e] = terms.get(e, 0) + f * c
     total = SparsePoly(variables, terms)
-    expected = fr_expand(denom, variables) if m == 1 else SparsePoly.constant(variables, 0)
+    expected = fr_expand(denom, variables) if m == 1 else SparsePoly(variables, {})
     return total, expected
 
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,11 +15,20 @@ import schurkit.cli as cli_module
 import schurkit.schur as schur_module
 import schurkit.semisimple as semisimple_module
 from schurkit.cli import SUITES, format_output, mp_text, run
-from schurkit.exact import MAX_MODULUS, FactoredRational
+from schurkit.exact import (
+    MAX_MODULUS,
+    FactoredRational,
+    NotAPolynomialError,
+    fr_const,
+    fr_expand,
+    fr_form,
+    qvar,
+)
 from schurkit.partitions import enumerate_multipartitions, multipartition_count
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "bench" / "reference.json"
 
 
 def invoke(capsys, *argv):
@@ -321,6 +334,40 @@ def test_trace_identity_mismatch_record(capsys, monkeypatch):
     record, summary = out.splitlines()
     assert json.loads(record) == {"m": 3, "n": 3, "difference": (got - expected).to_json()}
     assert summary == "checked 1 identities, 1 mismatches"
+
+
+def test_integrality_mismatch_records(capsys, monkeypatch):
+    negative, fractional, too_long = enumerate_multipartitions(3, 1)
+    half = fr_const(Fraction(1, 2)) * fr_form(1, qvar(1), qvar(2))
+    corrupted = {
+        negative: fr_form(0, qvar(1), qvar(3), exp=-1),
+        fractional: half,
+        too_long: fr_form(2, qvar(2), qvar(3), exp=3),
+    }
+    monkeypatch.setattr(cli_module, "schur_element", lambda mp: corrupted[mp])
+    with pytest.raises(NotAPolynomialError) as info:
+        fr_expand(half, ("q1", "q2", "q3"))
+    code, out, err = invoke(capsys, "verify", "--suite", "integrality", "--m", "3", "--n", "1")
+    assert (code, err) == (1, "")
+    *records, summary = out.splitlines()
+    assert [json.loads(line) for line in records] == [
+        {"multipartition": [[1], [], []], "check": "negative exponent"},
+        {"multipartition": [[], [1], []], "check": str(info.value)},
+        {"multipartition": [[], [], [1]], "check": "degree 3 > 2"},
+    ]
+    assert summary == "checked 3 multipartitions, 3 mismatches"
+
+
+def test_cli_module_runs_as_a_script():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "schurkit.cli", "verify", "--suite", "hook-beta", "--size"]
+    done = subprocess.run([*argv, "2"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "checked 16 identities, 0 mismatches\n", ""
+    )
+    done = subprocess.run([*argv, "0"], capture_output=True, text=True, env=env)
+    assert done.returncode == 2 and done.stdout == "" and "--size" in done.stderr
 
 
 @pytest.mark.parametrize(
