@@ -7,7 +7,6 @@ semisimplicity of specialized algebras.
 """
 
 from .exact import (
-    X,
     FactoredRational,
     LinearForm,
     NonIntegerConstantError,
@@ -22,9 +21,8 @@ from .exact import (
     fr_eval,
     fr_expand,
     fr_form,
-    negate_x,
+    qindex,
     qvar,
-    substitute_x,
 )
 from .partitions import (
     Multipartition,

@@ -24,6 +24,7 @@ from .exact import (
     apply_permutation,
     fr_eval,
     fr_expand,
+    qindex,
     qvar,
 )
 from .partitions import (
@@ -181,7 +182,6 @@ def _cmd_pinv(args) -> int:
 
 def _parse_theta(args, m: int) -> Specialization:
     values: dict[int, Fraction] = {}
-    x_value = None
     for token in args.set or []:
         key, _, raw = token.partition("=")
         if not raw:
@@ -190,20 +190,20 @@ def _parse_theta(args, m: int) -> Specialization:
             val = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--set {token!r}: not a rational value")
-        if key == "x":
-            x_value = val
-        elif key.startswith("q") and key[1:].isdigit():
-            s = int(key[1:])
-            if not 1 <= s <= m:
-                raise UsageError(f"--set {token!r}: --m {m} has parameters q1..q{m}")
-            values[s] = val
-        else:
-            raise UsageError(f"--set {token!r}: name must be q<i> or x")
+        try:
+            s = qindex(key)
+        except ValueError:
+            raise UsageError(f"--set {token!r}: name must be q<i> with 1 <= i <= {m}")
+        if s > m:
+            raise UsageError(f"--set {token!r}: --m {m} has parameters q1..q{m}")
+        if s in values:
+            raise UsageError(f"--set {token!r}: {key} is already set")
+        values[s] = val
     missing = [s for s in range(1, m + 1) if s not in values]
     if missing:
         raise UsageError(f"missing --set for q{missing[0]}")
     try:
-        return Specialization(values, x_value=x_value, prime=args.mod)
+        return Specialization(values, prime=args.mod)
     except (ValueError, ArithmeticError) as exc:
         raise UsageError(str(exc))
 
@@ -280,15 +280,16 @@ def _suite_beta_shift(args):
     return len(pairs), "partition pairs", mismatches
 
 
+def _identity_suite(unit: str, cases, verify, record):
+    """Run verify(*case) over the cases; one record(*case) per failing case."""
+    return len(cases), unit, [record(*case) for case in cases if not verify(*case)]
+
+
 def _suite_x_symmetry(args):
-    pairs = _partition_pairs(args.size)
-    flags = [verify_x_symmetry(*pair) for pair in pairs]
-    mismatches = [
-        {"pair": [list(lam), list(mu)], "check": "x-symmetry"}
-        for (lam, mu), ok in zip(pairs, flags)
-        if not ok
-    ]
-    return len(pairs), "partition pairs", mismatches
+    return _identity_suite(
+        "partition pairs", _partition_pairs(args.size), verify_x_symmetry,
+        lambda lam, mu: {"pair": [list(lam), list(mu)], "check": "x-symmetry"},
+    )
 
 
 def _suite_mu_identity(args):
@@ -298,13 +299,9 @@ def _suite_mu_identity(args):
         for mu in partitions_of(k)
         for ell in range(1, mu[0] + 1)
     ]
-    flags = [verify_mu_identity(*case) for case in cases]
-    mismatches = [
-        {"mu": list(mu), "ell": ell}
-        for (mu, ell), ok in zip(cases, flags)
-        if not ok
-    ]
-    return len(cases), "identities", mismatches
+    return _identity_suite(
+        "identities", cases, verify_mu_identity, lambda mu, ell: {"mu": list(mu), "ell": ell}
+    )
 
 
 def _suite_hook_beta(args):
@@ -314,13 +311,10 @@ def _suite_hook_beta(args):
         for lam in partitions_of(k)
         for extra in range(4)
     ]
-    flags = [verify_hook_beta_identity(*case) for case in cases]
-    mismatches = [
-        {"partition": list(lam), "L": L}
-        for (lam, L), ok in zip(cases, flags)
-        if not ok
-    ]
-    return len(cases), "identities", mismatches
+    return _identity_suite(
+        "identities", cases, verify_hook_beta_identity,
+        lambda lam, L: {"partition": list(lam), "L": L},
+    )
 
 
 def _suite_sm_action(args):
@@ -339,7 +333,6 @@ def _suite_sm_action(args):
 
 
 def _suite_integrality(args):
-    variables = tuple(qvar(s) for s in range(1, args.m + 1))
     bound = args.n * (args.m - 1)
 
     def check(mp):
@@ -350,7 +343,7 @@ def _suite_integrality(args):
         # product is integral iff its constant is, and its degree is the exponent sum.
         if element.constant.denominator != 1:
             try:
-                fr_expand(element, variables)
+                fr_expand(element, args.m)
             except NotAPolynomialError as exc:
                 return [{"multipartition": mp_json(mp), "check": str(exc)}]
         degree = sum(element.factors.values())
@@ -396,7 +389,7 @@ def _suite_criterion(args):
                 mismatches.append(
                     {
                         "field": report.field,
-                        "theta": {f"q{s}": str(v) for s, v in sorted(theta.q_values.items())},
+                        "theta": {qvar(s): str(v) for s, v in sorted(theta.q_values.items())},
                         "report": report.to_json(),
                     }
                 )

@@ -1,29 +1,25 @@
 """Exact arithmetic for factored rational functions over the integers.
 
 Every quantity this library computes is a rational constant times a
-product of integer powers of linear forms c + v - w in the parameters
-q_1..q_m and one extra indeterminate x.  Distinct canonical forms are
-pairwise non-associate irreducibles, so the factored representation is
-unique and equality is a dictionary comparison; no polynomial gcd is
-ever needed.
+product of integer powers of linear forms c + q_s - q_t in the
+parameters q_1..q_m.  Distinct canonical forms are pairwise
+non-associate irreducibles, so the factored representation is unique
+and equality is a dictionary comparison; no polynomial gcd is ever
+needed.
 
-Canonical orientation of a form:
-  * at least one variable is present (pure constants fold into the
-    ambient rational constant);
-  * the positive slot is always occupied, and when both variables are
-    present the positive one has the smaller rank (q_1 < q_2 < ... < x);
-  * flipping an orientation multiplies the ambient constant by
-    (-1)^exponent, never changes the form itself.
+A form is canonical when s < t; flipping an orientation multiplies the
+ambient constant by (-1)^exponent and never changes the form itself.
+Forms with s == t are constants and fold into the ambient constant.
+Parameters are ints everywhere; the names "q<i>" appear only in
+rendering, in the JSON encoding and in parsing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from functools import cache
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
-
-X = "x"
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 FieldElement = Union[Fraction, int]
 
@@ -40,66 +36,57 @@ class NonIntegerConstantError(NotAPolynomialError):
     """Expansion left a fractional coefficient behind."""
 
 
+@cache
 def qvar(s: int) -> str:
-    """Name of the s-th parameter (1-based)."""
+    """Name of the s-th parameter (1-based); one shared string per index."""
     if s < 1:
         raise ValueError(f"parameter index must be positive, got {s}")
     return f"q{s}"
 
 
-def _rank(v: str) -> tuple[int, int]:
-    if v == X:
-        return (1, 0)
-    return (0, int(v[1:]))
+def qindex(name: str) -> int:
+    """The index s of the parameter name "q<s>"; ValueError for any other name."""
+    if not isinstance(name, str) or not re.fullmatch(r"q[1-9][0-9]*", name):
+        raise ValueError(f"{name!r} is not a parameter name q<i> with i >= 1")
+    return int(name[1:])
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Canonical linear form c + pos - neg; construct via canonical_parts."""
+class LinearForm(NamedTuple):
+    """Canonical linear form c + q_s - q_t with 1 <= s < t; construct via canonical_parts.
 
+    The tuple order (s, t, c) is the order every renderer lists factors in.
+    """
+
+    s: int
+    t: int
     c: int
-    pos: str
-    neg: Optional[str] = None
-
-    def variables(self) -> tuple[str, ...]:
-        return (self.pos,) if self.neg is None else (self.pos, self.neg)
-
-    def sort_key(self) -> tuple:
-        neg_rank = (2, 0) if self.neg is None else _rank(self.neg)
-        return (_rank(self.pos), neg_rank, self.c)
 
     def render(self, latex: bool = False) -> str:
-        def var(v: str) -> str:
-            if latex and v != X:
-                return f"q_{{{v[1:]}}}"
-            return v
-
-        body = var(self.pos)
-        if self.neg is not None:
-            body += f"-{var(self.neg)}"
-        if self.c:
-            body = f"{self.c}+{body}"
-        return f"({body})"
+        if latex:
+            body = f"q_{{{self.s}}}-q_{{{self.t}}}"
+        else:
+            body = f"q{self.s}-q{self.t}"
+        return f"({self.c}+{body})" if self.c else f"({body})"
 
     def to_json(self) -> dict:
-        return {"c": self.c, "pos": self.pos, "neg": self.neg}
+        return {"c": self.c, "pos": qvar(self.s), "neg": qvar(self.t)}
 
 
 @cache
-def canonical_parts(
-    c: int, pos: Optional[str], neg: Optional[str], /
-) -> tuple[Optional[LinearForm], int]:
-    """Reduce c + pos - neg to canonical (form, sign), or (None, c) if constant.
+def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], int]:
+    """Reduce c + q_s - q_t to canonical (form, sign), or (None, c) if s == t.
 
     Memoized on the positional triple, and a flipped orientation is
     answered from its canonical triple, so every canonical form is one
     interned LinearForm.
     """
-    if pos == neg:
+    if s < 1 or t < 1:
+        raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
+    if s == t:
         return None, c
-    if pos is None or (neg is not None and _rank(neg) < _rank(pos)):
-        return canonical_parts(-c, neg, pos)[0], -1
-    return LinearForm(c, pos, neg), 1
+    if s > t:
+        return canonical_parts(-c, t, s)[0], -1
+    return LinearForm(s, t, c), 1
 
 
 class FactoredRational:
@@ -151,11 +138,7 @@ class FactoredRational:
 
     def sorted_factors(self) -> list[tuple[LinearForm, int]]:
         """Factor list in the canonical order used by every renderer."""
-        return sorted(self.factors.items(), key=lambda fe: fe[0].sort_key())
-
-    def variables(self) -> list[str]:
-        seen = {v for form in self.factors for v in form.variables()}
-        return sorted(seen, key=_rank)
+        return sorted(self.factors.items())
 
     def render(self, latex: bool = False) -> str:
         """Deterministic text form: constant prefix then canonical factors."""
@@ -183,10 +166,14 @@ class FactoredRational:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FactoredRational":
+        """Inverse of to_json; ValueError on a malformed encoding."""
         b = ProductBuilder()
-        b.const(Fraction(int(data["num"]), int(data["den"])))
-        for form, exp in data["factors"]:
-            b.form(int(form["c"]), form.get("pos"), form.get("neg"), exp=int(exp))
+        try:
+            b.const(Fraction(int(data["num"]), int(data["den"])))
+            for form, exp in data["factors"]:
+                b.form(int(form["c"]), qindex(form["pos"]), qindex(form["neg"]), exp=int(exp))
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed factored value: {exc!r}") from exc
         return b.build()
 
 
@@ -194,8 +181,8 @@ class ProductBuilder:
     """Accumulates a canonical product of constants and linear-form powers.
 
     Occurrences are only tallied: form() adds its exponent under the raw
-    triple (c, pos, neg) and const() multiplies an integer numerator and
-    denominator.  build() canonicalizes each distinct triple once, so the
+    key (s, t, c) and const() multiplies an integer numerator and
+    denominator.  build() canonicalizes each distinct key once, so the
     cost of canonicalization and of the one Fraction reduction does not
     grow with the number of occurrences.
     """
@@ -205,7 +192,7 @@ class ProductBuilder:
     def __init__(self) -> None:
         self.num = 1
         self.den = 1
-        self.raw: dict[tuple[int, Optional[str], Optional[str]], int] = {}
+        self.raw: dict[tuple[int, int, int], int] = {}
 
     def const(self, value: Union[int, Fraction], exp: int = 1) -> "ProductBuilder":
         if exp == 0:
@@ -223,18 +210,13 @@ class ProductBuilder:
         self.den *= den**exp
         return self
 
-    def form(
-        self,
-        c: int,
-        pos: Optional[str] = None,
-        neg: Optional[str] = None,
-        exp: int = 1,
-    ) -> "ProductBuilder":
+    def form(self, c: int, s: int, t: int, exp: int = 1) -> "ProductBuilder":
+        """Multiply by (c + q_s - q_t)^exp."""
         if exp == 0:
             return self
-        if pos == neg:
+        if s == t:
             return self.const(c, exp)
-        key = (c, pos, neg)
+        key = (s, t, c)
         raw = self.raw
         raw[key] = raw.get(key, 0) + exp
         return self
@@ -244,17 +226,16 @@ class ProductBuilder:
             return self
         self.const(value.constant, exp)
         raw = self.raw
-        for form, e in value.factors.items():
-            key = (form.c, form.pos, form.neg)
-            raw[key] = raw.get(key, 0) + e * exp
+        for form, e in value.factors.items():  # a LinearForm is its own raw key
+            raw[form] = raw.get(form, 0) + e * exp
         return self
 
     def build(self) -> FactoredRational:
         num = self.num
         factors: dict[LinearForm, int] = {}
-        for (c, pos, neg), exp in self.raw.items():
+        for (s, t, c), exp in self.raw.items():
             if exp:
-                form, sign = canonical_parts(c, pos, neg)
+                form, sign = canonical_parts(c, s, t)
                 if sign < 0 and exp % 2:
                     num = -num
                 factors[form] = factors.get(form, 0) + exp
@@ -267,66 +248,22 @@ def fr_const(value: Union[int, Fraction]) -> FactoredRational:
     return FactoredRational(Fraction(value), {})
 
 
-def fr_form(
-    c: int, pos: Optional[str] = None, neg: Optional[str] = None, exp: int = 1
-) -> FactoredRational:
-    return ProductBuilder().form(c, pos, neg, exp=exp).build()
+def fr_form(c: int, s: int, t: int, exp: int = 1) -> FactoredRational:
+    """The value (c + q_s - q_t)^exp."""
+    return ProductBuilder().form(c, s, t, exp=exp).build()
 
 
 def apply_permutation(sigma: Sequence[int], value: FactoredRational) -> FactoredRational:
     """Rename q_s -> q_{sigma(s)} and re-canonicalize; sigma is 1-based images."""
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{len(sigma)}")
-
-    def rename(v: Optional[str]) -> Optional[str]:
-        if v is None or v == X:
-            return v
-        s = int(v[1:])
-        if s > len(sigma):
-            raise ValueError(f"{v} is beyond the permutation {tuple(sigma)} of 1..{len(sigma)}")
-        return qvar(sigma[s - 1])
-
+    m = len(sigma)
+    if sorted(sigma) != list(range(1, m + 1)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{m}")
     b = ProductBuilder()
     b.const(value.constant)
-    for form, exp in value.factors.items():
-        b.form(form.c, rename(form.pos), rename(form.neg), exp=exp)
-    return b.build()
-
-
-def substitute_x(a: FactoredRational, s: int, t: int) -> FactoredRational:
-    """Replace x by q_s - q_t in every factor.
-
-    Only forms of the shape c + x can occur in the kernels this is
-    applied to; a form mixing x with a parameter would need three
-    variables after substitution and is rejected.
-    """
-    if s == t:
-        raise ValueError("substitution x -> q_s - q_t needs distinct indices")
-    b = ProductBuilder()
-    b.const(a.constant)
-    for form, exp in a.factors.items():
-        if X not in form.variables():
-            b.form(form.c, form.pos, form.neg, exp=exp)
-        elif form.pos == X and form.neg is None:
-            b.form(form.c, qvar(s), qvar(t), exp=exp)
-        else:
-            raise ValueError(
-                f"substituting x in {form.render()} would create a three-variable form"
-            )
-    return b.build()
-
-
-def negate_x(a: FactoredRational) -> FactoredRational:
-    """Replace x by -x; defined for values whose x-factors are pure c + x."""
-    b = ProductBuilder()
-    b.const(a.constant)
-    for form, exp in a.factors.items():
-        if X not in form.variables():
-            b.form(form.c, form.pos, form.neg, exp=exp)
-        elif form.pos == X and form.neg is None:
-            b.form(form.c, neg=X, exp=exp)
-        else:
-            raise ValueError(f"cannot negate x inside the mixed form {form.render()}")
+    for (s, t, c), exp in value.factors.items():
+        if t > m:  # t is the larger index of a canonical form
+            raise ValueError(f"q{t} is beyond the permutation {tuple(sigma)} of 1..{m}")
+        b.form(c, sigma[s - 1], sigma[t - 1], exp=exp)
     return b.build()
 
 
@@ -363,7 +300,7 @@ def _is_prime(p: int) -> bool:
 
 
 class Specialization:
-    """Assignment of field values to the parameters q_s (and optionally x).
+    """Assignment of field values to the parameters q_s.
 
     prime=None evaluates over the rationals; otherwise over the prime
     field F_p.  Values may be given as ints or Fractions; over F_p a
@@ -374,14 +311,12 @@ class Specialization:
     def __init__(
         self,
         q_values: Mapping[int, Union[int, Fraction, str]],
-        x_value: Union[int, Fraction, str, None] = None,
         prime: Optional[int] = None,
     ):
         if prime is not None and not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         self.prime = prime
         self.q_values = {int(s): self._coerce(v) for s, v in q_values.items()}
-        self.x_value = None if x_value is None else self._coerce(x_value)
 
     def _coerce(self, v: Union[int, Fraction, str]) -> FieldElement:
         frac = Fraction(v)
@@ -394,20 +329,13 @@ class Specialization:
     def field_tag(self) -> str:
         return "Q" if self.prime is None else f"Fp:{self.prime}"
 
-    def value_of(self, var: str) -> FieldElement:
-        if var == X:
-            if self.x_value is None:
-                raise ValueError("x is not assigned by this specialization")
-            return self.x_value
-        s = int(var[1:])
+    def value_of(self, s: int) -> FieldElement:
         if s not in self.q_values:
             raise ValueError(f"q{s} is not assigned by this specialization")
         return self.q_values[s]
 
     def eval_form(self, form: LinearForm) -> FieldElement:
-        v = form.c + self.value_of(form.pos)
-        if form.neg is not None:
-            v -= self.value_of(form.neg)
+        v = form.c + self.value_of(form.s) - self.value_of(form.t)
         return v % self.prime if self.prime is not None else v
 
     def constant_value(self, constant: Fraction) -> FieldElement:
@@ -430,23 +358,23 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
 
 
 class SparsePoly:
-    """Expanded integer-coefficient polynomial over a fixed variable tuple.
+    """Expanded integer-coefficient polynomial in q_1..q_m.
 
     It serves only as the result of fr_expand, in the expansion oracle
     trace_identity_sides, and as the difference polynomial in the
     mismatch record of verify --suite trace-identity.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("m", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]):
-        self.variables = tuple(variables)
+    def __init__(self, m: int, terms: Mapping[tuple[int, ...], int]):
+        self.m = m
         self.terms = {e: c for e, c in terms.items() if c}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return self.m == other.m and self.terms == other.terms
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         terms = dict(self.terms)
@@ -456,10 +384,10 @@ class SparsePoly:
                 terms[e] = new
             else:
                 terms.pop(e, None)
-        return SparsePoly(self.variables, terms)
+        return SparsePoly(self.m, terms)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return SparsePoly(self.m, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -474,23 +402,18 @@ class SparsePoly:
                     terms[e] = new
                 else:
                     terms.pop(e, None)
-        return SparsePoly(self.variables, terms)
+        return SparsePoly(self.m, terms)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def _exponent(self, var: str) -> tuple[int, ...]:
-        idx = self.variables.index(var)
-        return tuple(1 if i == idx else 0 for i in range(len(self.variables)))
+    def _exponent(self, s: int) -> tuple[int, ...]:
+        return tuple(1 if i == s else 0 for i in range(1, self.m + 1))
 
     def _form_terms(self, form: LinearForm) -> dict[tuple[int, ...], int]:
-        terms: dict[tuple[int, ...], int] = {}
-        terms[self._exponent(form.pos)] = 1
-        if form.neg is not None:
-            terms[self._exponent(form.neg)] = -1
+        terms = {self._exponent(form.s): 1, self._exponent(form.t): -1}
         if form.c:
-            zero = (0,) * len(self.variables)
-            terms[zero] = terms.get(zero, 0) + form.c
+            terms[(0,) * self.m] = form.c
         return terms
 
     def div_form_exact(self, form: LinearForm) -> "SparsePoly":
@@ -522,7 +445,7 @@ class SparsePoly:
                     p[e] = new
                 else:
                     p.pop(e, None)
-        return SparsePoly(self.variables, q)
+        return SparsePoly(self.m, q)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Graded-lex order, leading term first."""
@@ -535,21 +458,17 @@ class SparsePoly:
         if not self.terms:
             return "0"
 
-        def var(v: str) -> str:
-            if latex and v != X:
-                return f"q_{{{v[1:]}}}"
-            return v
-
         chunks = []
         for e, c in self.sorted_terms():
             powers = []
-            for v, k in zip(self.variables, e):
+            for s, k in enumerate(e, 1):
                 if not k:
                     continue
+                var = f"q_{{{s}}}" if latex else qvar(s)
                 if k == 1:
-                    powers.append(var(v))
+                    powers.append(var)
                 else:
-                    powers.append(f"{var(v)}^{{{k}}}" if latex else f"{var(v)}^{k}")
+                    powers.append(f"{var}^{{{k}}}" if latex else f"{var}^{k}")
             mono = ("" if latex else "*").join(powers)
             if not mono:
                 chunks.append(f"{c:+d}")
@@ -564,10 +483,8 @@ class SparsePoly:
         return out[1:] if out.startswith("+") else out
 
 
-def fr_expand(
-    a: FactoredRational, variables: Optional[Sequence[str]] = None
-) -> SparsePoly:
-    """Expand a factored value into a SparsePoly with integer coefficients.
+def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
+    """Expand a factored value into a SparsePoly in q_1..q_m with integer coefficients.
 
     A value with a negative exponent is rejected at once: its forms are
     pairwise non-associate irreducibles, so no form of the denominator
@@ -575,35 +492,29 @@ def fr_expand(
     out, and the rational constant must leave every coefficient integral.
 
     A monomial is packed into one int whose base-B digit i, with
-    B = total positive degree + 1, is the exponent of variables[i]; no
-    digit can carry, so multiplying by c + pos - neg is one shift-add.
+    B = total positive degree + 1, is the exponent of q_(i+1); no digit
+    can carry, so multiplying by c + q_s - q_t is one shift-add.
     """
-    if variables is None:
-        variables = a.variables()
-    variables = tuple(variables)
-    missing = set(a.variables()) - set(variables)
-    if missing:
-        raise ValueError(f"{sorted(missing)} are not among the variables {variables}")
+    beyond = max((form.t for form in a.factors), default=0)
+    if beyond > m:
+        raise ValueError(f"q{beyond} is beyond the variables q1..q{m}")
     factors = a.sorted_factors()
     for form, exp in factors:
         if exp < 0:
             raise NotAPolynomialError(f"{form.render()} does not divide the numerator exactly")
     base = 1 + sum(exp for _, exp in factors)
-    units = [base**i for i in range(len(variables))]
-    unit = dict(zip(variables, units))
+    units = [base**i for i in range(m)]
     packed = {0: 1}
-    for form, exp in factors:
-        c, up = form.c, unit[form.pos]
-        un = 0 if form.neg is None else unit[form.neg]
+    for (s, t, c), exp in factors:
+        up, un = units[s - 1], units[t - 1]
         for _ in range(exp):
             new = {k: c * v for k, v in packed.items()} if c else {}
             get = new.get
             for k, v in packed.items():
                 k1 = k + up
                 new[k1] = get(k1, 0) + v
-                if un:
-                    k2 = k + un
-                    new[k2] = get(k2, 0) - v
+                k2 = k + un
+                new[k2] = get(k2, 0) - v
             packed = new
     num, den = a.constant.numerator, a.constant.denominator
     scaled: dict[tuple[int, ...], int] = {}
@@ -616,4 +527,4 @@ def fr_expand(
                 f"constant {a.constant} leaves non-integer coefficient {Fraction(v * num, den)}"
             )
         scaled[tuple([k // u % base for u in units])] = q
-    return SparsePoly(variables, scaled)
+    return SparsePoly(m, scaled)

@@ -2,17 +2,20 @@
 
 Three independent routes produce the same canonical factored value:
 
-  * product:       ordinary hooks times one kernel X per component pair,
-                   evaluated at x = q_s - q_t;
+  * product:       ordinary hooks times one kernel X_{lam^s lam^t}(x)
+                   per component pair, evaluated at x = q_s - q_t;
   * symbol:        a single quotient of factorials and linear forms read
                    off the L-symbol of beta numbers;
   * cancellation:  a plain product of (generalized hook + q_s - q_t)
                    over all nodes and target components, with no
                    denominator at all.
 
-The kernels X, Y, Z on ordinary partition pairs live here too, together
-with boolean verifiers for the supporting identities, so that every one
-of them can be checked on concrete instances.
+The kernels x_kernel, y_kernel, z_kernel on partition pairs live here
+too, with boolean verifiers for the supporting identities, so that
+every one of them can be checked on concrete instances.  A kernel is a
+rational function of one indeterminate x and is always built at
+x = q_s - q_t, so every value is a product of forms c + q_s - q_t;
+swapping s and t is the substitution x -> -x.
 """
 
 from __future__ import annotations
@@ -23,17 +26,7 @@ from functools import cache
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
-from .exact import (
-    X,
-    FactoredRational,
-    LinearForm,
-    ProductBuilder,
-    SparsePoly,
-    fr_expand,
-    negate_x,
-    qvar,
-    substitute_x,
-)
+from .exact import FactoredRational, LinearForm, ProductBuilder, SparsePoly, fr_expand
 from .partitions import (
     Multipartition,
     Partition,
@@ -52,8 +45,8 @@ from .partitions import (
 FORMULAS = ("product", "symbol", "cancellation")
 
 
-def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
-    """The pairing X on two partitions, a rational function of x.
+def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
+    """The pairing X_{lam mu}(x) on two partitions, at x = q_s - q_t.
 
     Product over the nodes of mu of (j - i - x), times, for every node
     of lam, (j - i - mu_1 + x) and the telescoping column corrections
@@ -64,17 +57,19 @@ def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
     mubar = conjugate(mu)
     b = ProductBuilder()
     for i, j in nodes(mu):
-        b.form(j - i, neg=X)
+        b.form(j - i, t, s)
     for i, j in nodes(lam):
-        b.form(j - i - mu1, pos=X)
+        b.form(j - i - mu1, s, t)
         for k in range(1, mu1 + 1):
-            b.form(j - i + mubar[k - 1] - k + 1, pos=X)
-            b.form(j - i + mubar[k - 1] - k, pos=X, exp=-1)
+            b.form(j - i + mubar[k - 1] - k + 1, s, t)
+            b.form(j - i + mubar[k - 1] - k, s, t, exp=-1)
     return b.build()
 
 
-def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
-    """The beta-number form of the pairing, computed from L-beta sets.
+def y_kernel(
+    lam: Partition, mu: Partition, length: int, s: int = 1, t: int = 2
+) -> FactoredRational:
+    """The beta-number form of the pairing from L-beta sets, at x = q_s - q_t.
 
     (-1)^C(L,2) x^L times rising products (i + x) over the beta numbers
     of lam and (j - x) over those of mu, divided by (a - b + x) over all
@@ -86,30 +81,30 @@ def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
     beta_m = beta_set(mu, length)
     b = ProductBuilder()
     b.const((-1) ** comb(length, 2))
-    b.form(0, pos=X, exp=length)
+    b.form(0, s, t, exp=length)
     for a in beta_l:
         for i in range(1, a + 1):
-            b.form(i, pos=X)
+            b.form(i, s, t)
     for bb in beta_m:
         for j in range(1, bb + 1):
-            b.form(j, neg=X)
+            b.form(j, t, s)
     for a in beta_l:
         for bb in beta_m:
-            b.form(a - bb, pos=X, exp=-1)
+            b.form(a - bb, s, t, exp=-1)
     return b.build()
 
 
-def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
-    """Cancellation-free form of the pairing: a pure product of linear factors.
+def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
+    """Cancellation-free form of the pairing at x = q_s - q_t: a pure product.
 
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
     b = ProductBuilder()
     for i, j in nodes(lam):
-        b.form(generalized_hook_length(lam, mu, i, j), pos=X)
+        b.form(generalized_hook_length(lam, mu, i, j), s, t)
     for i, j in nodes(mu):
-        b.form(generalized_hook_length(mu, lam, i, j), neg=X)
+        b.form(generalized_hook_length(mu, lam, i, j), t, s)
     return b.build()
 
 
@@ -138,7 +133,7 @@ def _schur_product(mp: Multipartition) -> FactoredRational:
         b.const(hook_product(lam))
     for s in range(1, m + 1):
         for t in range(s + 1, m + 1):
-            b.fr(substitute_x(x_kernel(mp[s - 1], mp[t - 1]), s, t))
+            b.fr(x_kernel(mp[s - 1], mp[t - 1], s, t))
     return b.build()
 
 
@@ -147,25 +142,23 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
     if length is None:
         length = mp_length(mp)
     rows = l_symbol(mp, length)
-    q = [qvar(s) for s in range(1, m + 1)]
     b = ProductBuilder()
     b.const((-1) ** (comb(m, 2) * comb(length, 2)))
-    for s in range(m):
-        for t in range(s + 1, m):
-            b.form(0, q[s], q[t], exp=length)
-    for s in range(m):
+    for s in range(1, m + 1):
+        for t in range(s + 1, m + 1):
+            b.form(0, s, t, exp=length)
+    for s, row in enumerate(rows, 1):
         # prod over beta numbers a of row s of prod_{k<=a} (k + q_s - q_t),
         # one call per k with the number of a >= k as exponent
-        row = rows[s]
         counts = [(k, sum(a >= k for a in row)) for k in range(1, max(row, default=0) + 1)]
-        for t in range(m):
+        for t in range(1, m + 1):
             for k, count in counts:
-                b.form(k, q[s], q[t], exp=count)
-    for s in range(m):
-        for t in range(s + 1, m):
-            for a_s in rows[s]:
-                for a_t in rows[t]:
-                    b.form(a_s - a_t, q[s], q[t], exp=-1)
+                b.form(k, s, t, exp=count)
+    for s in range(1, m + 1):
+        for t in range(s + 1, m + 1):
+            for a_s in rows[s - 1]:
+                for a_t in rows[t - 1]:
+                    b.form(a_s - a_t, s, t, exp=-1)
     for row in rows:
         for i in range(len(row)):
             for j in range(i + 1, len(row)):
@@ -174,12 +167,11 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
 
 
 def _schur_cancellation(mp: Multipartition) -> FactoredRational:
-    q = [qvar(s) for s in range(1, len(mp) + 1)]
     b = ProductBuilder()
-    for q_s, lam in zip(q, mp):
+    for s, lam in enumerate(mp, 1):
         for i, j in nodes(lam):
-            for q_t, mu in zip(q, mp):
-                b.form(generalized_hook_length(lam, mu, i, j), q_s, q_t)
+            for t, mu in enumerate(mp, 1):
+                b.form(generalized_hook_length(lam, mu, i, j), s, t)
     return b.build()
 
 
@@ -198,32 +190,31 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             for d in range(-(n - 1), n):
-                b.form(d, qvar(i), qvar(j))
+                b.form(d, i, j)
     return b.build()
 
 
 def verify_mu_identity(mu: Partition, ell: int) -> bool:
     """Check the telescoping row/column identity behind the kernel recursions.
 
-    Both sides are rational functions of one indeterminate y (realized
-    as the x variable): the left walks the first mu'_ell rows, the right
-    walks columns ell..mu_1.  True for every partition and every
-    1 <= ell <= mu_1.
+    Both sides are rational functions of one indeterminate y, taken at
+    y = q_1 - q_2: the left walks the first mu'_ell rows, the right walks
+    columns ell..mu_1.  True for every partition and every 1 <= ell <= mu_1.
     """
     if not mu or not (1 <= ell <= mu[0]):
         raise ValueError("need a non-empty partition and 1 <= ell <= mu_1")
     mubar_ell = conjugate_part(mu, ell)
     lhs = ProductBuilder()
-    lhs.form(mu[0], pos=X, exp=-1)
+    lhs.form(mu[0], 1, 2, exp=-1)
     for i in range(1, mubar_ell + 1):
-        lhs.form(mu[i - 1] - i + 1, pos=X)
-        lhs.form(mu[i - 1] - i, pos=X, exp=-1)
+        lhs.form(mu[i - 1] - i + 1, 1, 2)
+        lhs.form(mu[i - 1] - i, 1, 2, exp=-1)
     rhs = ProductBuilder()
-    rhs.form(ell - mubar_ell - 1, pos=X, exp=-1)
+    rhs.form(ell - mubar_ell - 1, 1, 2, exp=-1)
     for j in range(ell, mu[0] + 1):
         cj = conjugate_part(mu, j)
-        rhs.form(j - cj - 1, pos=X)
-        rhs.form(j - cj, pos=X, exp=-1)
+        rhs.form(j - cj - 1, 1, 2)
+        rhs.form(j - cj, 1, 2, exp=-1)
     return lhs.build() == rhs.build()
 
 
@@ -241,8 +232,8 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
 
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
-    """Check that swapping the pair is the same as negating x in the kernel."""
-    return x_kernel(lam, mu) == negate_x(x_kernel(mu, lam))
+    """Check X_{lam mu}(x) == X_{mu lam}(-x); x -> -x is the swap of q_1 and q_2."""
+    return x_kernel(lam, mu, 1, 2) == x_kernel(mu, lam, 2, 1)
 
 
 def _trace_terms(m: int, n: int):
@@ -274,14 +265,13 @@ def trace_identity_sides(m: int, n: int) -> tuple[SparsePoly, SparsePoly]:
     This is the expansion oracle for verify_trace_identity.
     """
     mps, elements, denom = _trace_terms(m, n)
-    variables = tuple(qvar(s) for s in range(1, m + 1))
     terms: dict[tuple[int, ...], int] = {}
     for mp, el in zip(mps, elements):
         f = num_standard_tableaux(mp)
-        for e, c in fr_expand(denom / el, variables).terms.items():
+        for e, c in fr_expand(denom / el, m).terms.items():
             terms[e] = terms.get(e, 0) + f * c
-    total = SparsePoly(variables, terms)
-    expected = fr_expand(denom, variables) if m == 1 else SparsePoly(variables, {})
+    total = SparsePoly(m, terms)
+    expected = fr_expand(denom, m) if m == 1 else SparsePoly(m, {})
     return total, expected
 
 
@@ -304,12 +294,11 @@ def vanishes_identically(
     summand with a form that is zero at the point is skipped: on the
     trace identity grids of (3,5) and (4,4) that is 65% and 80% of them.
     """
-    slot = {qvar(s): s - 1 for s in range(1, m + 1)}
     compiled = []
     for form in forms:
-        if form.pos not in slot or form.neg not in slot:
+        if form.t > m:
             raise ValueError(f"{form.render()} is not a form c + q_s - q_t with s, t <= {m}")
-        compiled.append((form.c, slot[form.pos], slot[form.neg]))
+        compiled.append((form.c, form.s - 1, form.t - 1))
     degrees = [0] * m
     containing = [0] * len(compiled)  # bit k set: summand k has the form as a factor
     rows = []

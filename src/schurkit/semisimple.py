@@ -63,8 +63,8 @@ class ZeroFormIndex:
     def __init__(self, elements: Sequence[tuple[Multipartition, FactoredRational]]):
         self._multipartitions = [mp for mp, _ in elements]
         self._constants = [el.constant for _, el in elements]
-        # (pos, neg) -> c -> positions of the elements with a factor c + pos - neg
-        self._forms: dict[tuple[str, Optional[str]], dict[int, list[int]]] = {}
+        # (s, t) -> c -> positions of the elements with a factor c + q_s - q_t
+        self._forms: dict[tuple[int, int], dict[int, list[int]]] = {}
         for i, (mp, el) in enumerate(elements):
             for form, exp in el.factors.items():
                 if exp < 0:
@@ -72,7 +72,7 @@ class ZeroFormIndex:
                         f"{form.render()} has exponent {exp} in the element of {mp}; "
                         "the zero-form index needs denominator-free products"
                     )
-                by_c = self._forms.setdefault((form.pos, form.neg), {})
+                by_c = self._forms.setdefault((form.s, form.t), {})
                 by_c.setdefault(form.c, []).append(i)
         # field (None for Q, else p) -> positions whose constant is zero there
         self._zero_constants: dict[Optional[int], list[int]] = {}
@@ -88,9 +88,9 @@ class ZeroFormIndex:
         """Multipartitions whose element vanishes under theta, in table order."""
         hits = set(self._constant_hits(theta))
         p = theta.prime
-        for (pos, neg), by_c in self._forms.items():
-            # c + theta(pos) - theta(neg) = 0  <=>  c = target
-            target = (0 if neg is None else theta.value_of(neg)) - theta.value_of(pos)
+        for (s, t), by_c in self._forms.items():
+            # c + theta(q_s) - theta(q_t) = 0  <=>  c = target
+            target = theta.value_of(t) - theta.value_of(s)
             if p is None:
                 # a Fraction key equals an int key only when it is integral
                 hits.update(by_c.get(target, ()))

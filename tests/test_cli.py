@@ -22,7 +22,6 @@ from schurkit.exact import (
     fr_const,
     fr_expand,
     fr_form,
-    qvar,
 )
 from schurkit.partitions import enumerate_multipartitions, multipartition_count
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
@@ -304,6 +303,21 @@ def test_semisimple_rejects_parameter_beyond_m(capsys):
     usage_error(capsys, *argv, "--set", "q0=5")
 
 
+def test_semisimple_rejects_x(capsys):
+    # there is no indeterminate x to assign: every value is in q1..qm only
+    argv = ("semisimple", "--m", "2", "--n", "2", "--set", "q1=0", "--set", "q2=3")
+    assert "'x=3'" in usage_error(capsys, *argv, "--set", "x=3")
+    assert invoke(capsys, *argv)[0] == 0
+
+
+def test_semisimple_rejects_a_repeated_name(capsys):
+    argv = ("semisimple", "--m", "2", "--n", "2", "--set", "q2=3")
+    err = usage_error(capsys, *argv, "--set", "q1=0", "--set", "q1=1")
+    assert "q1 is already set" in err
+    usage_error(capsys, *argv, "--set", "q1=0", "--set", "q1=0")
+    assert invoke(capsys, *argv, "--set", "q1=1")[0] == 0
+
+
 def test_schur_rejects_non_array_component(capsys):
     for raw in ('[[1],{}]', '[[1],"21"]', '{"0": [1]}', '[[1.5]]', '[[true]]', '[1]'):
         assert "--multipartition" in usage_error(capsys, "schur", "--multipartition", raw), raw
@@ -338,15 +352,15 @@ def test_trace_identity_mismatch_record(capsys, monkeypatch):
 
 def test_integrality_mismatch_records(capsys, monkeypatch):
     negative, fractional, too_long = enumerate_multipartitions(3, 1)
-    half = fr_const(Fraction(1, 2)) * fr_form(1, qvar(1), qvar(2))
+    half = fr_const(Fraction(1, 2)) * fr_form(1, 1, 2)
     corrupted = {
-        negative: fr_form(0, qvar(1), qvar(3), exp=-1),
+        negative: fr_form(0, 1, 3, exp=-1),
         fractional: half,
-        too_long: fr_form(2, qvar(2), qvar(3), exp=3),
+        too_long: fr_form(2, 2, 3, exp=3),
     }
     monkeypatch.setattr(cli_module, "schur_element", lambda mp: corrupted[mp])
     with pytest.raises(NotAPolynomialError) as info:
-        fr_expand(half, ("q1", "q2", "q3"))
+        fr_expand(half, 3)
     code, out, err = invoke(capsys, "verify", "--suite", "integrality", "--m", "3", "--n", "1")
     assert (code, err) == (1, "")
     *records, summary = out.splitlines()

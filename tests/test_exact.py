@@ -2,13 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import factorial, prod
 
 import pytest
 
 from schurkit.exact import (
     MAX_MODULUS,
-    X,
     FactoredRational,
     LinearForm,
     NonIntegerConstantError,
@@ -23,9 +22,8 @@ from schurkit.exact import (
     fr_eval,
     fr_expand,
     fr_form,
-    negate_x,
+    qindex,
     qvar,
-    substitute_x,
 )
 from schurkit.exact import _is_prime
 from schurkit.partitions import enumerate_multipartitions
@@ -41,13 +39,13 @@ def random_factored(rng: random.Random, max_factors: int = 4) -> FactoredRationa
         s, t = rng.choice(pool)
         c = rng.randint(-3, 3)
         exp = rng.choice([-2, -1, 1, 2])
-        b.form(c, qvar(s), qvar(t), exp=exp)
+        b.form(c, s, t, exp=exp)
     return b.build()
 
 
 def poly_at(poly: SparsePoly, theta: Specialization):
     """The expanded polynomial at theta, summed term by term over Q or F_p."""
-    values = [theta.value_of(v) for v in poly.variables]
+    values = [theta.value_of(s) for s in range(1, poly.m + 1)]
     total = sum(c * prod(v**k for v, k in zip(values, e)) for e, c in poly.terms.items())
     return total if theta.prime is None else total % theta.prime
 
@@ -57,59 +55,69 @@ def random_theta(rng: random.Random, prime=None) -> Specialization:
         values = {s: Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for s in (1, 2, 3)}
     else:
         values = {s: rng.randrange(prime) for s in (1, 2, 3)}
-    return Specialization(values, x_value=rng.randint(-9, 9), prime=prime)
+    return Specialization(values, prime=prime)
 
 
 # ----------------------------------------------------------- canonical form
 
 
 def test_canonical_orientation():
-    form, sign = canonical_parts(0, qvar(2), qvar(1))
-    assert (form, sign) == (LinearForm(0, "q1", "q2"), -1)
-    form, sign = canonical_parts(3, None, X)
-    assert (form, sign) == (LinearForm(-3, "x"), -1)
-    form, sign = canonical_parts(5, qvar(1), None)
-    assert (form, sign) == (LinearForm(5, "q1"), 1)
-    assert canonical_parts(7, None, None) == (None, 7)
-    assert canonical_parts(4, qvar(2), qvar(2)) == (None, 4)
-    form, sign = canonical_parts(-1, X, qvar(3))
-    assert (form, sign) == (LinearForm(1, "q3", "x"), -1)
+    form, sign = canonical_parts(0, 2, 1)
+    assert (form, sign) == (LinearForm(1, 2, 0), -1)
+    form, sign = canonical_parts(5, 1, 3)
+    assert (form, sign) == (LinearForm(1, 3, 5), 1)
+    assert canonical_parts(4, 2, 2) == (None, 4)
+    form, sign = canonical_parts(-1, 3, 1)
+    assert (form, sign) == (LinearForm(1, 3, 1), -1)
     # both orientations share one interned form
-    assert canonical_parts(1, qvar(3), X)[0] is form
-    assert canonical_parts(3, None, X)[0] is canonical_parts(-3, X, None)[0]
+    assert canonical_parts(1, 1, 3)[0] is form
+    with pytest.raises(ValueError, match="positive"):
+        canonical_parts(1, 0, 2)
 
+
+def test_linear_form_is_a_plain_int_triple():
+    form = canonical_parts(-2, 1, 2)[0]
+    assert form == (1, 2, -2) and hash(form) == hash((1, 2, -2))
+    assert (form.s, form.t, form.c) == (1, 2, -2)
+    # hashing and equality are the tuple's, so they run in C
+    assert LinearForm.__hash__ is tuple.__hash__ and LinearForm.__eq__ is tuple.__eq__
+    # tuple order is the render order
+    forms = [LinearForm(2, 3, -5), LinearForm(1, 3, 4), LinearForm(1, 2, 1), LinearForm(1, 2, -1)]
+    assert [f.render() for f in sorted(forms)] == [
+        "(-1+q1-q2)", "(1+q1-q2)", "(4+q1-q3)", "(-5+q2-q3)"
+    ]
 
 def test_constants_never_stored_as_factors():
-    value = fr_form(4, qvar(1), qvar(1), exp=2)
+    value = fr_form(4, 1, 1, exp=2)
     assert value == fr_const(16)
     assert value.factors == {}
 
 
 def test_fr_mul_examples():
-    a = fr_form(0, qvar(1), qvar(2))
+    a = fr_form(0, 1, 2)
     assert a * (a ** -1) == fr_const(1)
 
-    two = fr_const(2) * fr_form(1, qvar(1), qvar(2))
-    three = fr_const(3) * fr_form(1, qvar(1), qvar(2))
+    two = fr_const(2) * fr_form(1, 1, 2)
+    three = fr_const(3) * fr_form(1, 1, 2)
     prod = two * three
     assert prod.constant == 6
-    assert prod.factors == {LinearForm(1, "q1", "q2"): 2}
+    assert prod.factors == {LinearForm(1, 2, 1): 2}
 
-    x = fr_form(0, X)
-    one_plus_x = fr_form(1, X)
-    assert x * one_plus_x * (one_plus_x ** -1) == x
+    u = fr_form(0, 1, 3)
+    one_plus_u = fr_form(1, 1, 3)
+    assert u * one_plus_u * (one_plus_u ** -1) == u
 
 
 def test_fr_equal_examples():
-    x = fr_form(0, X)
-    one_plus_x = fr_form(1, X)
-    assert (x * one_plus_x) / one_plus_x == x
-    assert fr_form(0, qvar(1), qvar(2)) != fr_form(0, qvar(2), qvar(1))
+    u = fr_form(0, 1, 3)
+    one_plus_u = fr_form(1, 1, 3)
+    assert (u * one_plus_u) / one_plus_u == u
+    assert fr_form(0, 1, 2) != fr_form(0, 2, 1)
     assert y_kernel((1,), (), 2) == y_kernel((1,), (), 3)
 
 
 def test_zero_value():
-    zero = fr_const(0) * fr_form(1, X)
+    zero = fr_const(0) * fr_form(1, 1, 2)
     assert zero.is_zero() and zero.factors == {}
     with pytest.raises(ZeroDivisionError):
         fr_const(1) / zero
@@ -118,36 +126,30 @@ def test_zero_value():
 # ---------------------------------------------------------- builder oracle
 
 
-def _oriented(c, pos, neg):
-    """Canonical (c, pos, neg) and sign, by the orientation rule of exact.py."""
-
-    def rank(v):
-        return (1, 0) if v == X else (0, int(v[1:]))
-
-    if pos is None:
-        return (-c, neg, None), -1
-    if neg is None or rank(pos) < rank(neg):
-        return (c, pos, neg), 1
-    return (-c, neg, pos), -1
+def _oriented(c, s, t):
+    """Canonical (s, t, c) and sign, by the orientation rule of exact.py."""
+    if s < t:
+        return (s, t, c), 1
+    return (t, s, -c), -1
 
 
 def _fold_each_occurrence(occurrences):
     """Reference builder: canonicalize every occurrence as it arrives."""
     constant = Fraction(1)
     factors = {}
-    for c, pos, neg, exp in occurrences:
-        if pos == neg:
+    for c, s, t, exp in occurrences:
+        if s == t:
             constant *= Fraction(c) ** exp
             continue
-        key, sign = _oriented(c, pos, neg)
+        key, sign = _oriented(c, s, t)
         constant *= Fraction(sign) ** exp
         factors[key] = factors.get(key, 0) + exp
     return FactoredRational(constant, {LinearForm(*k): e for k, e in factors.items() if e})
 
 
 def _random_occurrences(rng):
-    """Occurrences (c, pos, neg, exp); pos == neg == None marks a constant c."""
-    names = [qvar(1), qvar(2), qvar(3), X, None]
+    """Occurrences (c, s, t, exp); s == t == None marks a constant c."""
+    names = [1, 2, 3]
     pool = [(rng.randint(-3, 3), rng.choice(names), rng.choice(names)) for _ in range(4)]
     out = []
     for _ in range(rng.randint(0, 14)):
@@ -157,16 +159,16 @@ def _random_occurrences(rng):
             exp = rng.choice([-2, -1, 1, 2, 3]) if value else rng.choice([1, 2])
             out.append((value, None, None, exp))
             continue
-        c, pos, neg = rng.choice(pool)
+        c, s, t = rng.choice(pool)
         if rng.random() < 0.5:  # the other orientation of the same form
-            c, pos, neg = -c, neg, pos
-        if pos == neg and c == 0:
+            c, s, t = -c, t, s
+        if s == t and c == 0:
             exp = rng.choice([1, 2])
         else:
             exp = rng.choice([-3, -2, -1, 0, 1, 2, 3])
-        out.append((c, pos, neg, exp))
-        if roll > 0.85 and (pos != neg or c):  # a later occurrence cancels this one
-            out.append((c, pos, neg, -exp) if rng.random() < 0.5 else (-c, neg, pos, -exp))
+        out.append((c, s, t, exp))
+        if roll > 0.85 and (s != t or c):  # a later occurrence cancels this one
+            out.append((c, s, t, -exp) if rng.random() < 0.5 else (-c, t, s, -exp))
     rng.shuffle(out)
     return out
 
@@ -177,8 +179,8 @@ def _product_at(occurrences, values):
         return 0 if v is None else values[v]
 
     result = Fraction(1)
-    for c, pos, neg, exp in occurrences:
-        v = c + at(pos) - at(neg)
+    for c, s, t, exp in occurrences:
+        v = c + at(s) - at(t)
         if v == 0 and exp < 0:
             return None
         result *= Fraction(v) ** exp
@@ -191,21 +193,20 @@ def test_builder_matches_occurrence_fold_and_evaluation():
     for _ in range(600):
         occurrences = _random_occurrences(rng)
         b = ProductBuilder()
-        for c, pos, neg, exp in occurrences:
-            if pos is None and neg is None and rng.random() < 0.5:
+        for c, s, t, exp in occurrences:
+            if s is None and rng.random() < 0.5:
                 b.const(c, exp)
             else:
-                b.form(c, pos, neg, exp=exp)
+                b.form(c, s, t, exp=exp)
         value = b.build()
         assert value == _fold_each_occurrence(occurrences), occurrences
         assert b.build() == value
         for _ in range(3):
-            values = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-                      for v in (qvar(1), qvar(2), qvar(3), X)}
+            values = {s: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for s in (1, 2, 3)}
             expected = _product_at(occurrences, values)
             if expected is None:
                 continue
-            theta = Specialization({s: values[qvar(s)] for s in (1, 2, 3)}, x_value=values[X])
+            theta = Specialization(values)
             assert fr_eval(value, theta) == expected, occurrences
             checked_points += 1
     assert checked_points > 1500
@@ -218,7 +219,7 @@ def test_builder_rejects_zero_to_a_negative_power_at_the_call():
     with pytest.raises(ZeroDivisionError):
         b.const(Fraction(0), -2)
     with pytest.raises(ZeroDivisionError):
-        b.form(0, qvar(1), qvar(1), exp=-1)
+        b.form(0, 1, 1, exp=-1)
     assert b.build() == fr_const(1)
 
 
@@ -226,14 +227,14 @@ def test_builder_rejects_zero_to_a_negative_power_at_the_call():
 
 
 def test_fr_expand_single_form():
-    poly = fr_expand(fr_form(0, qvar(1), qvar(2)))
+    poly = fr_expand(fr_form(0, 1, 2), 2)
     assert poly.terms == {(1, 0): 1, (0, 1): -1}
 
 
 def test_fr_expand_product_frozen_and_at_points():
     # (1 + q1 - q2)(1 + q2 - q1) == 1 - q1^2 + 2 q1 q2 - q2^2
-    value = fr_form(1, qvar(1), qvar(2)) * fr_form(1, qvar(2), qvar(1))
-    poly = fr_expand(value, ("q1", "q2"))
+    value = fr_form(1, 1, 2) * fr_form(1, 2, 1)
+    poly = fr_expand(value, 2)
     assert poly.terms == {(0, 0): 1, (2, 0): -1, (1, 1): 2, (0, 2): -1}
     rng = random.Random(42)
     for _ in range(3):
@@ -242,76 +243,78 @@ def test_fr_expand_product_frozen_and_at_points():
 
 
 def test_fr_expand_rejects_true_quotient():
-    value = fr_form(0, X) / fr_form(1, X)
+    value = fr_form(0, 1, 2) / fr_form(1, 1, 2)
     with pytest.raises(NotAPolynomialError):
-        fr_expand(value)
+        fr_expand(value, 2)
 
 
 def test_fr_expand_rejects_fractional_constant():
     with pytest.raises(NonIntegerConstantError):
-        fr_expand(fr_const(Fraction(1, 2)) * fr_form(0, qvar(1)))
+        fr_expand(fr_const(Fraction(1, 2)) * fr_form(0, 1, 2), 2)
 
 
 def test_fr_expand_cancels_before_division():
     # the (q1 - q2) below cancels factor-wise, leaving -(-2 + q1 - q2)
-    num = fr_form(0, qvar(1), qvar(2)) * fr_form(2, qvar(2), qvar(1))
-    value = num / fr_form(0, qvar(1), qvar(2))
-    poly = fr_expand(value, ("q1", "q2"))
+    num = fr_form(0, 1, 2) * fr_form(2, 2, 1)
+    value = num / fr_form(0, 1, 2)
+    poly = fr_expand(value, 2)
     assert poly.terms == {(0, 0): 2, (1, 0): -1, (0, 1): 1}
 
 
 def test_sparse_poly_exact_division():
-    diff = fr_expand(fr_form(0, qvar(1), qvar(2)), ("q1", "q2"))
-    total = fr_expand(fr_form(0, qvar(1)), ("q1", "q2")) + fr_expand(
-        fr_form(0, qvar(2)), ("q1", "q2")
-    )
-    form = LinearForm(0, "q1", "q2")
+    diff = fr_expand(fr_form(0, 1, 2), 2)
+    total = SparsePoly(2, {(1, 0): 1, (0, 1): 1})  # q1 + q2
+    form = LinearForm(1, 2, 0)
     assert (diff * total).div_form_exact(form) == total
     with pytest.raises(NotAPolynomialError):
-        (diff * total + SparsePoly(("q1", "q2"), {(0, 0): 1})).div_form_exact(form)
+        (diff * total + SparsePoly(2, {(0, 0): 1})).div_form_exact(form)
 
 
 def test_fr_expand_rejects_variable_outside_the_tuple():
     with pytest.raises(ValueError, match="q3"):
-        fr_expand(fr_form(0, qvar(1), qvar(3)), ("q1", "q2"))
-    with pytest.raises(ValueError, match="q3"):
-        fr_expand(fr_form(0, qvar(1)) / fr_form(2, qvar(3)), ("q1", "q2"))
+        fr_expand(fr_form(0, 1, 3), 2)
+    with pytest.raises(ValueError, match="q3 is beyond"):
+        fr_expand(fr_form(0, 1, 2) / fr_form(2, 1, 3), 2)
 
 
 def test_fr_expand_with_unused_variables():
-    value = fr_const(-2) * fr_form(1, qvar(1), qvar(3)) * fr_form(0, qvar(3))
-    poly = fr_expand(value, ("q1", "q2", "q3", "q4"))
-    assert poly.variables == ("q1", "q2", "q3", "q4")
-    # -2 (1 + q1 - q3) q3 = -2 q3 - 2 q1 q3 + 2 q3^2
-    assert poly.terms == {(0, 0, 1, 0): -2, (1, 0, 1, 0): -2, (0, 0, 2, 0): 2}
-    small = fr_expand(value, ("q1", "q3"))
-    assert {(a, 0, b, 0): c for (a, b), c in small.terms.items()} == poly.terms
+    value = fr_const(-2) * fr_form(1, 1, 3) * fr_form(0, 1, 3)
+    poly = fr_expand(value, 4)
+    assert poly.m == 4
+    # -2 (1 + q1 - q3)(q1 - q3) = -2 q1 + 2 q3 - 2 q1^2 + 4 q1 q3 - 2 q3^2
+    assert poly.terms == {
+        (1, 0, 0, 0): -2, (0, 0, 1, 0): 2, (2, 0, 0, 0): -2, (1, 0, 1, 0): 4, (0, 0, 2, 0): -2
+    }
+    small = fr_expand(value, 3)
+    assert {e + (0,): c for e, c in small.terms.items()} == poly.terms
 
 
 def test_fr_expand_constant_only():
-    assert fr_expand(fr_const(-6), ("q1", "q2")).terms == {(0, 0): -6}
-    assert fr_expand(fr_const(Fraction(12, 4))).terms == {(): 3}
-    assert fr_expand(fr_const(0), ("q1",)).terms == {}
+    assert fr_expand(fr_const(-6), 2).terms == {(0, 0): -6}
+    assert fr_expand(fr_const(Fraction(12, 4)), 0).terms == {(): 3}
+    assert fr_expand(fr_const(0), 1).terms == {}
     with pytest.raises(NonIntegerConstantError):
-        fr_expand(fr_const(Fraction(-5, 3)), ("q1",))
+        fr_expand(fr_const(Fraction(-5, 3)), 1)
 
 
 def test_fr_expand_high_power_fills_the_packing_base():
     # total positive degree 25, so the packed base is 26 and q^25 is its top digit
-    for variables, index in ((("q1", "q2"), 0), (("q2", "q1"), 1)):
-        poly = fr_expand(fr_form(3, qvar(1), exp=25), variables)
+    for s, t in ((1, 2), (2, 1)):
+        poly = fr_expand(fr_form(3, s, t, exp=25), 2)
         expected = {}
-        for k in range(26):
-            e = [0, 0]
-            e[index] = k
-            expected[tuple(e)] = comb(25, k) * 3 ** (25 - k)
+        for a in range(26):
+            for b in range(26 - a):
+                e = [0, 0]
+                e[s - 1], e[t - 1] = a, b
+                multinomial = factorial(25) // (factorial(a) * factorial(b) * factorial(25 - a - b))
+                expected[tuple(e)] = multinomial * 3 ** (25 - a - b) * (-1) ** b
         assert poly.terms == expected
-    value = fr_form(-1, qvar(1), qvar(2), exp=9) * fr_form(2, qvar(2), exp=7)
-    generic = SparsePoly(("q1", "q2"), {(0, 0): 1})
+    value = fr_form(-1, 1, 2, exp=9) * fr_form(2, 2, 3, exp=7)
+    generic = SparsePoly(3, {(0, 0, 0): 1})
     for form, exp in value.factors.items():
         for _ in range(exp):
-            generic = generic * fr_expand(fr_form(form.c, form.pos, form.neg), ("q1", "q2"))
-    assert fr_expand(value, ("q1", "q2")) == generic
+            generic = generic * fr_expand(fr_form(form.c, form.s, form.t), 3)
+    assert fr_expand(value, 3) == generic
 
 
 def _no_division(monkeypatch):
@@ -325,33 +328,30 @@ def test_fr_expand_rejects_negative_exponents_without_dividing(monkeypatch):
     # distinct canonical forms never divide each other, so a true quotient
     # is rejected before anything is multiplied or divided
     _no_division(monkeypatch)
-    value = (fr_const(4) * fr_form(1, qvar(1), qvar(2), exp=3)) / fr_form(
-        0, qvar(2), qvar(3), exp=2
-    )
+    value = (fr_const(4) * fr_form(1, 1, 2, exp=3)) / fr_form(0, 2, 3, exp=2)
     with pytest.raises(NotAPolynomialError, match="does not divide"):
-        fr_expand(value, ("q1", "q2", "q3"))
+        fr_expand(value, 3)
     # the first denominator form in sorted_factors() order is named, and the
     # quotient error comes before the one for a fractional constant
-    value = (fr_const(Fraction(1, 2)) * fr_form(0, qvar(1))) / (
-        fr_form(2, qvar(2), qvar(3)) * fr_form(-1, qvar(1), qvar(3))
+    value = (fr_const(Fraction(1, 2)) * fr_form(0, 1, 2)) / (
+        fr_form(2, 2, 3) * fr_form(-1, 1, 3)
     )
     with pytest.raises(NotAPolynomialError) as info:
-        fr_expand(value, ("q1", "q2", "q3"))
+        fr_expand(value, 3)
     assert type(info.value) is NotAPolynomialError
     assert str(info.value) == "(-1+q1-q3) does not divide the numerator exactly"
 
 
-def _sympy_oracle(sympy, value: FactoredRational, variables):
-    """value as a sympy polynomial dict, or None when it is not an integer polynomial."""
-    syms = {v: sympy.Symbol(v) for v in variables}
+def _sympy_oracle(sympy, value: FactoredRational, m: int):
+    """value as a sympy polynomial dict in q1..qm, or None when it is not an integer polynomial."""
+    q = sympy.symbols(f"q1:{m + 1}")
     expr = sympy.Rational(value.constant.numerator, value.constant.denominator)
     for form, exp in value.factors.items():
-        linear = form.c + syms[form.pos] - (syms[form.neg] if form.neg else 0)
-        expr *= linear**exp
+        expr *= (form.c + q[form.s - 1] - q[form.t - 1]) ** exp
     num, den = sympy.fraction(sympy.cancel(expr))
     if not den.is_number:
         return None
-    poly = sympy.Poly(sympy.expand(num / den), *[syms[v] for v in variables])
+    poly = sympy.Poly(sympy.expand(num / den), *q)
     coeffs = poly.as_dict()
     if not all(c.is_integer for c in coeffs.values()):
         return None
@@ -362,42 +362,38 @@ def test_fr_expand_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     _no_division(monkeypatch)
     for m, n in ((2, 4), (3, 3), (4, 2)):
-        variables = tuple(qvar(s) for s in range(1, m + 1))
         for mp in enumerate_multipartitions(m, n):
             element = schur_element(mp)
-            assert fr_expand(element, variables).terms == _sympy_oracle(
-                sympy, element, variables
-            ), mp
-    variables = ("q1", "q2", "q3")
+            assert fr_expand(element, m).terms == _sympy_oracle(sympy, element, m), mp
     hand_built = [
-        fr_const(Fraction(1, 2)) * fr_form(0, qvar(1), qvar(2)) * fr_form(1, qvar(1), qvar(2)),
-        fr_const(Fraction(-3, 4)) * fr_form(2, qvar(3), exp=3),
-        fr_const(Fraction(6, 4)) * fr_const(2) * fr_form(-1, qvar(2), qvar(3), exp=2),
-        fr_form(1, qvar(1), qvar(2), exp=2) / fr_form(0, qvar(3)),
-        (fr_const(Fraction(5, 2)) * fr_form(0, qvar(1))) / fr_form(3, qvar(1), qvar(3)),
+        fr_const(Fraction(1, 2)) * fr_form(0, 1, 2) * fr_form(1, 1, 2),
+        fr_const(Fraction(-3, 4)) * fr_form(2, 3, 1, exp=3),
+        fr_const(Fraction(6, 4)) * fr_const(2) * fr_form(-1, 2, 3, exp=2),
+        fr_form(1, 1, 2, exp=2) / fr_form(0, 2, 3),
+        (fr_const(Fraction(5, 2)) * fr_form(0, 1, 2)) / fr_form(3, 1, 3),
         fr_const(Fraction(7, 3)),
         fr_const(-8),
     ]
     for value in hand_built:
-        expected = _sympy_oracle(sympy, value, variables)
+        expected = _sympy_oracle(sympy, value, 3)
         if expected is None:
             with pytest.raises(NotAPolynomialError):
-                fr_expand(value, variables)
+                fr_expand(value, 3)
         else:
-            assert fr_expand(value, variables).terms == expected, value
+            assert fr_expand(value, 3).terms == expected, value
 
 
 # -------------------------------------------------------------------- eval
 
 
 def test_fr_eval_examples():
-    value = fr_form(1, qvar(1), qvar(2)) * fr_form(1, qvar(2), qvar(1))
+    value = fr_form(1, 1, 2) * fr_form(1, 2, 1)
     assert fr_eval(value, Specialization({1: 2, 2: 0})) == -3
 
     with pytest.raises(PoleError):
-        fr_eval(fr_form(0, qvar(1), qvar(2), exp=-1), Specialization({1: 0, 2: 0}))
+        fr_eval(fr_form(0, 1, 2, exp=-1), Specialization({1: 0, 2: 0}))
 
-    got = fr_eval(fr_form(0, qvar(1), qvar(2)), Specialization({1: 5, 2: 3}, prime=7))
+    got = fr_eval(fr_form(0, 1, 2), Specialization({1: 5, 2: 3}, prime=7))
     assert got == 2
 
 
@@ -412,19 +408,19 @@ def test_specialization_validation():
     with pytest.raises(ValueError):
         Specialization({1: 0}, prime=6)
     theta = Specialization({1: Fraction(1, 2)}, prime=5)
-    assert theta.value_of("q1") == 3  # 2^-1 mod 5
-    with pytest.raises(ValueError):
-        theta.value_of("q2")
+    assert theta.value_of(1) == 3  # 2^-1 mod 5
+    with pytest.raises(ValueError, match="q2"):
+        theta.value_of(2)
 
 
 # ----------------------------------------------------- permutation action
 
 
 def test_apply_permutation_examples():
-    u = fr_form(0, qvar(1), qvar(2))
+    u = fr_form(0, 1, 2)
     swapped = apply_permutation((2, 1), u)
     assert swapped.constant == -1
-    assert swapped.factors == {LinearForm(0, "q1", "q2"): 1}
+    assert swapped.factors == {LinearForm(1, 2, 0): 1}
     assert apply_permutation((1, 2), u) == u
     assert apply_permutation((2, 1), swapped) == u
 
@@ -445,39 +441,10 @@ def test_apply_permutation_group_action():
 
 def test_apply_permutation_rejects_parameter_beyond_sigma():
     with pytest.raises(ValueError, match="q2"):
-        apply_permutation((1,), fr_form(0, qvar(1), qvar(2)))
+        apply_permutation((1,), fr_form(0, 1, 2))
     with pytest.raises(ValueError, match="q3"):
-        apply_permutation((2, 1), fr_form(1, qvar(3), X))
-    assert apply_permutation((1,), fr_form(2, qvar(1), X)) == fr_form(2, qvar(1), X)
-
-
-# ------------------------------------------------------------ substitution
-
-
-def test_substitute_x_examples():
-    x = fr_form(0, X)
-    assert substitute_x(x, 1, 2) == fr_form(0, qvar(1), qvar(2))
-    assert substitute_x(fr_form(3, X), 1, 2) == fr_form(3, qvar(1), qvar(2))
-    # (c - x) -> (c + q2 - q1)
-    c_minus_x = fr_form(2, neg=X)
-    expected = fr_form(2, qvar(2), qvar(1))
-    assert substitute_x(c_minus_x, 1, 2) == expected
-    assert substitute_x(fr_form(1, X), 2, 1) == fr_form(1, qvar(2), qvar(1))
-
-
-def test_substitute_x_rejects_mixed_forms():
-    mixed = fr_form(0, qvar(1), X)
-    with pytest.raises(ValueError):
-        substitute_x(mixed, 2, 3)
-    with pytest.raises(ValueError):
-        substitute_x(fr_form(0, X), 1, 1)
-
-
-def test_negate_x():
-    assert negate_x(fr_form(1, X)) == fr_const(-1) * fr_form(-1, X)
-    untouched = fr_form(2, qvar(1), qvar(2))
-    assert negate_x(untouched) == untouched
-    assert negate_x(negate_x(fr_form(5, X))) == fr_form(5, X)
+        apply_permutation((2, 1), fr_form(1, 3, 1))
+    assert apply_permutation((1, 2, 3), fr_form(2, 1, 2)) == fr_form(2, 1, 2)
 
 
 # ----------------------------------------------------------- randomized
@@ -497,7 +464,6 @@ def test_fr_mul_commutative_associative_inverse():
 
 def test_expand_is_multiplicative():
     rng = random.Random(13)
-    variables = ("q1", "q2", "q3")
     for _ in range(300):
         a = ProductBuilder()
         b = ProductBuilder()
@@ -505,26 +471,25 @@ def test_expand_is_multiplicative():
             target.const(rng.randint(1, 3))
             for _ in range(rng.randint(0, 3)):
                 s, t = rng.choice([(1, 2), (1, 3), (2, 3)])
-                target.form(rng.randint(-2, 2), qvar(s), qvar(t))
+                target.form(rng.randint(-2, 2), s, t)
         av, bv = a.build(), b.build()
-        lhs = fr_expand(av * bv, variables)
-        rhs = fr_expand(av, variables) * fr_expand(bv, variables)
+        lhs = fr_expand(av * bv, 3)
+        rhs = fr_expand(av, 3) * fr_expand(bv, 3)
         assert lhs == rhs
 
 
 def test_eval_commutes_with_expand():
     rng = random.Random(17)
-    variables = ("q1", "q2", "q3")
     for trial in range(1000):
         b = ProductBuilder()
         b.const(rng.randint(-3, 3) or 1)
         for _ in range(rng.randint(0, 4)):
             s, t = rng.choice([(1, 2), (1, 3), (2, 3)])
-            b.form(rng.randint(-3, 3), qvar(s), qvar(t))
+            b.form(rng.randint(-3, 3), s, t)
         value = b.build()
         prime = (None, 101, 10007)[trial % 3]
         theta = random_theta(rng, prime=prime)
-        assert fr_eval(value, theta) == poly_at(fr_expand(value, variables), theta)
+        assert fr_eval(value, theta) == poly_at(fr_expand(value, 3), theta)
 
 
 def test_distinct_canonical_values_are_distinguished_by_points():
@@ -557,13 +522,13 @@ def test_distinct_canonical_values_are_distinguished_by_points():
 def test_render_and_sort_order():
     b = ProductBuilder()
     b.const(2)
-    b.form(1, qvar(1), qvar(2))
-    b.form(-1, qvar(1), qvar(2))
-    b.form(0, qvar(1), qvar(2))
+    b.form(1, 1, 2)
+    b.form(-1, 1, 2)
+    b.form(0, 1, 2)
     assert b.build().render() == "2*(-1+q1-q2)(q1-q2)(1+q1-q2)"
     assert fr_const(6).render(latex=True) == "6"
-    assert fr_form(1, qvar(1), qvar(2), exp=2).render() == "(1+q1-q2)^2"
-    assert fr_form(1, qvar(1), qvar(2)).render(latex=True) == "(1+q_{1}-q_{2})"
+    assert fr_form(1, 1, 2, exp=2).render() == "(1+q1-q2)^2"
+    assert fr_form(1, 1, 2).render(latex=True) == "(1+q_{1}-q_{2})"
 
 
 def test_json_round_trip():
@@ -572,14 +537,41 @@ def test_json_round_trip():
         value = random_factored(rng)
         data = value.to_json()
         assert FactoredRational.from_json(data) == value
-    encoded = fr_form(1, qvar(1), qvar(2), exp=2).to_json()
+    encoded = fr_form(1, 1, 2, exp=2).to_json()
     assert encoded["factors"] == [[{"c": 1, "pos": "q1", "neg": "q2"}, 2]]
+    # the name strings are shared, not built once per factor
+    assert encoded["factors"][0][0]["pos"] is qvar(1)
+
+
+def test_from_json_rejects_malformed_encodings():
+    good = fr_form(1, 1, 2, exp=2).to_json()
+    assert FactoredRational.from_json(good) == fr_form(1, 1, 2, exp=2)
+    for name in ("x", "q0", "q", "q-1", "Q1", "q01", "q1 ", "q²", 1, None):
+        for slot in ("pos", "neg"):
+            form = dict(good["factors"][0][0], **{slot: name})
+            with pytest.raises(ValueError, match="parameter name"):
+                FactoredRational.from_json(dict(good, factors=[[form, 2]]))
+    for key in ("num", "den", "factors"):
+        with pytest.raises(ValueError, match="malformed"):
+            FactoredRational.from_json({k: v for k, v in good.items() if k != key})
+    for key in ("c", "pos", "neg"):
+        form = {k: v for k, v in good["factors"][0][0].items() if k != key}
+        with pytest.raises(ValueError, match="malformed"):
+            FactoredRational.from_json(dict(good, factors=[[form, 2]]))
+
+
+def test_qindex_inverts_qvar():
+    assert [qindex(qvar(s)) for s in (1, 2, 10, 123)] == [1, 2, 10, 123]
+    with pytest.raises(ValueError):
+        qvar(0)
 
 
 def test_sparse_poly_json_graded_lex():
-    poly = SparsePoly(("q1", "q2"), {(0, 0): 1, (2, 0): -1, (1, 1): 2, (0, 2): -1})
+    poly = SparsePoly(2, {(0, 0): 1, (2, 0): -1, (1, 1): 2, (0, 2): -1})
     data = poly.to_json()
     assert data == [[[2, 0], "-1"], [[1, 1], "2"], [[0, 2], "-1"], [[0, 0], "1"]]
+    assert poly.render() == "-q1^2+2*q1*q2-q2^2+1"
+    assert poly.render(latex=True) == "-q_{1}^{2}+2q_{1}q_{2}-q_{2}^{2}+1"
 
 
 def _trial_division(p):

@@ -207,12 +207,12 @@ def test_zero_form_index_integer_grid_over_q():
 
 
 def test_zero_form_index_synthetic_table():
-    # a zero element, a constant, a one-variable form and a pair form
+    # a zero element, a constant, a flipped form and a cubed form
     table = [
         (((1,), ()), FactoredRational(Fraction(0), {})),
         (((), (1,)), FactoredRational(Fraction(6), {})),
-        (((2,), ()), fr_form(-3, "q2")),
-        (((1,), (1,)), fr_form(2, "q1", "q2", exp=3)),
+        (((2,), ()), fr_form(-1, 2, 1) * fr_form(-2, 2, 1)),
+        (((1,), (1,)), fr_form(2, 1, 2, exp=3)),
     ]
     index = ZeroFormIndex(table)
     for prime in (None, 2, 3, 5):
@@ -223,7 +223,7 @@ def test_zero_form_index_synthetic_table():
 
 
 def test_zero_form_index_rejects_negative_exponents():
-    element = fr_form(1, "q1", "q2", exp=-1)
+    element = fr_form(1, 1, 2, exp=-1)
     with pytest.raises(ValueError):
         ZeroFormIndex([(((1,), ()), element)])
 
