@@ -413,3 +413,134 @@ def test_build_workload_stdout_digests(capsys, command):
     code, out, err = invoke(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------- one forced mismatch per suite
+
+
+def assert_one_record(capsys, argv, record, summary):
+    """The suite prints exactly this JSON record and summary line, and exits 1."""
+    code, out, err = invoke(capsys, "verify", "--suite", *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [json.loads(line) for line in lines[:-1]] == [record]
+    assert lines[-1] == summary
+
+
+def test_three_formulas_mismatch_record(capsys, monkeypatch):
+    target = ((), (1,))
+    wrong = fr_const(2) * schur_element(target, "cancellation")
+    real = cli_module.schur_element
+
+    def corrupted(mp, formula="cancellation", length=None):
+        if (mp, formula) == (target, "product"):
+            return wrong
+        return real(mp, formula, length)
+
+    monkeypatch.setattr(cli_module, "schur_element", corrupted)
+    assert_one_record(
+        capsys, ["three-formulas", "--m", "2", "--n", "1"],
+        {
+            "multipartition": [[], [1]],
+            "formula": "product",
+            "value": wrong.to_json(),
+            "cancellation": schur_element(target, "cancellation").to_json(),
+        },
+        "checked 2 multipartitions, 1 mismatches",
+    )
+
+
+def test_beta_shift_mismatch_records(capsys, monkeypatch):
+    real_y, real_z = cli_module.y_kernel, cli_module.z_kernel
+    # Y wrong only at L = 4 for ((1), ()): the shift from L = 3 fails, nothing else
+    monkeypatch.setattr(
+        cli_module, "y_kernel",
+        lambda lam, mu, L: fr_const(2) * real_y(lam, mu, L)
+        if (lam, mu, L) == ((1,), (), 4) else real_y(lam, mu, L),
+    )
+    assert_one_record(
+        capsys, ["beta-shift", "--size", "1"],
+        {"pair": [[1], []], "check": "shift:L=3"},
+        "checked 4 partition pairs, 1 mismatches",
+    )
+    monkeypatch.setattr(cli_module, "y_kernel", real_y)
+    monkeypatch.setattr(
+        cli_module, "z_kernel",
+        lambda lam, mu: fr_const(2) * real_z(lam, mu) if (lam, mu) == ((), (1,)) else real_z(lam, mu),
+    )
+    assert_one_record(
+        capsys, ["beta-shift", "--size", "1"],
+        {"pair": [[], [1]], "check": "x=z"},
+        "checked 4 partition pairs, 1 mismatches",
+    )
+
+
+@pytest.mark.parametrize(
+    "suite, verifier, bad_case, record, summary",
+    [
+        ("x-symmetry", "verify_x_symmetry", ((1,), ()),
+         {"pair": [[1], []], "check": "x-symmetry"}, "checked 4 partition pairs, 1 mismatches"),
+        ("mu-identity", "verify_mu_identity", ((2,), 2),
+         {"mu": [2], "ell": 2}, "checked 4 identities, 1 mismatches"),
+        ("hook-beta", "verify_hook_beta_identity", ((1,), 3),
+         {"partition": [1], "L": 3}, "checked 8 identities, 1 mismatches"),
+    ],
+)
+def test_identity_suite_mismatch_records(capsys, monkeypatch, suite, verifier, bad_case,
+                                         record, summary):
+    real = getattr(cli_module, verifier)
+    monkeypatch.setattr(cli_module, verifier, lambda *case: case != bad_case and real(*case))
+    size = "2" if suite == "mu-identity" else "1"
+    assert_one_record(capsys, [suite, "--size", size], record, summary)
+
+
+def test_sm_action_mismatch_record(capsys, monkeypatch):
+    target = schur_element(((1,), ()))
+    real = cli_module.apply_permutation
+    monkeypatch.setattr(
+        cli_module, "apply_permutation",
+        lambda sigma, value: fr_const(2) * real(sigma, value)
+        if (tuple(sigma), value) == ((2, 1), target) else real(sigma, value),
+    )
+    assert_one_record(
+        capsys, ["sm-action", "--m", "2", "--n", "1"],
+        {"multipartition": [[1], []], "sigma": [2, 1]},
+        "checked 2 multipartitions, 1 mismatches",
+    )
+
+
+@pytest.mark.parametrize(
+    "broken_call, record",
+    [
+        # calls: one trial over Q, one over F_101, then the factorial,
+        # nonnegative-offset and negative-offset cases
+        (1, {"field": "Fp:101", "theta": {"q1": "69", "q2": "16"},
+             "report": {"p_value": "1", "semisimple": True, "vanishing": [],
+                        "agreement": False, "field": "Fp:101"}}),
+        (3, {"case": "nonnegative-offset", "field": "Q", "witness": [[2], []],
+             "report": {"p_value": "0", "semisimple": False, "vanishing": [],
+                        "agreement": True, "field": "Q"}}),
+    ],
+)
+def test_criterion_mismatch_records(capsys, monkeypatch, broken_call, record):
+    real = cli_module.cross_check_criterion
+    calls = []
+
+    def corrupted(m, n, theta, index=None):
+        report = real(m, n, theta, index)
+        calls.append(theta)
+        if len(calls) - 1 != broken_call:
+            return report
+        # drop the vanishing list; a report that had none loses its agreement instead
+        agreement = report.agreement if report.vanishing else not report.agreement
+        return semisimple_module.SemisimplicityReport(
+            p_value=report.p_value, semisimple=report.semisimple, vanishing=[],
+            agreement=agreement, field=report.field,
+        )
+
+    monkeypatch.setattr(cli_module, "cross_check_criterion", corrupted)
+    assert_one_record(
+        capsys, ["criterion", "--m", "2", "--n", "2", "--seed", "3", "--trials", "1"],
+        record, "checked 5 specializations, 1 mismatches",
+    )
+    assert len(calls) == 5
