@@ -230,209 +230,173 @@ def _cmd_semisimple(args) -> int:
 
 def _partition_pairs(size: int):
     parts = [lam for k in range(size + 1) for lam in partitions_of(k)]
-    return list(itertools.product(parts, parts))
+    return itertools.product(parts, parts)
 
 
 def _suite_three_formulas(args):
-    def check(mp):
+    for mp in enumerate_multipartitions(args.m, args.n):
         base = schur_element(mp, "cancellation")
-        bad = []
-        candidates = [("product", schur_element(mp, "product"))]
         ell = mp_length(mp)
-        for L in range(ell, ell + 3):
-            candidates.append((f"symbol:L={L}", schur_element(mp, "symbol", L)))
-        for name, value in candidates:
-            if value != base:
-                bad.append(
-                    {
-                        "multipartition": mp_json(mp),
-                        "formula": name,
-                        "value": value.to_json(),
-                        "cancellation": base.to_json(),
-                    }
-                )
-        return bad
-
-    mps = list(enumerate_multipartitions(args.m, args.n))
-    mismatches = [b for mp in mps for b in check(mp)]
-    return len(mps), "multipartitions", mismatches
+        candidates = [("product", schur_element(mp, "product"))] + [
+            (f"symbol:L={L}", schur_element(mp, "symbol", L)) for L in range(ell, ell + 3)
+        ]
+        yield [
+            {
+                "multipartition": mp_json(mp),
+                "formula": name,
+                "value": value.to_json(),
+                "cancellation": base.to_json(),
+            }
+            for name, value in candidates
+            if value != base
+        ]
 
 
 def _suite_beta_shift(args):
-    def check(pair):
-        lam, mu = pair
+    for lam, mu in _partition_pairs(args.size):
         x = x_kernel(lam, mu)
         z = z_kernel(lam, mu)
         base_l = max(len(lam), len(mu))
-        bad = []
         ys = {L: y_kernel(lam, mu, L) for L in range(base_l, base_l + 4)}
-        for L in range(base_l, base_l + 3):
-            if ys[L] != ys[L + 1]:
-                bad.append({"pair": [list(lam), list(mu)], "check": f"shift:L={L}"})
+        checks = [f"shift:L={L}" for L in range(base_l, base_l + 3) if ys[L] != ys[L + 1]]
         if x != ys[base_l]:
-            bad.append({"pair": [list(lam), list(mu)], "check": "x=y"})
+            checks.append("x=y")
         if x != z:
-            bad.append({"pair": [list(lam), list(mu)], "check": "x=z"})
-        return bad
-
-    pairs = _partition_pairs(args.size)
-    mismatches = [b for pair in pairs for b in check(pair)]
-    return len(pairs), "partition pairs", mismatches
-
-
-def _identity_suite(unit: str, cases, verify, record):
-    """Run verify(*case) over the cases; one record(*case) per failing case."""
-    return len(cases), unit, [record(*case) for case in cases if not verify(*case)]
+            checks.append("x=z")
+        yield [{"pair": [list(lam), list(mu)], "check": check} for check in checks]
 
 
 def _suite_x_symmetry(args):
-    return _identity_suite(
-        "partition pairs", _partition_pairs(args.size), verify_x_symmetry,
-        lambda lam, mu: {"pair": [list(lam), list(mu)], "check": "x-symmetry"},
-    )
+    for lam, mu in _partition_pairs(args.size):
+        ok = verify_x_symmetry(lam, mu)
+        yield [] if ok else [{"pair": [list(lam), list(mu)], "check": "x-symmetry"}]
 
 
 def _suite_mu_identity(args):
-    cases = [
-        (mu, ell)
-        for k in range(1, args.size + 1)
-        for mu in partitions_of(k)
-        for ell in range(1, mu[0] + 1)
-    ]
-    return _identity_suite(
-        "identities", cases, verify_mu_identity, lambda mu, ell: {"mu": list(mu), "ell": ell}
-    )
+    for k in range(1, args.size + 1):
+        for mu in partitions_of(k):
+            for ell in range(1, mu[0] + 1):
+                yield [] if verify_mu_identity(mu, ell) else [{"mu": list(mu), "ell": ell}]
 
 
 def _suite_hook_beta(args):
-    cases = [
-        (lam, len(lam) + extra)
-        for k in range(args.size + 1)
-        for lam in partitions_of(k)
-        for extra in range(4)
-    ]
-    return _identity_suite(
-        "identities", cases, verify_hook_beta_identity,
-        lambda lam, L: {"partition": list(lam), "L": L},
-    )
+    for k in range(args.size + 1):
+        for lam in partitions_of(k):
+            for L in range(len(lam), len(lam) + 4):
+                ok = verify_hook_beta_identity(lam, L)
+                yield [] if ok else [{"partition": list(lam), "L": L}]
 
 
 def _suite_sm_action(args):
     mps = list(enumerate_multipartitions(args.m, args.n))
     elements = {mp: schur_element(mp) for mp in mps}
-    mismatches = []
     for mp in mps:
-        for sigma in itertools.permutations(range(1, args.m + 1)):
-            lhs = elements[permute_components(mp, sigma)]
-            rhs = apply_permutation(sigma, elements[mp])
-            if lhs != rhs:
-                mismatches.append(
-                    {"multipartition": mp_json(mp), "sigma": list(sigma)}
-                )
-    return len(mps), "multipartitions", mismatches
+        yield [
+            {"multipartition": mp_json(mp), "sigma": list(sigma)}
+            for sigma in itertools.permutations(range(1, args.m + 1))
+            if elements[permute_components(mp, sigma)] != apply_permutation(sigma, elements[mp])
+        ]
 
 
 def _suite_integrality(args):
     bound = args.n * (args.m - 1)
-
-    def check(mp):
+    for mp in enumerate_multipartitions(args.m, args.n):
         element = schur_element(mp)
+        check = None
         if any(e < 0 for e in element.factors.values()):
-            return [{"multipartition": mp_json(mp), "check": "negative exponent"}]
+            check = "negative exponent"
         # Every form c + q_s - q_t is primitive of degree one, so by Gauss's lemma the
         # product is integral iff its constant is, and its degree is the exponent sum.
-        if element.constant.denominator != 1:
+        elif element.constant.denominator != 1:
             try:
                 fr_expand(element, args.m)
             except NotAPolynomialError as exc:
-                return [{"multipartition": mp_json(mp), "check": str(exc)}]
+                check = str(exc)
         degree = sum(element.factors.values())
-        if degree > bound:
-            return [{"multipartition": mp_json(mp), "check": f"degree {degree} > {bound}"}]
-        return []
-
-    mps = list(enumerate_multipartitions(args.m, args.n))
-    mismatches = [b for mp in mps for b in check(mp)]
-    return len(mps), "multipartitions", mismatches
+        if check is None and degree > bound:
+            check = f"degree {degree} > {bound}"
+        yield [] if check is None else [{"multipartition": mp_json(mp), "check": check}]
 
 
 def _suite_trace_identity(args):
     if args.n < 1:
         raise UsageError(f"--suite trace-identity needs --n >= 1, got {args.n}")
-    mismatches = []
-    if not verify_trace_identity(args.m, args.n):
-        got, expected = trace_identity_sides(args.m, args.n)
-        mismatches.append(
-            {
-                "m": args.m,
-                "n": args.n,
-                "difference": (got - expected).to_json(),
-            }
-        )
-    return 1, "identities", mismatches
+    if verify_trace_identity(args.m, args.n):
+        yield []
+        return
+    got, expected = trace_identity_sides(args.m, args.n)
+    yield [{"m": args.m, "n": args.n, "difference": (got - expected).to_json()}]
 
 
 def _suite_criterion(args):
-    if args.seed is None:
-        raise UsageError("--suite criterion requires --seed")
     index = ZeroFormIndex(schur_elements_table(args.m, args.n))
     rng = random.Random(args.seed)
-    primes = [args.mod] if args.mod is not None else [None, 101]
-    mismatches = []
-    checked = 0
-    for prime in primes:
+    for prime in [args.mod] if args.mod is not None else [None, 101]:
         for _ in range(args.trials):
             theta = random_specialization(args.m, args.n, rng, prime=prime)
             report = cross_check_criterion(args.m, args.n, theta, index)
-            checked += 1
-            if not report.agreement:
-                mismatches.append(
-                    {
-                        "field": report.field,
-                        "theta": {qvar(s): str(v) for s, v in sorted(theta.q_values.items())},
-                        "report": report.to_json(),
-                    }
-                )
-    for name, theta, witness in separation_failure_cases(args.m, args.n):
-        report = cross_check_criterion(args.m, args.n, theta, index)
-        checked += 1
-        if report.semisimple or witness not in report.vanishing or not report.agreement:
-            mismatches.append(
+            yield [] if report.agreement else [
                 {
-                    "case": name,
                     "field": report.field,
-                    "witness": mp_json(witness),
+                    "theta": {qvar(s): str(v) for s, v in sorted(theta.q_values.items())},
                     "report": report.to_json(),
                 }
-            )
-    return checked, "specializations", mismatches
+            ]
+    for name, theta, witness in separation_failure_cases(args.m, args.n):
+        report = cross_check_criterion(args.m, args.n, theta, index)
+        ok = not report.semisimple and witness in report.vanishing and report.agreement
+        yield [] if ok else [
+            {
+                "case": name,
+                "field": report.field,
+                "witness": mp_json(witness),
+                "report": report.to_json(),
+            }
+        ]
 
 
+# name -> (driver, unit, required flags, optional flags with their defaults).  A driver
+# yields, for each case it checks, the list of that case's mismatch records ([] if none).
 SUITES = {
-    "three-formulas": (_suite_three_formulas, ("m", "n")),
-    "beta-shift": (_suite_beta_shift, ()),
-    "x-symmetry": (_suite_x_symmetry, ()),
-    "mu-identity": (_suite_mu_identity, ()),
-    "hook-beta": (_suite_hook_beta, ()),
-    "sm-action": (_suite_sm_action, ("m", "n")),
-    "integrality": (_suite_integrality, ("m", "n")),
-    "trace-identity": (_suite_trace_identity, ("m", "n")),
-    "criterion": (_suite_criterion, ("m", "n")),
+    "three-formulas": (_suite_three_formulas, "multipartitions", ("m", "n"), {}),
+    "beta-shift": (_suite_beta_shift, "partition pairs", (), {"size": 5}),
+    "x-symmetry": (_suite_x_symmetry, "partition pairs", (), {"size": 5}),
+    "mu-identity": (_suite_mu_identity, "identities", (), {"size": 5}),
+    "hook-beta": (_suite_hook_beta, "identities", (), {"size": 5}),
+    "sm-action": (_suite_sm_action, "multipartitions", ("m", "n"), {}),
+    "integrality": (_suite_integrality, "multipartitions", ("m", "n"), {}),
+    "trace-identity": (_suite_trace_identity, "identities", ("m", "n"), {}),
+    "criterion": (_suite_criterion, "specializations", ("m", "n", "seed"), {"trials": 100, "mod": None}),
 }
 
 
 def _cmd_verify(args) -> int:
-    driver, required = SUITES[args.suite]
-    for flag in required:
-        if getattr(args, flag) is None:
+    driver, unit, required, optional = SUITES[args.suite]
+    for flag in ("m", "n", "size", "seed", "trials", "mod"):
+        given = getattr(args, flag) is not None
+        if flag in required and not given:
             raise UsageError(f"--suite {args.suite} requires --{flag}")
-    checked, unit, mismatches = driver(args)
-    if not checked:
+        if not given and flag in optional:
+            setattr(args, flag, optional[flag])
+        elif given and flag not in required and flag not in optional:
+            raise UsageError(f"--suite {args.suite} does not take --{flag}")
+    cases = list(driver(args))
+    if not cases:
         raise UsageError(f"--suite {args.suite} checked no {unit}")
+    mismatches = [record for records in cases for record in records]
     for record in mismatches:
         print(json.dumps(record))
-    print(f"checked {checked} {unit}, {len(mismatches)} mismatches")
+    print(f"checked {len(cases)} {unit}, {len(mismatches)} mismatches")
     return 1 if mismatches else 0
+
+
+def _suites_epilog() -> str:
+    lines = ["suites: the unit they count, then their flags ([--flag default] is optional)"]
+    for name, (_, unit, required, optional) in SUITES.items():
+        flags = [f"--{flag}" for flag in required]
+        flags += [f"[--{flag} {default}]" if default else f"[--{flag}]" for flag, default in optional.items()]
+        lines.append(f"  {name:<15} {unit}: {' '.join(flags)}")
+    return "\n".join(lines + ["any other flag exits 2"])
 
 
 # ----------------------------------------------------------------- parser
@@ -476,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "latex", "text"), default="text")
     p.set_defaults(handler=_cmd_pinv)
 
-    p = sub.add_parser("verify", help="run a named identity suite")
+    p = sub.add_parser("verify", help="run a named identity suite", epilog=_suites_epilog(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--size", type=_positive_int, default=5, help="partition size bound for pair suites")
+    p.add_argument("--size", type=_positive_int, help="partition size bound for pair suites")
     p.add_argument("--seed", type=int, help="rng seed (criterion suite)")
-    p.add_argument("--trials", type=_positive_int, default=100, help="samples per field (criterion suite)")
+    p.add_argument("--trials", type=_positive_int, help="samples per field (criterion suite)")
     p.add_argument("--mod", type=int, help="restrict the criterion suite to F_p")
     p.set_defaults(handler=_cmd_verify)
 

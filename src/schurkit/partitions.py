@@ -144,13 +144,27 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Ordered m-tuples of non-negative integers summing to n, decreasing lex."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
+    """Ordered m-tuples of non-negative integers summing to n, decreasing lex.
+
+    Iterative, so m is not bounded by the recursion limit.  To step to the
+    successor, take one unit from the rightmost non-zero entry i before
+    the last; entry i + 1 becomes that unit plus the last entry, and the
+    last entry becomes 0 (the entries between are already 0).
+    """
+    if m < 1:
+        raise ValueError("a composition needs at least one part")
+    comp = [n] + [0] * (m - 1)
+    while True:
+        yield tuple(comp)
+        i = m - 2
+        while i >= 0 and comp[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        last = comp[-1]
+        comp[-1] = 0
+        comp[i] -= 1
+        comp[i + 1] = last + 1
 
 
 def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
@@ -165,10 +179,9 @@ def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
         raise ValueError("level m must be at least 1")
     if n < 0:
         raise ValueError("size n must be non-negative")
+    pools = [list(partitions_of(k)) for k in range(n + 1)]
     for comp in compositions(n, m):
-        pools = [list(partitions_of(k)) for k in comp]
-        for combo in itertools.product(*pools):
-            yield combo
+        yield from itertools.product(*[pools[k] for k in comp])
 
 
 def permute_components(mp: Multipartition, sigma: Sequence[int]) -> Multipartition:

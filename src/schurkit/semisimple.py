@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact import FactoredRational, FieldElement, Specialization, fr_eval
-from .partitions import Multipartition, enumerate_multipartitions
+from .partitions import Multipartition, enumerate_multipartitions, mp_size
 from .schur import p_invariant, schur_element
 
 
-@dataclass
-class SemisimplicityReport:
+class SemisimplicityReport(NamedTuple):
     """Outcome of the criterion check for one specialization."""
 
     p_value: FieldElement
@@ -55,12 +53,17 @@ class ZeroFormIndex:
     """Inverted index of the zero forms of a table of Schur elements.
 
     Built once from (multipartition, element) pairs whose exponents are
-    all positive.  A query costs one dictionary lookup per variable pair
-    over Q, one check per stored offset c over F_p, plus the size of the
-    answer.
+    all positive.  shape is the (m, n) of its first multipartition: a
+    table of P_{m,n} is never empty.  A query costs one dictionary lookup
+    per variable pair over Q, one check per stored offset c over F_p,
+    plus the size of the answer.
     """
 
     def __init__(self, elements: Sequence[tuple[Multipartition, FactoredRational]]):
+        if not elements:
+            raise ValueError("the zero-form index needs a non-empty table")
+        first = elements[0][0]
+        self.shape = (len(first), mp_size(first))
         self._multipartitions = [mp for mp, _ in elements]
         self._constants = [el.constant for _, el in elements]
         # (s, t) -> c -> positions of the elements with a factor c + q_s - q_t
@@ -110,10 +113,13 @@ def vanishing_schur_elements(
     """All multipartitions whose Schur element vanishes under theta.
 
     Returned in enumeration order.  Pass a ZeroFormIndex of the (m, n)
-    table to amortize its construction over repeated queries.
+    table to amortize its construction over repeated queries; an index of
+    another table raises ValueError.
     """
     if index is None:
         index = ZeroFormIndex(schur_elements_table(m, n))
+    elif index.shape != (m, n):
+        raise ValueError(f"the zero-form index was built for (m, n) = {index.shape}, not {(m, n)}")
     return index.vanishing(theta)
 
 

@@ -57,6 +57,14 @@ def test_enumerate_text_and_json(capsys):
     assert json.loads(out) == [[[1], []], [[], [1]]]
 
 
+def test_enumerate_large_m(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--m", "2000", "--n", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2000
+    assert lines[0] == "((1);" + ";".join(["(0)"] * 1999) + ")"
+
+
 def test_schur_sweep_json_round_trip(capsys):
     code, out, _ = invoke(
         capsys, "schur", "--m", "2", "--n", "1", "--formula", "cancellation",
@@ -161,9 +169,9 @@ def test_verify_criterion_runs(capsys):
 
 def test_verify_counterexample_exits_one(capsys, monkeypatch):
     def broken(args):
-        return 1, "things", [{"broken": True}]
+        yield [{"broken": True}]
 
-    monkeypatch.setitem(SUITES, "three-formulas", (broken, ()))
+    monkeypatch.setitem(SUITES, "three-formulas", (broken, "things", (), {}))
     code, out, _ = invoke(capsys, "verify", "--suite", "three-formulas")
     assert code == 1
     lines = out.splitlines()
@@ -290,6 +298,36 @@ def test_verify_rejects_nonpositive_size(capsys):
     assert "--size" in usage_error(capsys, "verify", "--suite", "mu-identity", "--size", "0")
 
 
+@pytest.mark.parametrize(
+    "suite, given, foreign",
+    [
+        ("three-formulas", ["--m", "2", "--n", "1"], ["--size", "3"]),
+        ("beta-shift", [], ["--m", "3"]),
+        ("x-symmetry", ["--size", "2"], ["--seed", "1"]),
+        ("mu-identity", [], ["--trials", "4"]),
+        ("hook-beta", [], ["--mod", "7"]),
+        ("sm-action", ["--m", "2", "--n", "1"], ["--size", "2"]),
+        ("integrality", ["--m", "2", "--n", "1"], ["--seed", "5"]),
+        ("trace-identity", ["--m", "2", "--n", "1"], ["--trials", "3"]),
+        ("criterion", ["--m", "2", "--n", "1", "--seed", "5"], ["--size", "2"]),
+    ],
+)
+def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, suite, given, foreign):
+    argv = ("verify", "--suite", suite, *given)
+    assert invoke(capsys, *argv)[0] == 0
+    err = usage_error(capsys, *argv, *foreign)
+    assert f"--suite {suite} does not take {foreign[0]}" in err
+
+
+def test_verify_help_lists_every_suite_with_its_unit_and_flags(capsys):
+    code, out, _ = invoke(capsys, "verify", "--help")
+    assert code == 0
+    assert "  beta-shift      partition pairs: [--size 5]\n" in out
+    assert "  criterion       specializations: --m --n --seed [--trials 100] [--mod]\n" in out
+    for name, (_, unit, _, _) in SUITES.items():
+        assert f"  {name:<15} {unit}: " in out
+
+
 def test_verify_rejects_nonpositive_trials(capsys):
     for trials in ("-5", "0"):
         err = usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
@@ -324,7 +362,7 @@ def test_schur_rejects_non_array_component(capsys):
 
 
 def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
-    monkeypatch.setitem(SUITES, "three-formulas", (lambda args: (0, "things", []), ()))
+    monkeypatch.setitem(SUITES, "three-formulas", (lambda args: iter(()), "things", (), {}))
     assert "checked no things" in usage_error(capsys, "verify", "--suite", "three-formulas")
 
 
@@ -382,6 +420,14 @@ def test_cli_module_runs_as_a_script():
     )
     done = subprocess.run([*argv, "0"], capture_output=True, text=True, env=env)
     assert done.returncode == 2 and done.stdout == "" and "--size" in done.stderr
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, schurkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize(

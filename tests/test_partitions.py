@@ -249,6 +249,23 @@ def test_compositions_cover_and_order():
     assert len(comps) == len(set(comps)) == 6
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_compositions_match_a_brute_force_filter(m):
+    for n in range(6):
+        expected = sorted(
+            (c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n), reverse=True
+        )
+        assert list(compositions(n, m)) == expected
+
+
+def test_compositions_reach_past_the_recursion_limit():
+    comps = list(compositions(1, 5000))
+    assert len(comps) == 5000
+    assert comps[0][0] == 1 and comps[-1][-1] == 1
+    with pytest.raises(ValueError):
+        next(compositions(1, 0))
+
+
 def test_num_standard_tableaux_matches_enumeration():
     for m in (1, 2, 3):
         for n in range(0, 6):

@@ -228,6 +228,21 @@ def test_zero_form_index_rejects_negative_exponents():
         ZeroFormIndex([(((1,), ()), element)])
 
 
+def test_an_index_of_another_table_is_rejected():
+    theta = Specialization({1: -2, 2: 0})
+    report = cross_check_criterion(2, 3, theta)
+    assert report.agreement and not report.semisimple
+    assert cross_check_criterion(2, 3, theta, ZeroFormIndex(schur_elements_table(2, 3))) == report
+    index = ZeroFormIndex(schur_elements_table(2, 2))
+    assert index.shape == (2, 2)
+    with pytest.raises(ValueError, match=r"\(2, 2\), not \(2, 3\)"):
+        cross_check_criterion(2, 3, theta, index)
+    with pytest.raises(ValueError):
+        vanishing_schur_elements(3, 2, theta, index)
+    with pytest.raises(ValueError):
+        ZeroFormIndex([])
+
+
 def test_zero_form_index_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
