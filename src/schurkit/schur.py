@@ -16,11 +16,19 @@ every one of them can be checked on concrete instances.  A kernel is a
 rational function of one indeterminate x and is always built at
 x = q_s - q_t, so every value is a product of forms c + q_s - q_t;
 swapping s and t is the substitution x -> -x.
+
+Each formula is a constant times one kernel per pair s < t, so both the
+kernels and the formulas read their forms off a memoized tally of one
+partition pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.
+A sweep builds each tally once per distinct pair and then writes one
+form per distinct offset c.  X, Y and Z each have their own tally, built
+by their own route, so the three formulas stay independent checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
@@ -45,6 +53,73 @@ from .partitions import (
 FORMULAS = ("product", "symbol", "cancellation")
 
 
+Tally = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _entries(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((c, exp) for c, exp in tally.items() if exp))
+
+
+@cache
+def _x_tally(lam: Partition, mu: Partition) -> Tally:
+    """X_{lam mu}(x) as (sign, ((c, exp), ...)): sign times prod (c + x)^exp.
+
+    From the nodes of lam, grouped by content j - i, and the columns of
+    mu: each node of mu gives (j - i - x) = -(i - j + x); each content d
+    of lam gives (d - mu_1 + x) and, for every column k of mu with
+    offset e = mu'_k - k, the correction (d + e + 1 + x) / (d + e + x).
+    """
+    tally = dict(Counter(i - j for i, j in nodes(mu)))
+    mu1 = mu[0] if mu else 0
+    offsets = [col - k for k, col in enumerate(conjugate(mu), 1)]
+    get = tally.get
+    for d, count in Counter(j - i for i, j in nodes(lam)).items():
+        tally[d - mu1] = get(d - mu1, 0) + count
+        for e in offsets:
+            tally[d + e + 1] = get(d + e + 1, 0) + count
+            tally[d + e] = get(d + e, 0) - count
+    return (-1) ** sum(mu), _entries(tally)
+
+
+@cache
+def _y_tally(beta_l: tuple[int, ...], beta_m: tuple[int, ...]) -> Tally:
+    """Y from two beta rows of one length L, as (sign, ((c, exp), ...)).
+
+    (-1)^C(L,2) x^L times the rising products prod_{k<=a} (k + x) over
+    the beta numbers a of lam and prod_{k<=b} (k - x) over those b of
+    mu, divided by (a - b + x) over all pairs.  A row is strictly
+    decreasing, so k lies in the rising products of exactly the first i
+    numbers of a row when row_(i+1) < k <= row_i: one entry per k, and
+    the (k - x) flips give the sign (-1)^sum(beta_m).
+    """
+    length = len(beta_l)
+    tally = {0: length}
+    for row, side in ((beta_l, 1), (beta_m, -1)):
+        for i, (a, below) in enumerate(zip(row, row[1:] + (0,)), 1):
+            for k in range(below + 1, a + 1):
+                tally[side * k] = i
+    get = tally.get
+    for d, count in Counter(a - b for a in beta_l for b in beta_m).items():
+        tally[d] = get(d, 0) - count
+    return (-1) ** (comb(length, 2) + sum(beta_m)), _entries(tally)
+
+
+@cache
+def _z_tally(lam: Partition, mu: Partition) -> Tally:
+    """The generalized hooks of lam against mu: prod over the nodes of lam of (h + x)."""
+    hooks = Counter(generalized_hook_length(lam, mu, i, j) for i, j in nodes(lam))
+    return 1, _entries(hooks)
+
+
+def _put(b: ProductBuilder, tally: Tally, s: int, t: int) -> ProductBuilder:
+    """Multiply b by the tally taken at x = q_s - q_t."""
+    sign, entries = tally
+    b.const(sign)
+    for c, exp in entries:
+        b.form(c, s, t, exp)
+    return b
+
+
 def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
     """The pairing X_{lam mu}(x) on two partitions, at x = q_s - q_t.
 
@@ -53,17 +128,7 @@ def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    mu1 = mu[0] if mu else 0
-    mubar = conjugate(mu)
-    b = ProductBuilder()
-    for i, j in nodes(mu):
-        b.form(j - i, t, s)
-    for i, j in nodes(lam):
-        b.form(j - i - mu1, s, t)
-        for k in range(1, mu1 + 1):
-            b.form(j - i + mubar[k - 1] - k + 1, s, t)
-            b.form(j - i + mubar[k - 1] - k, s, t, exp=-1)
-    return b.build()
+    return _put(ProductBuilder(), _x_tally(tuple(lam), tuple(mu)), s, t).build()
 
 
 def y_kernel(
@@ -77,21 +142,8 @@ def y_kernel(
     """
     if length < max(len(lam), len(mu)):
         raise ValueError(f"L={length} too small for lengths {len(lam)}, {len(mu)}")
-    beta_l = beta_set(lam, length)
-    beta_m = beta_set(mu, length)
-    b = ProductBuilder()
-    b.const((-1) ** comb(length, 2))
-    b.form(0, s, t, exp=length)
-    for a in beta_l:
-        for i in range(1, a + 1):
-            b.form(i, s, t)
-    for bb in beta_m:
-        for j in range(1, bb + 1):
-            b.form(j, t, s)
-    for a in beta_l:
-        for bb in beta_m:
-            b.form(a - bb, s, t, exp=-1)
-    return b.build()
+    tally = _y_tally(beta_set(lam, length), beta_set(mu, length))
+    return _put(ProductBuilder(), tally, s, t).build()
 
 
 def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -100,12 +152,9 @@ def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    b = ProductBuilder()
-    for i, j in nodes(lam):
-        b.form(generalized_hook_length(lam, mu, i, j), s, t)
-    for i, j in nodes(mu):
-        b.form(generalized_hook_length(mu, lam, i, j), t, s)
-    return b.build()
+    lam, mu = tuple(lam), tuple(mu)
+    b = _put(ProductBuilder(), _z_tally(lam, mu), s, t)
+    return _put(b, _z_tally(mu, lam), t, s).build()
 
 
 def schur_element(
@@ -117,6 +166,7 @@ def schur_element(
     symbol size L (symbol route only, default the multipartition length).
     All routes return equal canonical values.
     """
+    mp = tuple(map(tuple, mp))
     if formula == "product":
         return _schur_product(mp)
     if formula == "symbol":
@@ -127,51 +177,44 @@ def schur_element(
 
 
 def _schur_product(mp: Multipartition) -> FactoredRational:
-    m = len(mp)
+    """prod_s hook_product(lam^s) * prod_{s<t} X_{lam^s lam^t}(q_s - q_t)."""
     b = ProductBuilder()
     for lam in mp:
         b.const(hook_product(lam))
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            b.fr(x_kernel(mp[s - 1], mp[t - 1], s, t))
+    for (s, lam), (t, mu) in itertools.combinations(enumerate(mp, 1), 2):
+        _put(b, _x_tally(lam, mu), s, t)
     return b.build()
 
 
 def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
-    m = len(mp)
+    """prod over the rows of (prod_a a! / Vandermonde) * prod_{s<t} Y(row s, row t).
+
+    The rows are those of the L-symbol and Y is taken at x = q_s - q_t.
+    prod_a a! over a row is prod_k k^#{a >= k}; the per-row constant
+    comes from the row alone, not from the hooks.
+    """
     if length is None:
         length = mp_length(mp)
     rows = l_symbol(mp, length)
     b = ProductBuilder()
-    b.const((-1) ** (comb(m, 2) * comb(length, 2)))
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            b.form(0, s, t, exp=length)
-    for s, row in enumerate(rows, 1):
-        # prod over beta numbers a of row s of prod_{k<=a} (k + q_s - q_t),
-        # one call per k with the number of a >= k as exponent
-        counts = [(k, sum(a >= k for a in row)) for k in range(1, max(row, default=0) + 1)]
-        for t in range(1, m + 1):
-            for k, count in counts:
-                b.form(k, s, t, exp=count)
-    for s in range(1, m + 1):
-        for t in range(s + 1, m + 1):
-            for a_s in rows[s - 1]:
-                for a_t in rows[t - 1]:
-                    b.form(a_s - a_t, s, t, exp=-1)
     for row in rows:
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                b.const(row[i] - row[j], exp=-1)
+        b.const(prod(map(factorial, row)))
+        b.const(prod(a - bb for a, bb in itertools.combinations(row, 2)), exp=-1)
+    for (s, row_s), (t, row_t) in itertools.combinations(enumerate(rows, 1), 2):
+        _put(b, _y_tally(row_s, row_t), s, t)
     return b.build()
 
 
 def _schur_cancellation(mp: Multipartition) -> FactoredRational:
+    """prod_{s, t} prod over the nodes of lam^s of (h(lam^s, lam^t) + q_s - q_t).
+
+    The terms with s == t are the ordinary hooks and fold into the
+    constant; the pair s < t together with t > s is Z_{lam^s lam^t}.
+    """
     b = ProductBuilder()
     for s, lam in enumerate(mp, 1):
-        for i, j in nodes(lam):
-            for t, mu in enumerate(mp, 1):
-                b.form(generalized_hook_length(lam, mu, i, j), s, t)
+        for t, mu in enumerate(mp, 1):
+            _put(b, _z_tally(lam, mu), s, t)
     return b.build()
 
 

@@ -6,6 +6,7 @@ from math import factorial, prod
 
 import pytest
 
+import schurkit.cli as cli
 import schurkit.schur as schur_module
 from schurkit.exact import (
     Specialization,
@@ -23,6 +24,7 @@ from schurkit.partitions import (
     permute_components,
 )
 from schurkit.schur import (
+    FORMULAS,
     p_invariant,
     schur_element,
     trace_identity_sides,
@@ -117,6 +119,175 @@ def test_beta_shift_invariance_small_sweep():
             assert all(values[0] == v for v in values[1:])
 
 
+def test_list_inputs_equal_tuple_inputs():
+    # the kernels and formulas are memoized on tuples; lists are converted first
+    for mp in (((2,), (1, 1)), ((2, 1), (), (1,)), ((3,),)):
+        as_lists = [list(lam) for lam in mp]
+        for formula in ("product", "symbol", "cancellation"):
+            assert schur_element(as_lists, formula) == schur_element(mp, formula)
+    for lam, mu in (((2,), (1,)), ((2, 1), (1, 1)), ((), (3,))):
+        assert x_kernel(list(lam), list(mu)) == x_kernel(lam, mu)
+        assert y_kernel(list(lam), list(mu), 3, 2, 1) == y_kernel(lam, mu, 3, 2, 1)
+        assert z_kernel(list(lam), list(mu)) == z_kernel(lam, mu)
+
+
+# Reference kernels, node by node as the kernels are defined, written into
+# their own canonical product: an oracle that shares no code with src/.
+
+
+class _OracleProduct:
+    """constant * prod (c + q_s - q_t)^exp, kept as canonical (s < t) triples."""
+
+    def __init__(self):
+        self.constant = Fraction(1)
+        self.factors = {}
+
+    def const(self, value, exp=1):
+        self.constant *= Fraction(value) ** exp
+
+    def form(self, c, s, t, exp=1):
+        if s == t:
+            return self.const(c, exp)
+        if s > t:
+            c, s, t = -c, t, s
+            self.constant *= (-1) ** exp
+        self.factors[(s, t, c)] = self.factors.get((s, t, c), 0) + exp
+
+    def value(self):
+        return self.constant, {key: exp for key, exp in self.factors.items() if exp}
+
+
+def _plain(value):
+    return value.constant, {(f.s, f.t, f.c): exp for f, exp in value.factors.items()}
+
+
+def _oracle_nodes(lam):
+    return [(i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1)]
+
+
+def _oracle_x(lam, mu, s, t):
+    mu1 = mu[0] if mu else 0
+    mubar = [sum(1 for row in mu if row >= k) for k in range(1, mu1 + 1)]
+    out = _OracleProduct()
+    for i, j in _oracle_nodes(mu):
+        out.form(j - i, t, s)
+    for i, j in _oracle_nodes(lam):
+        out.form(j - i - mu1, s, t)
+        for k in range(1, mu1 + 1):
+            out.form(j - i + mubar[k - 1] - k + 1, s, t)
+            out.form(j - i + mubar[k - 1] - k, s, t, exp=-1)
+    return out.value()
+
+
+def _oracle_y(lam, mu, length, s, t):
+    def beta(p):
+        return [(p[i - 1] if i <= len(p) else 0) + length - i for i in range(1, length + 1)]
+
+    out = _OracleProduct()
+    out.const((-1) ** (length * (length - 1) // 2))
+    out.form(0, s, t, exp=length)
+    for a in beta(lam):
+        for i in range(1, a + 1):
+            out.form(i, s, t)
+    for b in beta(mu):
+        for j in range(1, b + 1):
+            out.form(j, t, s)
+    for a in beta(lam):
+        for b in beta(mu):
+            out.form(a - b, s, t, exp=-1)
+    return out.value()
+
+
+def _oracle_z(lam, mu, s, t):
+    out = _OracleProduct()
+    for i, j in _oracle_nodes(lam):
+        out.form(_oracle_hook(lam, mu, i, j), s, t)
+    for i, j in _oracle_nodes(mu):
+        out.form(_oracle_hook(mu, lam, i, j), t, s)
+    return out.value()
+
+
+def test_tallied_kernels_match_the_node_by_node_oracle():
+    pairs = [
+        (lam, mu)
+        for a in range(6)
+        for b in range(6 - a)
+        for lam in _oracle_partitions(a)
+        for mu in _oracle_partitions(b)
+    ]
+    for lam, mu in pairs:
+        for s, t in ((1, 2), (2, 1), (1, 3), (3, 2)):
+            assert _plain(x_kernel(lam, mu, s, t)) == _oracle_x(lam, mu, s, t), (lam, mu, s, t)
+            assert _plain(z_kernel(lam, mu, s, t)) == _oracle_z(lam, mu, s, t), (lam, mu, s, t)
+            base = max(len(lam), len(mu))
+            for length in range(base, base + 4):
+                assert _plain(y_kernel(lam, mu, length, s, t)) == _oracle_y(
+                    lam, mu, length, s, t
+                ), (lam, mu, length, s, t)
+
+
+@pytest.mark.parametrize(
+    "broken, formula, kernel",
+    [
+        ("_x_tally", "product", "x_kernel"),
+        ("_y_tally", "symbol", "y_kernel"),
+        ("_z_tally", "cancellation", "z_kernel"),
+        ("hook_product", "product", None),
+    ],
+)
+def test_each_route_builds_without_the_others(monkeypatch, broken, formula, kernel):
+    """Memoization never lets one formula or kernel reuse another's value."""
+    mps = list(enumerate_multipartitions(3, 3))
+    expected = [schur_element(mp) for mp in mps]
+    parts = small_partitions(3)
+    kernels = {
+        "x_kernel": x_kernel,
+        "y_kernel": lambda lam, mu: y_kernel(lam, mu, max(len(lam), len(mu)) + 1),
+        "z_kernel": z_kernel,
+    }
+    want = {name: [k(lam, mu) for lam in parts for mu in parts] for name, k in kernels.items()}
+
+    def refuse(*args):
+        raise RuntimeError(f"{broken} is off")
+
+    monkeypatch.setattr(schur_module, broken, refuse)
+    for other in set(FORMULAS) - {formula}:
+        assert [schur_element(mp, other) for mp in mps] == expected, other
+    with pytest.raises(RuntimeError):
+        schur_element(mps[0], formula)
+    for name, k in kernels.items():
+        if name == kernel:
+            with pytest.raises(RuntimeError):
+                k((1,), ())
+        else:
+            assert [k(lam, mu) for lam in parts for mu in parts] == want[name], name
+    if kernel is not None:
+        # the beta-shift suite compares all three kernels, so it needs this route too
+        with pytest.raises(RuntimeError):
+            cli.run(["verify", "--suite", "beta-shift", "--size", "3"])
+
+
+def test_sweeps_build_one_tally_per_distinct_pair():
+    mps = list(enumerate_multipartitions(4, 6))
+    for tally in (schur_module._x_tally, schur_module._y_tally, schur_module._z_tally):
+        tally.cache_clear()
+    for mp in mps:
+        schur_element(mp, "product")
+        schur_element(mp, "cancellation")
+    pairs = {(mp[s], mp[t]) for mp in mps for s in range(4) for t in range(s + 1, 4)}
+    # Z is tallied per ordered pair, the diagonal included: at s == t it is the hook constant
+    ordered = {(mp[s], mp[t]) for mp in mps for s in range(4) for t in range(4)}
+    assert schur_module._x_tally.cache_info().misses == len(pairs)
+    assert schur_module._z_tally.cache_info().misses == len(ordered)
+    assert schur_module._y_tally.cache_info().misses == 0
+    for mp in mps:
+        schur_element(mp, "symbol")
+    rows = {
+        (mp[s], mp[t], mp_length(mp)) for mp in mps for s in range(4) for t in range(s + 1, 4)
+    }
+    assert schur_module._y_tally.cache_info().misses == len(rows)
+
+
 # ------------------------------------------------------------ Schur element
 
 
@@ -177,6 +348,52 @@ def test_schur_equivariance_small_sweep():
                 for sigma in itertools.permutations(range(1, m + 1)):
                     lhs = elements[permute_components(mp, sigma)]
                     assert lhs == apply_permutation(sigma, elements[mp])
+
+
+def _random_multipartition_property(max_examples):
+    """Three-formula agreement and S_m-equivariance on random (m <= 5, n <= 12) cases."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def multipartitions(draw):
+        m = draw(st.integers(1, 5))
+        n = draw(st.integers(0, 12))
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=m - 1, max_size=m - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        mp = []
+        for size in sizes:
+            parts = []
+            while size:
+                part = draw(st.integers(1, size))
+                parts.append(part)
+                size -= part
+            mp.append(tuple(sorted(parts, reverse=True)))
+        return tuple(mp)
+
+    @hypothesis.settings(
+        max_examples=max_examples, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(mp=multipartitions(), data=st.data())
+    def check(mp, data):
+        base = schur_element(mp, "cancellation")
+        assert schur_element(mp, "product") == base
+        ell = mp_length(mp)
+        for L in (ell, ell + 1):
+            assert schur_element(mp, "symbol", L) == base
+        sigma = data.draw(st.permutations(range(1, len(mp) + 1)))
+        assert schur_element(permute_components(mp, sigma)) == apply_permutation(sigma, base)
+
+    check()
+
+
+def test_random_multipartition_property():
+    _random_multipartition_property(max_examples=20)
+
+
+@pytest.mark.slow
+def test_random_multipartition_property_many():
+    _random_multipartition_property(max_examples=1000)
 
 
 # -------------------------------------------------------------- P invariant
