@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -73,13 +74,11 @@ def mp_json(mp: Multipartition) -> list:
 
 def format_output(value, fmt: str) -> str:
     """Render a factored value or report as json, latex or text."""
-    if fmt == "json":
-        return json.dumps(value.to_json())
     latex = fmt == "latex"
     if isinstance(value, FactoredRational):
-        return value.render(latex=latex)
+        return value.json_text() if fmt == "json" else value.render(latex=latex)
     if isinstance(value, SemisimplicityReport):
-        return _report_text(value, latex=latex)
+        return json.dumps(value.to_json()) if fmt == "json" else _report_text(value, latex=latex)
     raise TypeError(f"cannot format {type(value).__name__}")
 
 
@@ -160,11 +159,15 @@ def _cmd_schur(args) -> int:
 
     rows = [(mp, schur_element(mp, args.formula, args.L)) for mp in mps]
     if args.format == "json":
-        payload = [{"multipartition": mp_json(mp), "schur": el.to_json()} for mp, el in rows]
+        # json.dumps of {"multipartition": ..., "schur": el.to_json()} per row, byte for byte
+        payload = [
+            f'{{"multipartition": {json.dumps(mp_json(mp))}, "schur": {el.json_text()}}}'
+            for mp, el in rows
+        ]
         if args.multipartition is not None:
-            print(json.dumps(payload[0]))
+            print(payload[0])
         else:
-            print(json.dumps(payload))
+            print("[" + ", ".join(payload) + "]")
     elif args.format == "latex":
         for mp, el in rows:
             print(f"${mp_text(mp)}$ & ${el.render(latex=True)}$ \\\\")
@@ -288,12 +291,19 @@ def _suite_hook_beta(args):
 
 
 def _suite_sm_action(args):
-    mps = list(enumerate_multipartitions(args.m, args.n))
+    # permute_components and apply_permutation are both actions of S_m with the same
+    # composition rule, so equivariance under the transposition (1 2) and the m-cycle,
+    # which generate S_m, is equivariance under every permutation.
+    m = args.m
+    transposition = (2, 1, *range(3, m + 1)) if m > 1 else (1,)
+    cycle = (*range(2, m + 1), 1)
+    generators = [transposition] if cycle == transposition else [transposition, cycle]
+    mps = list(enumerate_multipartitions(m, args.n))
     elements = {mp: schur_element(mp) for mp in mps}
     for mp in mps:
         yield [
             {"multipartition": mp_json(mp), "sigma": list(sigma)}
-            for sigma in itertools.permutations(range(1, args.m + 1))
+            for sigma in generators
             if elements[permute_components(mp, sigma)] != apply_permutation(sigma, elements[mp])
         ]
 
@@ -483,7 +493,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    sys.exit(run(sys.argv[1:] if argv is None else argv))
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the interpreter's
+        # final flush cannot raise again (the recipe of the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

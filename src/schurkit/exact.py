@@ -16,6 +16,7 @@ rendering, in the JSON encoding and in parsing.
 
 from __future__ import annotations
 
+import json
 import re
 from functools import cache
 from fractions import Fraction
@@ -69,7 +70,28 @@ class LinearForm(NamedTuple):
         return f"({self.c}+{body})" if self.c else f"({body})"
 
     def to_json(self) -> dict:
-        return {"c": self.c, "pos": qvar(self.s), "neg": qvar(self.t)}
+        """{"c", "pos", "neg"}; one shared dict per form, which callers must not mutate."""
+        return _form_json(self)
+
+
+@cache
+def _form_json(form: LinearForm) -> dict:
+    return {"c": form.c, "pos": qvar(form.s), "neg": qvar(form.t)}
+
+
+@cache
+def _factor_text(form: LinearForm, exp: int, latex: bool) -> str:
+    """One factor of FactoredRational.render: the form, then ^exp unless exp == 1."""
+    text = form.render(latex=latex)
+    if exp != 1:
+        text += f"^{{{exp}}}" if latex else f"^{exp}"
+    return text
+
+
+@cache
+def _factor_json(form: LinearForm, exp: int) -> str:
+    """One entry of the "factors" list of FactoredRational.to_json, as JSON text."""
+    return json.dumps([form.to_json(), exp])
 
 
 @cache
@@ -102,7 +124,7 @@ class FactoredRational:
 
     def __init__(self, constant: Fraction, factors: Mapping[LinearForm, int]):
         constant = Fraction(constant)
-        if constant == 0:
+        if not constant:
             factors = {}
         self.constant = constant
         self.factors = dict(factors)
@@ -142,13 +164,7 @@ class FactoredRational:
 
     def render(self, latex: bool = False) -> str:
         """Deterministic text form: constant prefix then canonical factors."""
-        parts = []
-        for form, exp in self.sorted_factors():
-            s = form.render(latex=latex)
-            if exp != 1:
-                s += f"^{{{exp}}}" if latex else f"^{exp}"
-            parts.append(s)
-        body = "".join(parts)
+        body = "".join([_factor_text(form, exp, latex) for form, exp in self.sorted_factors()])
         if not body:
             return str(self.constant)
         if self.constant == 1:
@@ -163,6 +179,12 @@ class FactoredRational:
             "den": str(self.constant.denominator),
             "factors": [[form.to_json(), exp] for form, exp in self.sorted_factors()],
         }
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json()), joined from memoized per-factor text."""
+        factors = ", ".join([_factor_json(form, exp) for form, exp in self.sorted_factors()])
+        num, den = self.constant.numerator, self.constant.denominator
+        return f'{{"num": "{num}", "den": "{den}", "factors": [{factors}]}}'
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FactoredRational":

@@ -8,6 +8,7 @@ partitions.  Rows, columns and components are 1-based everywhere.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -106,7 +107,9 @@ def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
     """
     if length < len(lam):
         raise ValueError(f"L={length} too small for a partition of length {len(lam)}")
-    return tuple(part(lam, i) + length - i for i in range(1, length + 1))
+    return tuple(row + length - i for i, row in enumerate(lam, 1)) + tuple(
+        range(length - len(lam) - 1, -1, -1)
+    )
 
 
 def partition_from_beta(beta: Sequence[int]) -> Partition:
@@ -195,8 +198,9 @@ def permute_components(mp: Multipartition, sigma: Sequence[int]) -> Multipartiti
     return tuple(out)
 
 
+@cache
 def hook_product(lam: Partition) -> int:
-    """Product of all hook lengths of the diagram."""
+    """Product of all hook lengths of the diagram; memoized, so lam is a tuple."""
     prod = 1
     for i, j in nodes(lam):
         prod *= hook_length(lam, i, j)

@@ -20,9 +20,11 @@ swapping s and t is the substitution x -> -x.
 Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a memoized tally of one
 partition pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.
-A sweep builds each tally once per distinct pair and then writes one
-form per distinct offset c.  X, Y and Z each have their own tally, built
-by their own route, so the three formulas stay independent checks.
+A memoized block is that tally taken at x = q_s - q_t, as canonical
+(sign, ((LinearForm, exp), ...)).  The forms of distinct pairs never
+coincide, so an element is its constant times the plain union of its
+blocks.  X, Y and Z each have their own tally, and each formula its own
+memoized constant, so the three formulas stay independent checks.
 """
 
 from __future__ import annotations
@@ -32,9 +34,16 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exact import FactoredRational, LinearForm, ProductBuilder, SparsePoly, fr_expand
+from .exact import (
+    FactoredRational,
+    LinearForm,
+    ProductBuilder,
+    SparsePoly,
+    canonical_parts,
+    fr_expand,
+)
 from .partitions import (
     Multipartition,
     Partition,
@@ -54,6 +63,7 @@ FORMULAS = ("product", "symbol", "cancellation")
 
 
 Tally = tuple[int, tuple[tuple[int, int], ...]]
+Block = tuple[int, tuple[tuple[LinearForm, int], ...]]
 
 
 def _entries(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -99,25 +109,67 @@ def _y_tally(beta_l: tuple[int, ...], beta_m: tuple[int, ...]) -> Tally:
             for k in range(below + 1, a + 1):
                 tally[side * k] = i
     get = tally.get
-    for d, count in Counter(a - b for a in beta_l for b in beta_m).items():
-        tally[d] = get(d, 0) - count
+    for a in beta_l:
+        for b in beta_m:
+            tally[a - b] = get(a - b, 0) - 1
     return (-1) ** (comb(length, 2) + sum(beta_m)), _entries(tally)
+
+
+def _hooks(lam: Partition, mu: Partition) -> Counter:
+    """The generalized hooks of lam against mu, one per node of lam."""
+    return Counter(generalized_hook_length(lam, mu, i, j) for i, j in nodes(lam))
 
 
 @cache
 def _z_tally(lam: Partition, mu: Partition) -> Tally:
-    """The generalized hooks of lam against mu: prod over the nodes of lam of (h + x)."""
-    hooks = Counter(generalized_hook_length(lam, mu, i, j) for i, j in nodes(lam))
-    return 1, _entries(hooks)
+    """Z_{lam mu}(x) as (sign, ((c, exp), ...)), both directions merged in x.
+
+    (h + x) over the generalized hooks h of lam against mu, and
+    (h - x) = -(-h + x) over those of mu against lam: one sign per node
+    of mu.
+    """
+    tally = _hooks(lam, mu)
+    for h, count in _hooks(mu, lam).items():
+        tally[-h] += count
+    return (-1) ** sum(mu), _entries(tally)
 
 
-def _put(b: ProductBuilder, tally: Tally, s: int, t: int) -> ProductBuilder:
-    """Multiply b by the tally taken at x = q_s - q_t."""
+def _canonical(tally: Tally, s: int, t: int) -> Block:
+    """The tally taken at x = q_s - q_t, canonical: (sign, ((form, exp), ...)).
+
+    Every form of the block has the indices {s, t}, so blocks of distinct
+    pairs share no form, and an element is the plain union of its blocks.
+    """
+    if s == t:
+        raise ValueError(f"a kernel is taken at x = q_s - q_t with s != t, got s = t = {s}")
     sign, entries = tally
-    b.const(sign)
+    forms = []
     for c, exp in entries:
-        b.form(c, s, t, exp)
-    return b
+        form, flip = canonical_parts(c, s, t)
+        if flip < 0 and exp % 2:
+            sign = -sign
+        forms.append((form, exp))
+    return sign, tuple(forms)
+
+
+@cache
+def _block(tally: Callable[[tuple, tuple], Tally], a: tuple, b: tuple, s: int, t: int) -> Block:
+    """The block of tally(a, b) at (s, t), memoized for the formulas.
+
+    The kernels canonicalize without it: the beta-shift suite takes each
+    kernel once per pair, so a memoized block there would only hold memory.
+    """
+    return _canonical(tally(a, b), s, t)
+
+
+def _union(num: int, den: int, blocks: Iterable[Block]) -> FactoredRational:
+    """num / den times the product of blocks that share no form."""
+    factors: dict[LinearForm, int] = {}
+    for sign, forms in blocks:
+        if sign < 0:
+            num = -num
+        factors.update(forms)
+    return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
 def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -128,7 +180,7 @@ def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _put(ProductBuilder(), _x_tally(tuple(lam), tuple(mu)), s, t).build()
+    return _union(1, 1, [_canonical(_x_tally(tuple(lam), tuple(mu)), s, t)])
 
 
 def y_kernel(
@@ -143,7 +195,7 @@ def y_kernel(
     if length < max(len(lam), len(mu)):
         raise ValueError(f"L={length} too small for lengths {len(lam)}, {len(mu)}")
     tally = _y_tally(beta_set(lam, length), beta_set(mu, length))
-    return _put(ProductBuilder(), tally, s, t).build()
+    return _union(1, 1, [_canonical(tally, s, t)])
 
 
 def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -152,9 +204,7 @@ def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    b = _put(ProductBuilder(), _z_tally(lam, mu), s, t)
-    return _put(b, _z_tally(mu, lam), t, s).build()
+    return _union(1, 1, [_canonical(_z_tally(tuple(lam), tuple(mu)), s, t)])
 
 
 def schur_element(
@@ -178,12 +228,15 @@ def schur_element(
 
 def _schur_product(mp: Multipartition) -> FactoredRational:
     """prod_s hook_product(lam^s) * prod_{s<t} X_{lam^s lam^t}(q_s - q_t)."""
-    b = ProductBuilder()
-    for lam in mp:
-        b.const(hook_product(lam))
-    for (s, lam), (t, mu) in itertools.combinations(enumerate(mp, 1), 2):
-        _put(b, _x_tally(lam, mu), s, t)
-    return b.build()
+    pairs = itertools.combinations(enumerate(mp, 1), 2)
+    blocks = [_block(_x_tally, lam, mu, s, t) for (s, lam), (t, mu) in pairs]
+    return _union(prod(map(hook_product, mp)), 1, blocks)
+
+
+@cache
+def _row_constant(row: tuple[int, ...]) -> tuple[int, int]:
+    """prod_a a! and the Vandermonde prod_{i<j} (a_i - a_j) of one L-symbol row."""
+    return prod(map(factorial, row)), prod(a - b for a, b in itertools.combinations(row, 2))
 
 
 def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
@@ -196,26 +249,31 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
     if length is None:
         length = mp_length(mp)
     rows = l_symbol(mp, length)
-    b = ProductBuilder()
+    num = den = 1
     for row in rows:
-        b.const(prod(map(factorial, row)))
-        b.const(prod(a - bb for a, bb in itertools.combinations(row, 2)), exp=-1)
-    for (s, row_s), (t, row_t) in itertools.combinations(enumerate(rows, 1), 2):
-        _put(b, _y_tally(row_s, row_t), s, t)
-    return b.build()
+        a, b = _row_constant(row)
+        num *= a
+        den *= b
+    pairs = itertools.combinations(enumerate(rows, 1), 2)
+    blocks = [_block(_y_tally, row_s, row_t, s, t) for (s, row_s), (t, row_t) in pairs]
+    return _union(num, den, blocks)
+
+
+@cache
+def _z_diagonal(lam: Partition) -> int:
+    """The s == t factor of the cancellation product: the hooks of lam against itself."""
+    return prod(generalized_hook_length(lam, lam, i, j) for i, j in nodes(lam))
 
 
 def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     """prod_{s, t} prod over the nodes of lam^s of (h(lam^s, lam^t) + q_s - q_t).
 
-    The terms with s == t are the ordinary hooks and fold into the
-    constant; the pair s < t together with t > s is Z_{lam^s lam^t}.
+    The terms with s == t are constants; the pair s < t together with
+    t > s is Z_{lam^s lam^t}.
     """
-    b = ProductBuilder()
-    for s, lam in enumerate(mp, 1):
-        for t, mu in enumerate(mp, 1):
-            _put(b, _z_tally(lam, mu), s, t)
-    return b.build()
+    pairs = itertools.combinations(enumerate(mp, 1), 2)
+    blocks = [_block(_z_tally, lam, mu, s, t) for (s, lam), (t, mu) in pairs]
+    return _union(prod(map(_z_diagonal, mp)), 1, blocks)
 
 
 @cache
@@ -277,6 +335,13 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
     """Check X_{lam mu}(x) == X_{mu lam}(-x); x -> -x is the swap of q_1 and q_2."""
     return x_kernel(lam, mu, 1, 2) == x_kernel(mu, lam, 2, 1)
+
+
+# The most grid points verify_trace_identity evaluates.  On CPython 3.11 (2 vCPUs)
+# the grid of (4,5) has 17,576 points and took 6 s, (7,1) 46,656 points and 0.3 s,
+# and (4,6) 50,653 points and 59 s: the cost of a point grows with the number of
+# summands, so the budget sits below (4,6).
+TRACE_GRID_BUDGET = 50_000
 
 
 def _trace_terms(m: int, n: int):
@@ -377,6 +442,15 @@ def vanishes_identically(
     return True
 
 
+def _degrees(value: FactoredRational, m: int) -> list[int]:
+    """The degree of a polynomial factored value in each of q_1..q_m."""
+    degree = [0] * m
+    for (s, t, _), exp in value.factors.items():
+        degree[s - 1] += exp
+        degree[t - 1] += exp
+    return degree
+
+
 def verify_trace_identity(m: int, n: int) -> bool:
     """Check sum over all multipartitions of dim/schur == (1 if m == 1 else 0).
 
@@ -385,8 +459,27 @@ def verify_trace_identity(m: int, n: int) -> bool:
     Each D / s_L is an integer times powers of the forms of D, so this is
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.
+
+    Raises ValueError, before the work, when the grid would have more
+    than TRACE_GRID_BUDGET points.  Every grid degree is at least m - 2:
+    D has a form of every pair {s, t}, and an element whose nodes all lie
+    in one component u != s has no form of a pair {s, t} with t != u.  So
+    m alone can refuse a run before any element is built.
     """
+    if (m - 1) ** (m - 1) > TRACE_GRID_BUDGET:
+        raise ValueError(
+            f"trace-identity at --m {m} needs at least {m - 1}^{m - 1} grid points,"
+            f" above the budget of {TRACE_GRID_BUDGET}"
+        )
     mps, elements, denom = _trace_terms(m, n)
+    top = _degrees(denom, m)
+    low = [min(col) for col in zip(*(_degrees(el, m) for el in elements))]
+    points = prod(a - b + 1 for a, b in zip(top[:-1], low[:-1]))
+    if points > TRACE_GRID_BUDGET:
+        raise ValueError(
+            f"trace-identity at --m {m} --n {n} needs {points} grid points,"
+            f" above the budget of {TRACE_GRID_BUDGET}"
+        )
     forms = list(denom.factors)
     lcm_exps = list(denom.factors.values())
     lcm_const = denom.constant.numerator

@@ -422,6 +422,36 @@ def test_cli_module_runs_as_a_script():
     assert done.returncode == 2 and done.stdout == "" and "--size" in done.stderr
 
 
+def test_a_closed_pipe_exits_without_a_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "schurkit.cli", "schur", "--m", "4", "--n", "6", "--format", "json"]
+    # about 700 kB of output: far more than a pipe buffers, so the write meets the closed end
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
+    assert code == 1
+
+
+def test_large_m_suites_answer_at_once(capsys):
+    started = time.perf_counter()
+    assert invoke(capsys, "verify", "--suite", "sm-action", "--m", "9", "--n", "1") == (
+        0, "checked 9 multipartitions, 0 mismatches\n", ""
+    )
+    for m, count in (("9", "at least 8^8"), ("1000", "at least 999^999")):
+        code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", m, "--n", "1")
+        assert (code, out) == (2, "")
+        assert f"needs {count} grid points, above the budget of" in err
+    assert time.perf_counter() - started < 5
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

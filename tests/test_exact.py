@@ -1,5 +1,6 @@
 """Exact arithmetic: canonical forms, products, expansion, evaluation."""
 
+import json
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -541,6 +542,46 @@ def test_json_round_trip():
     assert encoded["factors"] == [[{"c": 1, "pos": "q1", "neg": "q2"}, 2]]
     # the name strings are shared, not built once per factor
     assert encoded["factors"][0][0]["pos"] is qvar(1)
+
+
+def _plain_render(value, latex):
+    """FactoredRational.render written out afresh, with nothing memoized."""
+    parts = []
+    for (s, t, c), exp in sorted((tuple(form), exp) for form, exp in value.factors.items()):
+        body = f"q_{{{s}}}-q_{{{t}}}" if latex else f"q{s}-q{t}"
+        text = f"({c}+{body})" if c else f"({body})"
+        if exp != 1:
+            text += f"^{{{exp}}}" if latex else f"^{exp}"
+        parts.append(text)
+    body = "".join(parts)
+    if not body:
+        return str(value.constant)
+    prefix = {1: "", -1: "-"}.get(value.constant, f"{value.constant}*")
+    return prefix + body
+
+
+def test_memoized_factor_text_matches_a_plain_renderer():
+    values = [
+        schur_element(mp, formula)
+        for mp in enumerate_multipartitions(3, 4)
+        for formula in ("product", "symbol", "cancellation")
+    ]
+    values += [y_kernel(lam, mu, 3, s, t) for lam, mu in (((2,), (1,)), ((1, 1), (3,)))
+               for s, t in ((1, 2), (3, 1))]
+    values += [
+        fr_const(Fraction(-3, 4)) * fr_form(2, 1, 3, exp=-2) * fr_form(0, 2, 3, exp=5),
+        fr_const(Fraction(5, 6)) / fr_form(-7, 2, 1),
+        fr_const(Fraction(-1, 2)),
+        fr_const(0),
+        fr_const(-1) * fr_form(0, 1, 2, exp=-1),
+    ]
+    values += [random_factored(random.Random(seed)) for seed in range(40)]
+    assert any(e < 0 for value in values for e in value.factors.values())
+    assert any(value.constant.denominator != 1 for value in values)
+    for value in values:
+        assert value.render() == _plain_render(value, latex=False)
+        assert value.render(latex=True) == _plain_render(value, latex=True)
+        assert value.json_text() == json.dumps(value.to_json())
 
 
 def test_from_json_rejects_malformed_encodings():

@@ -1,5 +1,7 @@
 """Kernels, the three Schur-element formulas, and the supporting identities."""
 
+import argparse
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -19,6 +21,7 @@ from schurkit.exact import (
 )
 from schurkit.partitions import (
     enumerate_multipartitions,
+    l_symbol,
     mp_length,
     partitions_of,
     permute_components,
@@ -233,9 +236,13 @@ def test_tallied_kernels_match_the_node_by_node_oracle():
         ("_y_tally", "symbol", "y_kernel"),
         ("_z_tally", "cancellation", "z_kernel"),
         ("hook_product", "product", None),
+        ("_row_constant", "symbol", None),
+        ("_z_diagonal", "cancellation", None),
     ],
 )
-def test_each_route_builds_without_the_others(monkeypatch, broken, formula, kernel):
+def test_each_route_builds_without_the_others(
+    monkeypatch, clear_caches, broken, formula, kernel
+):
     """Memoization never lets one formula or kernel reuse another's value."""
     mps = list(enumerate_multipartitions(3, 3))
     expected = [schur_element(mp) for mp in mps]
@@ -251,6 +258,7 @@ def test_each_route_builds_without_the_others(monkeypatch, broken, formula, kern
         raise RuntimeError(f"{broken} is off")
 
     monkeypatch.setattr(schur_module, broken, refuse)
+    clear_caches()
     for other in set(FORMULAS) - {formula}:
         assert [schur_element(mp, other) for mp in mps] == expected, other
     with pytest.raises(RuntimeError):
@@ -267,25 +275,68 @@ def test_each_route_builds_without_the_others(monkeypatch, broken, formula, kern
             cli.run(["verify", "--suite", "beta-shift", "--size", "3"])
 
 
-def test_sweeps_build_one_tally_per_distinct_pair():
+def _misses(cached):
+    return cached.cache_info().misses
+
+
+def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
     mps = list(enumerate_multipartitions(4, 6))
-    for tally in (schur_module._x_tally, schur_module._y_tally, schur_module._z_tally):
-        tally.cache_clear()
+    clear_caches()
     for mp in mps:
         schur_element(mp, "product")
         schur_element(mp, "cancellation")
     pairs = {(mp[s], mp[t]) for mp in mps for s in range(4) for t in range(s + 1, 4)}
-    # Z is tallied per ordered pair, the diagonal included: at s == t it is the hook constant
-    ordered = {(mp[s], mp[t]) for mp in mps for s in range(4) for t in range(4)}
-    assert schur_module._x_tally.cache_info().misses == len(pairs)
-    assert schur_module._z_tally.cache_info().misses == len(ordered)
-    assert schur_module._y_tally.cache_info().misses == 0
+    # one block per kernel and distinct pair at each of its positions (s, t)
+    placed = {(mp[s], mp[t], s, t) for mp in mps for s in range(4) for t in range(s + 1, 4)}
+    components = {lam for mp in mps for lam in mp}
+    assert _misses(schur_module._x_tally) == len(pairs)
+    # Z is tallied once per pair s < t, both directions merged; the diagonal is a constant
+    assert _misses(schur_module._z_tally) == len(pairs)
+    assert _misses(schur_module._z_diagonal) == len(components)
+    assert _misses(schur_module.hook_product) == len(components)
+    assert _misses(schur_module._block) == 2 * len(placed)
+    assert _misses(schur_module._y_tally) == 0
+    assert _misses(schur_module._row_constant) == 0
     for mp in mps:
         schur_element(mp, "symbol")
     rows = {
         (mp[s], mp[t], mp_length(mp)) for mp in mps for s in range(4) for t in range(s + 1, 4)
     }
-    assert schur_module._y_tally.cache_info().misses == len(rows)
+    placed_rows = {
+        (mp[s], mp[t], mp_length(mp), s, t) for mp in mps for s in range(4) for t in range(s + 1, 4)
+    }
+    assert _misses(schur_module._y_tally) == len(rows)
+    beta_rows = {(lam, mp_length(mp)) for mp in mps for lam in mp}
+    assert _misses(schur_module._row_constant) == len(beta_rows)
+    assert _misses(schur_module._block) == 2 * len(placed) + len(placed_rows)
+
+
+def _blocks(mp, formula):
+    """The per-pair blocks whose union is the element of mp by this formula."""
+    if formula == "symbol":
+        rows, tally = l_symbol(mp, mp_length(mp)), schur_module._y_tally
+    else:
+        rows = mp
+        tally = schur_module._x_tally if formula == "product" else schur_module._z_tally
+    return [
+        schur_module._block(tally, a, b, s, t)
+        for (s, a), (t, b) in itertools.combinations(enumerate(rows, 1), 2)
+    ]
+
+
+def test_an_element_is_the_disjoint_union_of_its_blocks():
+    for mp in enumerate_multipartitions(4, 4):
+        for formula in FORMULAS:
+            blocks = _blocks(mp, formula)
+            element = schur_element(mp, formula)
+            assert len(element.factors) == sum(len(forms) for _, forms in blocks), (mp, formula)
+            assert element.factors == {form: e for _, forms in blocks for form, e in forms}
+
+
+def test_a_kernel_needs_two_distinct_indices():
+    for kernel in (x_kernel, z_kernel, lambda lam, mu, s, t: y_kernel(lam, mu, 2, s, t)):
+        with pytest.raises(ValueError, match="s != t"):
+            kernel((1,), (1,), 2, 2)
 
 
 # ------------------------------------------------------------ Schur element
@@ -337,17 +388,53 @@ def test_three_formula_agreement_small_sweep():
                     assert schur_element(mp, "symbol", L) == base
 
 
-def test_schur_equivariance_small_sweep():
-    import itertools
+def _all_permutation_mismatches(m, elements):
+    """The m! oracle of the sm-action suite: every (mp, sigma) that breaks equivariance."""
+    return [
+        (mp, sigma)
+        for mp in elements
+        for sigma in itertools.permutations(range(1, m + 1))
+        if elements[permute_components(mp, sigma)] != apply_permutation(sigma, elements[mp])
+    ]
 
-    for m in (2, 3):
+
+def test_schur_equivariance_small_sweep():
+    for m in (2, 3, 4):
         for n in (1, 2, 3):
-            mps = list(enumerate_multipartitions(m, n))
-            elements = {mp: schur_element(mp) for mp in mps}
-            for mp in mps:
-                for sigma in itertools.permutations(range(1, m + 1)):
-                    lhs = elements[permute_components(mp, sigma)]
-                    assert lhs == apply_permutation(sigma, elements[mp])
+            elements = {mp: schur_element(mp) for mp in enumerate_multipartitions(m, n)}
+            assert _all_permutation_mismatches(m, elements) == [], (m, n)
+
+
+def test_permutation_actions_compose_alike():
+    """Both actions send sigma then tau to the one permutation s -> tau(sigma(s))."""
+    perms = list(itertools.permutations(range(1, 5)))
+    mp = ((2,), (), (1, 1), (1,))
+    value = schur_element(mp) * fr_form(3, 2, 4, exp=-1)
+    for sigma in perms:
+        for tau in perms:
+            both = tuple(tau[sigma[s] - 1] for s in range(4))
+            twice = permute_components(permute_components(mp, sigma), tau)
+            assert twice == permute_components(mp, both)
+            twice = apply_permutation(tau, apply_permutation(sigma, value))
+            assert twice == apply_permutation(both, value)
+
+
+def test_sm_action_generators_decide_as_all_permutations(monkeypatch):
+    """Corrupt one element at a time: the generator checks fail iff the m! oracle does."""
+    verdicts = set()
+    for m, n in ((2, 2), (3, 2), (3, 3), (4, 1), (4, 2)):
+        mps = list(enumerate_multipartitions(m, n))
+        for target in mps:
+            # a constant keeps the symmetry of a fixed point; a form breaks it
+            for corruption in (fr_const(2), fr_form(0, 1, 2)):
+                table = {mp: schur_element(mp) for mp in mps}
+                table[target] = corruption * table[target]
+                monkeypatch.setattr(cli, "schur_element", table.__getitem__)
+                records = list(cli._suite_sm_action(argparse.Namespace(m=m, n=n)))
+                caught = any(records)
+                assert caught == bool(_all_permutation_mismatches(m, table)), (m, n, target)
+                verdicts.add(caught)
+    assert verdicts == {True, False}
 
 
 def _random_multipartition_property(max_examples):
@@ -534,6 +621,49 @@ def test_trace_identity_grid_rejects_a_wrong_dimension(monkeypatch):
         assert not verify_trace_identity(m, n), (m, n)
         got, expected = trace_identity_sides(m, n)
         assert got != expected
+
+
+class _GridSpy:
+    """Stands in for itertools inside schur and records the grid sizes it is asked for."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def product(self, *ranges):
+        self.sizes.append(prod(map(len, ranges)))
+        return itertools.product(*ranges)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 7), (3, 3), (3, 4), (4, 2), (5, 1), (6, 1)])
+def test_trace_identity_budget_counts_the_grid(monkeypatch, m, n):
+    spy = _GridSpy()
+    monkeypatch.setattr(schur_module, "itertools", spy)
+    assert verify_trace_identity(m, n)
+    (points,) = spy.sizes
+    assert points >= (m - 1) ** (m - 1)
+    monkeypatch.setattr(schur_module, "TRACE_GRID_BUDGET", points - 1)
+    if (m - 1) ** (m - 1) > points - 1:
+        message = rf"needs at least {m - 1}\^{m - 1} grid points, above the budget of {points - 1}$"
+    else:
+        message = f"needs {points} grid points, above the budget of {points - 1}$"
+    with pytest.raises(ValueError, match=message):
+        verify_trace_identity(m, n)
+    monkeypatch.setattr(schur_module, "TRACE_GRID_BUDGET", points)
+    assert verify_trace_identity(m, n)
+    assert spy.sizes == [points, points]
+
+
+def test_trace_identity_refuses_a_large_m_before_building_elements(monkeypatch):
+    def refuse(m, n):
+        raise RuntimeError("elements were built")
+
+    monkeypatch.setattr(schur_module, "_trace_terms", refuse)
+    for m in (9, 1000):
+        with pytest.raises(ValueError, match=rf"at least {m - 1}\^{m - 1} grid points"):
+            verify_trace_identity(m, 1)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
