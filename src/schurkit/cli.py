@@ -493,15 +493,18 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
+    """The console entry: run argv, flush stdout and stderr, end the process at once.
+
+    os._exit skips interpreter teardown, which would only free what the
+    process is about to drop; in-process callers use run instead.
+    """
     try:
         code = run(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early.  Point stdout at devnull so the interpreter's
-        # final flush cannot raise again (the recipe of the Python signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early
         code = 1
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import json
 import re
 from functools import cache
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 FieldElement = Union[Fraction, int]
@@ -365,18 +366,37 @@ class Specialization:
 
 
 def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
-    """Exact value of a under theta; raises PoleError on vanishing denominators."""
-    values = [(theta.eval_form(form), exp) for form, exp in a.factors.items()]
-    for v, exp in values:
-        if exp < 0 and v == 0:
-            raise PoleError("denominator factor evaluates to zero")
-    result = theta.constant_value(a.constant)
-    for v, exp in values:
-        if theta.prime is None:
-            result *= Fraction(v) ** exp
-        else:
+    """Exact value of a under theta; raises PoleError on vanishing denominators.
+
+    Over Q the q_s share one denominator d, z_s = q_s * d, so a form is
+    (c*d + z_s - z_t) / d: the factors multiply as ints, and one Fraction
+    is built at the end, with d to the power of the exponent sum.
+    """
+    if theta.prime is not None:
+        values = [(theta.eval_form(form), exp) for form, exp in a.factors.items()]
+        for v, exp in values:
+            if exp < 0 and v == 0:
+                raise PoleError("denominator factor evaluates to zero")
+        result = theta.constant_value(a.constant)
+        for v, exp in values:
             result = result * pow(v, exp, theta.prime) % theta.prime
-    return result
+        return result
+    d = lcm(*(v.denominator for v in theta.q_values.values()))
+    z = {s: v.numerator * (d // v.denominator) for s, v in theta.q_values.items()}
+    num, den = a.constant.numerator, a.constant.denominator
+    degree = 0
+    for (s, t, c), exp in a.factors.items():
+        if s not in z or t not in z:
+            theta.value_of(s if t in z else t)  # raises: the parameter is not assigned
+        v = c * d + z[s] - z[t]
+        if exp >= 0:
+            num *= v**exp
+        elif v:
+            den *= v**-exp
+        else:
+            raise PoleError("denominator factor evaluates to zero")
+        degree += exp
+    return Fraction(num, den * d**degree) if degree >= 0 else Fraction(num * d**-degree, den)
 
 
 class SparsePoly:

@@ -18,8 +18,9 @@ x = q_s - q_t, so every value is a product of forms c + q_s - q_t;
 swapping s and t is the substitution x -> -x.
 
 Each formula is a constant times one kernel per pair s < t, so both the
-kernels and the formulas read their forms off a memoized tally of one
-partition pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.
+kernels and the formulas read their forms off a tally of one partition
+pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
+formulas memoize their tallies; a kernel computes a fresh one.
 A memoized block is that tally taken at x = q_s - q_t, as canonical
 (sign, ((LinearForm, exp), ...)).  The forms of distinct pairs never
 coincide, so an element is its constant times the plain union of its
@@ -156,8 +157,9 @@ def _canonical(tally: Tally, s: int, t: int) -> Block:
 def _block(tally: Callable[[tuple, tuple], Tally], a: tuple, b: tuple, s: int, t: int) -> Block:
     """The block of tally(a, b) at (s, t), memoized for the formulas.
 
-    The kernels canonicalize without it: the beta-shift suite takes each
-    kernel once per pair, so a memoized block there would only hold memory.
+    The kernels use neither this cache nor the tally caches: the
+    beta-shift suite takes each kernel once per pair, so memoized tallies
+    or blocks there would only hold memory.
     """
     return _canonical(tally(a, b), s, t)
 
@@ -180,7 +182,7 @@ def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _union(1, 1, [_canonical(_x_tally(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [_canonical(_x_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
 
 
 def y_kernel(
@@ -194,7 +196,7 @@ def y_kernel(
     """
     if length < max(len(lam), len(mu)):
         raise ValueError(f"L={length} too small for lengths {len(lam)}, {len(mu)}")
-    tally = _y_tally(beta_set(lam, length), beta_set(mu, length))
+    tally = _y_tally.__wrapped__(beta_set(lam, length), beta_set(mu, length))
     return _union(1, 1, [_canonical(tally, s, t)])
 
 
@@ -204,7 +206,7 @@ def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    return _union(1, 1, [_canonical(_z_tally(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [_canonical(_z_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
 
 
 def schur_element(
@@ -337,11 +339,12 @@ def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
     return x_kernel(lam, mu, 1, 2) == x_kernel(mu, lam, 2, 1)
 
 
-# The most grid points verify_trace_identity evaluates.  On CPython 3.11 (2 vCPUs)
-# the grid of (4,5) has 17,576 points and took 6 s, (7,1) 46,656 points and 0.3 s,
-# and (4,6) 50,653 points and 59 s: the cost of a point grows with the number of
-# summands, so the budget sits below (4,6).
-TRACE_GRID_BUDGET = 50_000
+# The most grid points times summands verify_trace_identity evaluates: every point
+# evaluates every summand.  The time of one such evaluation still grows with n, so the
+# budget is set from runs on CPython 3.11 (2 vCPUs): (2,23) at 3.7M took 14 s, (4,5)
+# at 4.4M 2.8 s and (3,10) at 5.3M 7.8 s, while (2,24) at 5.7M took 47 s and (3,11)
+# at 10.6M 16-37 s.
+TRACE_WORK_BUDGET = 5_000_000
 
 
 def _trace_terms(m: int, n: int):
@@ -460,25 +463,26 @@ def verify_trace_identity(m: int, n: int) -> bool:
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.
 
-    Raises ValueError, before the work, when the grid would have more
-    than TRACE_GRID_BUDGET points.  Every grid degree is at least m - 2:
-    D has a form of every pair {s, t}, and an element whose nodes all lie
-    in one component u != s has no form of a pair {s, t} with t != u.  So
-    m alone can refuse a run before any element is built.
+    Raises ValueError, before any cofactor D / s_L is built, when the grid
+    points times the summands exceed TRACE_WORK_BUDGET.  Every grid degree
+    is at least m - 2: D has a form of every pair {s, t}, and an element
+    whose nodes all lie in one component u != s has no form of a pair
+    {s, t} with t != u.  There is at least one summand, so m alone can
+    refuse a run before any element is built.
     """
-    if (m - 1) ** (m - 1) > TRACE_GRID_BUDGET:
+    if (m - 1) ** (m - 1) > TRACE_WORK_BUDGET:
         raise ValueError(
             f"trace-identity at --m {m} needs at least {m - 1}^{m - 1} grid points,"
-            f" above the budget of {TRACE_GRID_BUDGET}"
+            f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
         )
     mps, elements, denom = _trace_terms(m, n)
     top = _degrees(denom, m)
     low = [min(col) for col in zip(*(_degrees(el, m) for el in elements))]
     points = prod(a - b + 1 for a, b in zip(top[:-1], low[:-1]))
-    if points > TRACE_GRID_BUDGET:
+    if points * len(mps) > TRACE_WORK_BUDGET:
         raise ValueError(
-            f"trace-identity at --m {m} --n {n} needs {points} grid points,"
-            f" above the budget of {TRACE_GRID_BUDGET}"
+            f"trace-identity at --m {m} --n {n} needs {points} grid points times"
+            f" {len(mps)} summands, above the budget of {TRACE_WORK_BUDGET}"
         )
     forms = list(denom.factors)
     lcm_exps = list(denom.factors.values())

@@ -440,6 +440,52 @@ def test_a_closed_pipe_exits_without_a_traceback():
     assert code == 1
 
 
+def _script(*argv, code=None, text=False, **env):
+    """Run the CLI as `python -m schurkit.cli argv`, or run `python -c code`, in a fresh process.
+
+    stdout is block-buffered, as it is for a user, so a lost flush loses output.
+    """
+    env = {**os.environ, **env}
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    head = ["-m", "schurkit.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=text, env=env)
+
+
+def test_the_script_writes_all_of_stdout_before_it_exits(capsys):
+    argv = ["schur", "--m", "4", "--n", "6", "--format", "json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 400_000  # far more than a pipe buffers
+    done = _script(*argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == expected
+
+
+def test_the_script_writes_all_of_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+    argv = ["verify", "--suite", "beta-shift", "--size", "0"]
+    assert run(argv) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("usage: schurkit verify")
+    assert expected.endswith("error: argument --size: expected a positive integer, got '0'\n")
+    done = _script(*argv, text=True, COLUMNS="80")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
+def test_the_script_skips_teardown_but_not_a_traceback():
+    code = (
+        "import atexit, sys, schurkit.cli as cli; atexit.register(print, 'teardown');"
+        " cli.main(sys.argv[1:])"
+    )
+    done = _script("enumerate", "--m", "1", "--n", "1", code=code, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "((1))\n", "")
+    code = "import schurkit.cli as cli; cli.run = lambda argv: 1 / 0; cli.main([])"
+    done = _script(code=code, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("Traceback") and done.stderr.endswith("ZeroDivisionError: division by zero\n")
+
+
 def test_large_m_suites_answer_at_once(capsys):
     started = time.perf_counter()
     assert invoke(capsys, "verify", "--suite", "sm-action", "--m", "9", "--n", "1") == (
@@ -450,6 +496,21 @@ def test_large_m_suites_answer_at_once(capsys):
         assert (code, out) == (2, "")
         assert f"needs {count} grid points, above the budget of" in err
     assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("n, points, summands", [(11, 2304, 4599), (12, 3481, 7868)])
+def test_trace_identity_refuses_grid_points_times_summands(capsys, monkeypatch, n, points, summands):
+    def refuse(mp):
+        raise RuntimeError("a cofactor was built")
+
+    monkeypatch.setattr(schur_module, "num_standard_tableaux", refuse)
+    code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", "3", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: trace-identity at --m 3 --n {n} needs {points} grid points times {summands}"
+        f" summands, above the budget of {schur_module.TRACE_WORK_BUDGET}\n"
+    )
+    assert points * summands > schur_module.TRACE_WORK_BUDGET
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

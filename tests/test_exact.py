@@ -398,6 +398,59 @@ def test_fr_eval_examples():
     assert got == 2
 
 
+def _fraction_eval(value: FactoredRational, q: dict) -> Fraction:
+    """The value at q by plain Fraction arithmetic, one factor at a time."""
+    factors = [(Fraction(c) + q[s] - q[t], exp) for (s, t, c), exp in value.factors.items()]
+    if any(v == 0 and exp < 0 for v, exp in factors):
+        raise PoleError("oracle pole")
+    return value.constant * prod((v**exp for v, exp in factors), start=Fraction(1))
+
+
+def test_fr_eval_over_q_matches_a_fraction_oracle():
+    rng = random.Random(31)
+    half = {1: Fraction(1, 2), 2: Fraction(-3, 2), 3: Fraction(5, 2)}
+    cases = [
+        # integral theta, negative exponents, non-integral constant
+        (fr_const(Fraction(3, 4)) * fr_form(1, 1, 2, exp=-2) * fr_form(-2, 2, 3, exp=3), {1: 4, 2: -1, 3: 2}),
+        # half-integral theta: the exponent sum -1 puts d into the numerator
+        (fr_form(0, 1, 3, exp=2) * fr_form(1, 1, 2, exp=-3), half),
+        # mixed denominators, d = 6
+        (fr_form(2, 1, 2) * fr_form(0, 2, 3, exp=-1), {1: Fraction(1, 3), 2: Fraction(1, 2), 3: 0}),
+        # a zero numerator factor next to a non-zero denominator factor: the value 0
+        (fr_form(2, 1, 3) * fr_form(0, 1, 2, exp=-1), half),
+        # a zero constant
+        (fr_const(0), half),
+    ]
+    assert fr_eval(cases[3][0], Specialization(cases[3][1])) == 0
+    assert fr_eval(cases[4][0], Specialization(cases[4][1])) == 0
+    for _ in range(300):
+        q = {s: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4])) for s in (1, 2, 3)}
+        cases.append((random_factored(rng, max_factors=6), q))
+    poles = 0
+    for value, q in cases:
+        theta = Specialization(q)
+        try:
+            expected = _fraction_eval(value, theta.q_values)
+        except PoleError:
+            poles += 1
+            with pytest.raises(PoleError):
+                fr_eval(value, theta)
+            continue
+        got = fr_eval(value, theta)
+        assert type(got) is Fraction and got == expected, (value, q)
+    assert poles > 0
+
+
+def test_fr_eval_pole_and_unassigned_parameter_over_q():
+    # (1 + q1 - q2) vanishes at q1 = 1/2, q2 = 3/2; a zero numerator factor does not hide it
+    value = fr_form(1, 1, 2, exp=-1) * fr_form(-1, 2, 3)
+    theta = Specialization({1: Fraction(1, 2), 2: Fraction(3, 2), 3: Fraction(1, 2)})
+    with pytest.raises(PoleError):
+        fr_eval(value, theta)
+    with pytest.raises(ValueError, match="q3"):
+        fr_eval(fr_form(0, 1, 3), Specialization({1: 0, 2: 0}))
+
+
 def test_fr_eval_constant_denominator_mod_p():
     value = fr_const(Fraction(1, 7))
     with pytest.raises(PoleError):

@@ -23,6 +23,7 @@ from schurkit.partitions import (
     enumerate_multipartitions,
     l_symbol,
     mp_length,
+    multipartition_count,
     partitions_of,
     permute_components,
 )
@@ -257,6 +258,7 @@ def test_each_route_builds_without_the_others(
     def refuse(*args):
         raise RuntimeError(f"{broken} is off")
 
+    refuse.__wrapped__ = refuse  # the kernels call a tally past its cache
     monkeypatch.setattr(schur_module, broken, refuse)
     clear_caches()
     for other in set(FORMULAS) - {formula}:
@@ -277,6 +279,15 @@ def test_each_route_builds_without_the_others(
 
 def _misses(cached):
     return cached.cache_info().misses
+
+
+def test_the_beta_shift_suite_leaves_the_tally_caches_empty(capsys, clear_caches):
+    clear_caches()
+    assert cli.run(["verify", "--suite", "beta-shift", "--size", "4"]) == 0
+    assert capsys.readouterr().out == "checked 144 partition pairs, 0 mismatches\n"
+    for tally in (schur_module._x_tally, schur_module._y_tally, schur_module._z_tally):
+        assert tally.cache_info().currsize == 0, tally
+    assert schur_module._block.cache_info().currsize == 0
 
 
 def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
@@ -644,14 +655,22 @@ def test_trace_identity_budget_counts_the_grid(monkeypatch, m, n):
     assert verify_trace_identity(m, n)
     (points,) = spy.sizes
     assert points >= (m - 1) ** (m - 1)
-    monkeypatch.setattr(schur_module, "TRACE_GRID_BUDGET", points - 1)
-    if (m - 1) ** (m - 1) > points - 1:
-        message = rf"needs at least {m - 1}\^{m - 1} grid points, above the budget of {points - 1}$"
-    else:
-        message = f"needs {points} grid points, above the budget of {points - 1}$"
+    summands = multipartition_count(m, n)
+    work = points * summands
+    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work - 1)
+    message = f"needs {points} grid points times {summands} summands, above the budget of {work - 1}$"
     with pytest.raises(ValueError, match=message):
         verify_trace_identity(m, n)
-    monkeypatch.setattr(schur_module, "TRACE_GRID_BUDGET", points)
+    # below (m-1)^(m-1) the run is refused on m alone, before the grid is sized
+    floor = (m - 1) ** (m - 1)
+    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", floor - 1)
+    message = (
+        rf"needs at least {m - 1}\^{m - 1} grid points,"
+        rf" above the budget of {floor - 1} grid points times summands$"
+    )
+    with pytest.raises(ValueError, match=message):
+        verify_trace_identity(m, n)
+    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work)
     assert verify_trace_identity(m, n)
     assert spy.sizes == [points, points]
 
