@@ -71,13 +71,8 @@ class LinearForm(NamedTuple):
         return f"({self.c}+{body})" if self.c else f"({body})"
 
     def to_json(self) -> dict:
-        """{"c", "pos", "neg"}; one shared dict per form, which callers must not mutate."""
-        return _form_json(self)
-
-
-@cache
-def _form_json(form: LinearForm) -> dict:
-    return {"c": form.c, "pos": qvar(form.s), "neg": qvar(form.t)}
+        """{"c", "pos", "neg"}: the constant and the names of q_s and q_t."""
+        return {"c": self.c, "pos": qvar(self.s), "neg": qvar(self.t)}
 
 
 @cache
@@ -129,10 +124,6 @@ class FactoredRational:
             factors = {}
         self.constant = constant
         self.factors = dict(factors)
-
-    @classmethod
-    def one(cls) -> "FactoredRational":
-        return cls(Fraction(1), {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -203,19 +194,19 @@ class FactoredRational:
 class ProductBuilder:
     """Accumulates a canonical product of constants and linear-form powers.
 
-    Occurrences are only tallied: form() adds its exponent under the raw
-    key (s, t, c) and const() multiplies an integer numerator and
-    denominator.  build() canonicalizes each distinct key once, so the
-    cost of canonicalization and of the one Fraction reduction does not
-    grow with the number of occurrences.
+    form() canonicalizes at the call (canonical_parts is memoized), flips
+    the sign for an odd exponent on a flipped orientation and adds the
+    exponent under the canonical LinearForm; const() multiplies an
+    integer numerator and denominator.  build() drops the exponents that
+    cancelled and reduces one Fraction; it leaves the builder unchanged.
     """
 
-    __slots__ = ("num", "den", "raw")
+    __slots__ = ("num", "den", "factors")
 
     def __init__(self) -> None:
         self.num = 1
         self.den = 1
-        self.raw: dict[tuple[int, int, int], int] = {}
+        self.factors: dict[LinearForm, int] = {}
 
     def const(self, value: Union[int, Fraction], exp: int = 1) -> "ProductBuilder":
         if exp == 0:
@@ -239,32 +230,25 @@ class ProductBuilder:
             return self
         if s == t:
             return self.const(c, exp)
-        key = (s, t, c)
-        raw = self.raw
-        raw[key] = raw.get(key, 0) + exp
+        form, sign = canonical_parts(c, s, t)
+        if sign < 0 and exp % 2:
+            self.num = -self.num
+        factors = self.factors
+        factors[form] = factors.get(form, 0) + exp
         return self
 
     def fr(self, value: FactoredRational, exp: int = 1) -> "ProductBuilder":
         if exp == 0:
             return self
         self.const(value.constant, exp)
-        raw = self.raw
-        for form, e in value.factors.items():  # a LinearForm is its own raw key
-            raw[form] = raw.get(form, 0) + e * exp
+        factors = self.factors
+        for form, e in value.factors.items():
+            factors[form] = factors.get(form, 0) + e * exp
         return self
 
     def build(self) -> FactoredRational:
-        num = self.num
-        factors: dict[LinearForm, int] = {}
-        for (s, t, c), exp in self.raw.items():
-            if exp:
-                form, sign = canonical_parts(c, s, t)
-                if sign < 0 and exp % 2:
-                    num = -num
-                factors[form] = factors.get(form, 0) + exp
-        if 0 in factors.values():  # both orientations of a form cancelled
-            factors = {form: e for form, e in factors.items() if e}
-        return FactoredRational(Fraction(num, self.den), factors)
+        factors = {form: exp for form, exp in self.factors.items() if exp}
+        return FactoredRational(Fraction(self.num, self.den), factors)
 
 
 def fr_const(value: Union[int, Fraction]) -> FactoredRational:
@@ -357,10 +341,6 @@ class Specialization:
             raise ValueError(f"q{s} is not assigned by this specialization")
         return self.q_values[s]
 
-    def eval_form(self, form: LinearForm) -> FieldElement:
-        v = form.c + self.value_of(form.s) - self.value_of(form.t)
-        return v % self.prime if self.prime is not None else v
-
     def constant_value(self, constant: Fraction) -> FieldElement:
         return self._coerce(constant)
 
@@ -373,13 +353,14 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
     is built at the end, with d to the power of the exponent sum.
     """
     if theta.prime is not None:
-        values = [(theta.eval_form(form), exp) for form, exp in a.factors.items()]
+        p, value = theta.prime, theta.value_of
+        values = [((c + value(s) - value(t)) % p, exp) for (s, t, c), exp in a.factors.items()]
         for v, exp in values:
             if exp < 0 and v == 0:
                 raise PoleError("denominator factor evaluates to zero")
         result = theta.constant_value(a.constant)
         for v, exp in values:
-            result = result * pow(v, exp, theta.prime) % theta.prime
+            result = result * pow(v, exp, p) % p
         return result
     d = lcm(*(v.denominator for v in theta.q_values.values()))
     z = {s: v.numerator * (d // v.denominator) for s, v in theta.q_values.items()}
@@ -421,11 +402,7 @@ class SparsePoly:
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            new = terms.get(e, 0) + c
-            if new:
-                terms[e] = new
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return SparsePoly(self.m, terms)
 
     def __neg__(self) -> "SparsePoly":
@@ -439,11 +416,7 @@ class SparsePoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                else:
-                    terms.pop(e, None)
+                terms[e] = terms.get(e, 0) + c1 * c2
         return SparsePoly(self.m, terms)
 
     def total_degree(self) -> int:
@@ -561,8 +534,6 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
     num, den = a.constant.numerator, a.constant.denominator
     scaled: dict[tuple[int, ...], int] = {}
     for k, v in packed.items():
-        if not v:
-            continue
         q, r = divmod(v * num, den)
         if r:
             raise NonIntegerConstantError(

@@ -46,11 +46,6 @@ def mp_length(mp: Multipartition) -> int:
     return max((len(lam) for lam in mp), default=0)
 
 
-def part(lam: Partition, i: int) -> int:
-    """The i-th part (1-based), zero beyond the last row."""
-    return lam[i - 1] if 1 <= i <= len(lam) else 0
-
-
 def conjugate(lam: Partition) -> Partition:
     """Column counts of the diagram: result_j = #{i : lam_i >= j}."""
     if not lam:
@@ -225,21 +220,12 @@ def num_standard_tableaux(mp: Multipartition) -> int:
 
 
 def multipartition_count(m: int, n: int) -> int:
-    """Number of m-multipartitions of n via the partition-count convolution."""
-    counts = [1] + [0] * n
-    for _ in range(m):
-        counts = _convolve_partition_counts(counts, n)
-    return counts[n]
-
-
-def _convolve_partition_counts(counts: list[int], n: int) -> list[int]:
-    p = [_partition_count(k) for k in range(n + 1)]
-    return [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(n + 1)]
-
-
-def _partition_count(n: int) -> int:
-    table = [1] + [0] * n
+    """Number of m-multipartitions of n: the partition counts p(0..n), convolved m times."""
+    p = [1] + [0] * n
     for k in range(1, n + 1):
         for v in range(k, n + 1):
-            table[v] += table[v - k]
-    return table[n]
+            p[v] += p[v - k]
+    counts = [1] + [0] * n
+    for _ in range(m):
+        counts = [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(n + 1)]
+    return counts[n]

@@ -174,6 +174,14 @@ def _union(num: int, den: int, blocks: Iterable[Block]) -> FactoredRational:
     return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
+def _assemble(
+    num: int, den: int, tally: Callable[[tuple, tuple], Tally], rows: Sequence[tuple]
+) -> FactoredRational:
+    """num / den times the memoized block of tally(rows[s], rows[t]) for every pair s < t."""
+    pairs = itertools.combinations(enumerate(rows, 1), 2)
+    return _union(num, den, (_block(tally, a, b, s, t) for (s, a), (t, b) in pairs))
+
+
 def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
     """The pairing X_{lam mu}(x) on two partitions, at x = q_s - q_t.
 
@@ -230,9 +238,7 @@ def schur_element(
 
 def _schur_product(mp: Multipartition) -> FactoredRational:
     """prod_s hook_product(lam^s) * prod_{s<t} X_{lam^s lam^t}(q_s - q_t)."""
-    pairs = itertools.combinations(enumerate(mp, 1), 2)
-    blocks = [_block(_x_tally, lam, mu, s, t) for (s, lam), (t, mu) in pairs]
-    return _union(prod(map(hook_product, mp)), 1, blocks)
+    return _assemble(prod(map(hook_product, mp)), 1, _x_tally, mp)
 
 
 @cache
@@ -256,9 +262,7 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
         a, b = _row_constant(row)
         num *= a
         den *= b
-    pairs = itertools.combinations(enumerate(rows, 1), 2)
-    blocks = [_block(_y_tally, row_s, row_t, s, t) for (s, row_s), (t, row_t) in pairs]
-    return _union(num, den, blocks)
+    return _assemble(num, den, _y_tally, rows)
 
 
 @cache
@@ -273,9 +277,7 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     The terms with s == t are constants; the pair s < t together with
     t > s is Z_{lam^s lam^t}.
     """
-    pairs = itertools.combinations(enumerate(mp, 1), 2)
-    blocks = [_block(_z_tally, lam, mu, s, t) for (s, lam), (t, mu) in pairs]
-    return _union(prod(map(_z_diagonal, mp)), 1, blocks)
+    return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp)
 
 
 @cache

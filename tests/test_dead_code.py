@@ -1,0 +1,43 @@
+"""Every function and class that src/schurkit defines is used somewhere.
+
+A use is an ast.Name, the attribute of an ast.Attribute, or a string
+constant that is an identifier (a name looked up with getattr).  Uses
+count in src/schurkit (but not __init__.py, which only re-exports), in
+tests/, in bench/tracing.py and in the README's doctest examples.
+Dunders are called by the interpreter and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "schurkit").glob("*.py"))
+
+
+def names_used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_definition_is_used():
+    sources = [path for path in LIBRARY if path.name != "__init__.py"]
+    sources += sorted((ROOT / "tests").glob("*.py")) + [ROOT / "bench" / "tracing.py"]
+    trees = [ast.parse(path.read_text()) for path in sources]
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = [line.strip()[4:] for line in lines if line.strip()[:4] in (">>> ", "... ")]
+    trees.append(ast.parse("\n".join(examples)))
+    used = {name for tree in trees for name in names_used(tree)}
+    defined = {
+        node.name
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    dead = [name for name in sorted(defined - used) if not name.startswith("__")]
+    assert dead == []
