@@ -41,11 +41,8 @@ from .partitions import (
     multipartition_count,
     num_standard_tableaux,
     partition,
-    partition_from_beta,
     partitions_of,
     permute_components,
-    removable_nodes,
-    shift_beta,
 )
 from .schur import (
     FORMULAS,

@@ -323,9 +323,10 @@ class Specialization:
         if prime is not None and not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         self.prime = prime
-        self.q_values = {int(s): self._coerce(v) for s, v in q_values.items()}
+        self.q_values = {int(s): self.constant_value(v) for s, v in q_values.items()}
 
-    def _coerce(self, v: Union[int, Fraction, str]) -> FieldElement:
+    def constant_value(self, v: Union[int, Fraction, str]) -> FieldElement:
+        """v as an element of the field: a Fraction over Q, a residue mod p over F_p."""
         frac = Fraction(v)
         if self.prime is None:
             return frac
@@ -340,9 +341,6 @@ class Specialization:
         if s not in self.q_values:
             raise ValueError(f"q{s} is not assigned by this specialization")
         return self.q_values[s]
-
-    def constant_value(self, constant: Fraction) -> FieldElement:
-        return self._coerce(constant)
 
 
 def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:

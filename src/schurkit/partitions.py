@@ -84,16 +84,6 @@ def generalized_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> in
     return lam[i - 1] - i + conjugate_part(mu, j) - j + 1
 
 
-def removable_nodes(lam: Partition) -> list[tuple[int, int]]:
-    """The nodes (i, lam_i) whose removal leaves a partition."""
-    out = []
-    for i, row in enumerate(lam, 1):
-        below = lam[i] if i < len(lam) else 0
-        if row > below:
-            out.append((i, row))
-    return out
-
-
 def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
     """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing.
 
@@ -105,22 +95,6 @@ def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
     return tuple(row + length - i for i, row in enumerate(lam, 1)) + tuple(
         range(length - len(lam) - 1, -1, -1)
     )
-
-
-def partition_from_beta(beta: Sequence[int]) -> Partition:
-    """Inverse of beta_set: recover the partition from its beta numbers."""
-    length = len(beta)
-    for a, b in zip(beta, beta[1:]):
-        if a <= b:
-            raise ValueError(f"beta numbers must be strictly decreasing, got {tuple(beta)}")
-    if length and beta[-1] < 0:
-        raise ValueError(f"beta numbers must be non-negative, got {tuple(beta)}")
-    return partition(beta[i - 1] - length + i for i in range(1, length + 1))
-
-
-def shift_beta(beta: Sequence[int]) -> tuple[int, ...]:
-    """Increase L by one: add 1 to every entry and append a fresh 0."""
-    return tuple(b + 1 for b in beta) + (0,)
 
 
 def l_symbol(mp: Multipartition, length: int) -> tuple[tuple[int, ...], ...]:

@@ -56,8 +56,10 @@ from .partitions import (
     hook_product,
     l_symbol,
     mp_length,
+    multipartition_count,
     nodes,
     num_standard_tableaux,
+    partitions_of,
 )
 
 FORMULAS = ("product", "symbol", "cancellation")
@@ -447,13 +449,24 @@ def vanishes_identically(
     return True
 
 
-def _degrees(value: FactoredRational, m: int) -> list[int]:
-    """The degree of a polynomial factored value in each of q_1..q_m."""
-    degree = [0] * m
-    for (s, t, _), exp in value.factors.items():
-        degree[s - 1] += exp
-        degree[t - 1] += exp
-    return degree
+def _trace_points(m: int, n: int) -> int:
+    """The number of grid points verify_trace_identity evaluates at (m, n).
+
+    A Z block of (lam, mu) has |lam| + |mu| forms, so every element has
+    degree n + (m - 2)|lam^s| in q_s, and the least is n.  Every pair with
+    |lam| + |mu| <= n (exactly n when m = 2) occurs in some element, so D
+    has degree (m - 1) * E in q_s, where E sums, over c, the largest
+    exponent of (c + x) in the Z tallies of those pairs.  The grid spans
+    q_1..q_(m-1), each over ((m - 1) * E - n + 1) values.
+    """
+    top: dict[int, int] = {}
+    for a in range(n + 1) if m > 1 else ():
+        for b in range(n - a + 1) if m > 2 else (n - a,):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    for c, exp in _z_tally(lam, mu)[1]:
+                        top[c] = max(top.get(c, 0), exp)
+    return ((m - 1) * sum(top.values()) - n + 1) ** (m - 1)
 
 
 def verify_trace_identity(m: int, n: int) -> bool:
@@ -465,27 +478,29 @@ def verify_trace_identity(m: int, n: int) -> bool:
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.
 
-    Raises ValueError, before any cofactor D / s_L is built, when the grid
-    points times the summands exceed TRACE_WORK_BUDGET.  Every grid degree
-    is at least m - 2: D has a form of every pair {s, t}, and an element
-    whose nodes all lie in one component u != s has no form of a pair
-    {s, t} with t != u.  There is at least one summand, so m alone can
-    refuse a run before any element is built.
+    Raises ValueError, before any element is built, when the grid points
+    times the summands exceed TRACE_WORK_BUDGET.  The grid is sized by
+    _trace_points; for n >= 1 each of its m - 1 sides has at least
+    (m - 2) * n + 1 >= m - 1 values, and there is at least one summand,
+    so m alone can refuse a run before anything is sized.
     """
-    if (m - 1) ** (m - 1) > TRACE_WORK_BUDGET:
+    floor = 1  # (m - 1)^(m - 1), multiplied out only until it passes the budget
+    for _ in range(m - 1):
+        floor *= m - 1
+        if floor > TRACE_WORK_BUDGET:
+            break
+    if floor > TRACE_WORK_BUDGET:
         raise ValueError(
             f"trace-identity at --m {m} needs at least {m - 1}^{m - 1} grid points,"
             f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
         )
-    mps, elements, denom = _trace_terms(m, n)
-    top = _degrees(denom, m)
-    low = [min(col) for col in zip(*(_degrees(el, m) for el in elements))]
-    points = prod(a - b + 1 for a, b in zip(top[:-1], low[:-1]))
-    if points * len(mps) > TRACE_WORK_BUDGET:
+    points, summands = _trace_points(m, n), multipartition_count(m, n)
+    if points * summands > TRACE_WORK_BUDGET:
         raise ValueError(
             f"trace-identity at --m {m} --n {n} needs {points} grid points times"
-            f" {len(mps)} summands, above the budget of {TRACE_WORK_BUDGET}"
+            f" {summands} summands, above the budget of {TRACE_WORK_BUDGET}"
         )
+    mps, elements, denom = _trace_terms(m, n)
     forms = list(denom.factors)
     lcm_exps = list(denom.factors.values())
     lcm_const = denom.constant.numerator

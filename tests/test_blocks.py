@@ -111,3 +111,42 @@ def test_opposite_residue_convention_is_caught():
     checked, _, bad = residue_mismatches(3, 3, box, sign=-1)
     assert checked == 81
     assert len(bad) > checked // 2  # 60 of the 81
+
+
+DRAWN_SHAPES = [(2, n) for n in range(2, 6)] + [(3, n) for n in range(2, 5)] + [(4, 2), (4, 3)]
+DRAWN_PRIMES = (3, 7, 101, 10007, 998_244_353, 999_999_999_999_999_989, 2_305_843_009_213_693_951)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp"])
+def test_residue_classes_predict_vanishing_on_drawn_theta(field):
+    """theta mixes components spaced 2n apart with components on or next to a hyperplane.
+
+    Component s is either 2ns + e with |e| <= 1, or q_t + d for an earlier
+    t and |d| <= n: on the hyperplane d + q_t - q_s = 0 when |d| < n, next
+    to it when |d| = n.  Over F_p, d may be shifted by p, so that equal
+    residues come from distinct integers.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    verdicts = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(shape=st.sampled_from(DRAWN_SHAPES), data=st.data())
+    def check(shape, data):
+        m, n = shape
+        prime = None if field == "Q" else data.draw(st.sampled_from(DRAWN_PRIMES))
+        theta = []
+        for s in range(1, m + 1):
+            if s > 1 and data.draw(st.booleans()):
+                d = data.draw(st.integers(-n, n)) + (prime or 0) * data.draw(st.integers(-1, 1))
+                theta.append(theta[data.draw(st.integers(0, s - 2))] + d)
+            else:
+                theta.append(2 * n * s + data.draw(st.integers(-1, 1)))
+        _, semisimple, bad = residue_mismatches(m, n, [tuple(theta)], prime)
+        assert bad == []
+        if m == 4:
+            verdicts.add(semisimple)
+
+    check()
+    if field == "Q":
+        assert verdicts == {0, 1}  # the semisimple side is reached at m = 4 over Q

@@ -289,8 +289,10 @@ def test_semisimple_modulus_primality(capsys):
     assert invoke(capsys, *argv, "--mod", "2")[0] == 0
     assert invoke(capsys, *argv, "--mod", "101")[0] == 0
     assert "too large" in usage_error(capsys, *argv, "--mod", str(MAX_MODULUS))
-    usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
-                "--seed", "1", "--mod", "561")
+    for mod in ("561", "0", "-5"):
+        err = usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
+                          "--seed", "1", "--mod", mod)
+        assert f"{mod} is not prime" in err
 
 
 def test_verify_rejects_nonpositive_size(capsys):
@@ -491,7 +493,11 @@ def test_large_m_suites_answer_at_once(capsys):
     assert invoke(capsys, "verify", "--suite", "sm-action", "--m", "9", "--n", "1") == (
         0, "checked 9 multipartitions, 0 mismatches\n", ""
     )
-    for m, count in (("9", "at least 8^8"), ("1000", "at least 999^999")):
+    for m, count in (
+        ("9", "at least 8^8"),
+        ("1000", "at least 999^999"),
+        ("10000000", "at least 9999999^9999999"),
+    ):
         code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", m, "--n", "1")
         assert (code, out) == (2, "")
         assert f"needs {count} grid points, above the budget of" in err

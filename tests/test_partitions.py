@@ -19,11 +19,8 @@ from schurkit.partitions import (
     multipartition_count,
     num_standard_tableaux,
     partition,
-    partition_from_beta,
     partitions_of,
     permute_components,
-    removable_nodes,
-    shift_beta,
 )
 
 # ------------------------------------------------------------------ oracles
@@ -130,24 +127,12 @@ def test_generalized_hook_examples():
         generalized_hook_length((1,), (3,), 1, 2)
 
 
-def test_removable_nodes_examples():
-    assert removable_nodes(()) == []
-    assert removable_nodes((3, 1)) == [(1, 3), (2, 1)]
-    assert removable_nodes((2, 2)) == [(2, 2)]
-
-
 def test_beta_set_examples():
     assert beta_set((), 3) == (2, 1, 0)
     assert beta_set((3, 1), 2) == (4, 1)
     assert beta_set((2, 1), 2) == (3, 1)
     with pytest.raises(ValueError):
         beta_set((3, 1, 1), 2)
-
-
-def test_shift_beta_examples():
-    assert shift_beta((4, 1)) == (5, 2, 0)
-    assert shift_beta((0,)) == (1, 0)
-    assert shift_beta(shift_beta((2, 1, 0))) == (4, 3, 2, 1, 0)
 
 
 def test_l_symbol_examples():
@@ -201,12 +186,6 @@ def test_hook_formula_matches_counting_exhaustive():
                 assert generalized_hook_length(lam, lam, i, j) == hook_length(lam, i, j)
 
 
-def test_hooks_of_removable_nodes_are_one():
-    for lam in all_partitions_up_to(8):
-        for i, j in removable_nodes(lam):
-            assert hook_length(lam, i, j) == 1
-
-
 def test_beta_set_round_trip():
     for lam in all_partitions_up_to(10):
         for extra in range(4):
@@ -214,8 +193,8 @@ def test_beta_set_round_trip():
             beta = beta_set(lam, length)
             assert len(beta) == length
             assert all(a > b for a, b in zip(beta, beta[1:]))
-            assert partition_from_beta(beta) == lam
-            assert partition_from_beta(shift_beta(beta)) == lam
+            assert partition(b - length + i for i, b in enumerate(beta, 1)) == lam
+            assert beta_set(lam, length + 1) == tuple(b + 1 for b in beta) + (0,)
 
 
 def test_beta_sets_at_distinct_l_differ():

@@ -648,7 +648,9 @@ class _GridSpy:
         return itertools.product(*ranges)
 
 
-@pytest.mark.parametrize("m, n", [(1, 4), (2, 7), (3, 3), (3, 4), (4, 2), (5, 1), (6, 1)])
+@pytest.mark.parametrize(
+    "m, n", [(1, 4), (2, 7), (2, 10), (3, 3), (3, 4), (4, 2), (4, 3), (5, 1), (6, 1)]
+)
 def test_trace_identity_budget_counts_the_grid(monkeypatch, m, n):
     spy = _GridSpy()
     monkeypatch.setattr(schur_module, "itertools", spy)
@@ -683,6 +685,8 @@ def test_trace_identity_refuses_a_large_m_before_building_elements(monkeypatch):
     for m in (9, 1000):
         with pytest.raises(ValueError, match=rf"at least {m - 1}\^{m - 1} grid points"):
             verify_trace_identity(m, 1)
+    with pytest.raises(ValueError, match="needs 2304 grid points times 4599 summands, above the budget"):
+        verify_trace_identity(3, 11)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
