@@ -59,7 +59,6 @@ from .partitions import (
     multipartition_count,
     nodes,
     num_standard_tableaux,
-    partitions_of,
 )
 
 FORMULAS = ("product", "symbol", "cancellation")
@@ -176,12 +175,14 @@ def _union(num: int, den: int, blocks: Iterable[Block]) -> FactoredRational:
     return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
-def _assemble(
-    num: int, den: int, tally: Callable[[tuple, tuple], Tally], rows: Sequence[tuple]
-) -> FactoredRational:
-    """num / den times the memoized block of tally(rows[s], rows[t]) for every pair s < t."""
-    pairs = itertools.combinations(enumerate(rows, 1), 2)
-    return _union(num, den, (_block(tally, a, b, s, t) for (s, a), (t, b) in pairs))
+def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> FactoredRational:
+    """num / den times the memoized block of tally(rows[s], rows[t]) for every pair s < t.
+
+    Pairs of two empty components of mp are skipped: their block is (1, ()) on every route.
+    """
+    live = [s for s, lam in enumerate(mp) if lam]
+    pairs = [(s, t) if s < t else (t, s) for s in live for t in range(len(mp)) if t > s or not mp[t]]
+    return _union(num, den, (_block(tally, rows[s], rows[t], s + 1, t + 1) for s, t in pairs))
 
 
 def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -240,7 +241,7 @@ def schur_element(
 
 def _schur_product(mp: Multipartition) -> FactoredRational:
     """prod_s hook_product(lam^s) * prod_{s<t} X_{lam^s lam^t}(q_s - q_t)."""
-    return _assemble(prod(map(hook_product, mp)), 1, _x_tally, mp)
+    return _assemble(prod(map(hook_product, mp)), 1, _x_tally, mp, mp)
 
 
 @cache
@@ -264,7 +265,7 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
         a, b = _row_constant(row)
         num *= a
         den *= b
-    return _assemble(num, den, _y_tally, rows)
+    return _assemble(num, den, _y_tally, rows, mp)
 
 
 @cache
@@ -279,7 +280,7 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     The terms with s == t are constants; the pair s < t together with
     t > s is Z_{lam^s lam^t}.
     """
-    return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp)
+    return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp, mp)
 
 
 @cache
@@ -347,8 +348,19 @@ def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
 # evaluates every summand.  The time of one such evaluation still grows with n, so the
 # budget is set from runs on CPython 3.11 (2 vCPUs): (2,23) at 3.7M took 14 s, (4,5)
 # at 4.4M 2.8 s and (3,10) at 5.3M 7.8 s, while (2,24) at 5.7M took 47 s and (3,11)
-# at 10.6M 16-37 s.
+# at 10.6M 16-37 s.  (1,46), charged n nodes per summand, at 4.9M took 15-24 s.
 TRACE_WORK_BUDGET = 5_000_000
+
+
+def _grid_side(m: int, n: int) -> int:
+    """The values on each side of the grid verify_trace_identity evaluates, for m >= 2.
+
+    Every element has degree at least n in q_s (a Z block of (lam, mu) has |lam| + |mu|
+    forms), and the pairs with |lam| + |mu| <= n (= n at m = 2) all occur.  The largest
+    exponent of (c + x) in their Z tallies is max{j : j(|c| + j) <= n}, at ((|c| + j)^j, ()),
+    and summed over c these count the (a, b) >= 1 with ab <= n; deg_{q_s} D is m - 1 times that.
+    """
+    return (m - 1) * sum(n // k for k in range(1, n + 1)) - n + 1
 
 
 def _trace_terms(m: int, n: int):
@@ -449,26 +461,6 @@ def vanishes_identically(
     return True
 
 
-def _trace_points(m: int, n: int) -> int:
-    """The number of grid points verify_trace_identity evaluates at (m, n).
-
-    A Z block of (lam, mu) has |lam| + |mu| forms, so every element has
-    degree n + (m - 2)|lam^s| in q_s, and the least is n.  Every pair with
-    |lam| + |mu| <= n (exactly n when m = 2) occurs in some element, so D
-    has degree (m - 1) * E in q_s, where E sums, over c, the largest
-    exponent of (c + x) in the Z tallies of those pairs.  The grid spans
-    q_1..q_(m-1), each over ((m - 1) * E - n + 1) values.
-    """
-    top: dict[int, int] = {}
-    for a in range(n + 1) if m > 1 else ():
-        for b in range(n - a + 1) if m > 2 else (n - a,):
-            for lam in partitions_of(a):
-                for mu in partitions_of(b):
-                    for c, exp in _z_tally(lam, mu)[1]:
-                        top[c] = max(top.get(c, 0), exp)
-    return ((m - 1) * sum(top.values()) - n + 1) ** (m - 1)
-
-
 def verify_trace_identity(m: int, n: int) -> bool:
     """Check sum over all multipartitions of dim/schur == (1 if m == 1 else 0).
 
@@ -478,26 +470,32 @@ def verify_trace_identity(m: int, n: int) -> bool:
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.
 
-    Raises ValueError, before any element is built, when the grid points
-    times the summands exceed TRACE_WORK_BUDGET.  The grid is sized by
-    _trace_points; for n >= 1 each of its m - 1 sides has at least
-    (m - 2) * n + 1 >= m - 1 values, and there is at least one summand,
-    so m alone can refuse a run before anything is sized.
+    Raises ValueError when m < 1, and, before any element is built, when the
+    work sized from (m, n) alone exceeds TRACE_WORK_BUDGET: n^2 (at least p(n) >= n
+    summands of n nodes), then _grid_side(m, n)^(m - 1) points, multiplied out only
+    until they pass it, then max(points, n) per summand (at m = 1, on one point, its
+    nodes).  The grid evaluated still comes from the cofactors: this moves only refusals.
     """
-    floor = 1  # (m - 1)^(m - 1), multiplied out only until it passes the budget
-    for _ in range(m - 1):
-        floor *= m - 1
-        if floor > TRACE_WORK_BUDGET:
-            break
-    if floor > TRACE_WORK_BUDGET:
+    if m < 1:
+        raise ValueError("level m must be at least 1")
+    if n * n > TRACE_WORK_BUDGET:
         raise ValueError(
-            f"trace-identity at --m {m} needs at least {m - 1}^{m - 1} grid points,"
-            f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
+            f"trace-identity at --n {n} needs at least {n} nodes times {n} summands,"
+            f" above the budget of {TRACE_WORK_BUDGET}"
         )
-    points, summands = _trace_points(m, n), multipartition_count(m, n)
-    if points * summands > TRACE_WORK_BUDGET:
+    side, points = _grid_side(m, n), 1
+    for _ in range(m - 1):
+        points *= side
+        if points > TRACE_WORK_BUDGET:
+            raise ValueError(
+                f"trace-identity at --m {m} needs at least {side}^{m - 1} grid points,"
+                f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
+            )
+    summands = multipartition_count(m, n)
+    if max(points, n) * summands > TRACE_WORK_BUDGET:
+        cost = f"{points} grid points" if points >= n else f"{n} nodes"
         raise ValueError(
-            f"trace-identity at --m {m} --n {n} needs {points} grid points times"
+            f"trace-identity at --m {m} --n {n} needs {cost} times"
             f" {summands} summands, above the budget of {TRACE_WORK_BUDGET}"
         )
     mps, elements, denom = _trace_terms(m, n)

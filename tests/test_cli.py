@@ -376,6 +376,13 @@ def test_trace_identity_rejects_empty_size(capsys):
         assert "--n" in err
 
 
+def test_trace_identity_rejects_a_level_below_one(capsys):
+    for m in ("0", "-3"):
+        for n in ("1", "2"):
+            err = usage_error(capsys, "verify", "--suite", "trace-identity", "--m", m, "--n", n)
+            assert err == "error: level m must be at least 1\n", (m, n)
+
+
 def test_trace_identity_mismatch_record(capsys, monkeypatch):
     true_count = schur_module.num_standard_tableaux
     wrong = list(enumerate_multipartitions(3, 3))[4]

@@ -5,6 +5,9 @@ constant that is an identifier (a name looked up with getattr).  Uses
 count in src/schurkit (but not __init__.py, which only re-exports), in
 tests/, in bench/tracing.py and in the README's doctest examples.
 Dunders are called by the interpreter and are exempt.
+
+Every module-level import of a library module is named in that module
+too; __init__.py, which only re-exports, and __future__ are exempt.
 """
 
 import ast
@@ -41,3 +44,21 @@ def test_every_definition_is_used():
     }
     dead = [name for name in sorted(defined - used) if not name.startswith("__")]
     assert dead == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = set(names_used(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -296,9 +297,11 @@ def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
     for mp in mps:
         schur_element(mp, "product")
         schur_element(mp, "cancellation")
-    pairs = {(mp[s], mp[t]) for mp in mps for s in range(4) for t in range(s + 1, 4)}
+    # a pair of two empty components has the block (1, ()) and is never visited
+    visited = [(mp, s, t) for mp in mps for s in range(4) for t in range(s + 1, 4) if mp[s] or mp[t]]
+    pairs = {(mp[s], mp[t]) for mp, s, t in visited}
     # one block per kernel and distinct pair at each of its positions (s, t)
-    placed = {(mp[s], mp[t], s, t) for mp in mps for s in range(4) for t in range(s + 1, 4)}
+    placed = {(mp[s], mp[t], s, t) for mp, s, t in visited}
     components = {lam for mp in mps for lam in mp}
     assert _misses(schur_module._x_tally) == len(pairs)
     # Z is tallied once per pair s < t, both directions merged; the diagonal is a constant
@@ -310,16 +313,44 @@ def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
     assert _misses(schur_module._row_constant) == 0
     for mp in mps:
         schur_element(mp, "symbol")
-    rows = {
-        (mp[s], mp[t], mp_length(mp)) for mp in mps for s in range(4) for t in range(s + 1, 4)
-    }
-    placed_rows = {
-        (mp[s], mp[t], mp_length(mp), s, t) for mp in mps for s in range(4) for t in range(s + 1, 4)
-    }
+    rows = {(mp[s], mp[t], mp_length(mp)) for mp, s, t in visited}
+    placed_rows = {(mp[s], mp[t], mp_length(mp), s, t) for mp, s, t in visited}
     assert _misses(schur_module._y_tally) == len(rows)
     beta_rows = {(lam, mp_length(mp)) for mp in mps for lam in mp}
     assert _misses(schur_module._row_constant) == len(beta_rows)
     assert _misses(schur_module._block) == 2 * len(placed) + len(placed_rows)
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_two_empty_components_have_the_unit_block(length):
+    """The block every route skips: X and Z of ((), ()), and Y of two staircases."""
+    staircase = tuple(range(length - 1, -1, -1))
+    assert l_symbol(((), ()), length) == (staircase, staircase)
+    tallies = [
+        schur_module._x_tally.__wrapped__((), ()),
+        schur_module._z_tally.__wrapped__((), ()),
+        schur_module._y_tally.__wrapped__(staircase, staircase),
+    ]
+    for s, t in ((1, 2), (2, 5)):
+        for tally in tallies:
+            assert schur_module._canonical(tally, s, t) == (1, ())
+
+
+def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear_caches):
+    calls = []
+    block = schur_module._block
+
+    def counted(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(schur_module, "_block", counted)
+    clear_caches()
+    for mp in enumerate_multipartitions(200, 1):
+        schur_element(mp)
+    # each element has one non-empty component, paired with the 199 others, not C(200, 2)
+    # pairs; the (4,6) sweep above shows that every route skips the same pairs
+    assert len(calls) == 200 * 199
 
 
 def _blocks(mp, formula):
@@ -656,20 +687,29 @@ def test_trace_identity_budget_counts_the_grid(monkeypatch, m, n):
     monkeypatch.setattr(schur_module, "itertools", spy)
     assert verify_trace_identity(m, n)
     (points,) = spy.sizes
-    assert points >= (m - 1) ** (m - 1)
+    # the grid sized from (m, n) alone is the grid the cofactors give
+    side = schur_module._grid_side(m, n)
+    assert points == side ** (m - 1)
     summands = multipartition_count(m, n)
-    work = points * summands
+    # a summand costs every grid point, or at m = 1 (one point) its n nodes
+    work = max(points, n) * summands
+    cost = f"{points} grid points" if m > 1 else f"{n} nodes"
     monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work - 1)
-    message = f"needs {points} grid points times {summands} summands, above the budget of {work - 1}$"
+    message = f"needs {cost} times {summands} summands, above the budget of {work - 1}$"
     with pytest.raises(ValueError, match=message):
         verify_trace_identity(m, n)
-    # below (m-1)^(m-1) the run is refused on m alone, before the grid is sized
-    floor = (m - 1) ** (m - 1)
-    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", floor - 1)
-    message = (
-        rf"needs at least {m - 1}\^{m - 1} grid points,"
-        rf" above the budget of {floor - 1} grid points times summands$"
-    )
+    # below side^(m-1) the run is refused before the summands are counted,
+    # and below n^2 before the grid is sized
+    if points > n * n:
+        monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", points - 1)
+        message = (
+            rf"needs at least {side}\^{m - 1} grid points,"
+            rf" above the budget of {points - 1} grid points times summands$"
+        )
+        with pytest.raises(ValueError, match=message):
+            verify_trace_identity(m, n)
+    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", n * n - 1)
+    message = f"needs at least {n} nodes times {n} summands, above the budget of {n * n - 1}$"
     with pytest.raises(ValueError, match=message):
         verify_trace_identity(m, n)
     monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work)
@@ -687,6 +727,108 @@ def test_trace_identity_refuses_a_large_m_before_building_elements(monkeypatch):
             verify_trace_identity(m, 1)
     with pytest.raises(ValueError, match="needs 2304 grid points times 4599 summands, above the budget"):
         verify_trace_identity(3, 11)
+
+
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (2, 24, "at --m 2 --n 24 needs 61 grid points times 94235 summands"),
+        (2, 5000, "at --n 5000 needs at least 5000 nodes times 5000 summands"),
+        (1, 60, "at --m 1 --n 60 needs 60 nodes times 966467 summands"),
+    ],
+)
+def test_trace_identity_refusals_build_nothing(monkeypatch, m, n, message):
+    def refuse(*args):
+        raise RuntimeError("something was built")
+
+    for name in ("schur_element", "_z_tally", "_trace_terms", "enumerate_multipartitions"):
+        monkeypatch.setattr(schur_module, name, refuse)
+    with pytest.raises(ValueError, match=message):
+        verify_trace_identity(m, n)
+
+
+def _oracle_top_exponents(size):
+    """(|lam|, |mu|) -> c -> the largest exponent of (c + x) in Z_{lam mu}, node by node.
+
+    Z_{lam mu} is (h + x) over the hooks h of lam against mu times
+    (h - x) = -(-h + x) over those of mu against lam; Counter | is a max.
+    """
+    top = {}
+    for a in range(size + 1):
+        for b in range(size + 1 - a):
+            best = top[a, b] = Counter()
+            for lam in _oracle_partitions(a):
+                for mu in _oracle_partitions(b):
+                    z = Counter(_oracle_hook(lam, mu, i, j) for i, j in _oracle_nodes(lam))
+                    z.update(-_oracle_hook(mu, lam, i, j) for i, j in _oracle_nodes(mu))
+                    best |= z
+    return top
+
+
+def _check_grid_side(exact, at_most):
+    """_grid_side against the degree of D read off every pair's Z block.
+
+    At m = 2 the pairs of an element have |lam| + |mu| = n, at m >= 3 any
+    size up to n; every element has degree at least n in q_s.
+    """
+    top = _oracle_top_exponents(max(exact, at_most))
+    for m, bound in ((2, exact), (3, at_most), (4, at_most)):
+        for n in range(1, bound + 1):
+            sizes = [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
+            exponents = Counter()
+            for a, b in sizes:
+                if m > 2 or a + b == n:
+                    exponents |= top[a, b]
+            side = (m - 1) * sum(exponents.values()) - n + 1
+            assert schur_module._grid_side(m, n) == side, (m, n)
+
+
+def test_grid_side_matches_the_node_oracle():
+    _check_grid_side(exact=12, at_most=8)
+
+
+@pytest.mark.slow
+def test_grid_side_matches_the_node_oracle_further():
+    _check_grid_side(exact=24, at_most=10)
+
+
+def _trace_identity_property(shapes, max_examples):
+    """On drawn admitted shapes: the identity holds on the sized grid, and one f^L off by one fails it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    true_count = schur_module.num_standard_tableaux
+
+    @hypothesis.settings(
+        max_examples=max_examples, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(shape=st.sampled_from(shapes), data=st.data())
+    def check(shape, data):
+        m, n = shape
+        wrong = data.draw(st.sampled_from(list(_oracle_multipartitions(m, n))))
+        with pytest.MonkeyPatch.context() as patch:
+            spy = _GridSpy()
+            patch.setattr(schur_module, "itertools", spy)
+            assert verify_trace_identity(m, n)
+            assert spy.sizes == [schur_module._grid_side(m, n) ** (m - 1)]
+            patch.setattr(
+                schur_module, "num_standard_tableaux", lambda mp: true_count(mp) + (mp == wrong)
+            )
+            assert not verify_trace_identity(m, n)
+
+    check()
+
+
+def _shapes(*bounds):
+    return [(m, n) for m, top in enumerate(bounds, 1) for n in range(1, top + 1)]
+
+
+def test_trace_identity_property():
+    _trace_identity_property(_shapes(12, 8, 4, 2), max_examples=30)
+
+
+@pytest.mark.slow
+def test_trace_identity_property_wider():
+    _trace_identity_property(_shapes(12, 14, 6, 4, 2), max_examples=100)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
