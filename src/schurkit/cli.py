@@ -4,18 +4,19 @@ Subcommands: enumerate, schur, pinv, verify, semisimple.  All JSON goes
 to stdout, diagnostics to stderr; exit code 0 on success, 1 when a
 verify suite finds a counterexample, 2 on usage errors.  Output is a
 pure function of argv plus the seed, so repeated runs are byte
-identical.
+identical.  parse_args reads argv against one table of flags: FLAGS,
+COMMANDS, and SUITES for the flags of each verify suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .exact import (
@@ -185,7 +186,7 @@ def _cmd_pinv(args) -> int:
 
 def _parse_theta(args, m: int) -> Specialization:
     values: dict[int, Fraction] = {}
-    for token in args.set or []:
+    for token in args.set:
         key, _, raw = token.partition("=")
         if not raw:
             raise UsageError(f"--set expects name=value, got {token!r}")
@@ -213,9 +214,7 @@ def _parse_theta(args, m: int) -> Specialization:
 
 def _cmd_semisimple(args) -> int:
     theta = _parse_theta(args, args.m)
-    if args.vanishing:
-        report = cross_check_criterion(args.m, args.n, theta)
-    else:
+    if args.no_vanishing:
         p_value = fr_eval(p_invariant(args.m, args.n), theta)
         report = SemisimplicityReport(
             p_value=p_value,
@@ -224,6 +223,8 @@ def _cmd_semisimple(args) -> int:
             agreement=None,
             field=theta.field_tag(),
         )
+    else:
+        report = cross_check_criterion(args.m, args.n, theta)
     print(format_output(report, args.format))
     return 0
 
@@ -383,15 +384,7 @@ SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    driver, unit, required, optional = SUITES[args.suite]
-    for flag in ("m", "n", "size", "seed", "trials", "mod"):
-        given = getattr(args, flag) is not None
-        if flag in required and not given:
-            raise UsageError(f"--suite {args.suite} requires --{flag}")
-        if not given and flag in optional:
-            setattr(args, flag, optional[flag])
-        elif given and flag not in required and flag not in optional:
-            raise UsageError(f"--suite {args.suite} does not take --{flag}")
+    driver, unit = SUITES[args.suite][:2]
     cases = list(driver(args))
     if not cases:
         raise UsageError(f"--suite {args.suite} checked no {unit}")
@@ -402,93 +395,178 @@ def _cmd_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _suites_epilog() -> str:
-    lines = ["suites: the unit they count, then their flags ([--flag default] is optional)"]
-    for name, (_, unit, required, optional) in SUITES.items():
-        flags = [f"--{flag}" for flag in required]
-        flags += [f"[--{flag} {default}]" if default else f"[--{flag}]" for flag, default in optional.items()]
-        lines.append(f"  {name:<15} {unit}: {' '.join(flags)}")
-    return "\n".join(lines + ["any other flag exits 2"])
-
-
 # ----------------------------------------------------------------- parser
 
 
 def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
+    value = int(raw)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+        raise ValueError(raw)
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="schurkit",
-        description="Exact Schur elements of degenerate cyclotomic Hecke algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# flag -> (conversion, help).  The conversion is a function of the text, a tuple of the
+# texts the flag accepts, list (repeatable: every value is kept, in order) or bool (bare:
+# takes no value).  A (command, flag) key narrows a flag for that command.
+FLAGS = {
+    "m": (int, "level: the parameters are q1..q<m>"),
+    "n": (int, "size of the multipartitions"),
+    "multipartition": (str, "one multipartition as JSON, e.g. [[1],[]]"),
+    "formula": (FORMULAS, "which of the three formulas"),
+    "L": (int, "symbol size (symbol formula only)"),
+    "format": (("json", "latex", "text"), "output format"),
+    ("enumerate", "format"): (("json", "text"), "output format"),
+    "suite": (tuple(SUITES), "the identity suite, see below"),
+    "size": (_positive_int, "partition size bound"),
+    "seed": (int, "rng seed"),
+    "trials": (_positive_int, "samples per field"),
+    "mod": (int, "work in the prime field F_p"),
+    "set": (list, "q<i>=value, once for each parameter"),
+    "no-vanishing": (bool, "skip the zero-form index query for vanishing Schur elements"),
+}
 
-    p = sub.add_parser("enumerate", help="list all m-multipartitions of n")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(handler=_cmd_enumerate)
+# command -> (handler, summary, required flags, optional flags with their defaults).
+# verify also takes the flags of the suite that --suite names, as SUITES lists them.
+COMMANDS = {
+    "enumerate": (_cmd_enumerate, "list all m-multipartitions of n", ("m", "n"),
+                  {"format": "text"}),
+    "schur": (
+        _cmd_schur,
+        "compute Schur elements",
+        (),
+        {"m": None, "n": None, "multipartition": None, "formula": "cancellation", "L": None,
+         "format": "text"},
+    ),
+    "pinv": (_cmd_pinv, "the semisimplicity-separation polynomial", ("m", "n"), {"format": "text"}),
+    "verify": (_cmd_verify, "run a named identity suite", ("suite",), {}),
+    "semisimple": (
+        _cmd_semisimple,
+        "decide semisimplicity of a specialization",
+        ("m", "n"),
+        {"set": (), "mod": None, "no-vanishing": False, "format": "json"},
+    ),
+}
 
-    p = sub.add_parser("schur", help="compute Schur elements")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--multipartition", help="single multipartition as JSON, e.g. [[1],[]]")
-    p.add_argument("--formula", choices=FORMULAS, default="cancellation")
-    p.add_argument("--L", type=int, help="symbol size (symbol formula only)")
-    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
-    p.set_defaults(handler=_cmd_schur)
 
-    p = sub.add_parser("pinv", help="the semisimplicity-separation polynomial")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
-    p.set_defaults(handler=_cmd_pinv)
+def _help(command: Optional[str]) -> str:
+    """The help text of one command, or of schurkit when command is None."""
+    if command is None:
+        lines = [
+            "usage: schurkit COMMAND [--flag value | --flag=value ...]",
+            "Exact Schur elements of degenerate cyclotomic Hecke algebras.",
+            "commands:",
+        ]
+        lines += [f"  {name:<11} {summary}" for name, (_, summary, _, _) in COMMANDS.items()]
+        lines.append("schurkit COMMAND --help lists the flags of COMMAND")
+        return "\n".join(lines)
+    _, summary, required, optional = COMMANDS[command]
+    lines = [f"usage: schurkit {command} [--flag value | --flag=value ...]", summary]
+    for flag in (*required, *optional):
+        convert, text = FLAGS.get((command, flag), FLAGS[flag])
+        if isinstance(convert, tuple):
+            text += f": {', '.join(convert)}"
+        if flag in required:
+            text += " (required)"
+        elif optional[flag] not in (None, (), False):
+            text += f" (default {optional[flag]})"
+        lines.append(f"  --{flag:<16} {text}")
+    if command == "verify":
+        lines.append("suites: the unit they count, then their flags ([--flag default] is optional)")
+        for name, (_, unit, needs, takes) in SUITES.items():
+            flags = [f"--{flag}" for flag in needs]
+            flags += [f"[--{flag} {default}]" if default else f"[--{flag}]" for flag, default in takes.items()]
+            lines.append(f"  {name:<15} {unit}: {' '.join(flags)}")
+    lines.append("a flag the command does not take, or a flag given twice, exits 2")
+    return "\n".join(lines)
 
-    p = sub.add_parser("verify", help="run a named identity suite", epilog=_suites_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--size", type=_positive_int, help="partition size bound for pair suites")
-    p.add_argument("--seed", type=int, help="rng seed (criterion suite)")
-    p.add_argument("--trials", type=_positive_int, help="samples per field (criterion suite)")
-    p.add_argument("--mod", type=int, help="restrict the criterion suite to F_p")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("semisimple", help="decide semisimplicity of a specialization")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", action="append", metavar="q1=VAL", help="assign a parameter")
-    p.add_argument("--mod", type=int, help="work in the prime field F_p")
-    p.add_argument(
-        "--no-vanishing",
-        dest="vanishing",
-        action="store_false",
-        help="skip the zero-form index query for vanishing Schur elements",
-    )
-    p.add_argument("--format", choices=("json", "latex", "text"), default="json")
-    p.set_defaults(handler=_cmd_semisimple)
+def _show_help(text: str) -> int:
+    print(text)
+    return 0
 
-    return parser
+
+def _takes_value_from(word: Optional[str]) -> bool:
+    # As argparse reads it: a word that starts with "-" is a flag, not a value, unless it
+    # is a negative integer or holds a space.
+    return word is not None and (word[:1] != "-" or word[1:].isdecimal() or " " in word)
+
+
+def parse_args(argv: Sequence[str]):
+    """Read argv against COMMANDS, SUITES and FLAGS: (handler, flags) or (_show_help, text).
+
+    The flags are attributes named after them, "-" read as "_".  -h or --help answers
+    with the help of the command before it.  A value that cannot be converted, a missing
+    value and a flag given twice raise UsageError where they stand; an unknown word or
+    flag, a missing flag, and a flag that the command or its suite does not take raise it
+    once every word is read.
+    """
+    command, given, stray = None, {}, None
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _show_help, _help(command)
+        if command is None and word[:1] != "-":
+            if word not in COMMANDS:
+                raise UsageError(f"unknown command {word!r}, expected one of {', '.join(COMMANDS)}")
+            command, (_, _, required, optional) = word, COMMANDS[word]
+            known = {*required, *optional}
+            if command == "verify":  # any flag of any suite; --suite decides which it keeps
+                for _, _, needs, takes in SUITES.values():
+                    known.update(needs, takes)
+            continue
+        flag, eq, value = word[2:].partition("=")
+        if command is None or word[:2] != "--" or flag not in known:
+            stray = stray or word
+            continue
+        convert = FLAGS.get((command, flag), FLAGS[flag])[0]
+        if convert is bool:
+            if eq:
+                raise UsageError(f"--{flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if not _takes_value_from(value):
+                raise UsageError(f"--{flag} expects a value")
+        if convert is list:
+            given.setdefault(flag, []).append(value)
+            continue
+        if flag in given:
+            raise UsageError(f"--{flag} is given twice")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise UsageError(f"--{flag} expects one of {', '.join(convert)}, got {value!r}")
+        elif convert is not str:
+            try:
+                value = convert(value)
+            except ValueError:
+                kind = "a positive integer" if convert is _positive_int else "an integer"
+                raise UsageError(f"--{flag} expects {kind}, got {value!r}") from None
+        given[flag] = value
+    if command is None:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}")
+    handler, _, required, optional = COMMANDS[command]
+    where = command
+    if "suite" in given:
+        _, _, needs, optional = SUITES[given["suite"]]
+        required, where = (*required, *needs), f"--suite {given['suite']}"
+    missing = [flag for flag in required if flag not in given]
+    if missing:
+        raise UsageError(f"{where} requires --{missing[0]}")
+    if stray is not None:
+        raise UsageError(f"{command} does not take {stray!r}")
+    foreign = [flag for flag in given if flag not in required and flag not in optional]
+    if foreign:
+        raise UsageError(f"{where} does not take --{foreign[0]}")
+    values = {**optional, **given}
+    return handler, SimpleNamespace(**{flag.replace("-", "_"): v for flag, v in values.items()})
 
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv, execute, and return the exit code (0 ok, 1 mismatch, 2 usage)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.handler(args)
+        handler, args = parse_args(argv)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

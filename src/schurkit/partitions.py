@@ -194,12 +194,24 @@ def num_standard_tableaux(mp: Multipartition) -> int:
 
 
 def multipartition_count(m: int, n: int) -> int:
-    """Number of m-multipartitions of n: the partition counts p(0..n), convolved m times."""
+    """Number of m-multipartitions of n: the partition counts p(0..n), convolved m times.
+
+    p(k) comes from Euler's pentagonal recurrence, p(k) = sum over j >= 1 of
+    (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)), in O(n^1.5) steps, and the
+    last convolution forms only its n-th term.
+    """
+    if m < 1:
+        return int(n == 0)
     p = [1] + [0] * n
     for k in range(1, n + 1):
-        for v in range(k, n + 1):
-            p[v] += p[v - k]
-    counts = [1] + [0] * n
-    for _ in range(m):
+        total, j, g = 0, 1, 1  # g = j(3j-1)/2, the j-th generalized pentagonal number
+        while g <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+            g += 3 * j - 2
+        p[k] = total
+    counts = p  # m = 1
+    for _ in range(m - 2):
         counts = [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(n + 1)]
-    return counts[n]
+    return p[n] if m == 1 else sum(counts[j] * p[n - j] for j in range(n + 1))

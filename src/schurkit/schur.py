@@ -488,7 +488,7 @@ def verify_trace_identity(m: int, n: int) -> bool:
         points *= side
         if points > TRACE_WORK_BUDGET:
             raise ValueError(
-                f"trace-identity at --m {m} needs at least {side}^{m - 1} grid points,"
+                f"trace-identity at --m {m} --n {n} needs at least {side}^{m - 1} grid points,"
                 f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
             )
     summands = multipartition_count(m, n)

@@ -1,8 +1,14 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
+import argparse
+import contextlib
+import functools
 import hashlib
+import importlib.util
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -471,14 +477,12 @@ def test_the_script_writes_all_of_stdout_before_it_exits(capsys):
     assert done.stdout == expected
 
 
-def test_the_script_writes_all_of_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+def test_the_script_writes_all_of_a_usage_error(capsys):
     argv = ["verify", "--suite", "beta-shift", "--size", "0"]
     assert run(argv) == 2
     expected = capsys.readouterr().err
-    assert expected.startswith("usage: schurkit verify")
-    assert expected.endswith("error: argument --size: expected a positive integer, got '0'\n")
-    done = _script(*argv, text=True, COLUMNS="80")
+    assert expected == "error: --size expects a positive integer, got '0'\n"
+    done = _script(*argv, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
 
 
@@ -507,7 +511,13 @@ def test_large_m_suites_answer_at_once(capsys):
     ):
         code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", m, "--n", "1")
         assert (code, out) == (2, "")
-        assert f"needs {count} grid points, above the budget of" in err
+        assert err == (
+            f"error: trace-identity at --m {m} --n 1 needs {count} grid points, above the budget"
+            f" of {schur_module.TRACE_WORK_BUDGET} grid points times summands\n"
+        )
+    code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", "6", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: trace-identity at --m 6 --n 3 needs at least 23^5 grid points, ")
     assert time.perf_counter() - started < 5
 
 
@@ -526,10 +536,11 @@ def test_trace_identity_refuses_grid_points_times_summands(capsys, monkeypatch, 
     assert points * summands > schur_module.TRACE_WORK_BUDGET
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
+def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, schurkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext'}"
+    code = f"import sys, schurkit.cli; print(sorted({unwanted} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
@@ -563,6 +574,229 @@ def test_build_workload_stdout_digests(capsys, command):
     code, out, err = invoke(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------ parity with the argparse parser it replaced
+
+
+@functools.cache
+def oracle_parser():
+    """The argparse parser that the flag table replaced, as a reference sharing no code with it."""
+
+    def positive_int(raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+        return value
+
+    parser = argparse.ArgumentParser(prog="schurkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("enumerate")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+    p = sub.add_parser("schur")
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--multipartition")
+    p.add_argument("--formula", choices=("product", "symbol", "cancellation"), default="cancellation")
+    p.add_argument("--L", type=int)
+    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
+
+    p = sub.add_parser("pinv")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "latex", "text"), default="text")
+
+    p = sub.add_parser("verify")
+    p.add_argument("--suite", choices=sorted(ORACLE_SUITES), required=True)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--size", type=positive_int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=positive_int)
+    p.add_argument("--mod", type=int)
+
+    p = sub.add_parser("semisimple")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--set", action="append")
+    p.add_argument("--mod", type=int)
+    p.add_argument("--no-vanishing", dest="vanishing", action="store_false")
+    p.add_argument("--format", choices=("json", "latex", "text"), default="json")
+    return parser
+
+
+# suite -> (required flags, optional flags with their defaults), as verify checked them
+ORACLE_SUITES = {
+    "three-formulas": (("m", "n"), {}),
+    "beta-shift": ((), {"size": 5}),
+    "x-symmetry": ((), {"size": 5}),
+    "mu-identity": ((), {"size": 5}),
+    "hook-beta": ((), {"size": 5}),
+    "sm-action": (("m", "n"), {}),
+    "integrality": (("m", "n"), {}),
+    "trace-identity": (("m", "n"), {}),
+    "criterion": (("m", "n", "seed"), {"trials": 100, "mod": None}),
+}
+
+
+def oracle_parse(argv):
+    """("help", None), ("error", None) or ("ok", (command, the attributes its handler reads))."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(oracle_parser().parse_args(argv))
+        except SystemExit as exc:
+            return ("help" if exc.code == 0 else "error"), None
+    command = args.pop("command")
+    if command == "verify":
+        required, optional = ORACLE_SUITES[args["suite"]]
+        for flag in ("m", "n", "size", "seed", "trials", "mod"):
+            given = args[flag] is not None
+            if flag in required and not given:
+                return "error", None
+            if not given and flag in optional:
+                args[flag] = optional[flag]
+            elif given and flag not in required and flag not in optional:
+                return "error", None
+        args = {flag: args[flag] for flag in ("suite", *required, *optional)}
+    if command == "semisimple":
+        args["set"] = args["set"] or []
+        args["no_vanishing"] = not args.pop("vanishing")
+    return "ok", (command, args)
+
+
+def table_parse(argv):
+    """(command, attributes) as the flag table reads argv, for an argv it accepts."""
+    handler, args = cli_module.parse_args(argv)
+    (command,) = [name for name, entry in cli_module.COMMANDS.items() if entry[0] is handler]
+    args = vars(args)
+    if "set" in args:
+        args["set"] = list(args["set"])
+    return command, args
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.startswith("schurkit ")]
+
+
+def menu_commands(monkeypatch):
+    """One round of every benchmark workload, as the seed 1 plan draws it."""
+    spec = importlib.util.spec_from_file_location("schurkit_bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks itself up there
+    spec.loader.exec_module(workloads)
+    reference = workloads.load_reference()
+    return [list(op.argv) for name in workloads.WORKLOADS
+            for op in workloads.plan(name, 1, 0, reference)[0]]
+
+
+VALID = [
+    ["enumerate", "--m", "3", "--n", "2", "--format", "json"],
+    ["schur", "--m", "2", "--n", "2", "--formula", "symbol", "--L", "4", "--format", "text"],
+    ["schur", "--multipartition", "[[1],[]]", "--m", "2", "--n", "1"],
+    ["verify", "--suite", "beta-shift", "--size", "2"],
+    ["verify", "--suite", "mu-identity"],
+    ["verify", "--suite", "criterion", "--m", "2", "--n", "2", "--seed", "-4", "--trials", "3",
+     "--mod", "7"],
+    ["verify", "--suite", "trace-identity", "--m", "-3", "--n", "1"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "q1=-1/2", "--no-vanishing", "--format", "text"],
+    ["semisimple", "--m", "2", "--n", "2", "--set", "q1=0", "--set", "q2=5", "--mod", "11"],
+]
+
+MALFORMED = [
+    [],
+    ["bogus"],
+    ["--m", "2", "enumerate", "--m", "2", "--n", "1"],
+    ["enumerate", "--m", "2", "--n", "1", "--bogus", "1"],
+    ["enumerate", "--m", "2", "--n", "1", "-m", "1"],
+    ["enumerate", "--m", "2", "--n"],
+    ["enumerate", "--m", "2", "--n", "--format", "json"],
+    ["enumerate", "--m", "x", "--n", "1"],
+    ["enumerate", "--m=", "--n", "1"],
+    ["enumerate", "--m", "2", "--n", "1", "--format", "latex"],
+    ["pinv", "--m", "2", "--n", "1", "--format", "yaml"],
+    ["pinv", "--m", "2"],
+    ["pinv", "--m", "2", "--n", "1", "stray"],
+    ["pinv", "--m", "2", "--n", "1", "-3"],
+    ["schur", "--formula", "plain", "--m", "1", "--n", "1"],
+    ["verify"],
+    ["verify", "--suite", "nonsense"],
+    ["verify", "--suite", "beta-shift", "--size", "0"],
+    ["verify", "--suite", "beta-shift", "--size", "x"],
+    ["verify", "--suite", "beta-shift", "--m", "2"],
+    ["verify", "--suite", "criterion", "--m", "2", "--n", "2", "--seed", "1", "--trials", "-3"],
+    ["verify", "--suite", "criterion", "--m", "2", "--n", "2"],
+    ["verify", "--suite", "three-formulas", "--m", "2", "--n", "1", "--trials", "2"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "q1=0", "--no-vanishing=1"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "q1"],
+    ["semisimple", "--m", "1", "--n", "1", "--set"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "-q1=0"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "q1=0", "--mod", "--format", "text"],
+]
+
+HELP_REQUESTS = [
+    ["-h"], ["--help"], ["--bogus", "-h"], ["enumerate", "--help"], ["schur", "-h"],
+    ["pinv", "--m", "2", "-h"], ["verify", "--help"], ["verify", "--suite", "criterion", "-h"],
+    ["semisimple", "--set", "q1=0", "--help"], ["enumerate", "--bogus", "--help"],
+]
+
+# Accepted by argparse, refused by the table on purpose: unique-prefix abbreviations and a
+# single-valued flag given twice (argparse kept the last value).
+NARROWED = [
+    ["schur", "--mult", "[[1],[1]]"],
+    ["enumerate", "--m", "2", "--n", "1", "--form", "json"],
+    ["semisimple", "--m", "1", "--n", "1", "--set", "q1=0", "--no-van"],
+    ["verify", "--suite", "beta-shift", "--si", "3"],
+    ["enumerate", "--m", "2", "--m", "3", "--n", "1"],
+    ["pinv", "--m", "2", "--n", "1", "--format", "json", "--format", "text"],
+    ["verify", "--suite", "beta-shift", "--suite", "hook-beta"],
+    ["verify", "--suite", "criterion", "--m", "2", "--n", "2", "--seed", "1", "--seed", "2"],
+]
+
+
+def equals_spelling(argv):
+    """argv with every `--flag value` written as `--flag=value`."""
+    out, words = [], iter(argv)
+    for word in words:
+        if word.startswith("--") and "=" not in word and word != "--no-vanishing":
+            word = f"{word}={next(words, '')}"
+        out.append(word)
+    return out
+
+
+def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monkeypatch):
+    accepted = readme_commands() + menu_commands(monkeypatch) + VALID
+    assert len(readme_commands()) >= 8
+    corpus = accepted + [equals_spelling(argv) for argv in accepted]
+    for argv in corpus:
+        verdict, parsed = oracle_parse(argv)
+        assert verdict == "ok", argv
+        assert table_parse(argv) == parsed, argv
+    for argv in MALFORMED + [equals_spelling(argv) for argv in MALFORMED]:
+        if oracle_parse(argv)[0] == "ok":  # rejected by the handler, not the parser
+            assert table_parse(argv) == oracle_parse(argv)[1], argv
+        else:
+            assert oracle_parse(argv)[0] == "error", argv
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for argv in HELP_REQUESTS:
+        assert oracle_parse(argv)[0] == "help", argv
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: schurkit "), argv
+    for argv in NARROWED:
+        assert oracle_parse(argv)[0] == "ok", argv
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: "), argv
 
 
 # ---------------------------------------------- one forced mismatch per suite

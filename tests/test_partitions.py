@@ -210,6 +210,26 @@ def test_enumeration_matches_brute_force_and_counts():
             assert len(got) == multipartition_count(m, n)
 
 
+def convolved_count(m, n):
+    """p(0..n) by the largest-part recurrence, convolved m times, every term formed."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            p[total] += p[total - part]
+    counts = [1] + [0] * n
+    for _ in range(m):
+        counts = [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(n + 1)]
+    return counts[n]
+
+
+def test_multipartition_count_matches_brute_force_and_the_plain_convolution():
+    for m in range(5):
+        for n in range(6):
+            assert multipartition_count(m, n) == len(multipartitions_brute(m, n)), (m, n)
+        for n in range(61):
+            assert multipartition_count(m, n) == convolved_count(m, n), (m, n)
+
+
 def test_enumeration_order_is_by_composition_then_parts():
     mps = list(enumerate_multipartitions(2, 2))
     assert mps == [
