@@ -20,12 +20,13 @@ swapping s and t is the substitution x -> -x.
 Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a tally of one partition
 pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
-formulas memoize their tallies; a kernel computes a fresh one.
-A memoized block is that tally taken at x = q_s - q_t, as canonical
-(sign, ((LinearForm, exp), ...)).  The forms of distinct pairs never
-coincide, so an element is its constant times the plain union of its
-blocks.  X, Y and Z each have their own tally, and each formula its own
-memoized constant, so the three formulas stay independent checks.
+formulas memoize their tallies; a kernel computes a fresh one, since
+the beta-shift suite takes each kernel once per pair.  Each entry is
+taken at x = q_s - q_t through canonical_parts, which interns every
+form.  The forms of distinct pairs never coincide, so an element is its
+constant times the plain union of its pairs' forms.  X, Y and Z each
+have their own tally, and each formula its own memoized constant, so
+the three formulas stay independent checks.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ FORMULAS = ("product", "symbol", "cancellation")
 
 
 Tally = tuple[int, tuple[tuple[int, int], ...]]
-Block = tuple[int, tuple[tuple[LinearForm, int], ...]]
 
 
 def _entries(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -136,53 +136,34 @@ def _z_tally(lam: Partition, mu: Partition) -> Tally:
     return (-1) ** sum(mu), _entries(tally)
 
 
-def _canonical(tally: Tally, s: int, t: int) -> Block:
-    """The tally taken at x = q_s - q_t, canonical: (sign, ((form, exp), ...)).
+def _union(num: int, den: int, blocks: Iterable[tuple[Tally, int, int]]) -> FactoredRational:
+    """num / den times each tally of blocks, a (tally, s, t), taken at x = q_s - q_t.
 
-    Every form of the block has the indices {s, t}, so blocks of distinct
-    pairs share no form, and an element is the plain union of its blocks.
+    Every form of a tally at (s, t) has the indices {s, t}, so the tallies
+    of distinct pairs share no form and the factors are a plain union.
     """
-    if s == t:
-        raise ValueError(f"a kernel is taken at x = q_s - q_t with s != t, got s = t = {s}")
-    sign, entries = tally
-    forms = []
-    for c, exp in entries:
-        form, flip = canonical_parts(c, s, t)
-        if flip < 0 and exp % 2:
-            sign = -sign
-        forms.append((form, exp))
-    return sign, tuple(forms)
-
-
-@cache
-def _block(tally: Callable[[tuple, tuple], Tally], a: tuple, b: tuple, s: int, t: int) -> Block:
-    """The block of tally(a, b) at (s, t), memoized for the formulas.
-
-    The kernels use neither this cache nor the tally caches: the
-    beta-shift suite takes each kernel once per pair, so memoized tallies
-    or blocks there would only hold memory.
-    """
-    return _canonical(tally(a, b), s, t)
-
-
-def _union(num: int, den: int, blocks: Iterable[Block]) -> FactoredRational:
-    """num / den times the product of blocks that share no form."""
     factors: dict[LinearForm, int] = {}
-    for sign, forms in blocks:
+    for (sign, entries), s, t in blocks:
+        if s < 1 or t < 1 or s == t:
+            raise ValueError(f"a kernel is taken at x = q_s - q_t with s != t, both >= 1: {s}, {t}")
+        for c, exp in entries:
+            form, flip = canonical_parts(c, s, t)
+            if flip < 0 and exp % 2:
+                sign = -sign
+            factors[form] = exp
         if sign < 0:
             num = -num
-        factors.update(forms)
     return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
 def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> FactoredRational:
-    """num / den times the memoized block of tally(rows[s], rows[t]) for every pair s < t.
+    """num / den times the memoized tally(rows[s], rows[t]) at x = q_s - q_t for all s < t.
 
-    Pairs of two empty components of mp are skipped: their block is (1, ()) on every route.
+    Pairs of two empty components of mp are skipped: their tally is (1, ()) on every route.
     """
     live = [s for s, lam in enumerate(mp) if lam]
     pairs = [(s, t) if s < t else (t, s) for s in live for t in range(len(mp)) if t > s or not mp[t]]
-    return _union(num, den, (_block(tally, rows[s], rows[t], s + 1, t + 1) for s, t in pairs))
+    return _union(num, den, ((tally(rows[s], rows[t]), s + 1, t + 1) for s, t in pairs))
 
 
 def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -193,7 +174,7 @@ def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _union(1, 1, [_canonical(_x_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [(_x_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
 
 
 def y_kernel(
@@ -208,7 +189,7 @@ def y_kernel(
     if length < max(len(lam), len(mu)):
         raise ValueError(f"L={length} too small for lengths {len(lam)}, {len(mu)}")
     tally = _y_tally.__wrapped__(beta_set(lam, length), beta_set(mu, length))
-    return _union(1, 1, [_canonical(tally, s, t)])
+    return _union(1, 1, [(tally, s, t)])
 
 
 def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
@@ -217,7 +198,7 @@ def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredR
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    return _union(1, 1, [_canonical(_z_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [(_z_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
 
 
 def schur_element(

@@ -499,6 +499,23 @@ def test_the_script_skips_teardown_but_not_a_traceback():
     assert done.stderr.startswith("Traceback") and done.stderr.endswith("ZeroDivisionError: division by zero\n")
 
 
+@pytest.mark.slow
+def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak():
+    """three-formulas at (700,1) peaked at 941 MB when every pair was memoized at every (s, t)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["verify", "--suite", "three-formulas", "--m", "700", "--n", "1"]
+    proc = subprocess.Popen([sys.executable, "-m", "schurkit.cli", *argv], stdout=subprocess.PIPE, env=env)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out == b"checked 700 multipartitions, 0 mismatches\n"
+    peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 314, peak_mb
+
+
 def test_large_m_suites_answer_at_once(capsys):
     started = time.perf_counter()
     assert invoke(capsys, "verify", "--suite", "sm-action", "--m", "9", "--n", "1") == (

@@ -288,7 +288,6 @@ def test_the_beta_shift_suite_leaves_the_tally_caches_empty(capsys, clear_caches
     assert capsys.readouterr().out == "checked 144 partition pairs, 0 mismatches\n"
     for tally in (schur_module._x_tally, schur_module._y_tally, schur_module._z_tally):
         assert tally.cache_info().currsize == 0, tally
-    assert schur_module._block.cache_info().currsize == 0
 
 
 def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
@@ -297,33 +296,28 @@ def test_sweeps_build_one_tally_per_distinct_pair(clear_caches):
     for mp in mps:
         schur_element(mp, "product")
         schur_element(mp, "cancellation")
-    # a pair of two empty components has the block (1, ()) and is never visited
+    # a pair of two empty components has the tally (1, ()) and is never visited
     visited = [(mp, s, t) for mp in mps for s in range(4) for t in range(s + 1, 4) if mp[s] or mp[t]]
     pairs = {(mp[s], mp[t]) for mp, s, t in visited}
-    # one block per kernel and distinct pair at each of its positions (s, t)
-    placed = {(mp[s], mp[t], s, t) for mp, s, t in visited}
     components = {lam for mp in mps for lam in mp}
     assert _misses(schur_module._x_tally) == len(pairs)
     # Z is tallied once per pair s < t, both directions merged; the diagonal is a constant
     assert _misses(schur_module._z_tally) == len(pairs)
     assert _misses(schur_module._z_diagonal) == len(components)
     assert _misses(schur_module.hook_product) == len(components)
-    assert _misses(schur_module._block) == 2 * len(placed)
     assert _misses(schur_module._y_tally) == 0
     assert _misses(schur_module._row_constant) == 0
     for mp in mps:
         schur_element(mp, "symbol")
     rows = {(mp[s], mp[t], mp_length(mp)) for mp, s, t in visited}
-    placed_rows = {(mp[s], mp[t], mp_length(mp), s, t) for mp, s, t in visited}
     assert _misses(schur_module._y_tally) == len(rows)
     beta_rows = {(lam, mp_length(mp)) for mp in mps for lam in mp}
     assert _misses(schur_module._row_constant) == len(beta_rows)
-    assert _misses(schur_module._block) == 2 * len(placed) + len(placed_rows)
 
 
 @pytest.mark.parametrize("length", range(7))
 def test_two_empty_components_have_the_unit_block(length):
-    """The block every route skips: X and Z of ((), ()), and Y of two staircases."""
+    """The pair every route skips: X and Z of ((), ()), and Y of two staircases, are 1."""
     staircase = tuple(range(length - 1, -1, -1))
     assert l_symbol(((), ()), length) == (staircase, staircase)
     tallies = [
@@ -333,35 +327,44 @@ def test_two_empty_components_have_the_unit_block(length):
     ]
     for s, t in ((1, 2), (2, 5)):
         for tally in tallies:
-            assert schur_module._canonical(tally, s, t) == (1, ())
+            assert schur_module._union(1, 1, [(tally, s, t)]) == fr_const(1)
 
 
 def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear_caches):
     calls = []
-    block = schur_module._block
+    z_tally = schur_module._z_tally
 
     def counted(*args):
         calls.append(args)
-        return block(*args)
+        return z_tally(*args)
 
-    monkeypatch.setattr(schur_module, "_block", counted)
-    clear_caches()
+    clear_caches()  # before the patch hides the real _z_tally from it
+    monkeypatch.setattr(schur_module, "_z_tally", counted)
     for mp in enumerate_multipartitions(200, 1):
         schur_element(mp)
     # each element has one non-empty component, paired with the 199 others, not C(200, 2)
     # pairs; the (4,6) sweep above shows that every route skips the same pairs
     assert len(calls) == 200 * 199
+    monkeypatch.undo()
+    # the sweep holds only what other elements reuse: the Z tallies of ((1,), ()) and
+    # ((), (1,)) and the diagonals of (1,) and (), not a copy at each of 39,800 (s, t)
+    held = {
+        name: value.cache_info().currsize
+        for name, value in vars(schur_module).items()
+        if value is not canonical_parts and callable(getattr(value, "cache_info", None))
+    }
+    assert sum(held.values()) <= 4, held
 
 
 def _blocks(mp, formula):
-    """The per-pair blocks whose union is the element of mp by this formula."""
+    """The per-pair values, each its tally at x = q_s - q_t, whose union is the element."""
     if formula == "symbol":
         rows, tally = l_symbol(mp, mp_length(mp)), schur_module._y_tally
     else:
         rows = mp
         tally = schur_module._x_tally if formula == "product" else schur_module._z_tally
     return [
-        schur_module._block(tally, a, b, s, t)
+        schur_module._union(1, 1, [(tally(a, b), s, t)])
         for (s, a), (t, b) in itertools.combinations(enumerate(rows, 1), 2)
     ]
 
@@ -371,14 +374,23 @@ def test_an_element_is_the_disjoint_union_of_its_blocks():
         for formula in FORMULAS:
             blocks = _blocks(mp, formula)
             element = schur_element(mp, formula)
-            assert len(element.factors) == sum(len(forms) for _, forms in blocks), (mp, formula)
-            assert element.factors == {form: e for _, forms in blocks for form, e in forms}
+            assert len(element.factors) == sum(len(b.factors) for b in blocks), (mp, formula)
+            assert element.factors == {form: e for b in blocks for form, e in b.factors.items()}
 
 
 def test_a_kernel_needs_two_distinct_indices():
     for kernel in (x_kernel, z_kernel, lambda lam, mu, s, t: y_kernel(lam, mu, 2, s, t)):
         with pytest.raises(ValueError, match="s != t"):
             kernel((1,), (1,), 2, 2)
+    # the indices are checked even where the tally has no entry to canonicalize
+    for call in (
+        lambda: x_kernel((), (), 0, 5),
+        lambda: z_kernel((), (), -1, 2),
+        lambda: y_kernel((), (), 0, 0, 3),
+        lambda: x_kernel((1,), (), 0, 5),
+    ):
+        with pytest.raises(ValueError, match="s != t"):
+            call()
 
 
 # ------------------------------------------------------------ Schur element
