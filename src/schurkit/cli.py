@@ -342,6 +342,11 @@ def _suite_trace_identity(args):
 def _suite_criterion(args):
     if args.mod is not None:
         Specialization({}, prime=args.mod)  # refuses a modulus that is not prime, before the table
+        if args.mod <= args.n:
+            raise UsageError(
+                f"--mod {args.mod} must exceed --n {args.n}: n! vanishes mod p, so every"
+                " specialization would be non-semisimple and only one side checked"
+            )
     index = ZeroFormIndex(schur_elements_table(args.m, args.n))
     rng = random.Random(args.seed)
     for prime in [args.mod] if args.mod is not None else [None, 101]:

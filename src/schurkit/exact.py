@@ -137,8 +137,6 @@ class FactoredRational:
         return ProductBuilder().fr(self).fr(other).build()
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero product")
         return ProductBuilder().fr(self).fr(other, exp=-1).build()
 
     def __pow__(self, k: int) -> "FactoredRational":
@@ -146,9 +144,6 @@ class FactoredRational:
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.render()})"
-
-    def is_zero(self) -> bool:
-        return self.constant == 0
 
     def sorted_factors(self) -> list[tuple[LinearForm, int]]:
         """Factor list in the canonical order used by every renderer."""
@@ -501,8 +496,10 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
 
     A value with a negative exponent is rejected at once: its forms are
     pairwise non-associate irreducibles, so no form of the denominator
-    divides the numerator.  The positive-exponent factors are multiplied
-    out, and the rational constant must leave every coefficient integral.
+    divides the numerator.  So is a fractional constant: every form
+    c + q_s - q_t is primitive, so by Gauss's lemma the product of forms
+    is primitive and the value is integral iff its constant is.  The
+    factors are then multiplied out and scaled by the integer constant.
 
     A monomial is packed into one int whose base-B digit i, with
     B = total positive degree + 1, is the exponent of q_(i+1); no digit
@@ -515,6 +512,8 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
     for form, exp in factors:
         if exp < 0:
             raise NotAPolynomialError(f"{form.render()} does not divide the numerator exactly")
+    if a.constant.denominator != 1:
+        raise NonIntegerConstantError(f"constant {a.constant} is not an integer")
     base = 1 + sum(exp for _, exp in factors)
     units = [base**i for i in range(m)]
     packed = {0: 1}
@@ -529,13 +528,5 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
                 k2 = k + un
                 new[k2] = get(k2, 0) - v
             packed = new
-    num, den = a.constant.numerator, a.constant.denominator
-    scaled: dict[tuple[int, ...], int] = {}
-    for k, v in packed.items():
-        q, r = divmod(v * num, den)
-        if r:
-            raise NonIntegerConstantError(
-                f"constant {a.constant} leaves non-integer coefficient {Fraction(v * num, den)}"
-            )
-        scaled[tuple([k // u % base for u in units])] = q
-    return SparsePoly(m, scaled)
+    num = a.constant.numerator
+    return SparsePoly(m, {tuple([k // u % base for u in units]): num * v for k, v in packed.items()})

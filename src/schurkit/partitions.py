@@ -67,9 +67,7 @@ def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
 
 def hook_length(lam: Partition, i: int, j: int) -> int:
     """Number of nodes at, right of and below (i, j): lam_i - i + lam'_j - j + 1."""
-    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
-        raise ValueError(f"node ({i},{j}) outside the diagram of {lam}")
-    return lam[i - 1] - i + conjugate_part(lam, j) - j + 1
+    return generalized_hook_length(lam, lam, i, j)
 
 
 def generalized_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> int:
@@ -99,8 +97,6 @@ def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
 
 def l_symbol(mp: Multipartition, length: int) -> tuple[tuple[int, ...], ...]:
     """The m x L matrix whose row s is the beta set of component s."""
-    if length < mp_length(mp):
-        raise ValueError(f"L={length} too small for a multipartition of length {mp_length(mp)}")
     return tuple(beta_set(lam, length) for lam in mp)
 
 
@@ -115,30 +111,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Ordered m-tuples of non-negative integers summing to n, decreasing lex.
-
-    Iterative, so m is not bounded by the recursion limit.  To step to the
-    successor, take one unit from the rightmost non-zero entry i before
-    the last; entry i + 1 becomes that unit plus the last entry, and the
-    last entry becomes 0 (the entries between are already 0).
-    """
-    if m < 1:
-        raise ValueError("a composition needs at least one part")
-    comp = [n] + [0] * (m - 1)
-    while True:
-        yield tuple(comp)
-        i = m - 2
-        while i >= 0 and comp[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        last = comp[-1]
-        comp[-1] = 0
-        comp[i] -= 1
-        comp[i + 1] = last + 1
-
-
 def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
     """All m-multipartitions of n, each exactly once.
 
@@ -151,9 +123,15 @@ def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
         raise ValueError("level m must be at least 1")
     if n < 0:
         raise ValueError("size n must be non-negative")
-    pools = [list(partitions_of(k)) for k in range(n + 1)]
-    for comp in compositions(n, m):
-        yield from itertools.product(*[pools[k] for k in comp])
+    pools = [tuple(partitions_of(k)) for k in range(n + 1)]
+    # Stars and bars: n stars among n + m - 1 slots, the rest bars; star i at slot pos
+    # lies in part pos - i.  combinations() yields the slot sets in increasing lex
+    # order, which is decreasing lex order on the size compositions.
+    for stars in itertools.combinations(range(n + m - 1), n):
+        comp = [0] * m
+        for i, pos in enumerate(stars):
+            comp[pos - i] += 1
+        yield from itertools.product(*map(pools.__getitem__, comp))
 
 
 def permute_components(mp: Multipartition, sigma: Sequence[int]) -> Multipartition:

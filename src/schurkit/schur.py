@@ -186,8 +186,6 @@ def y_kernel(
     of lam and (j - x) over those of mu, divided by (a - b + x) over all
     beta pairs.  Invariant under beta shifts, hence independent of L.
     """
-    if length < max(len(lam), len(mu)):
-        raise ValueError(f"L={length} too small for lengths {len(lam)}, {len(mu)}")
     tally = _y_tally.__wrapped__(beta_set(lam, length), beta_set(mu, length))
     return _union(1, 1, [(tally, s, t)])
 
@@ -274,13 +272,9 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")
-    b = ProductBuilder()
-    b.const(factorial(n))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            for d in range(-(n - 1), n):
-                b.form(d, i, j)
-    return b.build()
+    tally = (1, tuple((d, 1) for d in range(1 - n, n)))
+    pairs = itertools.combinations(range(1, m + 1), 2)
+    return _union(factorial(n), 1, ((tally, i, j) for i, j in pairs))
 
 
 def verify_mu_identity(mu: Partition, ell: int) -> bool:
@@ -308,16 +302,12 @@ def verify_mu_identity(mu: Partition, ell: int) -> bool:
 
 
 def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
-    """Check prod(hooks) * prod_{i<j}(beta_i - beta_j) == prod_i beta_i! exactly."""
-    beta = beta_set(lam, length)
-    lhs = hook_product(lam)
-    for i in range(len(beta)):
-        for j in range(i + 1, len(beta)):
-            lhs *= beta[i] - beta[j]
-    rhs = 1
-    for b in beta:
-        rhs *= factorial(b)
-    return lhs == rhs
+    """Check prod(hooks) * prod_{i<j}(beta_i - beta_j) == prod_i beta_i! exactly.
+
+    The beta side is _row_constant, the per-row constant of the symbol route.
+    """
+    factorials, vandermonde = _row_constant(beta_set(lam, length))
+    return hook_product(lam) * vandermonde == factorials
 
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:

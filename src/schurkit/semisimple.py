@@ -18,7 +18,6 @@ factor by factor, so agreement compares two independent computations.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import NamedTuple, Optional, Sequence
 
 from .exact import FactoredRational, FieldElement, Specialization, fr_eval
@@ -161,13 +160,8 @@ def random_specialization(
     Over the rationals the q values are integers in [-n, n], a box small
     enough that non-semisimple collisions are common; over F_p they are
     uniform residues.  p <= n makes n! vanish identically and every
-    sample non-semisimple, so that range is warned about.
+    sample non-semisimple, so criterion sweeps should keep p > n.
     """
-    if prime is not None and prime <= n:
-        warnings.warn(
-            f"prime {prime} <= n={n}: n! vanishes mod p and no specialization is semisimple",
-            stacklevel=2,
-        )
     if prime is None:
         values = {s: rng.randint(-n, n) for s in range(1, m + 1)}
     else:

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from schurkit.exact import (
     fr_expand,
     fr_form,
 )
-from schurkit.partitions import enumerate_multipartitions, multipartition_count
+from schurkit.partitions import beta_set, enumerate_multipartitions, multipartition_count, partitions_of
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -299,6 +300,24 @@ def test_semisimple_modulus_primality(capsys):
         err = usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
                           "--seed", "1", "--mod", mod)
         assert f"{mod} is not prime" in err
+
+
+def test_criterion_refuses_a_modulus_at_most_n(capsys, monkeypatch):
+    # n! vanishes mod p <= n, so every drawn theta would land on the non-semisimple side
+    monkeypatch.setattr(cli_module, "schur_elements_table", lambda m, n: pytest.fail("built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mod in ("2", "3", "5"):
+            err = usage_error(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "5",
+                              "--seed", "1", "--mod", mod, "--trials", "2")
+            assert err == (
+                f"error: --mod {mod} must exceed --n 5: n! vanishes mod p, so every"
+                " specialization would be non-semisimple and only one side checked\n"
+            )
+    monkeypatch.undo()
+    code, out, _ = invoke(capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "5",
+                          "--seed", "1", "--mod", "7", "--trials", "2")
+    assert (code, out) == (0, "checked 5 specializations, 0 mismatches\n")
 
 
 def test_verify_rejects_nonpositive_size(capsys):
@@ -893,6 +912,22 @@ def test_identity_suite_mismatch_records(capsys, monkeypatch, suite, verifier, b
     monkeypatch.setattr(cli_module, verifier, lambda *case: case != bad_case and real(*case))
     size = "2" if suite == "mu-identity" else "1"
     assert_one_record(capsys, [suite, "--size", size], record, summary)
+
+
+def test_hook_beta_suite_reads_the_symbol_routes_row_constant(capsys, monkeypatch):
+    real = schur_module._row_constant
+    # a corrupted symbol route: every row holding the beta number 3 doubles its factorials
+    monkeypatch.setattr(
+        schur_module, "_row_constant",
+        lambda row: (2 * real(row)[0], real(row)[1]) if 3 in row else real(row),
+    )
+    cases = [(lam, L) for k in range(4) for lam in partitions_of(k) for L in range(len(lam), len(lam) + 4)]
+    expected = [{"partition": list(lam), "L": L} for lam, L in cases if 3 in beta_set(lam, L)]
+    code, out, err = invoke(capsys, "verify", "--suite", "hook-beta", "--size", "3")
+    *records, summary = out.splitlines()
+    assert (code, err) == (1, "")
+    assert expected and [json.loads(line) for line in records] == expected
+    assert summary == f"checked {len(cases)} identities, {len(expected)} mismatches"
 
 
 def test_sm_action_mismatch_record(capsys, monkeypatch):

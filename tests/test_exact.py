@@ -119,7 +119,7 @@ def test_fr_equal_examples():
 
 def test_zero_value():
     zero = fr_const(0) * fr_form(1, 1, 2)
-    assert zero.is_zero() and zero.factors == {}
+    assert zero.constant == 0 and zero.factors == {}
     with pytest.raises(ZeroDivisionError):
         fr_const(1) / zero
 
@@ -252,6 +252,14 @@ def test_fr_expand_rejects_true_quotient():
 def test_fr_expand_rejects_fractional_constant():
     with pytest.raises(NonIntegerConstantError):
         fr_expand(fr_const(Fraction(1, 2)) * fr_form(0, 1, 2), 2)
+
+
+def test_fr_expand_refuses_a_fractional_constant_before_expanding():
+    # Gauss's lemma: a product of the primitive forms c + q_s - q_t is integral iff its
+    # constant is, so the refusal names the constant and no coefficient
+    value = fr_const(Fraction(-5, 6)) * fr_form(1, 1, 2, exp=3) * fr_form(0, 2, 3)
+    with pytest.raises(NonIntegerConstantError, match=r"^constant -5/6 is not an integer$"):
+        fr_expand(value, 3)
 
 
 def test_fr_expand_cancels_before_division():

@@ -7,7 +7,6 @@ import pytest
 
 from schurkit.partitions import (
     beta_set,
-    compositions,
     conjugate,
     enumerate_multipartitions,
     generalized_hook_length,
@@ -241,8 +240,14 @@ def test_enumeration_order_is_by_composition_then_parts():
     ]
 
 
+def size_compositions(m, n):
+    """The size vectors (|lam^1|, .., |lam^m|) of the enumeration, one per run of equal ones."""
+    sizes = (tuple(map(sum, mp)) for mp in enumerate_multipartitions(m, n))
+    return [comp for comp, _ in itertools.groupby(sizes)]
+
+
 def test_compositions_cover_and_order():
-    comps = list(compositions(2, 3))
+    comps = size_compositions(3, 2)
     assert comps[0] == (2, 0, 0)
     assert comps[-1] == (0, 0, 2)
     assert len(comps) == len(set(comps)) == 6
@@ -250,19 +255,24 @@ def test_compositions_cover_and_order():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_compositions_match_a_brute_force_filter(m):
+    # decreasing lex on the size vectors, each vector's multipartitions in one run
     for n in range(6):
         expected = sorted(
             (c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n), reverse=True
         )
-        assert list(compositions(n, m)) == expected
+        assert size_compositions(m, n) == expected
 
 
 def test_compositions_reach_past_the_recursion_limit():
-    comps = list(compositions(1, 5000))
-    assert len(comps) == 5000
-    assert comps[0][0] == 1 and comps[-1][-1] == 1
+    count = 0
+    for mp in enumerate_multipartitions(5000, 1):
+        if not count:
+            assert mp[0] == (1,) and len(mp) == 5000
+        count += 1
+    assert count == 5000
+    assert mp[-1] == (1,) and mp[:-1] == ((),) * 4999
     with pytest.raises(ValueError):
-        next(compositions(1, 0))
+        next(enumerate_multipartitions(0, 1))
 
 
 def test_num_standard_tableaux_matches_enumeration():

@@ -1,7 +1,6 @@
 """Semisimplicity criterion: worked examples, targeted witnesses, random agreement."""
 
 import random
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -119,15 +118,6 @@ def test_random_specialization_ranges():
     assert all(-4 <= v <= 4 for v in theta.q_values.values())
     modular = random_specialization(3, 4, rng, prime=101)
     assert all(0 <= v < 101 for v in modular.q_values.values())
-
-
-def test_small_prime_warns():
-    rng = random.Random(1)
-    with pytest.warns(UserWarning):
-        random_specialization(2, 3, rng, prime=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        random_specialization(2, 3, rng, prime=5)
 
 
 def test_criterion_equals_p_evaluation():
