@@ -190,6 +190,13 @@ def _parse_theta(args, m: int) -> Specialization:
         key, _, raw = token.partition("=")
         if not raw:
             raise UsageError(f"--set expects name=value, got {token!r}")
+        try:  # Fraction writes out 10^exponent, so the exponent gets int's digit limit
+            exponent = abs(int(raw.lower().partition("e")[2] or 0))
+        except ValueError:
+            exponent = 0  # not a decimal exponent: Fraction refuses the text below
+        limit = sys.get_int_max_str_digits()
+        if limit and exponent > limit:
+            raise UsageError(f"--set {token!r}: decimal exponent above the {limit}-digit limit")
         try:
             val = Fraction(raw)
         except (ValueError, ZeroDivisionError):
@@ -203,9 +210,9 @@ def _parse_theta(args, m: int) -> Specialization:
         if s in values:
             raise UsageError(f"--set {token!r}: {key} is already set")
         values[s] = val
-    missing = [s for s in range(1, m + 1) if s not in values]
-    if missing:
-        raise UsageError(f"missing --set for q{missing[0]}")
+    missing = next((s for s in range(1, m + 1) if s not in values), None)
+    if missing is not None:
+        raise UsageError(f"missing --set for q{missing}")
     try:
         return Specialization(values, prime=args.mod)
     except (ValueError, ArithmeticError) as exc:
@@ -330,8 +337,6 @@ def _suite_integrality(args):
 
 
 def _suite_trace_identity(args):
-    if args.n < 1:
-        raise UsageError(f"--suite trace-identity needs --n >= 1, got {args.n}")
     if verify_trace_identity(args.m, args.n):
         yield []
         return

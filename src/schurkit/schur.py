@@ -13,20 +13,19 @@ Three independent routes produce the same canonical factored value:
 The kernels x_kernel, y_kernel, z_kernel on partition pairs live here
 too, with boolean verifiers for the supporting identities, so that
 every one of them can be checked on concrete instances.  A kernel is a
-rational function of one indeterminate x and is always built at
-x = q_s - q_t, so every value is a product of forms c + q_s - q_t;
-swapping s and t is the substitution x -> -x.
+rational function of x = q_1 - q_2; apply_permutation moves it to any
+other pair, and x -> -x is the transposition (1 2).
 
 Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a tally of one partition
 pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
 formulas memoize their tallies; a kernel computes a fresh one, since
 the beta-shift suite takes each kernel once per pair.  Each entry is
-taken at x = q_s - q_t through canonical_parts, which interns every
-form.  The forms of distinct pairs never coincide, so an element is its
-constant times the plain union of its pairs' forms.  X, Y and Z each
-have their own tally, and each formula its own memoized constant, so
-the three formulas stay independent checks.
+taken at x = q_s - q_t, s < t, through canonical_parts, which interns
+every form.  The forms of distinct pairs never coincide, so an element
+is its constant times the plain union of its pairs' forms.  X, Y and Z
+each have their own tally, and each formula its own memoized constant,
+so the three formulas stay independent checks.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .exact import (
     LinearForm,
     ProductBuilder,
     SparsePoly,
+    apply_permutation,
     canonical_parts,
     fr_expand,
 )
@@ -137,22 +137,16 @@ def _z_tally(lam: Partition, mu: Partition) -> Tally:
 
 
 def _union(num: int, den: int, blocks: Iterable[tuple[Tally, int, int]]) -> FactoredRational:
-    """num / den times each tally of blocks, a (tally, s, t), taken at x = q_s - q_t.
+    """num / den times each tally of blocks, a (tally, s, t) with s < t, taken at x = q_s - q_t.
 
     Every form of a tally at (s, t) has the indices {s, t}, so the tallies
     of distinct pairs share no form and the factors are a plain union.
     """
     factors: dict[LinearForm, int] = {}
     for (sign, entries), s, t in blocks:
-        if s < 1 or t < 1 or s == t:
-            raise ValueError(f"a kernel is taken at x = q_s - q_t with s != t, both >= 1: {s}, {t}")
+        num *= sign
         for c, exp in entries:
-            form, flip = canonical_parts(c, s, t)
-            if flip < 0 and exp % 2:
-                sign = -sign
-            factors[form] = exp
-        if sign < 0:
-            num = -num
+            factors[canonical_parts(c, s, t)[0]] = exp
     return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
@@ -166,37 +160,35 @@ def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> Fa
     return _union(num, den, ((tally(rows[s], rows[t]), s + 1, t + 1) for s, t in pairs))
 
 
-def x_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
-    """The pairing X_{lam mu}(x) on two partitions, at x = q_s - q_t.
+def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
+    """The pairing X_{lam mu}(x) on two partitions, at x = q_1 - q_2.
 
     Product over the nodes of mu of (j - i - x), times, for every node
     of lam, (j - i - mu_1 + x) and the telescoping column corrections
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _union(1, 1, [(_x_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [(_x_tally.__wrapped__(tuple(lam), tuple(mu)), 1, 2)])
 
 
-def y_kernel(
-    lam: Partition, mu: Partition, length: int, s: int = 1, t: int = 2
-) -> FactoredRational:
-    """The beta-number form of the pairing from L-beta sets, at x = q_s - q_t.
+def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
+    """The beta-number form of the pairing from L-beta sets, at x = q_1 - q_2.
 
     (-1)^C(L,2) x^L times rising products (i + x) over the beta numbers
     of lam and (j - x) over those of mu, divided by (a - b + x) over all
     beta pairs.  Invariant under beta shifts, hence independent of L.
     """
     tally = _y_tally.__wrapped__(beta_set(lam, length), beta_set(mu, length))
-    return _union(1, 1, [(tally, s, t)])
+    return _union(1, 1, [(tally, 1, 2)])
 
 
-def z_kernel(lam: Partition, mu: Partition, s: int = 1, t: int = 2) -> FactoredRational:
-    """Cancellation-free form of the pairing at x = q_s - q_t: a pure product.
+def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
+    """Cancellation-free form of the pairing at x = q_1 - q_2: a pure product.
 
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    return _union(1, 1, [(_z_tally.__wrapped__(tuple(lam), tuple(mu)), s, t)])
+    return _union(1, 1, [(_z_tally.__wrapped__(tuple(lam), tuple(mu)), 1, 2)])
 
 
 def schur_element(
@@ -208,6 +200,8 @@ def schur_element(
     symbol size L (symbol route only, default the multipartition length).
     All routes return equal canonical values.
     """
+    if length is not None and formula != "symbol":
+        raise ValueError(f"length applies only to formula 'symbol', not {formula!r}")
     mp = tuple(map(tuple, mp))
     if formula == "product":
         return _schur_product(mp)
@@ -236,9 +230,7 @@ def _schur_symbol(mp: Multipartition, length: int | None) -> FactoredRational:
     prod_a a! over a row is prod_k k^#{a >= k}; the per-row constant
     comes from the row alone, not from the hooks.
     """
-    if length is None:
-        length = mp_length(mp)
-    rows = l_symbol(mp, length)
+    rows = l_symbol(mp, mp_length(mp) if length is None else length)
     num = den = 1
     for row in rows:
         a, b = _row_constant(row)
@@ -311,8 +303,8 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
 
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
-    """Check X_{lam mu}(x) == X_{mu lam}(-x); x -> -x is the swap of q_1 and q_2."""
-    return x_kernel(lam, mu, 1, 2) == x_kernel(mu, lam, 2, 1)
+    """Check X_{lam mu}(x) == X_{mu lam}(-x); x -> -x is the swap (1 2) of q_1 and q_2."""
+    return x_kernel(lam, mu) == apply_permutation((2, 1), x_kernel(mu, lam))
 
 
 # The most grid points times summands verify_trace_identity evaluates: every point
@@ -441,12 +433,14 @@ def verify_trace_identity(m: int, n: int) -> bool:
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.
 
-    Raises ValueError when m < 1, and, before any element is built, when the
+    Raises ValueError when n < 1 or m < 1, and, before any element is built, when the
     work sized from (m, n) alone exceeds TRACE_WORK_BUDGET: n^2 (at least p(n) >= n
     summands of n nodes), then _grid_side(m, n)^(m - 1) points, multiplied out only
     until they pass it, then max(points, n) per summand (at m = 1, on one point, its
     nodes).  The grid evaluated still comes from the cofactors: this moves only refusals.
     """
+    if n < 1:
+        raise ValueError(f"--suite trace-identity needs --n >= 1, got {n}")
     if m < 1:
         raise ValueError("level m must be at least 1")
     if n * n > TRACE_WORK_BUDGET:

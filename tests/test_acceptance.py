@@ -80,7 +80,7 @@ def test_criterion_2_kernel_lemmas():
             for L in (base, base + 1, base + 2):
                 if x != y_kernel(lam, mu, L):
                     failures.append((lam, mu, f"x=y:L={L}"))
-            if x != x_kernel(mu, lam, 2, 1):  # X_{lam mu}(x) == X_{mu lam}(-x)
+            if x != apply_permutation((2, 1), x_kernel(mu, lam)):  # X_{lam mu}(x) == X_{mu lam}(-x)
                 failures.append((lam, mu, "swap-negate"))
     _report(2, "kernel lemmas X=Y, X=Z, swap symmetry (sizes <= 5)", failures, started)
 

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -381,6 +382,40 @@ def test_semisimple_rejects_a_repeated_name(capsys):
     assert "q1 is already set" in err
     usage_error(capsys, *argv, "--set", "q1=0", "--set", "q1=0")
     assert invoke(capsys, *argv, "--set", "q1=1")[0] == 0
+
+
+def _capped(*argv):
+    """Run the CLI in a fresh process under a 1 GB address space, for at most 10 s."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "schurkit.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=10,
+    )
+
+
+def test_semisimple_names_the_first_missing_parameter_of_a_huge_level():
+    done = _capped("semisimple", "--m", "1000000000", "--n", "2", "--set", "q2=0")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: missing --set for q1\n")
+
+
+def test_semisimple_refuses_a_decimal_exponent_beyond_the_digit_limit(capsys):
+    done = _capped("semisimple", "--m", "2", "--n", "2", "--set", "q1=1e999999999", "--set", "q2=0")
+    limit = sys.get_int_max_str_digits()
+    expected = f"error: --set 'q1=1e999999999': decimal exponent above the {limit}-digit limit\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+    assert "decimal exponent" in usage_error(
+        capsys, "semisimple", "--m", "1", "--n", "1", "--set", f"q1=2.5E-{limit + 1}"
+    )
+    # the exponent at the limit itself is still read, as an int of that many digits is
+    code, out, _ = invoke(
+        capsys, "semisimple", "--m", "2", "--n", "2", "--set", f"q1=1e{limit}",
+        "--set", f"q2=1e{limit}", "--no-vanishing",
+    )
+    assert (code, json.loads(out)["p_value"]) == (0, "0")
 
 
 def test_schur_rejects_non_array_component(capsys):
@@ -928,6 +963,13 @@ def test_hook_beta_suite_reads_the_symbol_routes_row_constant(capsys, monkeypatc
     assert (code, err) == (1, "")
     assert expected and [json.loads(line) for line in records] == expected
     assert summary == f"checked {len(cases)} identities, {len(expected)} mismatches"
+
+
+def test_x_symmetry_suite_goes_through_the_s_m_action(capsys, monkeypatch):
+    # with the swap (1 2) read as the identity, X_{lam mu}(x) == X_{mu lam}(x) fails
+    monkeypatch.setattr(schur_module, "apply_permutation", lambda sigma, value: value)
+    code, _, err = invoke(capsys, "verify", "--suite", "x-symmetry", "--size", "3")
+    assert (code, err) == (1, "")
 
 
 def test_sm_action_mismatch_record(capsys, monkeypatch):

@@ -627,8 +627,8 @@ def test_memoized_factor_text_matches_a_plain_renderer():
         for mp in enumerate_multipartitions(3, 4)
         for formula in ("product", "symbol", "cancellation")
     ]
-    values += [y_kernel(lam, mu, 3, s, t) for lam, mu in (((2,), (1,)), ((1, 1), (3,)))
-               for s, t in ((1, 2), (3, 1))]
+    values += [apply_permutation(sigma, y_kernel(lam, mu, 3))
+               for lam, mu in (((2,), (1,)), ((1, 1), (3,))) for sigma in ((1, 2), (3, 1, 2))]
     values += [
         fr_const(Fraction(-3, 4)) * fr_form(2, 1, 3, exp=-2) * fr_form(0, 2, 3, exp=5),
         fr_const(Fraction(5, 6)) / fr_form(-7, 2, 1),
