@@ -5,13 +5,14 @@ to stdout, diagnostics to stderr; exit code 0 on success, 1 when a
 verify suite finds a counterexample, 2 on usage errors.  Output is a
 pure function of argv plus the seed, so repeated runs are byte
 identical.  parse_args reads argv against one table of flags: FLAGS,
-COMMANDS, and SUITES for the flags of each verify suite.
+COMMANDS, and SUITES for the flags of each verify suite, so no command
+imports argparse or gettext or builds a parser.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
+import json  # at module level: bench/tracing.py times rendering by replacing cli.json
 import os
 import random
 import sys
@@ -28,6 +29,7 @@ from .exact import (
     fr_expand,
     qindex,
     qvar,
+    rational_from_text,
 )
 from .partitions import (
     Multipartition,
@@ -190,17 +192,10 @@ def _parse_theta(args, m: int) -> Specialization:
         key, _, raw = token.partition("=")
         if not raw:
             raise UsageError(f"--set expects name=value, got {token!r}")
-        try:  # Fraction writes out 10^exponent, so the exponent gets int's digit limit
-            exponent = abs(int(raw.lower().partition("e")[2] or 0))
-        except ValueError:
-            exponent = 0  # not a decimal exponent: Fraction refuses the text below
-        limit = sys.get_int_max_str_digits()
-        if limit and exponent > limit:
-            raise UsageError(f"--set {token!r}: decimal exponent above the {limit}-digit limit")
         try:
-            val = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--set {token!r}: not a rational value")
+            val = rational_from_text(raw)
+        except ValueError as exc:
+            raise UsageError(f"--set {token!r}: {exc}")
         try:
             s = qindex(key)
         except ValueError:
@@ -585,8 +580,11 @@ def run(argv: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """The console entry: run argv, flush stdout and stderr, end the process at once.
 
-    os._exit skips interpreter teardown, which would only free what the
-    process is about to drop; in-process callers use run instead.
+    os._exit skips interpreter teardown, which would only free the modules,
+    memoized tallies and interned forms that the process is about to drop.
+    An exception that escapes run still gets its traceback, exit code 1 and
+    a normal exit.  Tests and embedding code call run, which returns the
+    exit code and leaves the process running.
     """
     try:
         code = run(sys.argv[1:] if argv is None else argv)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from functools import cache
 from fractions import Fraction
 from math import lcm
@@ -56,7 +57,8 @@ def qindex(name: str) -> int:
 class LinearForm(NamedTuple):
     """Canonical linear form c + q_s - q_t with 1 <= s < t; construct via canonical_parts.
 
-    The tuple order (s, t, c) is the order every renderer lists factors in.
+    The tuple order (s, t, c) is the order every renderer lists factors in;
+    hashing and equality are the tuple's.
     """
 
     s: int
@@ -77,7 +79,10 @@ class LinearForm(NamedTuple):
 
 @cache
 def _factor_text(form: LinearForm, exp: int, latex: bool) -> str:
-    """One factor of FactoredRational.render: the form, then ^exp unless exp == 1."""
+    """One factor of FactoredRational.render: the form, then ^exp unless exp == 1.
+
+    Forms are interned by canonical_parts, so a sweep formats each distinct factor once.
+    """
     text = form.render(latex=latex)
     if exp != 1:
         text += f"^{{{exp}}}" if latex else f"^{exp}"
@@ -86,7 +91,10 @@ def _factor_text(form: LinearForm, exp: int, latex: bool) -> str:
 
 @cache
 def _factor_json(form: LinearForm, exp: int) -> str:
-    """One entry of the "factors" list of FactoredRational.to_json, as JSON text."""
+    """One entry of the "factors" list of FactoredRational.to_json, as JSON text.
+
+    It is json.dumps of that entry, so to_json stays the one definition of the encoding.
+    """
     return json.dumps([form.to_json(), exp])
 
 
@@ -96,7 +104,8 @@ def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], in
 
     Memoized on the positional triple, and a flipped orientation is
     answered from its canonical triple, so every canonical form is one
-    interned LinearForm.
+    interned LinearForm.  The memo keeps one entry per triple read, so at
+    large m it is what a sweep holds: at n = 1, one per pair s < t.
     """
     if s < 1 or t < 1:
         raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
@@ -168,7 +177,11 @@ class FactoredRational:
         }
 
     def json_text(self) -> str:
-        """json.dumps(self.to_json()), joined from memoized per-factor text."""
+        """json.dumps(self.to_json()), joined from memoized per-factor text.
+
+        The schur and pinv commands print this instead of dumping a payload of
+        thousands of small dicts.
+        """
         factors = ", ".join([_factor_json(form, exp) for form, exp in self.sorted_factors()])
         num, den = self.constant.numerator, self.constant.denominator
         return f'{{"num": "{num}", "den": "{den}", "factors": [{factors}]}}'
@@ -191,9 +204,16 @@ class ProductBuilder:
 
     form() canonicalizes at the call (canonical_parts is memoized), flips
     the sign for an odd exponent on a flipped orientation and adds the
-    exponent under the canonical LinearForm; const() multiplies an
-    integer numerator and denominator.  build() drops the exponents that
-    cancelled and reduces one Fraction; it leaves the builder unchanged.
+    exponent under the canonical LinearForm; a form with s == t is a
+    constant and folds in at once, so form(0, 1, 1, exp=-1) raises
+    ZeroDivisionError at the call.  const() multiplies an integer
+    numerator and denominator, and is the one place that refuses a zero
+    divisor.  build() drops the exponents that cancelled and reduces one
+    Fraction; it leaves the builder unchanged.
+
+    The general algebra (*, /, **, apply_permutation, from_json) and the
+    mu identity go through a builder.  Schur elements, kernels, P and
+    rendering do not: schur assembles them straight from tallies.
     """
 
     __slots__ = ("num", "den", "factors")
@@ -301,13 +321,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def rational_from_text(text: str) -> Fraction:
+    """The rational number that text denotes, as Fraction reads it; ValueError otherwise.
+
+    Fraction writes out 10^exponent for a decimal exponent, so the exponent is first
+    held to the interpreter's integer digit limit, sys.get_int_max_str_digits().
+    """
+    try:
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:
+        exponent = 0  # not a decimal exponent: Fraction refuses the text below
+    limit = sys.get_int_max_str_digits()
+    if limit and exponent > limit:
+        raise ValueError(f"decimal exponent above the {limit}-digit limit")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a rational value") from None
+
+
 class Specialization:
     """Assignment of field values to the parameters q_s.
 
     prime=None evaluates over the rationals; otherwise over the prime
-    field F_p.  Values may be given as ints or Fractions; over F_p a
-    fraction a/b becomes a * b^-1 mod p.  Criterion-style tests should
-    keep p > n, since n! vanishes identically when p <= n.
+    field F_p.  Values may be given as ints, Fractions or text, which
+    rational_from_text reads; over F_p a fraction a/b becomes a * b^-1
+    mod p.  Criterion-style tests should keep p > n, since n! vanishes
+    identically when p <= n.
     """
 
     def __init__(
@@ -322,7 +362,7 @@ class Specialization:
 
     def constant_value(self, v: Union[int, Fraction, str]) -> FieldElement:
         """v as an element of the field: a Fraction over Q, a residue mod p over F_p."""
-        frac = Fraction(v)
+        frac = rational_from_text(v) if isinstance(v, str) else Fraction(v)
         if self.prime is None:
             return frac
         if frac.denominator % self.prime == 0:
@@ -503,7 +543,10 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
 
     A monomial is packed into one int whose base-B digit i, with
     B = total positive degree + 1, is the exponent of q_(i+1); no digit
-    can carry, so multiplying by c + q_s - q_t is one shift-add.
+    can carry, so multiplying by c + q_s - q_t is one shift-add: each
+    coefficient v at key k adds c*v at k, v at k + B^(s-1) and -v at
+    k + B^(t-1).  The keys are unpacked once, after the last factor, as
+    the integer constant is applied.
     """
     beyond = max((form.t for form in a.factors), default=0)
     if beyond > m:

@@ -17,8 +17,11 @@ Multipartition = tuple[Partition, ...]
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Build a partition from an iterable, stripping trailing zeros."""
-    p = tuple(int(v) for v in parts)
+    """Build a partition from an iterable of ints, stripping trailing zeros."""
+    p = tuple(parts)
+    for v in p:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"parts must be ints, got {v!r}")
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):

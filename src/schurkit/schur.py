@@ -25,7 +25,12 @@ taken at x = q_s - q_t, s < t, through canonical_parts, which interns
 every form.  The forms of distinct pairs never coincide, so an element
 is its constant times the plain union of its pairs' forms.  X, Y and Z
 each have their own tally, and each formula its own memoized constant,
-so the three formulas stay independent checks.
+so the three formulas stay independent checks.  Kernels and formulas
+accept lists and convert them to tuples before the cache lookup.
+
+verify_trace_identity decides sum_L f^L / s_L = [m = 1] by exact integer
+evaluation on a grid, and refuses a run whose size, read off (m, n)
+alone, exceeds TRACE_WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -153,7 +158,9 @@ def _union(num: int, den: int, blocks: Iterable[tuple[Tally, int, int]]) -> Fact
 def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> FactoredRational:
     """num / den times the memoized tally(rows[s], rows[t]) at x = q_s - q_t for all s < t.
 
-    Pairs of two empty components of mp are skipped: their tally is (1, ()) on every route.
+    Pairs of two empty components of mp are skipped: their tally is (1, ()) on every route
+    (on the symbol route their rows are the same staircase).  At n = 1 that leaves m - 1
+    pairs per element instead of C(m, 2), so a sweep is quadratic in m, not cubic.
     """
     live = [s for s, lam in enumerate(mp) if lam]
     pairs = [(s, t) if s < t else (t, s) for s in live for t in range(len(mp)) if t > s or not mp[t]]
@@ -199,6 +206,10 @@ def schur_element(
     formula is one of "product", "symbol", "cancellation"; length is the
     symbol size L (symbol route only, default the multipartition length).
     All routes return equal canonical values.
+
+    mp must be a multipartition: components of weakly decreasing non-negative
+    ints, lists or tuples.  That is not checked here, and other input gives a
+    meaningless value; partitions.multipartition validates untrusted input.
     """
     if length is not None and formula != "symbol":
         raise ValueError(f"length applies only to formula 'symbol', not {formula!r}")
@@ -261,6 +272,8 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     Its non-vanishing under a specialization is equivalent to the
     specialized algebra being semisimple.  Memoized: callers share the
     returned value, which like every FactoredRational is never mutated.
+    It is n! times one tally (1, ((d, 1), ...)) per pair i < j, through
+    the same _union as the Schur elements.
     """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")

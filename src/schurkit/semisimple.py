@@ -55,7 +55,8 @@ class ZeroFormIndex:
     all positive.  shape is the (m, n) of its first multipartition: a
     table of P_{m,n} is never empty.  A query costs one dictionary lookup
     per variable pair over Q, one check per stored offset c over F_p,
-    plus the size of the answer.
+    plus the size of the answer.  Every stored offset has |c| < n, so a
+    query checks at most C(m, 2) * (2n - 1) of them.
     """
 
     def __init__(self, elements: Sequence[tuple[Multipartition, FactoredRational]]):

@@ -752,10 +752,22 @@ def table_parse(argv):
     return command, args
 
 
-def readme_commands():
-    text = (ROOT / "README.md").read_text()
-    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+def readme_command_lines():
+    return [line for line in (ROOT / "README.md").read_text().splitlines()
             if line.startswith("schurkit ")]
+
+
+def readme_commands():
+    return [shlex.split(line, comments=True)[1:] for line in readme_command_lines()]
+
+
+def test_readme_commands_run_and_their_comments_are_their_output(capsys):
+    for line, argv in zip(readme_command_lines(), readme_commands()):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        comment = line.partition(" # ")[2].strip()
+        if comment:
+            assert out.splitlines()[0] == comment, line
 
 
 def menu_commands(monkeypatch):

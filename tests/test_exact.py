@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from math import factorial, prod
 
@@ -25,6 +26,7 @@ from schurkit.exact import (
     fr_form,
     qindex,
     qvar,
+    rational_from_text,
 )
 from schurkit.exact import _is_prime
 from schurkit.partitions import enumerate_multipartitions
@@ -473,6 +475,14 @@ def test_specialization_validation():
     assert theta.value_of(1) == 3  # 2^-1 mod 5
     with pytest.raises(ValueError, match="q2"):
         theta.value_of(2)
+    limit = sys.get_int_max_str_digits()
+    assert Specialization({1: f"1e{limit}"}).value_of(1) == 10**limit
+    assert Specialization({1: "-3/6", 2: "2.5"}, prime=7).q_values == {1: 3, 2: 6}
+    with pytest.raises(ValueError, match=f"^decimal exponent above the {limit}-digit limit$"):
+        Specialization({1: f"1e{limit + 1}"})  # Fraction would write out 10^(limit + 1)
+    for text in ("1/0", "q1", "1e", ""):
+        with pytest.raises(ValueError, match="^not a rational value$"):
+            rational_from_text(text)
 
 
 # ----------------------------------------------------- permutation action

@@ -102,6 +102,9 @@ def test_partition_constructor():
         partition([1, 2])
     with pytest.raises(ValueError):
         partition([2, -1])
+    for parts in ([2.7], ["3"], [True], [2, 1.0]):
+        with pytest.raises(ValueError, match="parts must be ints"):
+            partition(parts)
 
 
 def test_conjugate_examples():
