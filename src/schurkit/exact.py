@@ -324,9 +324,15 @@ def _is_prime(p: int) -> bool:
 def rational_from_text(text: str) -> Fraction:
     """The rational number that text denotes, as Fraction reads it; ValueError otherwise.
 
-    Fraction writes out 10^exponent for a decimal exponent, so the exponent is first
-    held to the interpreter's integer digit limit, sys.get_int_max_str_digits().
+    Fraction's grammar grew "_" between digits in Python 3.11 and spaces around "/"
+    in 3.12, so both are refused here and every supported Python reads 3.10's: an
+    optional sign, then an integer, a fraction a/b or a decimal with an optional
+    exponent, with white space only at the ends.  Fraction writes out 10^exponent
+    for a decimal exponent, so the exponent is first held to the interpreter's
+    integer digit limit, sys.get_int_max_str_digits().
     """
+    if "_" in text or len(text.split()) > 1:
+        raise ValueError("not a rational value")
     try:
         exponent = abs(int(text.lower().partition("e")[2] or 0))
     except ValueError:
@@ -416,9 +422,10 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
 class SparsePoly:
     """Expanded integer-coefficient polynomial in q_1..q_m.
 
-    It serves only as the result of fr_expand, in the expansion oracle
-    trace_identity_sides, and as the difference polynomial in the
-    mismatch record of verify --suite trace-identity.
+    It serves only as the result of fr_expand and as the trace-identity
+    numerator that trace_identity_sides returns, which is also the
+    difference polynomial in the mismatch record of verify --suite
+    trace-identity.
     """
 
     __slots__ = ("m", "terms")
@@ -431,18 +438,6 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.m == other.m and self.terms == other.terms
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return SparsePoly(self.m, terms)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.m, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         terms: dict[tuple[int, ...], int] = {}

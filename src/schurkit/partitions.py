@@ -8,17 +8,27 @@ partitions.  Rows, columns and components are 1-based everywhere.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 
 
+def _items(value: Iterable, rule: str) -> tuple:
+    """tuple(value), refusing with ValueError(rule) a non-iterable, a str and a dict.
+
+    A str or a dict is iterable, but only an empty one would pass the checks on its items.
+    """
+    if not isinstance(value, Iterable) or isinstance(value, (str, dict)):
+        raise ValueError(f"{rule}, got {value!r}")
+    return tuple(value)
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Build a partition from an iterable of ints, stripping trailing zeros."""
-    p = tuple(parts)
+    p = _items(parts, "a partition must be an iterable of ints")
     for v in p:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"parts must be ints, got {v!r}")
@@ -33,8 +43,9 @@ def partition(parts: Iterable[int]) -> Partition:
 
 
 def multipartition(components: Iterable[Iterable[int]]) -> Multipartition:
-    """Build a multipartition (tuple of partitions)."""
-    mp = tuple(partition(c) for c in components)
+    """Build a multipartition (tuple of partitions); ValueError on any other input."""
+    comps = _items(components, "a multipartition must be an iterable of partitions")
+    mp = tuple(map(partition, comps))
     if not mp:
         raise ValueError("a multipartition needs at least one component")
     return mp

@@ -265,6 +265,14 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp, mp)
 
 
+# The most factors C(m, 2) * (2n - 1) that p_invariant builds.  Fresh CPython 3.11
+# processes (2 vCPUs) printing P as JSON peaked at 319 MB with 539,100 factors at
+# (600, 2), at 488 MB with 748,713 at (707, 2), the largest m admitted at n = 2, and at
+# 508 MB with about 797,000 at (730, 2) and at (100, 81); (1000, 2), with 1,498,500,
+# takes about 0.9 GB.  ROADMAP item 5 folds this check into its shared admission helper.
+P_FACTOR_BOUND = 750_000
+
+
 @cache
 def p_invariant(m: int, n: int) -> FactoredRational:
     """The separation polynomial n! * prod_{i<j} prod_{|d|<n} (d + q_i - q_j).
@@ -273,10 +281,17 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     specialized algebra being semisimple.  Memoized: callers share the
     returned value, which like every FactoredRational is never mutated.
     It is n! times one tally (1, ((d, 1), ...)) per pair i < j, through
-    the same _union as the Schur elements.
+    the same _union as the Schur elements.  Raises ValueError, before building
+    anything, when P would have more than P_FACTOR_BOUND factors.
     """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")
+    factors = comb(m, 2) * (2 * n - 1)
+    if factors > P_FACTOR_BOUND:
+        raise ValueError(
+            f"P at --m {m} --n {n} has C(m, 2)*(2n - 1) = {factors} factors,"
+            f" above the bound of {P_FACTOR_BOUND}"
+        )
     tally = (1, tuple((d, 1) for d in range(1 - n, n)))
     pairs = itertools.combinations(range(1, m + 1), 2)
     return _union(factorial(n), 1, ((tally, i, j) for i, j in pairs))
@@ -359,23 +374,24 @@ def _trace_terms(m: int, n: int):
     return mps, elements, FactoredRational(Fraction(lcm_const), lcm_factors)
 
 
-def trace_identity_sides(m: int, n: int) -> tuple[SparsePoly, SparsePoly]:
-    """Numerators of sum_L f^L / s_L and of its expected value, over one denominator.
+def trace_identity_sides(m: int, n: int) -> SparsePoly:
+    """The numerator N of sum_L f^L / s_L - [m = 1] over one denominator, expanded.
 
     The common denominator D is the factorwise least common multiple of
-    all Schur elements; the left side is sum_L f^L * expand(D / s_L), the
-    right side is expand(D) for m = 1 and the zero polynomial otherwise.
-    This is the expansion oracle for verify_trace_identity.
+    all Schur elements, and N = sum_L f^L * expand(D / s_L), minus
+    expand(D) when m = 1.  N is the zero polynomial exactly when the
+    trace identity holds.  This is the expansion oracle for
+    verify_trace_identity.
     """
     mps, elements, denom = _trace_terms(m, n)
+    summands = [(num_standard_tableaux(mp), denom / el) for mp, el in zip(mps, elements)]
+    if m == 1:
+        summands.append((-1, denom))
     terms: dict[tuple[int, ...], int] = {}
-    for mp, el in zip(mps, elements):
-        f = num_standard_tableaux(mp)
-        for e, c in fr_expand(denom / el, m).terms.items():
+    for f, value in summands:
+        for e, c in fr_expand(value, m).terms.items():
             terms[e] = terms.get(e, 0) + f * c
-    total = SparsePoly(m, terms)
-    expected = fr_expand(denom, m) if m == 1 else SparsePoly(m, {})
-    return total, expected
+    return SparsePoly(m, terms)
 
 
 def vanishes_identically(
@@ -440,8 +456,8 @@ def vanishes_identically(
 def verify_trace_identity(m: int, n: int) -> bool:
     """Check sum over all multipartitions of dim/schur == (1 if m == 1 else 0).
 
-    Over the common denominator D of trace_identity_sides the identity
-    says that sum_L f^L * (D / s_L) - [m = 1] * D is the zero polynomial.
+    Over the common denominator D of trace_identity_sides the identity says
+    that its numerator N = sum_L f^L * (D / s_L) - [m = 1] * D is zero.
     Each D / s_L is an integer times powers of the forms of D, so this is
     decided by vanishes_identically, by exact integer evaluation and
     without expanding anything.

@@ -31,7 +31,13 @@ from schurkit.exact import (
     fr_expand,
     fr_form,
 )
-from schurkit.partitions import beta_set, enumerate_multipartitions, multipartition_count, partitions_of
+from schurkit.partitions import (
+    beta_set,
+    enumerate_multipartitions,
+    multipartition,
+    multipartition_count,
+    partitions_of,
+)
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,7 +126,7 @@ def test_schur_usage_errors(capsys):
     code, _, err = invoke(
         capsys, "schur", "--m", "2", "--n", "2", "--formula", "symbol", "--L", "1"
     )
-    assert code == 2 and "--L 1" in err
+    assert code == 2 and "L=1 too small for a partition of length 2" in err
 
 
 def test_argparse_usage_exit_code(capsys):
@@ -423,6 +429,52 @@ def test_schur_rejects_non_array_component(capsys):
         assert "--multipartition" in usage_error(capsys, "schur", "--multipartition", raw), raw
 
 
+def test_schur_refusals_are_the_librarys(capsys):
+    with pytest.raises(ValueError) as info:
+        schur_element(((2,), ()), "product", 2)
+    err = usage_error(capsys, "schur", "--m", "2", "--n", "2", "--formula", "product", "--L", "2")
+    assert err == f"error: {info.value}\n"
+    # every row is built before one is printed: ((2,1);(0)) is the first too long for L = 1
+    with pytest.raises(ValueError) as info:
+        beta_set((2, 1), 1)
+    err = usage_error(capsys, "schur", "--m", "2", "--n", "3", "--formula", "symbol", "--L", "1")
+    assert err == f"error: {info.value}\n"
+    for raw in ("[1]", "5", "null", "[[1],[true]]", "[[1.5]]"):
+        with pytest.raises(ValueError) as info:
+            multipartition(json.loads(raw))
+        err = usage_error(capsys, "schur", "--multipartition", raw)
+        assert err == f"error: --multipartition: {info.value}\n", raw
+
+
+def test_set_reads_one_grammar_on_every_python(capsys):
+    # Fraction reads "1_0" from Python 3.11 and "1 / 2" from 3.12 on; 3.10 reads neither
+    for value in ("1_0", "1 / 2", "1/ 2", "1e1_0"):
+        err = usage_error(capsys, "semisimple", "--m", "2", "--n", "2", "--set", f"q1={value}",
+                          "--set", "q2=0")
+        assert err == f"error: --set 'q1={value}': not a rational value\n", value
+    code, out, _ = invoke(capsys, "semisimple", "--m", "2", "--n", "2", "--set", "q1= 1/2 ",
+                          "--set", "q2=0", "--no-vanishing")
+    assert (code, json.loads(out)["p_value"]) == (0, "-3/4")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pinv", "--m", "1000", "--n", "2"),
+    ("pinv", "--m", "100000", "--n", "2"),
+    ("pinv", "--m", "1000000000", "--n", "2"),
+    ("semisimple", "--m", "2", "--n", "1000000000", "--set", "q1=0", "--set", "q2=1",
+     "--no-vanishing"),
+])
+def test_p_invariant_is_sized_before_it_is_built(argv):
+    done = _capped(*argv)
+    m, n = int(argv[argv.index("--m") + 1]), int(argv[argv.index("--n") + 1])
+    factors = m * (m - 1) // 2 * (2 * n - 1)
+    expected = (
+        f"error: P at --m {m} --n {n} has C(m, 2)*(2n - 1) = {factors} factors,"
+        f" above the bound of {schur_module.P_FACTOR_BOUND}\n"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
 def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
     monkeypatch.setitem(SUITES, "three-formulas", (lambda args: iter(()), "things", (), {}))
     assert "checked no things" in usage_error(capsys, "verify", "--suite", "three-formulas")
@@ -449,11 +501,14 @@ def test_trace_identity_mismatch_record(capsys, monkeypatch):
     monkeypatch.setattr(
         schur_module, "num_standard_tableaux", lambda mp: true_count(mp) + (mp == wrong)
     )
-    got, expected = trace_identity_sides(3, 3)
+    difference = trace_identity_sides(3, 3).to_json()
     code, out, err = invoke(capsys, "verify", "--suite", "trace-identity", "--m", "3", "--n", "3")
     assert (code, err) == (1, "")
     record, summary = out.splitlines()
-    assert json.loads(record) == {"m": 3, "n": 3, "difference": (got - expected).to_json()}
+    assert json.loads(record) == {"m": 3, "n": 3, "difference": difference}
+    # the record's exact bytes, so that any change to its encoding shows
+    digest = "a6714b8160903a21d6745f9694c7ce48a5b88a448fd703b920fead4454d0e61d"
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
     assert summary == "checked 1 identities, 1 mismatches"
 
 

@@ -105,6 +105,11 @@ def test_partition_constructor():
     for parts in ([2.7], ["3"], [True], [2, 1.0]):
         with pytest.raises(ValueError, match="parts must be ints"):
             partition(parts)
+    # not iterable, or a str or dict, whose empty value would read as the empty partition
+    for parts in (3, None, "", {}, {3: 1}):
+        with pytest.raises(ValueError, match="^a partition must be an iterable of ints, got "):
+            partition(parts)
+    assert partition(iter([2, 1, 0])) == (2, 1)
 
 
 def test_conjugate_examples():
@@ -159,8 +164,15 @@ def test_num_standard_tableaux_examples():
 
 def test_multipartition_constructor():
     assert multipartition([[2, 1], []]) == ((2, 1), ())
+    assert multipartition(map(list, [(1,), ()])) == ((1,), ())
     with pytest.raises(ValueError):
         multipartition([])
+    for components in ([1], [[1], None], [[1], {}], [[1], ""]):
+        with pytest.raises(ValueError, match="^a partition must be an iterable of ints, got "):
+            multipartition(components)
+    for components in (5, None, "", {"0": [1]}):
+        with pytest.raises(ValueError, match="^a multipartition must be an iterable of partitions"):
+            multipartition(components)
 
 
 def test_permute_components():

@@ -12,6 +12,7 @@ import pytest
 import schurkit.cli as cli
 import schurkit.schur as schur_module
 from schurkit.exact import (
+    SparsePoly,
     Specialization,
     apply_permutation,
     canonical_parts,
@@ -536,6 +537,20 @@ def test_p_invariant_factor_count():
         p_invariant(1, 0)
 
 
+def test_p_invariant_bound_is_inclusive(monkeypatch):
+    # C(m, 2)*(2n - 1) = 15 at (3, 3), (2, 8) and (6, 1); the memo is cleared, since a hit
+    # checks nothing
+    monkeypatch.setattr(schur_module, "P_FACTOR_BOUND", 15)
+    p_invariant.cache_clear()
+    for m, n in ((3, 3), (2, 8), (6, 1)):
+        assert sum(p_invariant(m, n).factors.values()) == 15
+    assert p_invariant(1, 40) == fr_const(factorial(40))  # no factors at all
+    for m, n in ((3, 4), (2, 9), (7, 1)):
+        with pytest.raises(ValueError, match=f"^P at --m {m} --n {n} has .* above the bound of 15$"):
+            p_invariant(m, n)
+    p_invariant.cache_clear()
+
+
 # ---------------------------------------------------------------- verifiers
 
 
@@ -646,8 +661,8 @@ def test_trace_identity_refuses_an_empty_size_before_the_level():
 def test_trace_identity_grid_agrees_with_expansion():
     cases = [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7)]
     for m, n in cases:
-        got, expected = trace_identity_sides(m, n)
-        assert verify_trace_identity(m, n) == (got == expected), (m, n)
+        zero = trace_identity_sides(m, n) == SparsePoly(m, {})
+        assert verify_trace_identity(m, n) == zero, (m, n)
 
 
 def test_trace_identity_grid_rejects_a_wrong_dimension(monkeypatch):
@@ -660,8 +675,7 @@ def test_trace_identity_grid_rejects_a_wrong_dimension(monkeypatch):
             lambda mp, wrong=wrong: true_count(mp) + (mp == wrong),
         )
         assert not verify_trace_identity(m, n), (m, n)
-        got, expected = trace_identity_sides(m, n)
-        assert got != expected
+        assert trace_identity_sides(m, n) != SparsePoly(m, {})
 
 
 class _GridSpy:
@@ -903,16 +917,18 @@ def test_trace_identity_matches_sympy():
         assert total == (1 if m == 1 else 0), (m, n)
 
 
-def test_trace_identity_sides_level_one():
-    got, expected = trace_identity_sides(1, 4)
-    assert got == expected
-    assert expected.terms
+def test_trace_identity_sides_level_one(monkeypatch):
+    assert trace_identity_sides(1, 4) == SparsePoly(1, {})
+    # with every f^L zero only -[m = 1] * D is left, and D = lcm(24, 8, 12, 8, 24)
+    monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: 0)
+    assert trace_identity_sides(1, 4).terms == {(0,): -24}
 
 
-def test_trace_identity_sides_level_two_is_zero():
-    got, expected = trace_identity_sides(2, 2)
-    assert expected.terms == {}
-    assert got.terms == {}
+def test_trace_identity_sides_level_two_is_zero(monkeypatch):
+    assert trace_identity_sides(2, 2) == SparsePoly(2, {})
+    # at m > 1 no D is subtracted: with every f^L zero, N is zero too
+    monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: 0)
+    assert trace_identity_sides(2, 2) == SparsePoly(2, {})
 
 
 # ------------------------------------------------------- degree / integrality
