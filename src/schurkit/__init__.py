@@ -29,9 +29,9 @@ from .partitions import (
     Partition,
     beta_set,
     conjugate,
-    conjugate_part,
     enumerate_multipartitions,
     generalized_hook_length,
+    generalized_hooks,
     hook_length,
     hook_product,
     l_symbol,

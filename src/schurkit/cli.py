@@ -125,7 +125,8 @@ def _cmd_enumerate(args) -> int:
 def _parse_single_multipartition(args) -> Multipartition:
     try:
         mp = multipartition(json.loads(args.multipartition))
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; json.loads raises RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"--multipartition: {exc}")
     if args.m is not None and args.m != len(mp):
         raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} components")
@@ -549,13 +550,23 @@ def parse_args(argv: Sequence[str]):
     return handler, SimpleNamespace(**{flag.replace("-", "_"): v for flag, v in values.items()})
 
 
+# The advice that ends CPython's refusal to turn an int of more than
+# sys.get_int_max_str_digits() digits into text (3.10 to 3.13), and what a
+# user of the command line sets instead.
+_DIGIT_LIMIT_ADVICE = "use sys.set_int_max_str_digits() to increase the limit"
+_DIGIT_LIMIT_SETTING = (
+    "set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
+)
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse argv, execute, and return the exit code (0 ok, 1 mismatch, 2 usage)."""
     try:
         handler, args = parse_args(argv)
         return handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc).replace(_DIGIT_LIMIT_ADVICE, _DIGIT_LIMIT_SETTING)
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

@@ -128,7 +128,8 @@ class FactoredRational:
     __slots__ = ("constant", "factors")
 
     def __init__(self, constant: Fraction, factors: Mapping[LinearForm, int]):
-        constant = Fraction(constant)
+        if type(constant) is not Fraction:
+            constant = Fraction(constant)
         if not constant:
             factors = {}
         self.constant = constant

@@ -3,6 +3,14 @@
 A partition is stored as a tuple of weakly decreasing positive integers;
 the empty tuple is the empty partition.  A multipartition is a tuple of
 partitions.  Rows, columns and components are 1-based everywhere.
+
+Three reads of a partition are memoized, so a sweep makes each of them
+once: conjugate holds one entry per distinct partition, beta_set one per
+distinct (partition, L), and hook_product one per distinct partition.
+conjugate and beta_set take lists too and key their memo on tuple(lam),
+so equal inputs share one result tuple.  generalized_hook_length reads
+mu' from the conjugate memo, and generalized_hooks gives every node's
+hook from one read of it.
 """
 
 from __future__ import annotations
@@ -60,16 +68,18 @@ def mp_length(mp: Multipartition) -> int:
     return max((len(lam) for lam in mp), default=0)
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Column counts of the diagram: result_j = #{i : lam_i >= j}."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for v in lam if v >= j) for j in range(1, lam[0] + 1))
+def conjugate(lam: Sequence[int]) -> Partition:
+    """Column counts of the diagram: result_j = #{i : lam_i >= j}; memoized on tuple(lam)."""
+    return _conjugate(tuple(lam))
 
 
-def conjugate_part(lam: Partition, j: int) -> int:
-    """The j-th part of the conjugate, zero when j exceeds the first row."""
-    return sum(1 for v in lam if v >= j)
+@cache
+def _conjugate(lam: Partition) -> Partition:
+    """One pass from the last row up: the columns lam_(i+1) < j <= lam_i have i nodes."""
+    cols: list[int] = []
+    for i in range(len(lam), 0, -1):
+        cols += [i] * (lam[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
@@ -93,15 +103,34 @@ def generalized_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> in
     """
     if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
         raise ValueError(f"node ({i},{j}) outside the diagram of {lam}")
-    return lam[i - 1] - i + conjugate_part(mu, j) - j + 1
+    cols = conjugate(mu)
+    return lam[i - 1] - i + (cols[j - 1] if j <= len(cols) else 0) - j + 1
+
+
+def generalized_hooks(lam: Partition, mu: Partition) -> tuple[int, ...]:
+    """generalized_hook_length(lam, mu, i, j) at every node of lam, row by row.
+
+    Row i adds lam_i - i + 1 to the column offsets mu'_j - j, read once from conjugate(mu).
+    """
+    if not lam:
+        return ()
+    cols = conjugate(mu)
+    offsets = [c - j for j, c in enumerate(cols + (0,) * (lam[0] - len(cols)), 1)]
+    return tuple(row - i + e for i, row in enumerate(lam) for e in offsets[:row])
 
 
 def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
-    """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing.
+    """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing; memoized on (tuple(lam), L).
 
     L must be at least the number of rows; the result determines both
     lam and L (its own length).
     """
+    return _beta_set(tuple(lam), length)
+
+
+@cache
+def _beta_set(lam: Partition, length: int) -> tuple[int, ...]:
+    """beta_set of a tuple; a refusal is raised again on every call, not memoized."""
     if length < len(lam):
         raise ValueError(f"L={length} too small for a partition of length {len(lam)}")
     return tuple(row + length - i for i, row in enumerate(lam, 1)) + tuple(

@@ -28,6 +28,16 @@ each have their own tally, and each formula its own memoized constant,
 so the three formulas stay independent checks.  Kernels and formulas
 accept lists and convert them to tuples before the cache lookup.
 
+What the memos hold: one X or Z tally per distinct ordered pair of
+partitions a sweep reads, one Y tally per distinct pair of beta rows,
+one _row_constant per distinct row, that is per (partition, L), and one
+_z_diagonal per distinct partition; hook_product, conjugate and the beta
+rows are partitions' memos, one entry per partition or per (partition,
+L).  The tallies are read row by row: X from row ranges of contents and
+mu's column offsets, Y from the rows as bit sets, Z from
+generalized_hooks, which reads mu' once per pair instead of once per
+node.
+
 verify_trace_identity decides sum_L f^L / s_L = [m = 1] by exact integer
 evaluation on a grid, and refuses a run whose size, read off (m, n)
 alone, exceeds TRACE_WORK_BUDGET.
@@ -40,6 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
+from operator import neg
 from typing import Callable, Iterable, Sequence
 
 from .exact import (
@@ -56,9 +67,9 @@ from .partitions import (
     Partition,
     beta_set,
     conjugate,
-    conjugate_part,
     enumerate_multipartitions,
     generalized_hook_length,
+    generalized_hooks,
     hook_product,
     l_symbol,
     mp_length,
@@ -81,20 +92,25 @@ def _entries(tally: dict[int, int]) -> tuple[tuple[int, int], ...]:
 def _x_tally(lam: Partition, mu: Partition) -> Tally:
     """X_{lam mu}(x) as (sign, ((c, exp), ...)): sign times prod (c + x)^exp.
 
-    From the nodes of lam, grouped by content j - i, and the columns of
-    mu: each node of mu gives (j - i - x) = -(i - j + x); each content d
-    of lam gives (d - mu_1 + x) and, for every column k of mu with
-    offset e = mu'_k - k, the correction (d + e + 1 + x) / (d + e + x).
+    Row by row: row i of mu gives (j - i - x) = -(i - j + x) for its
+    contents; row i of lam, contents d from 1 - i to lam_i - i, gives
+    (d - mu_1 + x) for each d and, for every column k of mu with offset
+    e = mu'_k - k, the corrections (d + e + 1 + x) / (d + e + x), which
+    telescope along the row to (lam_i - i + e + 1 + x) / (e - i + 1 + x).
     """
-    tally = dict(Counter(i - j for i, j in nodes(mu)))
+    tally: dict[int, int] = {}
+    get = tally.get
+    for i, row in enumerate(mu, 1):
+        for c in range(i - row, i):
+            tally[c] = get(c, 0) + 1
     mu1 = mu[0] if mu else 0
     offsets = [col - k for k, col in enumerate(conjugate(mu), 1)]
-    get = tally.get
-    for d, count in Counter(j - i for i, j in nodes(lam)).items():
-        tally[d - mu1] = get(d - mu1, 0) + count
+    for i, row in enumerate(lam, 1):
+        for d in range(1 - i - mu1, row + 1 - i - mu1):
+            tally[d] = get(d, 0) + 1
         for e in offsets:
-            tally[d + e + 1] = get(d + e + 1, 0) + count
-            tally[d + e] = get(d + e, 0) - count
+            tally[row - i + e + 1] = get(row - i + e + 1, 0) + 1
+            tally[e - i + 1] = get(e - i + 1, 0) - 1
     return (-1) ** sum(mu), _entries(tally)
 
 
@@ -104,27 +120,29 @@ def _y_tally(beta_l: tuple[int, ...], beta_m: tuple[int, ...]) -> Tally:
 
     (-1)^C(L,2) x^L times the rising products prod_{k<=a} (k + x) over
     the beta numbers a of lam and prod_{k<=b} (k - x) over those b of
-    mu, divided by (a - b + x) over all pairs.  A row is strictly
-    decreasing, so k lies in the rising products of exactly the first i
-    numbers of a row when row_(i+1) < k <= row_i: one entry per k, and
-    the (k - x) flips give the sign (-1)^sum(beta_m).
+    mu, divided by (a - b + x) over all pairs.  With the rows as bit sets
+    A and B, (k + x) for k > 0 is in #{a >= k} = |A >> k| rising factors
+    and |A & (B << k)| pair quotients; (-k + x) likewise with A and B
+    swapped, and the (k - x) flips give the sign (-1)^sum(beta_m); x is
+    in L factors and |A & B| quotients.  c runs upward, so the entries
+    come out sorted.
     """
     length = len(beta_l)
-    tally = {0: length}
-    for row, side in ((beta_l, 1), (beta_m, -1)):
-        for i, (a, below) in enumerate(zip(row, row[1:] + (0,)), 1):
-            for k in range(below + 1, a + 1):
-                tally[side * k] = i
-    get = tally.get
-    for a in beta_l:
-        for b in beta_m:
-            tally[a - b] = get(a - b, 0) - 1
-    return (-1) ** (comb(length, 2) + sum(beta_m)), _entries(tally)
-
-
-def _hooks(lam: Partition, mu: Partition) -> Counter:
-    """The generalized hooks of lam against mu, one per node of lam."""
-    return Counter(generalized_hook_length(lam, mu, i, j) for i, j in nodes(lam))
+    a_bits = sum(map((1).__lshift__, beta_l))
+    b_bits = sum(map((1).__lshift__, beta_m))
+    entries = [
+        (-k, e)
+        for k in range(b_bits.bit_length() - 1, 0, -1)
+        if (e := (b_bits >> k).bit_count() - (b_bits & a_bits << k).bit_count())
+    ]
+    if e := length - (a_bits & b_bits).bit_count():
+        entries.append((0, e))
+    entries += [
+        (k, e)
+        for k in range(1, a_bits.bit_length())
+        if (e := (a_bits >> k).bit_count() - (a_bits & b_bits << k).bit_count())
+    ]
+    return (-1) ** (comb(length, 2) + sum(beta_m)), tuple(entries)
 
 
 @cache
@@ -135,9 +153,8 @@ def _z_tally(lam: Partition, mu: Partition) -> Tally:
     (h - x) = -(-h + x) over those of mu against lam: one sign per node
     of mu.
     """
-    tally = _hooks(lam, mu)
-    for h, count in _hooks(mu, lam).items():
-        tally[-h] += count
+    tally = Counter(generalized_hooks(lam, mu))
+    tally.update(map(neg, generalized_hooks(mu, lam)))
     return (-1) ** sum(mu), _entries(tally)
 
 
@@ -306,7 +323,8 @@ def verify_mu_identity(mu: Partition, ell: int) -> bool:
     """
     if not mu or not (1 <= ell <= mu[0]):
         raise ValueError("need a non-empty partition and 1 <= ell <= mu_1")
-    mubar_ell = conjugate_part(mu, ell)
+    cols = conjugate(mu)
+    mubar_ell = cols[ell - 1]
     lhs = ProductBuilder()
     lhs.form(mu[0], 1, 2, exp=-1)
     for i in range(1, mubar_ell + 1):
@@ -315,7 +333,7 @@ def verify_mu_identity(mu: Partition, ell: int) -> bool:
     rhs = ProductBuilder()
     rhs.form(ell - mubar_ell - 1, 1, 2, exp=-1)
     for j in range(ell, mu[0] + 1):
-        cj = conjugate_part(mu, j)
+        cj = cols[j - 1]
         rhs.form(j - cj - 1, 1, 2)
         rhs.form(j - cj, 1, 2, exp=-1)
     return lhs.build() == rhs.build()

@@ -433,6 +433,30 @@ def test_schur_rejects_non_array_component(capsys):
         assert err == f"error: --multipartition: {info.value}\n", raw
 
 
+@pytest.mark.parametrize(
+    "raw", ["[" * 100_000, "[" * 3000 + "]" * 3000], ids=["unclosed", "nested"]
+)
+def test_schur_refuses_a_multipartition_nested_too_deep(raw):
+    done = _capped("schur", "--multipartition", raw)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: --multipartition: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_an_output_above_the_digit_limit_names_the_environment_variable():
+    argv = ("pinv", "--m", "2", "--n", "1700")  # the constant 1700! has 4,700 digits
+    done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="4300")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: Exceeds the limit (4300")
+    assert done.stderr.endswith(
+        "; set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none\n"
+    )
+    done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="0")
+    assert (done.returncode, done.stderr) == (0, "")
+    constant = done.stdout.partition("*")[0]
+    assert constant.isdigit() and len(constant) > 4300
+
+
 def test_schur_refusals_are_the_librarys(capsys):
     with pytest.raises(ValueError) as info:
         schur_element(((2,), ()), "product", 2)

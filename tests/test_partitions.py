@@ -10,6 +10,7 @@ from schurkit.partitions import (
     conjugate,
     enumerate_multipartitions,
     generalized_hook_length,
+    generalized_hooks,
     hook_length,
     hook_product,
     l_symbol,
@@ -44,6 +45,18 @@ def hook_by_counting(lam, i, j):
     arm = sum(1 for (a, b) in nodes if a == i and b > j)
     leg = sum(1 for (a, b) in nodes if b == j and a > i)
     return arm + leg + 1
+
+
+def generalized_hook_by_counting(lam, mu, i, j):
+    """Independent generalized hook: the arm in lam, the leg down column j of mu, the node."""
+    arm = sum(1 for (a, b) in diagram(lam) if a == i and b > j)
+    leg = sum(1 for (a, b) in diagram(mu) if b == j) - i
+    return arm + leg + 1
+
+
+def beta_by_rows(lam, length):
+    """Independent beta numbers: lam_i + L - i for i = 1..L, lam_i = 0 beyond its rows."""
+    return tuple((lam[i - 1] if i <= len(lam) else 0) + length - i for i in range(1, length + 1))
 
 
 def partitions_by_ascending(n):
@@ -198,6 +211,48 @@ def test_hook_formula_matches_counting_exhaustive():
             for j in range(1, row + 1):
                 assert hook_length(lam, i, j) == hook_by_counting(lam, i, j)
                 assert generalized_hook_length(lam, lam, i, j) == hook_length(lam, i, j)
+
+
+def test_generalized_hooks_match_counting_on_every_pair_up_to_8():
+    pairs = [
+        (lam, mu)
+        for a in range(9)
+        for b in range(9 - a)
+        for lam in partitions_by_ascending(a)
+        for mu in partitions_by_ascending(b)
+    ]
+    assert len(pairs) == 434
+    for lam, mu in pairs:
+        nodes = sorted(diagram(lam))  # row by row, left to right
+        expected = tuple(generalized_hook_by_counting(lam, mu, i, j) for i, j in nodes)
+        assert generalized_hooks(lam, mu) == expected, (lam, mu)
+        assert tuple(generalized_hook_length(lam, mu, i, j) for i, j in nodes) == expected
+
+
+def test_beta_set_and_l_symbol_are_lam_i_plus_l_minus_i():
+    parts = list(all_partitions_up_to(6))
+    for lam in parts:
+        for length in range(len(lam), len(lam) + 4):
+            assert beta_set(lam, length) == beta_by_rows(lam, length), (lam, length)
+    for mp in enumerate_multipartitions(3, 4):
+        length = mp_length(mp) + 1
+        assert l_symbol(mp, length) == tuple(beta_by_rows(lam, length) for lam in mp)
+
+
+def test_memoized_reads_take_lists_and_give_equal_tuples():
+    for lam, mu in (((3, 1), (2, 2)), ((), (1,)), ((2,), ())):
+        assert conjugate(list(lam)) == conjugate(lam) and type(conjugate(list(lam))) is tuple
+        assert beta_set(list(lam), 3) == beta_set(lam, 3) and type(beta_set(list(lam), 3)) is tuple
+        assert generalized_hooks(list(lam), list(mu)) == generalized_hooks(lam, mu)
+        if lam:
+            assert generalized_hook_length(list(lam), list(mu), 1, 1) == (
+                generalized_hook_length(lam, mu, 1, 1)
+            )
+    assert l_symbol([[2], [1, 1]], 2) == l_symbol(((2,), (1, 1)), 2) == ((3, 0), (2, 1))
+    # a refusal is not memoized: it is raised again, for lists and tuples alike
+    for lam in ((2, 1), [2, 1], (2, 1)):
+        with pytest.raises(ValueError, match="^L=1 too small for a partition of length 2$"):
+            beta_set(lam, 1)
 
 
 def test_beta_set_round_trip():

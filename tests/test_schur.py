@@ -22,6 +22,7 @@ from schurkit.exact import (
     fr_form,
 )
 from schurkit.partitions import (
+    beta_set,
     enumerate_multipartitions,
     l_symbol,
     mp_length,
@@ -216,6 +217,67 @@ def test_tallied_kernels_match_the_node_by_node_oracle():
             for length in range(base, base + 4):
                 y = apply_permutation(sigma, y_kernel(lam, mu, length))
                 assert _plain(y) == _oracle_y(lam, mu, length, s, t), (lam, mu, length, s, t)
+
+
+def _oracle_tally(sign, tally):
+    return sign, tuple(sorted((c, exp) for c, exp in tally.items() if exp))
+
+
+def _oracle_x_tally(lam, mu):
+    """X_{lam mu} node by node, as (sign, ((c, exp), ...)) for sign * prod (c + x)^exp."""
+    mu1 = mu[0] if mu else 0
+    tally = Counter(i - j for i, j in _oracle_nodes(mu))
+    for i, j in _oracle_nodes(lam):
+        tally[j - i - mu1] += 1
+        for k in range(1, mu1 + 1):
+            col = sum(1 for row in mu if row >= k)
+            tally[j - i + col - k + 1] += 1
+            tally[j - i + col - k] -= 1
+    return _oracle_tally((-1) ** sum(mu), tally)
+
+
+def _oracle_y_tally(lam, mu, length):
+    """Y from the beta numbers, one rising factor and one pair quotient at a time."""
+    def beta(p):
+        return [(p[i - 1] if i <= len(p) else 0) + length - i for i in range(1, length + 1)]
+
+    tally = Counter({0: length})
+    for a in beta(lam):
+        tally.update(range(1, a + 1))
+    for b in beta(mu):
+        tally.update(range(-b, 0))
+    for a in beta(lam):
+        for b in beta(mu):
+            tally[a - b] -= 1
+    return _oracle_tally((-1) ** (length * (length - 1) // 2 + sum(beta(mu))), tally)
+
+
+def _oracle_z_tally(lam, mu):
+    """Z_{lam mu} node by node: (h + x) for the hooks of lam, -(-h + x) for those of mu."""
+    tally = Counter(_oracle_hook(lam, mu, i, j) for i, j in _oracle_nodes(lam))
+    tally.update(-_oracle_hook(mu, lam, i, j) for i, j in _oracle_nodes(mu))
+    return _oracle_tally((-1) ** sum(mu), tally)
+
+
+def test_row_wise_tallies_match_the_node_by_node_oracle():
+    pairs = [
+        (lam, mu)
+        for a in range(9)
+        for b in range(9 - a)
+        for lam in _oracle_partitions(a)
+        for mu in _oracle_partitions(b)
+    ]
+    assert len(pairs) == 434
+    x_tally, y_tally, z_tally = (
+        getattr(schur_module, name).__wrapped__ for name in ("_x_tally", "_y_tally", "_z_tally")
+    )
+    for lam, mu in pairs:
+        assert x_tally(lam, mu) == _oracle_x_tally(lam, mu), (lam, mu)
+        assert z_tally(lam, mu) == _oracle_z_tally(lam, mu), (lam, mu)
+        base = max(len(lam), len(mu))
+        for length in range(base, base + 3):
+            rows = (beta_set(lam, length), beta_set(mu, length))
+            assert y_tally(*rows) == _oracle_y_tally(lam, mu, length), (lam, mu, length)
 
 
 @pytest.mark.parametrize(
@@ -763,8 +825,7 @@ def test_trace_identity_refusals_build_nothing(monkeypatch, m, n, message):
 def _oracle_top_exponents(size):
     """(|lam|, |mu|) -> c -> the largest exponent of (c + x) in Z_{lam mu}, node by node.
 
-    Z_{lam mu} is (h + x) over the hooks h of lam against mu times
-    (h - x) = -(-h + x) over those of mu against lam; Counter | is a max.
+    Z_{lam mu} is read off _oracle_z_tally; Counter | is a max.
     """
     top = {}
     for a in range(size + 1):
@@ -772,9 +833,7 @@ def _oracle_top_exponents(size):
             best = top[a, b] = Counter()
             for lam in _oracle_partitions(a):
                 for mu in _oracle_partitions(b):
-                    z = Counter(_oracle_hook(lam, mu, i, j) for i, j in _oracle_nodes(lam))
-                    z.update(-_oracle_hook(mu, lam, i, j) for i, j in _oracle_nodes(mu))
-                    best |= z
+                    best |= Counter(dict(_oracle_z_tally(lam, mu)[1]))
     return top
 
 
