@@ -8,7 +8,8 @@ Three reads of a partition are memoized, so a sweep makes each of them
 once: conjugate holds one entry per distinct partition, beta_set one per
 distinct (partition, L), and hook_product one per distinct partition.
 conjugate and beta_set take lists too and key their memo on tuple(lam),
-so equal inputs share one result tuple.  generalized_hook_length reads
+so equal inputs share one result tuple; num_standard_tableaux passes
+tuple(lam) to hook_product.  generalized_hook_length reads
 mu' from the conjugate memo, and generalized_hooks gives every node's
 hook from one read of it.
 """
@@ -207,7 +208,7 @@ def num_standard_tableaux(mp: Multipartition) -> int:
     n = mp_size(mp)
     denom = 1
     for lam in mp:
-        denom *= hook_product(lam)
+        denom *= hook_product(tuple(lam))
     count, rem = divmod(factorial(n), denom)
     if rem:
         raise ArithmeticError("hook product does not divide n!")

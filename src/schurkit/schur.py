@@ -38,9 +38,10 @@ mu's column offsets, Y from the rows as bit sets, Z from
 generalized_hooks, which reads mu' once per pair instead of once per
 node.
 
-verify_trace_identity decides sum_L f^L / s_L = [m = 1] by exact integer
-evaluation on a grid, and refuses a run whose size, read off (m, n)
-alone, exceeds TRACE_WORK_BUDGET.
+sum_L f^L / s_L = [m = 1] holds iff the numerator N of _trace_summands
+is zero.  verify_trace_identity decides that by exact integer evaluation
+on a grid, and refuses a run whose size, read off (m, n) alone, exceeds
+TRACE_WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 from operator import neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .exact import (
     FactoredRational,
@@ -345,7 +346,7 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
     The beta side is _row_constant, the per-row constant of the symbol route.
     """
     factorials, vandermonde = _row_constant(beta_set(lam, length))
-    return hook_product(lam) * vandermonde == factorials
+    return hook_product(tuple(lam)) * vandermonde == factorials
 
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
@@ -372,55 +373,49 @@ def _grid_side(m: int, n: int) -> int:
     return (m - 1) * sum(n // k for k in range(1, n + 1)) - n + 1
 
 
-def _trace_terms(m: int, n: int):
-    """The multipartitions, their Schur elements and the common denominator D.
+def _trace_summands(m: int, n: int) -> list[tuple[int, FactoredRational]]:
+    """The numerator N of sum_L f^L / s_L - [m = 1] over one denominator D, as (f, value) pairs.
 
     D is the factorwise least common multiple of all the elements: the
-    lcm of their integer constants times each form to its largest
-    exponent, so every D / s_L is a polynomial.
+    lcm of their constants' numerators times each form to its largest
+    exponent, so every D / s_L is a polynomial.  Then
+    N = sum_L f^L * (D / s_L) - [m = 1] * D: one pair (f^L, D / s_L) per
+    multipartition, and (-1, D) when m = 1.  N is zero exactly when the
+    trace identity holds.
     """
     mps = list(enumerate_multipartitions(m, n))
     elements = [schur_element(mp) for mp in mps]
-    lcm_factors: dict = {}
-    lcm_const = 1
+    lcm_factors: dict[LinearForm, int] = {}
     for el in elements:
-        c = el.constant
-        assert c.denominator == 1 and c != 0
-        lcm_const = lcm(lcm_const, abs(c.numerator))
         for form, exp in el.factors.items():
             lcm_factors[form] = max(lcm_factors.get(form, 0), exp)
-    return mps, elements, FactoredRational(Fraction(lcm_const), lcm_factors)
-
-
-def trace_identity_sides(m: int, n: int) -> SparsePoly:
-    """The numerator N of sum_L f^L / s_L - [m = 1] over one denominator, expanded.
-
-    The common denominator D is the factorwise least common multiple of
-    all Schur elements, and N = sum_L f^L * expand(D / s_L), minus
-    expand(D) when m = 1.  N is the zero polynomial exactly when the
-    trace identity holds.  This is the expansion oracle for
-    verify_trace_identity.
-    """
-    mps, elements, denom = _trace_terms(m, n)
+    denom = FactoredRational(lcm(*(el.constant.numerator for el in elements)), lcm_factors)
     summands = [(num_standard_tableaux(mp), denom / el) for mp, el in zip(mps, elements)]
     if m == 1:
         summands.append((-1, denom))
+    return summands
+
+
+def trace_identity_sides(m: int, n: int) -> SparsePoly:
+    """The numerator N of _trace_summands, expanded.
+
+    N is the zero polynomial exactly when the trace identity holds.  This
+    is the expansion oracle for verify_trace_identity.
+    """
     terms: dict[tuple[int, ...], int] = {}
-    for f, value in summands:
+    for f, value in _trace_summands(m, n):
         for e, c in fr_expand(value, m).terms.items():
             terms[e] = terms.get(e, 0) + f * c
     return SparsePoly(m, terms)
 
 
-def vanishes_identically(
-    m: int, forms: Sequence[LinearForm], terms: Sequence[tuple[int, Sequence[tuple[int, int]]]]
-) -> bool:
-    """Decide whether sum_k c_k * prod_i forms[i]^e_ik is the zero polynomial.
+def vanishes_identically(m: int, summands: Iterable[tuple[int, FactoredRational]]) -> bool:
+    """Decide whether sum_k f_k * v_k is the zero polynomial, for (f_k, v_k) in summands.
 
-    terms holds one (c_k, [(i, e_ik), ...]) per summand, with integer
-    c_k and exponents e_ik >= 0; every form must be a difference
-    c + q_s - q_t with s, t in 1..m.  The sum then depends only on the
-    differences of the q's, so it is zero iff it is zero at q_m = 0.
+    Each f_k is an int and each v_k an integer constant times forms
+    c + q_s - q_t, s, t in 1..m, to exponents >= 0 (ValueError otherwise).
+    The sum then depends only on the differences of the q's, so it is
+    zero iff it is zero at q_m = 0.
     Its degree in q_s (s < m) is at most d_s, the largest over k of the
     summed exponents of the forms that contain q_s, and a polynomial
     within these degrees that vanishes on the grid
@@ -431,29 +426,29 @@ def vanishes_identically(
     summand with a form that is zero at the point is skipped: on the
     trace identity grids of (3,5) and (4,4) that is 65% and 80% of them.
     """
-    compiled = []
-    for form in forms:
-        if form.t > m:
-            raise ValueError(f"{form.render()} is not a form c + q_s - q_t with s, t <= {m}")
-        compiled.append((form.c, form.s - 1, form.t - 1))
+    index: dict[LinearForm, int] = {}
+    containing: dict[int, int] = {}  # bit k set: summand k has form i as a factor
     degrees = [0] * m
-    containing = [0] * len(compiled)  # bit k set: summand k has the form as a factor
     rows = []
-    for k, (c, factors) in enumerate(terms):
+    for k, (f, value) in enumerate(summands):
+        if value.constant.denominator != 1:
+            raise ValueError(f"constant {value.constant} of summand {k} is not an integer")
         degree = [0] * m
         idx, exps = [], []
-        for i, e in factors:
+        for form, e in value.factors.items():
+            if form.t > m:
+                raise ValueError(f"{form.render()} is not a form c + q_s - q_t with s, t <= {m}")
             if e < 0:
-                raise ValueError(f"negative exponent {e} on {forms[i].render()}")
-            if e:
-                _, s, t = compiled[i]
-                degree[s] += e
-                degree[t] += e
-                containing[i] |= 1 << k
-                idx.append(i)
-                exps.append(e)
+                raise ValueError(f"negative exponent {e} on {form.render()}")
+            i = index.setdefault(form, len(index))
+            containing[i] = containing.get(i, 0) | (e > 0) << k
+            degree[form.s - 1] += e
+            degree[form.t - 1] += e
+            idx.append(i)
+            exps.append(e)
         degrees = [max(a, b) for a, b in zip(degrees, degree)]
-        rows.append((c, idx, exps))
+        rows.append((f * value.constant.numerator, idx, exps))
+    compiled = [(form.c, form.s - 1, form.t - 1) for form in index]
     for point in itertools.product(*(range(d + 1) for d in degrees[:-1])):
         q = (*point, 0)
         values = [c + q[s] - q[t] for c, s, t in compiled]
@@ -474,11 +469,9 @@ def vanishes_identically(
 def verify_trace_identity(m: int, n: int) -> bool:
     """Check sum over all multipartitions of dim/schur == (1 if m == 1 else 0).
 
-    Over the common denominator D of trace_identity_sides the identity says
-    that its numerator N = sum_L f^L * (D / s_L) - [m = 1] * D is zero.
-    Each D / s_L is an integer times powers of the forms of D, so this is
-    decided by vanishes_identically, by exact integer evaluation and
-    without expanding anything.
+    That is, whether the numerator N of _trace_summands is zero, decided
+    by vanishes_identically, by exact integer evaluation and without
+    expanding anything.
 
     Raises ValueError when n < 1 or m < 1, and, before any element is built, when the
     work sized from (m, n) alone exceeds TRACE_WORK_BUDGET: n^2 (at least p(n) >= n
@@ -510,15 +503,4 @@ def verify_trace_identity(m: int, n: int) -> bool:
             f"trace-identity at --m {m} --n {n} needs {cost} times"
             f" {summands} summands, above the budget of {TRACE_WORK_BUDGET}"
         )
-    mps, elements, denom = _trace_terms(m, n)
-    forms = list(denom.factors)
-    lcm_exps = list(denom.factors.values())
-    lcm_const = denom.constant.numerator
-    terms = []
-    for mp, el in zip(mps, elements):
-        coefficient = num_standard_tableaux(mp) * (lcm_const // el.constant.numerator)
-        exps = [e - el.factors.get(form, 0) for form, e in zip(forms, lcm_exps)]
-        terms.append((coefficient, list(enumerate(exps))))
-    if m == 1:
-        terms.append((-lcm_const, list(enumerate(lcm_exps))))
-    return vanishes_identically(m, forms, terms)
+    return vanishes_identically(m, _trace_summands(m, n))

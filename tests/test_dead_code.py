@@ -8,6 +8,9 @@ Dunders are called by the interpreter and are exempt.
 
 Every module-level import of a library module is named in that module
 too; __init__.py, which only re-exports, and __future__ are exempt.
+
+No library module has an assert statement: python -O strips it, so a
+check that must hold raises instead.
 """
 
 import ast
@@ -62,3 +65,13 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_no_assert_statement():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -12,6 +12,7 @@ import pytest
 import schurkit.cli as cli
 import schurkit.schur as schur_module
 from schurkit.exact import (
+    FactoredRational,
     SparsePoly,
     Specialization,
     apply_permutation,
@@ -27,6 +28,7 @@ from schurkit.partitions import (
     l_symbol,
     mp_length,
     multipartition_count,
+    num_standard_tableaux,
     partitions_of,
     permute_components,
 )
@@ -119,6 +121,15 @@ def test_list_inputs_equal_tuple_inputs():
         assert x_kernel(list(lam), list(mu)) == x_kernel(lam, mu)
         assert y_kernel(list(lam), list(mu), 3) == y_kernel(lam, mu, 3)
         assert z_kernel(list(lam), list(mu)) == z_kernel(lam, mu)
+    # these two read the tuple-keyed hook_product memo
+    for lam in small_partitions(5):
+        assert num_standard_tableaux([list(lam)]) == num_standard_tableaux((lam,))
+        for length in (len(lam), len(lam) + 2):
+            assert verify_hook_beta_identity(list(lam), length) == (
+                verify_hook_beta_identity(lam, length)
+            )
+    for mp in enumerate_multipartitions(2, 3):
+        assert num_standard_tableaux([list(lam) for lam in mp]) == num_standard_tableaux(mp)
 
 
 # Reference kernels, node by node as the kernels are defined, written into
@@ -796,7 +807,7 @@ def test_trace_identity_refuses_a_large_m_before_building_elements(monkeypatch):
     def refuse(m, n):
         raise RuntimeError("elements were built")
 
-    monkeypatch.setattr(schur_module, "_trace_terms", refuse)
+    monkeypatch.setattr(schur_module, "_trace_summands", refuse)
     for m in (9, 1000):
         with pytest.raises(ValueError, match=rf"at least {m - 1}\^{m - 1} grid points"):
             verify_trace_identity(m, 1)
@@ -816,7 +827,7 @@ def test_trace_identity_refusals_build_nothing(monkeypatch, m, n, message):
     def refuse(*args):
         raise RuntimeError("something was built")
 
-    for name in ("schur_element", "_z_tally", "_trace_terms", "enumerate_multipartitions"):
+    for name in ("schur_element", "_z_tally", "_trace_summands", "enumerate_multipartitions"):
         monkeypatch.setattr(schur_module, name, refuse)
     with pytest.raises(ValueError, match=message):
         verify_trace_identity(m, n)
@@ -907,23 +918,72 @@ def test_trace_identity_property_wider():
 def test_vanishes_identically_needs_the_whole_grid(d):
     # prod_{k<d} (-k + q1 - q2) has degree d in q1 and, at q2 = 0, vanishes
     # at q1 = 0..d-1: a grid of d points per variable would miss it
-    forms = [canonical_parts(-k, 1, 2)[0] for k in range(d)]
-    factors = [(k, 1) for k in range(d)]
+    value = prod((fr_form(-k, 1, 2) for k in range(d)), start=fr_const(1))
     assert all(prod(-k + q1 for k in range(d)) == 0 for q1 in range(d))
-    assert not vanishes_identically(2, forms, [(1, factors)])
-    assert vanishes_identically(2, forms, [(1, factors), (-1, factors)])
-    # a third variable and a zero exponent on a form that vanishes on the
-    # grid (q2 - q3 at q2 = 0) change nothing
-    forms3 = forms + [canonical_parts(0, 2, 3)[0]]
-    assert not vanishes_identically(3, forms3, [(1, factors + [(d, 0)])])
-    assert vanishes_identically(3, forms3, [(1, factors + [(d, 0)]), (-1, factors)])
+    assert not vanishes_identically(2, [(1, value)])
+    assert vanishes_identically(2, [(1, value), (-1, value)])
+    # a third variable changes nothing, nor a form that vanishes on part of the
+    # grid (q2 - q3 at q2 = 0), as a factor or held at the exponent 0
+    value3 = value * fr_form(0, 2, 3)
+    held = FactoredRational(value.constant, {**value.factors, canonical_parts(0, 2, 3)[0]: 0})
+    assert not vanishes_identically(3, [(1, value3)])
+    assert not vanishes_identically(3, [(1, held)])
+    assert vanishes_identically(3, [(1, value3), (-1, value3)])
+    assert vanishes_identically(3, [(1, held), (-1, value)])
 
 
 def test_vanishes_identically_rejects_other_forms():
     with pytest.raises(ValueError, match="not a form"):
-        vanishes_identically(2, [canonical_parts(1, 1, 3)[0]], [(1, [(0, 1)])])
+        vanishes_identically(2, [(1, fr_form(1, 1, 3))])
     with pytest.raises(ValueError, match="negative exponent"):
-        vanishes_identically(2, [canonical_parts(1, 1, 2)[0]], [(1, [(0, -1)])])
+        vanishes_identically(2, [(1, fr_form(1, 1, 2, exp=-1))])
+    with pytest.raises(ValueError, match="^constant 1/2 of summand 1 is not an integer$"):
+        vanishes_identically(2, [(1, fr_form(1, 1, 2)), (2, fr_const(Fraction(1, 2)))])
+
+
+def test_vanishes_identically_on_sums_that_cancel():
+    """Zero sums whose summands have different forms, and the same sums with one coefficient moved.
+
+    With a drawn product A: g A(a + q_s - q_t) + g A(b + q_t - q_u) - (g A)(a + b + q_s - q_u)
+    for s < t < u, and at m = 2 A(a + q1 - q2) - A(b + q1 - q2) - ((a - b)A).  The last
+    summand carries its integer in its value, the others in their coefficient.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(m=st.integers(2, 4), data=st.data())
+    def check(m, data):
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        factors = data.draw(
+            st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(pairs), st.integers(1, 2)),
+                     max_size=3)
+        )
+        a_value = fr_const(data.draw(st.integers(1, 3) | st.integers(-3, -1)))
+        for c, (s, t), exp in factors:
+            a_value = a_value * fr_form(c, s, t, exp)
+        a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        if m == 2:
+            hypothesis.assume(a != b)
+            summands = [(1, a_value * fr_form(a, 1, 2)), (-1, a_value * fr_form(b, 1, 2)),
+                        (-1, fr_const(a - b) * a_value)]
+        else:
+            s, t, u = sorted(data.draw(st.permutations(range(1, m + 1)))[:3])
+            g = data.draw(st.sampled_from((1, 2, -3)))
+            summands = [(g, a_value * fr_form(a, s, t)), (g, a_value * fr_form(b, t, u)),
+                        (-1, fr_const(g) * a_value * fr_form(a + b, s, u))]
+        assert vanishes_identically(m, summands)
+        total = Counter()
+        for f, value in summands:
+            for e, c in fr_expand(value, m).terms.items():
+                total[e] += f * c
+        assert not any(total.values())
+        k = data.draw(st.integers(0, len(summands) - 1))
+        f, value = summands[k]
+        summands[k] = (f + data.draw(st.sampled_from((1, -1))), value)
+        assert not vanishes_identically(m, summands)
+
+    check()
 
 
 def _oracle_partitions(n, largest=None):
