@@ -552,7 +552,8 @@ def parse_args(argv: Sequence[str]):
 
 # The advice that ends CPython's refusal to turn an int of more than
 # sys.get_int_max_str_digits() digits into text (3.10 to 3.13), and what a
-# user of the command line sets instead.
+# user of the command line sets instead.  CPython 3.10 states that limit as
+# "(4300)", 3.11 to 3.13 as "(4300 digits)"; run prints the latter everywhere.
 _DIGIT_LIMIT_ADVICE = "use sys.set_int_max_str_digits() to increase the limit"
 _DIGIT_LIMIT_SETTING = (
     "set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
@@ -565,7 +566,9 @@ def run(argv: Sequence[str]) -> int:
         handler, args = parse_args(argv)
         return handler(args)
     except ValueError as exc:
-        text = str(exc).replace(_DIGIT_LIMIT_ADVICE, _DIGIT_LIMIT_SETTING)
+        limit = f"Exceeds the limit ({sys.get_int_max_str_digits()}"
+        text = str(exc).replace(f"{limit}) ", f"{limit} digits) ")
+        text = text.replace(_DIGIT_LIMIT_ADVICE, _DIGIT_LIMIT_SETTING)
         print(f"error: {text}", file=sys.stderr)
         return 2
 

@@ -119,10 +119,12 @@ def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], in
 class FactoredRational:
     """A rational constant times a product of LinearForm^exponent.
 
-    Instances are immutable by convention; every operation returns a new
-    value.  Two instances are equal iff their canonical data coincide,
-    which for these factored products is the same as equality of the
-    rational functions they denote.
+    The invariant, which the constructor keeps: no exponent is 0, and a
+    zero constant has no factors.  Given canonical LinearForm keys, the
+    value is then canonical, so two instances are equal iff their data
+    coincide, which for these factored products is the same as equality
+    of the rational functions they denote.  Instances are immutable by
+    convention; every operation returns a new value.
     """
 
     __slots__ = ("constant", "factors")
@@ -130,10 +132,11 @@ class FactoredRational:
     def __init__(self, constant: Fraction, factors: Mapping[LinearForm, int]):
         if type(constant) is not Fraction:
             constant = Fraction(constant)
-        if not constant:
-            factors = {}
+        factors = dict(factors) if constant else {}
+        if 0 in factors.values():
+            factors = {form: exp for form, exp in factors.items() if exp}
         self.constant = constant
-        self.factors = dict(factors)
+        self.factors = factors
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -143,14 +146,27 @@ class FactoredRational:
     def __hash__(self) -> int:
         return hash((self.constant, frozenset(self.factors.items())))
 
+    def _merge(self, other: "FactoredRational", k: int) -> "FactoredRational":
+        """self * other**k for k = +-1: other's exponents added into a copy of self's."""
+        factors = dict(self.factors)
+        get = factors.get
+        for form, exp in other.factors.items():
+            if e := get(form, 0) + k * exp:
+                factors[form] = e
+            else:
+                del factors[form]
+        return FactoredRational(self.constant * other.constant**k, factors)
+
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return ProductBuilder().fr(self).fr(other).build()
+        return self._merge(other, 1) if isinstance(other, FactoredRational) else NotImplemented
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return ProductBuilder().fr(self).fr(other, exp=-1).build()
+        return self._merge(other, -1) if isinstance(other, FactoredRational) else NotImplemented
 
     def __pow__(self, k: int) -> "FactoredRational":
-        return ProductBuilder().fr(self, exp=k).build()
+        if not isinstance(k, int):
+            return NotImplemented
+        return FactoredRational(self.constant**k, {form: e * k for form, e in self.factors.items()})
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.render()})"
@@ -201,70 +217,42 @@ class FactoredRational:
 
 
 class ProductBuilder:
-    """Accumulates a canonical product of constants and linear-form powers.
+    """Turns raw (c, s, t, exp) triples into a canonical value.
 
+    Its users are fr_form, apply_permutation, FactoredRational.from_json
+    and schur.verify_mu_identity; *, / and ** merge canonical values
+    directly, and schur assembles its elements straight from tallies.
     form() canonicalizes at the call (canonical_parts is memoized), flips
     the sign for an odd exponent on a flipped orientation and adds the
     exponent under the canonical LinearForm; a form with s == t is a
     constant and folds in at once, so form(0, 1, 1, exp=-1) raises
-    ZeroDivisionError at the call.  const() multiplies an integer
-    numerator and denominator, and is the one place that refuses a zero
-    divisor.  build() drops the exponents that cancelled and reduces one
-    Fraction; it leaves the builder unchanged.
-
-    The general algebra (*, /, **, apply_permutation, from_json) and the
-    mu identity go through a builder.  Schur elements, kernels, P and
-    rendering do not: schur assembles them straight from tallies.
+    ZeroDivisionError at the call.  const() multiplies the one Fraction
+    constant by value**exp.  build() leaves the builder unchanged, and the
+    FactoredRational constructor drops the exponents that cancelled.
     """
 
-    __slots__ = ("num", "den", "factors")
+    __slots__ = ("constant", "factors")
 
     def __init__(self) -> None:
-        self.num = 1
-        self.den = 1
+        self.constant = Fraction(1)
         self.factors: dict[LinearForm, int] = {}
 
     def const(self, value: Union[int, Fraction], exp: int = 1) -> "ProductBuilder":
-        if exp == 0:
-            return self
-        if value == 0 and exp < 0:
-            raise ZeroDivisionError("zero constant factor with negative exponent")
-        if type(value) is int:
-            num, den = value, 1
-        else:
-            value = Fraction(value)
-            num, den = value.numerator, value.denominator
-        if exp < 0:
-            num, den, exp = den, num, -exp
-        self.num *= num**exp
-        self.den *= den**exp
+        self.constant *= Fraction(value) ** exp
         return self
 
     def form(self, c: int, s: int, t: int, exp: int = 1) -> "ProductBuilder":
         """Multiply by (c + q_s - q_t)^exp."""
-        if exp == 0:
-            return self
         if s == t:
             return self.const(c, exp)
         form, sign = canonical_parts(c, s, t)
         if sign < 0 and exp % 2:
-            self.num = -self.num
-        factors = self.factors
-        factors[form] = factors.get(form, 0) + exp
-        return self
-
-    def fr(self, value: FactoredRational, exp: int = 1) -> "ProductBuilder":
-        if exp == 0:
-            return self
-        self.const(value.constant, exp)
-        factors = self.factors
-        for form, e in value.factors.items():
-            factors[form] = factors.get(form, 0) + e * exp
+            self.constant = -self.constant
+        self.factors[form] = self.factors.get(form, 0) + exp
         return self
 
     def build(self) -> FactoredRational:
-        factors = {form: exp for form, exp in self.factors.items() if exp}
-        return FactoredRational(Fraction(self.num, self.den), factors)
+        return FactoredRational(self.constant, self.factors)
 
 
 def fr_const(value: Union[int, Fraction]) -> FactoredRational:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import functools
 import hashlib
@@ -10,6 +11,7 @@ import json
 import os
 import resource
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -443,18 +445,46 @@ def test_schur_refuses_a_multipartition_nested_too_deep(raw):
     assert "Traceback" not in done.stderr
 
 
+DIGIT_LIMIT_ARGV = [
+    ["pinv", "--m", "2", "--n", "1700"],  # the constant 1700! has 4,700 digits
+    ["schur", "--multipartition", f"[[{'1' * 5000}]]"],
+]
+_SETTING = "set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
+DIGIT_LIMIT_ERRORS = [
+    f"error: Exceeds the limit (4300 digits) for integer string conversion; {_SETTING}\n",
+    "error: --multipartition: Exceeds the limit (4300 digits) for integer string conversion:"
+    f" value has 5000 digits; {_SETTING}\n",
+]
+
+
 def test_an_output_above_the_digit_limit_names_the_environment_variable():
-    argv = ("pinv", "--m", "2", "--n", "1700")  # the constant 1700! has 4,700 digits
-    done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="4300")
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: Exceeds the limit (4300")
-    assert done.stderr.endswith(
-        "; set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none\n"
-    )
+    for argv, expected in zip(DIGIT_LIMIT_ARGV, DIGIT_LIMIT_ERRORS):
+        done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="4300")
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", expected), argv[0]
+    argv = DIGIT_LIMIT_ARGV[0]
     done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="0")
     assert (done.returncode, done.stderr) == (0, "")
     constant = done.stdout.partition("*")[0]
     assert constant.isdigit() and len(constant) > 4300
+
+
+def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    for found in (f"({limit})", f"({limit} digits)"):  # CPython 3.10, then 3.11 to 3.13
+        text = f"Exceeds the limit {found} for integer string conversion: value has 5000 digits"
+
+        def refuse(argv):
+            raise ValueError(f"{text}; use sys.set_int_max_str_digits() to increase the limit")
+
+        monkeypatch.setattr(cli_module, "parse_args", refuse)
+        err = usage_error(capsys, "pinv")
+        assert err.startswith(f"error: Exceeds the limit ({limit} digits) for integer string"
+                              " conversion: value has 5000 digits; set the environment"), found
+
+
+def test_a_long_symbol_finishes(capsys):
+    done = _capped("schur", "--multipartition", "[[1],[]]", "--formula", "symbol", "--L", "1000")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "((1);(0)): (q1-q2)\n", "")
 
 
 def test_schur_refusals_are_the_librarys(capsys):
@@ -922,6 +952,70 @@ NARROWED = [
     ["verify", "--suite", "beta-shift", "--suite", "hook-beta"],
     ["verify", "--suite", "criterion", "--m", "2", "--n", "2", "--seed", "1", "--seed", "2"],
 ]
+
+
+def _pyenv_pythons():
+    """{"3.10": path to python3, ...} for the CPython 3.10-3.13 versions that pyenv installed."""
+    if shutil.which("pyenv") is None:
+        return {}
+    root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+    found = {}
+    for version in sorted(Path(root).glob("versions/3.1[0-3]*")) if root else ():
+        found.setdefault(".".join(version.name.split(".")[:2]), version / "bin" / "python3")
+    return found
+
+
+def _run_everywhere_corpus(python, corpus):
+    """(exit code, stdout, stderr) of each argv under python -S, then of README's doctests.
+
+    Each child runs under a 1 GB address space, as _capped's do.
+    """
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    heads = [["-m", "schurkit.cli", *argv] for argv in corpus] + [["-m", "doctest", "README.md"]]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def one(head):
+        done = subprocess.run([str(python), "-S", *head], capture_output=True, env=env, cwd=ROOT,
+                              preexec_fn=cap, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        return heads, list(pool.map(one, heads))
+
+
+@pytest.fixture(scope="module")
+def everywhere_reference():
+    """The corpus every supported Python must print alike, run by the running interpreter."""
+    with pytest.MonkeyPatch.context() as patch:
+        menus = menu_commands(patch)
+    values = ("1_0", "1 / 2", "1/ 2", "1e1_0", " 1/2 ", "1e999999999",
+              f"2.5E-{sys.get_int_max_str_digits() + 1}")
+    grammar = [["semisimple", "--m", "2", "--n", "2", "--set", f"q1={value}", "--set", "q2=0"]
+               for value in values]
+    # Closed nesting is left out: the depth at which json.loads gives up is the interpreter's
+    # (under 1,000 on 3.11, 1,000-1,500 on 3.12, over 9,000 on 3.13), and below it the
+    # library refuses the input with another text, so "[" * 3000 + "]" * 3000 differs on 3.13.
+    deep = ["schur", "--multipartition", "[" * 100_000]
+    corpus = readme_commands() + menus + VALID + MALFORMED + DIGIT_LIMIT_ARGV + grammar + [deep]
+    return corpus, _run_everywhere_corpus(sys.executable, corpus)[1]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13"])
+def test_every_installed_python_prints_the_same_bytes(minor, everywhere_reference):
+    if minor == "{}.{}".format(*sys.version_info):
+        pytest.skip(f"CPython {minor} is the running interpreter")
+    python = _pyenv_pythons().get(minor)
+    if python is None or not python.exists():
+        pytest.skip(f"CPython {minor} is not installed under pyenv")
+    corpus, expected = everywhere_reference
+    heads, got = _run_everywhere_corpus(python, corpus)
+    assert len(heads) > 80
+    differ = [head for head, a, b in zip(heads, got, expected) if a != b]
+    assert not differ, (minor, differ)
 
 
 def equals_spelling(argv):

@@ -541,6 +541,67 @@ def test_fr_mul_commutative_associative_inverse():
         assert unit * (unit ** -1) == fr_const(1)
 
 
+def _field_op(op: str, x, y, prime):
+    """x op y in Q or F_prime, for op in "*", "/" and "**" (y an int exponent); None if undefined."""
+    if op == "*":
+        return x * y if prime is None else x * y % prime
+    if op == "/" and y:
+        return x / y if prime is None else x * pow(y, -1, prime) % prime
+    if op == "**" and (x or y >= 0):
+        return x**y if prime is None else pow(x, y, prime)
+    return None
+
+
+def test_arithmetic_matches_evaluation_and_stays_canonical():
+    # *, / and ** merge exponents without a builder, so each is checked against evaluation
+    # and against the value rebuilt from its raw triples, some given in the flipped
+    # orientation -c + q_t - q_s = -(c + q_s - q_t) with the sign (-1)^exp taken out
+    rng = random.Random(37)
+    checked = 0
+    for trial in range(500):
+        a, b = random_factored(rng), random_factored(rng)
+        prime = (None, 101)[trial % 2]
+        theta = random_theta(rng, prime=prime)
+        k = rng.randint(-3, 3)
+        for op, result, rhs in (("*", a * b, b), ("/", a / b, b), ("**", a**k, k)):
+            assert 0 not in result.factors.values(), (a, op, rhs)
+            rebuilt = ProductBuilder().const(result.constant)
+            for (s, t, c), exp in result.factors.items():
+                if rng.random() < 0.5:
+                    rebuilt.form(c, s, t, exp=exp)
+                else:
+                    rebuilt.form(-c, t, s, exp=exp).const(-1, exp)
+            assert rebuilt.build() == result, (a, op, rhs)
+            try:
+                x = fr_eval(a, theta)
+                y = rhs if op == "**" else fr_eval(b, theta)
+            except PoleError:
+                continue
+            expected = _field_op(op, x, y, prime)
+            if expected is not None:
+                assert fr_eval(result, theta) == expected, (a, op, rhs, theta.q_values)
+                checked += 1
+    assert checked > 1000
+
+
+def test_a_zero_exponent_never_survives_construction():
+    form = canonical_parts(0, 1, 2)[0]
+    held = FactoredRational(1, {form: 0})
+    assert held == fr_const(1) and hash(held) == hash(fr_const(1))
+    assert held.render() == "1" and held.factors == {}
+    a = fr_form(1, 1, 2, exp=2) * fr_form(0, 2, 3, exp=-1) * fr_const(3)
+    assert (a / a).factors == {} and a / a == fr_const(1)
+    assert (a * a**-1) == fr_const(1) and a**0 == fr_const(1)
+    assert FactoredRational(0, {form: 2}) == fr_const(0)
+    for bad in (lambda: a**0.5, lambda: a * 2, lambda: 2 * a, lambda: a / Fraction(2)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ZeroDivisionError):
+        a / fr_const(0)
+    with pytest.raises(ZeroDivisionError):
+        fr_const(0) ** -1
+
+
 def test_expand_is_multiplicative():
     rng = random.Random(13)
     for _ in range(300):

@@ -700,6 +700,23 @@ def test_hook_beta_identity_small_sweep():
             assert verify_hook_beta_identity(lam, len(lam) + extra)
 
 
+def test_row_constant_is_the_factorials_over_the_vandermonde():
+    # the superfactorial quotient as the symbol formula states it, multiplied out
+    for lam in small_partitions(8):
+        for length in range(len(lam), len(lam) + 5):
+            row = beta_set(lam, length)
+            quotient = Fraction(prod(map(factorial, row)),
+                                prod(a - b for a, b in itertools.combinations(row, 2)))
+            assert schur_module._row_constant(row) == quotient.as_integer_ratio(), (lam, length)
+
+
+@pytest.mark.slow
+def test_symbol_route_at_a_long_symbol_equals_the_cancellation_route():
+    for mp in enumerate_multipartitions(2, 4):
+        length = mp_length(mp) + 200
+        assert schur_element(mp, "symbol", length) == schur_element(mp, "cancellation"), mp
+
+
 def test_x_symmetry_examples():
     assert verify_x_symmetry((1,), ())
     assert verify_x_symmetry((2, 1), (2, 1))
