@@ -15,6 +15,7 @@ import itertools
 import json  # at module level: bench/tracing.py times rendering by replacing cli.json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -566,8 +567,7 @@ def run(argv: Sequence[str]) -> int:
         handler, args = parse_args(argv)
         return handler(args)
     except ValueError as exc:
-        limit = f"Exceeds the limit ({sys.get_int_max_str_digits()}"
-        text = str(exc).replace(f"{limit}) ", f"{limit} digits) ")
+        text = re.sub(r"(Exceeds the limit \(\d+)\) ", r"\1 digits) ", str(exc), count=1)
         text = text.replace(_DIGIT_LIMIT_ADVICE, _DIGIT_LIMIT_SETTING)
         print(f"error: {text}", file=sys.stderr)
         return 2

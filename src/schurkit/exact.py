@@ -119,12 +119,12 @@ def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], in
 class FactoredRational:
     """A rational constant times a product of LinearForm^exponent.
 
-    The invariant, which the constructor keeps: no exponent is 0, and a
-    zero constant has no factors.  Given canonical LinearForm keys, the
-    value is then canonical, so two instances are equal iff their data
-    coincide, which for these factored products is the same as equality
-    of the rational functions they denote.  Instances are immutable by
-    convention; every operation returns a new value.
+    The invariant, which the constructor and _merge keep: no exponent is
+    0, and a zero constant has no factors.  Given canonical LinearForm
+    keys, the value is then canonical, so two instances are equal iff
+    their data coincide, which for these factored products is the same as
+    equality of the rational functions they denote.  Instances are
+    immutable by convention; every operation returns a new value.
     """
 
     __slots__ = ("constant", "factors")
@@ -132,11 +132,10 @@ class FactoredRational:
     def __init__(self, constant: Fraction, factors: Mapping[LinearForm, int]):
         if type(constant) is not Fraction:
             constant = Fraction(constant)
-        factors = dict(factors) if constant else {}
-        if 0 in factors.values():
-            factors = {form: exp for form, exp in factors.items() if exp}
         self.constant = constant
-        self.factors = factors
+        self.factors = dict(factors) if constant else {}
+        if 0 in self.factors.values():
+            self.factors = {form: exp for form, exp in self.factors.items() if exp}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactoredRational):
@@ -147,7 +146,7 @@ class FactoredRational:
         return hash((self.constant, frozenset(self.factors.items())))
 
     def _merge(self, other: "FactoredRational", k: int) -> "FactoredRational":
-        """self * other**k for k = +-1: other's exponents added into a copy of self's."""
+        """self * other**k for k = +-1, canonical as built, so it skips the constructor."""
         factors = dict(self.factors)
         get = factors.get
         for form, exp in other.factors.items():
@@ -155,7 +154,10 @@ class FactoredRational:
                 factors[form] = e
             else:
                 del factors[form]
-        return FactoredRational(self.constant * other.constant**k, factors)
+        merged = object.__new__(FactoredRational)
+        merged.constant = self.constant * other.constant**k
+        merged.factors = factors if merged.constant else {}
+        return merged
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         return self._merge(other, 1) if isinstance(other, FactoredRational) else NotImplemented
@@ -220,15 +222,13 @@ class ProductBuilder:
     """Turns raw (c, s, t, exp) triples into a canonical value.
 
     Its users are fr_form, apply_permutation, FactoredRational.from_json
-    and schur.verify_mu_identity; *, / and ** merge canonical values
-    directly, and schur assembles its elements straight from tallies.
-    form() canonicalizes at the call (canonical_parts is memoized), flips
-    the sign for an odd exponent on a flipped orientation and adds the
-    exponent under the canonical LinearForm; a form with s == t is a
-    constant and folds in at once, so form(0, 1, 1, exp=-1) raises
-    ZeroDivisionError at the call.  const() multiplies the one Fraction
-    constant by value**exp.  build() leaves the builder unchanged, and the
-    FactoredRational constructor drops the exponents that cancelled.
+    and schur.verify_mu_identity.  form() canonicalizes at the call
+    (canonical_parts is memoized), flips the sign for an odd exponent on a
+    flipped orientation and adds the exponent under the canonical
+    LinearForm; a form with s == t is a constant and folds in at once, so
+    form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
+    multiplies the one Fraction constant by value**exp.  build() leaves
+    the builder unchanged; the constructor drops the cancelled exponents.
     """
 
     __slots__ = ("constant", "factors")

@@ -1,7 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism, JSON round trips."""
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import hashlib
@@ -392,16 +391,19 @@ def test_semisimple_rejects_a_repeated_name(capsys):
     assert invoke(capsys, *argv, "--set", "q1=1")[0] == 0
 
 
-def _capped(*argv):
-    """Run the CLI in a fresh process under a 1 GB address space, for at most 10 s."""
+def _capped(*argv, python=sys.executable, head=("-m", "schurkit.cli"), timeout=10, **env):
+    """Run `python *head *argv`, the CLI by default, in a fresh process under a 1 GB address space.
+
+    The child runs in the repository root with env added to its environment.
+    """
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
     return subprocess.run(
-        [sys.executable, "-m", "schurkit.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=10,
+        [str(python), *head, *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, preexec_fn=cap, timeout=timeout,
     )
 
 
@@ -966,24 +968,12 @@ def _pyenv_pythons():
 
 
 def _run_everywhere_corpus(python, corpus):
-    """(exit code, stdout, stderr) of each argv under python -S, then of README's doctests.
-
-    Each child runs under a 1 GB address space, as _capped's do.
-    """
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0",
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    heads = [["-m", "schurkit.cli", *argv] for argv in corpus] + [["-m", "doctest", "README.md"]]
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    def one(head):
-        done = subprocess.run([str(python), "-S", *head], capture_output=True, env=env, cwd=ROOT,
-                              preexec_fn=cap, timeout=60)
-        return done.returncode, done.stdout, done.stderr
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        return heads, list(pool.map(one, heads))
+    """(exit code, stdout, stderr) of each argv under python -S, then of README's doctests."""
+    env = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+    runs = [("-S", "-m", "schurkit.cli", argv) for argv in corpus]
+    runs.append(("-S", "-m", "doctest", ["README.md"]))
+    done = [_capped(*argv, python=python, head=head, timeout=60, **env) for *head, argv in runs]
+    return runs, [(d.returncode, d.stdout, d.stderr) for d in done]
 
 
 @pytest.fixture(scope="module")
@@ -1012,9 +1002,9 @@ def test_every_installed_python_prints_the_same_bytes(minor, everywhere_referenc
     if python is None or not python.exists():
         pytest.skip(f"CPython {minor} is not installed under pyenv")
     corpus, expected = everywhere_reference
-    heads, got = _run_everywhere_corpus(python, corpus)
-    assert len(heads) > 80
-    differ = [head for head, a, b in zip(heads, got, expected) if a != b]
+    runs, got = _run_everywhere_corpus(python, corpus)
+    assert len(runs) > 80
+    differ = [entry for entry, a, b in zip(runs, got, expected) if a != b]
     assert not differ, (minor, differ)
 
 

@@ -593,6 +593,7 @@ def test_a_zero_exponent_never_survives_construction():
     assert (a / a).factors == {} and a / a == fr_const(1)
     assert (a * a**-1) == fr_const(1) and a**0 == fr_const(1)
     assert FactoredRational(0, {form: 2}) == fr_const(0)
+    assert (fr_const(0) * a).factors == (a * fr_const(0)).factors == (fr_const(0) / a).factors == {}
     for bad in (lambda: a**0.5, lambda: a * 2, lambda: 2 * a, lambda: a / Fraction(2)):
         with pytest.raises(TypeError):
             bad()
