@@ -295,7 +295,9 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
 # processes (2 vCPUs) printing P as JSON peaked at 319 MB with 539,100 factors at
 # (600, 2), at 488 MB with 748,713 at (707, 2), the largest m admitted at n = 2, and at
 # 508 MB with about 797,000 at (730, 2) and at (100, 81); (1000, 2), with 1,498,500,
-# takes about 0.9 GB.  ROADMAP item 5 folds this check into its shared admission helper.
+# takes about 0.9 GB.  At m = 1, P is n! alone and counts n factors: (1, 750000), the
+# largest n admitted there, spends 7.3 s on n! and then meets the int-digit limit.
+# ROADMAP item 5 folds this check into its shared admission helper.
 P_FACTOR_BOUND = 750_000
 
 
@@ -312,13 +314,14 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")
-    factors = comb(m, 2) * (2 * n - 1)
+    # at m = 1 there is no pair, and the n factors of n! are all of P
+    rule, factors = ("C(m, 2)*(2n - 1)", comb(m, 2) * (2 * n - 1)) if m > 1 else ("n", n)
     if factors > P_FACTOR_BOUND:
         raise ValueError(
-            f"P at --m {m} --n {n} has C(m, 2)*(2n - 1) = {factors} factors,"
+            f"P at --m {m} --n {n} has {rule} = {factors} factors,"
             f" above the bound of {P_FACTOR_BOUND}"
         )
-    tally = (1, tuple((d, 1) for d in range(1 - n, n)))
+    tally = (1, tuple((d, 1) for d in range(1 - n, n))) if m > 1 else None
     pairs = itertools.combinations(range(1, m + 1), 2)
     return _union(factorial(n), 1, ((tally, i, j) for i, j in pairs))
 

@@ -39,6 +39,7 @@ from schurkit.semisimple import (
     random_specialization,
     schur_elements_table,
 )
+from support import standard_fillings_count
 
 
 def _report(number: int, name: str, failures: list, started: float) -> None:
@@ -142,28 +143,13 @@ def test_criterion_5_symmetric_group_equivariance():
     _report(5, "S_m equivariance (m<=3, n<=5, all sigma)", failures, started)
 
 
-def _standard_fillings_count(mp):
-    if all(not lam for lam in mp):
-        return 1
-    total = 0
-    for s, lam in enumerate(mp):
-        for i in range(len(lam)):
-            below = lam[i + 1] if i + 1 < len(lam) else 0
-            if lam[i] > below:
-                smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
-                while smaller and smaller[-1] == 0:
-                    smaller = smaller[:-1]
-                total += _standard_fillings_count(mp[:s] + (smaller,) + mp[s + 1 :])
-    return total
-
-
 def test_criterion_6_trace_identity():
     started = time.time()
     failures = []
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4):
             for mp in enumerate_multipartitions(m, n):
-                if num_standard_tableaux(mp) != _standard_fillings_count(mp):
+                if num_standard_tableaux(mp) != standard_fillings_count(mp):
                     failures.append(("dimension", mp))
             if trace_identity_sides(m, n) != SparsePoly(m, {}):
                 failures.append(("trace", m, n))

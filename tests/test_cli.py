@@ -8,10 +8,7 @@ import importlib.util
 import io
 import json
 import os
-import resource
 import shlex
-import shutil
-import subprocess
 import sys
 import time
 import warnings
@@ -41,8 +38,9 @@ from schurkit.partitions import (
 )
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
-ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "bench" / "reference.json"
+import support
+
+REFERENCE = support.ROOT / "bench" / "reference.json"
 
 
 def invoke(capsys, *argv):
@@ -391,29 +389,14 @@ def test_semisimple_rejects_a_repeated_name(capsys):
     assert invoke(capsys, *argv, "--set", "q1=1")[0] == 0
 
 
-def _capped(*argv, python=sys.executable, head=("-m", "schurkit.cli"), timeout=10, **env):
-    """Run `python *head *argv`, the CLI by default, in a fresh process under a 1 GB address space.
-
-    The child runs in the repository root with env added to its environment.
-    """
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
-    return subprocess.run(
-        [str(python), *head, *argv],
-        capture_output=True, text=True, env=env, cwd=ROOT, preexec_fn=cap, timeout=timeout,
-    )
-
-
 def test_semisimple_names_the_first_missing_parameter_of_a_huge_level():
-    done = _capped("semisimple", "--m", "1000000000", "--n", "2", "--set", "q2=0")
+    done = support.run("semisimple", "--m", "1000000000", "--n", "2", "--set", "q2=0")
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: missing --set for q1\n")
 
 
 def test_semisimple_refuses_a_decimal_exponent_beyond_the_digit_limit(capsys):
-    done = _capped("semisimple", "--m", "2", "--n", "2", "--set", "q1=1e999999999", "--set", "q2=0")
+    argv = ["semisimple", "--m", "2", "--n", "2", "--set", "q1=1e999999999", "--set", "q2=0"]
+    done = support.run(*argv)
     limit = sys.get_int_max_str_digits()
     expected = f"error: --set 'q1=1e999999999': decimal exponent above the {limit}-digit limit\n"
     assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
@@ -441,10 +424,9 @@ def test_schur_rejects_non_array_component(capsys):
     "raw", ["[" * 100_000, "[" * 3000 + "]" * 3000], ids=["unclosed", "nested"]
 )
 def test_schur_refuses_a_multipartition_nested_too_deep(raw):
-    done = _capped("schur", "--multipartition", raw)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: --multipartition: ") and done.stderr.count("\n") == 1
-    assert "Traceback" not in done.stderr
+    done = support.run("schur", "--multipartition", raw)
+    expected = "error: --multipartition: nested deeper than 100 brackets\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
 
 
 DIGIT_LIMIT_ARGV = [
@@ -461,10 +443,10 @@ DIGIT_LIMIT_ERRORS = [
 
 def test_an_output_above_the_digit_limit_names_the_environment_variable():
     for argv, expected in zip(DIGIT_LIMIT_ARGV, DIGIT_LIMIT_ERRORS):
-        done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="4300")
+        done = support.run(*argv, PYTHONINTMAXSTRDIGITS="4300")
         assert (done.returncode, done.stdout, done.stderr) == (2, "", expected), argv[0]
     argv = DIGIT_LIMIT_ARGV[0]
-    done = _script(*argv, text=True, PYTHONINTMAXSTRDIGITS="0")
+    done = support.run(*argv, PYTHONINTMAXSTRDIGITS="0")
     assert (done.returncode, done.stderr) == (0, "")
     constant = done.stdout.partition("*")[0]
     assert constant.isdigit() and len(constant) > 4300
@@ -485,7 +467,8 @@ def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypa
 
 
 def test_a_long_symbol_finishes(capsys):
-    done = _capped("schur", "--multipartition", "[[1],[]]", "--formula", "symbol", "--L", "1000")
+    done = support.run("schur", "--multipartition", "[[1],[]]", "--formula", "symbol",
+                       "--L", "1000")
     assert (done.returncode, done.stdout, done.stderr) == (0, "((1);(0)): (q1-q2)\n", "")
 
 
@@ -520,7 +503,7 @@ def test_set_reads_one_grammar_on_every_python(capsys):
      "--no-vanishing"),
 ])
 def test_p_invariant_is_sized_before_it_is_built(argv):
-    done = _capped(*argv)
+    done = support.run(*argv)
     m, n = int(argv[argv.index("--m") + 1]), int(argv[argv.index("--n") + 1])
     factors = m * (m - 1) // 2 * (2 * n - 1)
     expected = (
@@ -528,6 +511,18 @@ def test_p_invariant_is_sized_before_it_is_built(argv):
         f" above the bound of {schur_module.P_FACTOR_BOUND}\n"
     )
     assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
+
+
+def test_p_invariant_at_level_one_is_sized_by_the_factors_of_n_factorial():
+    for argv in (["pinv"], ["semisimple", "--set", "q1=0"]):
+        done = support.run(*argv, "--m", "1", "--n", "1000000000", timeout=1)
+        expected = (
+            "error: P at --m 1 --n 1000000000 has n = 1000000000 factors,"
+            f" above the bound of {schur_module.P_FACTOR_BOUND}\n"
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", expected), argv[0]
+    done = support.run("pinv", "--m", "1", "--n", "5", timeout=1)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "120\n", "")
 
 
 def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
@@ -590,54 +585,36 @@ def test_integrality_mismatch_records(capsys, monkeypatch):
 
 
 def test_cli_module_runs_as_a_script():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "schurkit.cli", "verify", "--suite", "hook-beta", "--size"]
-    done = subprocess.run([*argv, "2"], capture_output=True, text=True, env=env)
+    argv = ["verify", "--suite", "hook-beta", "--size"]
+    done = support.run(*argv, "2")
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "checked 16 identities, 0 mismatches\n", ""
     )
-    done = subprocess.run([*argv, "0"], capture_output=True, text=True, env=env)
+    done = support.run(*argv, "0")
     assert done.returncode == 2 and done.stdout == "" and "--size" in done.stderr
 
 
 def test_a_closed_pipe_exits_without_a_traceback():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "schurkit.cli", "schur", "--m", "4", "--n", "6", "--format", "json"]
+    argv = ["schur", "--m", "4", "--n", "6", "--format", "json"]
     # about 700 kB of output: far more than a pipe buffers, so the write meets the closed end
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
-        proc.stderr.close()
+    with support.start("-m", "schurkit.cli", *argv) as proc:
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=support.TIMEOUT)
+        finally:
+            proc.kill()
     assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
-    assert code == 1
-
-
-def _script(*argv, code=None, text=False, **env):
-    """Run the CLI as `python -m schurkit.cli argv`, or run `python -c code`, in a fresh process.
-
-    stdout is block-buffered, as it is for a user, so a lost flush loses output.
-    """
-    env = {**os.environ, **env}
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    head = ["-m", "schurkit.cli"] if code is None else ["-c", code]
-    return subprocess.run([sys.executable, *head, *argv], capture_output=True, text=text, env=env)
+    assert proc.returncode == 1
 
 
 def test_the_script_writes_all_of_stdout_before_it_exits(capsys):
     argv = ["schur", "--m", "4", "--n", "6", "--format", "json"]
     assert run(argv) == 0
-    expected = capsys.readouterr().out.encode()
+    expected = capsys.readouterr().out
     assert len(expected) > 400_000  # far more than a pipe buffers
-    done = _script(*argv)
-    assert (done.returncode, done.stderr) == (0, b"")
+    done = support.run(*argv)
+    assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == expected
 
 
@@ -646,7 +623,7 @@ def test_the_script_writes_all_of_a_usage_error(capsys):
     assert run(argv) == 2
     expected = capsys.readouterr().err
     assert expected == "error: --size expects a positive integer, got '0'\n"
-    done = _script(*argv, text=True)
+    done = support.run(*argv)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
 
 
@@ -655,10 +632,10 @@ def test_the_script_skips_teardown_but_not_a_traceback():
         "import atexit, sys, schurkit.cli as cli; atexit.register(print, 'teardown');"
         " cli.main(sys.argv[1:])"
     )
-    done = _script("enumerate", "--m", "1", "--n", "1", code=code, text=True)
+    done = support.run("enumerate", "--m", "1", "--n", "1", head=("-c", code))
     assert (done.returncode, done.stdout, done.stderr) == (0, "((1))\n", "")
     code = "import schurkit.cli as cli; cli.run = lambda argv: 1 / 0; cli.main([])"
-    done = _script(code=code, text=True)
+    done = support.run(head=("-c", code))
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("Traceback") and done.stderr.endswith("ZeroDivisionError: division by zero\n")
 
@@ -666,16 +643,12 @@ def test_the_script_skips_teardown_but_not_a_traceback():
 @pytest.mark.slow
 def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak():
     """three-formulas at (700,1) peaked at 941 MB when every pair was memoized at every (s, t)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     argv = ["verify", "--suite", "three-formulas", "--m", "700", "--n", "1"]
-    proc = subprocess.Popen([sys.executable, "-m", "schurkit.cli", *argv], stdout=subprocess.PIPE, env=env)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert out == b"checked 700 multipartitions, 0 mismatches\n"
+    with support.start("-m", "schurkit.cli", *argv) as proc:
+        out, err = proc.stdout.read(), proc.stderr.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, out, err) == (0, b"checked 700 multipartitions, 0 mismatches\n", b"")
     peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb <= 314, peak_mb
 
@@ -718,11 +691,9 @@ def test_trace_identity_refuses_grid_points_times_summands(capsys, monkeypatch, 
 
 
 def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext'}"
     code = f"import sys, schurkit.cli; print(sorted({unwanted} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    done = support.run(head=("-S", "-c", code))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
@@ -863,7 +834,7 @@ def table_parse(argv):
 
 
 def readme_command_lines():
-    return [line for line in (ROOT / "README.md").read_text().splitlines()
+    return [line for line in (support.ROOT / "README.md").read_text().splitlines()
             if line.startswith("schurkit ")]
 
 
@@ -883,7 +854,7 @@ def test_readme_commands_run_and_their_comments_are_their_output(capsys):
 def menu_commands(monkeypatch):
     """One round of every benchmark workload, as the seed 1 plan draws it."""
     spec = importlib.util.spec_from_file_location("schurkit_bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+                                                  support.ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks itself up there
     spec.loader.exec_module(workloads)
@@ -957,12 +928,13 @@ NARROWED = [
 
 
 def _pyenv_pythons():
-    """{"3.10": path to python3, ...} for the CPython 3.10-3.13 versions that pyenv installed."""
-    if shutil.which("pyenv") is None:
-        return {}
-    root = subprocess.run(["pyenv", "root"], capture_output=True, text=True).stdout.strip()
+    """{"3.10": path to python3, ...} for the CPython 3.10-3.13 versions that pyenv installed.
+
+    pyenv keeps them under $PYENV_ROOT, ~/.pyenv unless set.
+    """
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
     found = {}
-    for version in sorted(Path(root).glob("versions/3.1[0-3]*")) if root else ():
+    for version in sorted(root.glob("versions/3.1[0-3]*")):
         found.setdefault(".".join(version.name.split(".")[:2]), version / "bin" / "python3")
     return found
 
@@ -972,7 +944,8 @@ def _run_everywhere_corpus(python, corpus):
     env = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
     runs = [("-S", "-m", "schurkit.cli", argv) for argv in corpus]
     runs.append(("-S", "-m", "doctest", ["README.md"]))
-    done = [_capped(*argv, python=python, head=head, timeout=60, **env) for *head, argv in runs]
+    done = [support.run(*argv, python=python, head=head, timeout=support.TIMEOUT, **env)
+            for *head, argv in runs]
     return runs, [(d.returncode, d.stdout, d.stderr) for d in done]
 
 
@@ -985,11 +958,8 @@ def everywhere_reference():
               f"2.5E-{sys.get_int_max_str_digits() + 1}")
     grammar = [["semisimple", "--m", "2", "--n", "2", "--set", f"q1={value}", "--set", "q2=0"]
                for value in values]
-    # Closed nesting is left out: the depth at which json.loads gives up is the interpreter's
-    # (under 1,000 on 3.11, 1,000-1,500 on 3.12, over 9,000 on 3.13), and below it the
-    # library refuses the input with another text, so "[" * 3000 + "]" * 3000 differs on 3.13.
-    deep = ["schur", "--multipartition", "[" * 100_000]
-    corpus = readme_commands() + menus + VALID + MALFORMED + DIGIT_LIMIT_ARGV + grammar + [deep]
+    deep = [["schur", "--multipartition", raw] for raw in ("[" * 100_000, "[" * 3000 + "]" * 3000)]
+    corpus = readme_commands() + menus + VALID + MALFORMED + DIGIT_LIMIT_ARGV + grammar + deep
     return corpus, _run_everywhere_corpus(sys.executable, corpus)[1]
 
 

@@ -3,20 +3,24 @@
 A use is an ast.Name, the attribute of an ast.Attribute, or a string
 constant that is an identifier (a name looked up with getattr).  Uses
 count in src/schurkit (but not __init__.py, which only re-exports), in
-tests/, in bench/tracing.py and in the README's doctest examples.
-Dunders are called by the interpreter and are exempt.
+tests/ and in the README's doctest examples; a name that only the
+benchmark's tracer patches is dead.  Dunders are called by the
+interpreter and are exempt.
 
 Every module-level import of a library module is named in that module
 too; __init__.py, which only re-exports, and __future__ are exempt.
 
 No library module has an assert statement: python -O strips it, so a
 check that must hold raises instead.
+
+tests/support.py, the home of the test oracles, imports nothing from
+schurkit, and it alone imports subprocess.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from support import ROOT
+
 LIBRARY = sorted((ROOT / "src" / "schurkit").glob("*.py"))
 
 
@@ -33,7 +37,7 @@ def names_used(tree):
 
 def test_every_definition_is_used():
     sources = [path for path in LIBRARY if path.name != "__init__.py"]
-    sources += sorted((ROOT / "tests").glob("*.py")) + [ROOT / "bench" / "tracing.py"]
+    sources += sorted((ROOT / "tests").glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in sources]
     lines = (ROOT / "README.md").read_text().splitlines()
     examples = [line.strip()[4:] for line in lines if line.strip()[:4] in (">>> ", "... ")]
@@ -75,3 +79,20 @@ def test_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def modules_imported(path):
+    """The top-level names of the modules that the file at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_support_imports_no_library_and_alone_starts_children():
+    assert modules_imported(ROOT / "tests" / "support.py").isdisjoint({"schurkit", "."})
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert [path.name for path in tests if "subprocess" in modules_imported(path)] == ["support.py"]

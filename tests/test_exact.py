@@ -31,6 +31,7 @@ from schurkit.exact import (
 from schurkit.exact import _is_prime
 from schurkit.partitions import enumerate_multipartitions
 from schurkit.schur import schur_element, y_kernel
+from support import fold, poly_at
 
 
 def random_factored(rng: random.Random, max_factors: int = 4) -> FactoredRational:
@@ -44,13 +45,6 @@ def random_factored(rng: random.Random, max_factors: int = 4) -> FactoredRationa
         exp = rng.choice([-2, -1, 1, 2])
         b.form(c, s, t, exp=exp)
     return b.build()
-
-
-def poly_at(poly: SparsePoly, theta: Specialization):
-    """The expanded polynomial at theta, summed term by term over Q or F_p."""
-    values = [theta.value_of(s) for s in range(1, poly.m + 1)]
-    total = sum(c * prod(v**k for v, k in zip(values, e)) for e, c in poly.terms.items())
-    return total if theta.prime is None else total % theta.prime
 
 
 def random_theta(rng: random.Random, prime=None) -> Specialization:
@@ -129,25 +123,10 @@ def test_zero_value():
 # ---------------------------------------------------------- builder oracle
 
 
-def _oriented(c, s, t):
-    """Canonical (s, t, c) and sign, by the orientation rule of exact.py."""
-    if s < t:
-        return (s, t, c), 1
-    return (t, s, -c), -1
-
-
 def _fold_each_occurrence(occurrences):
     """Reference builder: canonicalize every occurrence as it arrives."""
-    constant = Fraction(1)
-    factors = {}
-    for c, s, t, exp in occurrences:
-        if s == t:
-            constant *= Fraction(c) ** exp
-            continue
-        key, sign = _oriented(c, s, t)
-        constant *= Fraction(sign) ** exp
-        factors[key] = factors.get(key, 0) + exp
-    return FactoredRational(constant, {LinearForm(*k): e for k, e in factors.items() if e})
+    constant, factors = fold(occurrences)
+    return FactoredRational(constant, {LinearForm(*k): e for k, e in factors.items()})
 
 
 def _random_occurrences(rng):

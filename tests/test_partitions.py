@@ -22,82 +22,31 @@ from schurkit.partitions import (
     partitions_of,
     permute_components,
 )
+from support import (
+    beta_numbers,
+    generalized_hook,
+    multipartitions,
+    nodes,
+    partitions,
+    standard_fillings_count,
+)
 
 # ------------------------------------------------------------------ oracles
 
 
-def diagram(lam):
-    return {(i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1)}
-
-
 def conjugate_by_columns(lam):
     """Independent conjugate: count nodes per column of the drawn diagram."""
-    nodes = diagram(lam)
     cols = {}
-    for _, j in nodes:
+    for _, j in nodes(lam):
         cols[j] = cols.get(j, 0) + 1
     return tuple(cols[j] for j in sorted(cols))
 
 
 def hook_by_counting(lam, i, j):
     """Independent hook length: literally count arm, leg and the node itself."""
-    nodes = diagram(lam)
-    arm = sum(1 for (a, b) in nodes if a == i and b > j)
-    leg = sum(1 for (a, b) in nodes if b == j and a > i)
+    arm = sum(1 for (a, b) in nodes(lam) if a == i and b > j)
+    leg = sum(1 for (a, b) in nodes(lam) if b == j and a > i)
     return arm + leg + 1
-
-
-def generalized_hook_by_counting(lam, mu, i, j):
-    """Independent generalized hook: the arm in lam, the leg down column j of mu, the node."""
-    arm = sum(1 for (a, b) in diagram(lam) if a == i and b > j)
-    leg = sum(1 for (a, b) in diagram(mu) if b == j) - i
-    return arm + leg + 1
-
-
-def beta_by_rows(lam, length):
-    """Independent beta numbers: lam_i + L - i for i = 1..L, lam_i = 0 beyond its rows."""
-    return tuple((lam[i - 1] if i <= len(lam) else 0) + length - i for i in range(1, length + 1))
-
-
-def partitions_by_ascending(n):
-    """Independent partition generator (ascending composition recursion)."""
-
-    def gen(n, smallest):
-        if n == 0:
-            yield ()
-            return
-        for first in range(smallest, n + 1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-
-    return {tuple(reversed(p)) for p in gen(n, 1)}
-
-
-def multipartitions_brute(m, n):
-    """Independent multipartition set: all ways to split n and pick partitions."""
-    out = set()
-    for sizes in itertools.product(range(n + 1), repeat=m):
-        if sum(sizes) != n:
-            continue
-        for combo in itertools.product(*(partitions_by_ascending(k) for k in sizes)):
-            out.add(combo)
-    return out
-
-
-def standard_fillings_count(mp):
-    """Count standard fillings by peeling the largest entry off every way."""
-    if all(not lam for lam in mp):
-        return 1
-    total = 0
-    for s, lam in enumerate(mp):
-        for i in range(len(lam)):
-            below = lam[i + 1] if i + 1 < len(lam) else 0
-            if lam[i] > below:
-                smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
-                while smaller and smaller[-1] == 0:
-                    smaller = smaller[:-1]
-                total += standard_fillings_count(mp[:s] + (smaller,) + mp[s + 1 :])
-    return total
 
 
 def all_partitions_up_to(n):
@@ -218,25 +167,24 @@ def test_generalized_hooks_match_counting_on_every_pair_up_to_8():
         (lam, mu)
         for a in range(9)
         for b in range(9 - a)
-        for lam in partitions_by_ascending(a)
-        for mu in partitions_by_ascending(b)
+        for lam in partitions(a)
+        for mu in partitions(b)
     ]
     assert len(pairs) == 434
     for lam, mu in pairs:
-        nodes = sorted(diagram(lam))  # row by row, left to right
-        expected = tuple(generalized_hook_by_counting(lam, mu, i, j) for i, j in nodes)
+        expected = tuple(generalized_hook(lam, mu, i, j) for i, j in nodes(lam))
         assert generalized_hooks(lam, mu) == expected, (lam, mu)
-        assert tuple(generalized_hook_length(lam, mu, i, j) for i, j in nodes) == expected
+        assert tuple(generalized_hook_length(lam, mu, i, j) for i, j in nodes(lam)) == expected
 
 
 def test_beta_set_and_l_symbol_are_lam_i_plus_l_minus_i():
     parts = list(all_partitions_up_to(6))
     for lam in parts:
         for length in range(len(lam), len(lam) + 4):
-            assert beta_set(lam, length) == beta_by_rows(lam, length), (lam, length)
+            assert beta_set(lam, length) == beta_numbers(lam, length), (lam, length)
     for mp in enumerate_multipartitions(3, 4):
         length = mp_length(mp) + 1
-        assert l_symbol(mp, length) == tuple(beta_by_rows(lam, length) for lam in mp)
+        assert l_symbol(mp, length) == tuple(beta_numbers(lam, length) for lam in mp)
 
 
 def test_memoized_reads_take_lists_and_give_equal_tuples():
@@ -275,7 +223,7 @@ def test_enumeration_matches_brute_force_and_counts():
         for n in range(0, 9):
             got = list(enumerate_multipartitions(m, n))
             assert len(got) == len(set(got)), "duplicates in enumeration"
-            assert set(got) == multipartitions_brute(m, n)
+            assert set(got) == set(multipartitions(m, n))
             assert len(got) == multipartition_count(m, n)
 
 
@@ -294,7 +242,7 @@ def convolved_count(m, n):
 def test_multipartition_count_matches_brute_force_and_the_plain_convolution():
     for m in range(5):
         for n in range(6):
-            assert multipartition_count(m, n) == len(multipartitions_brute(m, n)), (m, n)
+            assert multipartition_count(m, n) == len(list(multipartitions(m, n))), (m, n)
         for n in range(61):
             assert multipartition_count(m, n) == convolved_count(m, n), (m, n)
 

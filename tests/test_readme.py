@@ -6,9 +6,9 @@ cites those files by name.
 """
 
 import re
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from support import ROOT
+
 MEASUREMENT = re.compile(r"\b\d[\d.,]*\s?(?:ms|s|MB|GB)\b")
 
 

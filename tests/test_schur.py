@@ -46,6 +46,15 @@ from schurkit.schur import (
     y_kernel,
     z_kernel,
 )
+from support import (
+    beta_numbers,
+    fold,
+    generalized_hook,
+    multipartitions,
+    nodes,
+    partitions,
+    poly_at,
+)
 
 
 def small_partitions(max_size):
@@ -132,80 +141,38 @@ def test_list_inputs_equal_tuple_inputs():
         assert num_standard_tableaux([list(lam) for lam in mp]) == num_standard_tableaux(mp)
 
 
-# Reference kernels, node by node as the kernels are defined, written into
+# Reference kernels, node by node as the kernels are defined, folded into
 # their own canonical product: an oracle that shares no code with src/.
-
-
-class _OracleProduct:
-    """constant * prod (c + q_s - q_t)^exp, kept as canonical (s < t) triples."""
-
-    def __init__(self):
-        self.constant = Fraction(1)
-        self.factors = {}
-
-    def const(self, value, exp=1):
-        self.constant *= Fraction(value) ** exp
-
-    def form(self, c, s, t, exp=1):
-        if s == t:
-            return self.const(c, exp)
-        if s > t:
-            c, s, t = -c, t, s
-            self.constant *= (-1) ** exp
-        self.factors[(s, t, c)] = self.factors.get((s, t, c), 0) + exp
-
-    def value(self):
-        return self.constant, {key: exp for key, exp in self.factors.items() if exp}
 
 
 def _plain(value):
     return value.constant, {(f.s, f.t, f.c): exp for f, exp in value.factors.items()}
 
 
-def _oracle_nodes(lam):
-    return [(i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1)]
-
-
 def _oracle_x(lam, mu, s, t):
     mu1 = mu[0] if mu else 0
     mubar = [sum(1 for row in mu if row >= k) for k in range(1, mu1 + 1)]
-    out = _OracleProduct()
-    for i, j in _oracle_nodes(mu):
-        out.form(j - i, t, s)
-    for i, j in _oracle_nodes(lam):
-        out.form(j - i - mu1, s, t)
+    out = [(j - i, t, s, 1) for i, j in nodes(mu)]
+    for i, j in nodes(lam):
+        out.append((j - i - mu1, s, t, 1))
         for k in range(1, mu1 + 1):
-            out.form(j - i + mubar[k - 1] - k + 1, s, t)
-            out.form(j - i + mubar[k - 1] - k, s, t, exp=-1)
-    return out.value()
+            out += [(j - i + mubar[k - 1] - k + 1, s, t, 1), (j - i + mubar[k - 1] - k, s, t, -1)]
+    return fold(out)
 
 
 def _oracle_y(lam, mu, length, s, t):
-    def beta(p):
-        return [(p[i - 1] if i <= len(p) else 0) + length - i for i in range(1, length + 1)]
-
-    out = _OracleProduct()
-    out.const((-1) ** (length * (length - 1) // 2))
-    out.form(0, s, t, exp=length)
-    for a in beta(lam):
-        for i in range(1, a + 1):
-            out.form(i, s, t)
-    for b in beta(mu):
-        for j in range(1, b + 1):
-            out.form(j, t, s)
-    for a in beta(lam):
-        for b in beta(mu):
-            out.form(a - b, s, t, exp=-1)
-    return out.value()
+    rows, cols = beta_numbers(lam, length), beta_numbers(mu, length)
+    out = [((-1) ** (length * (length - 1) // 2), s, s, 1), (0, s, t, length)]
+    out += [(i, s, t, 1) for a in rows for i in range(1, a + 1)]
+    out += [(j, t, s, 1) for b in cols for j in range(1, b + 1)]
+    out += [(a - b, s, t, -1) for a in rows for b in cols]
+    return fold(out)
 
 
 def _oracle_z(lam, mu, s, t):
-    out = _OracleProduct()
-    for i, j in _oracle_nodes(lam):
-        out.form(_oracle_hook(lam, mu, i, j), s, t)
-    for i, j in _oracle_nodes(mu):
-        out.form(_oracle_hook(mu, lam, i, j), t, s)
-    return out.value()
+    out = [(generalized_hook(lam, mu, i, j), s, t, 1) for i, j in nodes(lam)]
+    out += [(generalized_hook(mu, lam, i, j), t, s, 1) for i, j in nodes(mu)]
+    return fold(out)
 
 
 def test_tallied_kernels_match_the_node_by_node_oracle():
@@ -213,8 +180,8 @@ def test_tallied_kernels_match_the_node_by_node_oracle():
         (lam, mu)
         for a in range(6)
         for b in range(6 - a)
-        for lam in _oracle_partitions(a)
-        for mu in _oracle_partitions(b)
+        for lam in partitions(a)
+        for mu in partitions(b)
     ]
     # sigma(1) = s and sigma(2) = t, so renaming a kernel at x = q1 - q2 by
     # sigma gives the same kernel at x = q_s - q_t
@@ -237,8 +204,8 @@ def _oracle_tally(sign, tally):
 def _oracle_x_tally(lam, mu):
     """X_{lam mu} node by node, as (sign, ((c, exp), ...)) for sign * prod (c + x)^exp."""
     mu1 = mu[0] if mu else 0
-    tally = Counter(i - j for i, j in _oracle_nodes(mu))
-    for i, j in _oracle_nodes(lam):
+    tally = Counter(i - j for i, j in nodes(mu))
+    for i, j in nodes(lam):
         tally[j - i - mu1] += 1
         for k in range(1, mu1 + 1):
             col = sum(1 for row in mu if row >= k)
@@ -249,24 +216,22 @@ def _oracle_x_tally(lam, mu):
 
 def _oracle_y_tally(lam, mu, length):
     """Y from the beta numbers, one rising factor and one pair quotient at a time."""
-    def beta(p):
-        return [(p[i - 1] if i <= len(p) else 0) + length - i for i in range(1, length + 1)]
-
+    rows, cols = beta_numbers(lam, length), beta_numbers(mu, length)
     tally = Counter({0: length})
-    for a in beta(lam):
+    for a in rows:
         tally.update(range(1, a + 1))
-    for b in beta(mu):
+    for b in cols:
         tally.update(range(-b, 0))
-    for a in beta(lam):
-        for b in beta(mu):
+    for a in rows:
+        for b in cols:
             tally[a - b] -= 1
-    return _oracle_tally((-1) ** (length * (length - 1) // 2 + sum(beta(mu))), tally)
+    return _oracle_tally((-1) ** (length * (length - 1) // 2 + sum(cols)), tally)
 
 
 def _oracle_z_tally(lam, mu):
     """Z_{lam mu} node by node: (h + x) for the hooks of lam, -(-h + x) for those of mu."""
-    tally = Counter(_oracle_hook(lam, mu, i, j) for i, j in _oracle_nodes(lam))
-    tally.update(-_oracle_hook(mu, lam, i, j) for i, j in _oracle_nodes(mu))
+    tally = Counter(generalized_hook(lam, mu, i, j) for i, j in nodes(lam))
+    tally.update(-generalized_hook(mu, lam, i, j) for i, j in nodes(mu))
     return _oracle_tally((-1) ** sum(mu), tally)
 
 
@@ -275,8 +240,8 @@ def test_row_wise_tallies_match_the_node_by_node_oracle():
         (lam, mu)
         for a in range(9)
         for b in range(9 - a)
-        for lam in _oracle_partitions(a)
-        for mu in _oracle_partitions(b)
+        for lam in partitions(a)
+        for mu in partitions(b)
     ]
     assert len(pairs) == 434
     x_tally, y_tally, z_tally = (
@@ -611,14 +576,14 @@ def test_p_invariant_factor_count():
 
 
 def test_p_invariant_bound_is_inclusive(monkeypatch):
-    # C(m, 2)*(2n - 1) = 15 at (3, 3), (2, 8) and (6, 1); the memo is cleared, since a hit
-    # checks nothing
+    # C(m, 2)*(2n - 1) = 15 at (3, 3), (2, 8) and (6, 1), and n = 15 at m = 1, where P is n!
+    # alone; the memo is cleared, since a hit checks nothing
     monkeypatch.setattr(schur_module, "P_FACTOR_BOUND", 15)
     p_invariant.cache_clear()
     for m, n in ((3, 3), (2, 8), (6, 1)):
         assert sum(p_invariant(m, n).factors.values()) == 15
-    assert p_invariant(1, 40) == fr_const(factorial(40))  # no factors at all
-    for m, n in ((3, 4), (2, 9), (7, 1)):
+    assert p_invariant(1, 15) == fr_const(factorial(15))
+    for m, n in ((3, 4), (2, 9), (7, 1), (1, 16)):
         with pytest.raises(ValueError, match=f"^P at --m {m} --n {n} has .* above the bound of 15$"):
             p_invariant(m, n)
     p_invariant.cache_clear()
@@ -859,8 +824,8 @@ def _oracle_top_exponents(size):
     for a in range(size + 1):
         for b in range(size + 1 - a):
             best = top[a, b] = Counter()
-            for lam in _oracle_partitions(a):
-                for mu in _oracle_partitions(b):
+            for lam in partitions(a):
+                for mu in partitions(b):
                     best |= Counter(dict(_oracle_z_tally(lam, mu)[1]))
     return top
 
@@ -904,7 +869,7 @@ def _trace_identity_property(shapes, max_examples):
     @hypothesis.given(shape=st.sampled_from(shapes), data=st.data())
     def check(shape, data):
         m, n = shape
-        wrong = data.draw(st.sampled_from(list(_oracle_multipartitions(m, n))))
+        wrong = data.draw(st.sampled_from(list(multipartitions(m, n))))
         with pytest.MonkeyPatch.context() as patch:
             spy = _GridSpy()
             patch.setattr(schur_module, "itertools", spy)
@@ -1003,45 +968,20 @@ def test_vanishes_identically_on_sums_that_cancel():
     check()
 
 
-def _oracle_partitions(n, largest=None):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in _oracle_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _oracle_multipartitions(m, n):
-    if m == 1:
-        yield from ((lam,) for lam in _oracle_partitions(n))
-        return
-    for k in range(n + 1):
-        for lam in _oracle_partitions(k):
-            for rest in _oracle_multipartitions(m - 1, n - k):
-                yield (lam,) + rest
-
-
-def _oracle_hook(lam, mu, i, j):
-    """lam_i - i + mu'_j - j + 1 for the node (i, j) of lam, 1-based."""
-    return lam[i - 1] - i + sum(1 for row in mu if row >= j) - j + 1
-
-
 def test_trace_identity_matches_sympy():
     """sum_L f^L / s_L = [m = 1], with elements, hooks and f^L built here."""
     sympy = pytest.importorskip("sympy")
     for m, n in ((1, 3), (2, 3), (3, 2), (2, 4)):
         q = sympy.symbols(f"q1:{m + 1}")
         summands = []
-        for mp in _oracle_multipartitions(m, n):
+        for mp in multipartitions(m, n):
             element = sympy.Integer(1)
             hooks = 1
             for s, lam in enumerate(mp):
-                for i, row in enumerate(lam, 1):
-                    for j in range(1, row + 1):
-                        hooks *= _oracle_hook(lam, lam, i, j)
-                        for t, mu in enumerate(mp):
-                            element *= _oracle_hook(lam, mu, i, j) + q[s] - q[t]
+                for i, j in nodes(lam):
+                    hooks *= generalized_hook(lam, lam, i, j)
+                    for t, mu in enumerate(mp):
+                        element *= generalized_hook(lam, mu, i, j) + q[s] - q[t]
             summands.append(sympy.Integer(factorial(n) // hooks) / element)
             # the library's element is the same polynomial
             value = schur_element(mp)
@@ -1084,13 +1024,6 @@ def test_expanded_degree_bound_small():
             assert poly.total_degree() == degree == n * (m - 1), mp
 
 
-def _poly_at(poly, theta):
-    """The expanded polynomial at theta, summed term by term over Q or F_p."""
-    values = [theta.value_of(s) for s in range(1, poly.m + 1)]
-    total = sum(c * prod(v**k for v, k in zip(values, e)) for e, c in poly.terms.items())
-    return total if theta.prime is None else total % theta.prime
-
-
 def test_schur_at_generic_point_matches_expansion():
     thetas = [
         Specialization({1: Fraction(19, 2), 2: Fraction(-7, 3), 3: 5}),
@@ -1100,4 +1033,4 @@ def test_schur_at_generic_point_matches_expansion():
         element = schur_element(mp)
         poly = fr_expand(element, 3)
         for theta in thetas:
-            assert fr_eval(element, theta) == _poly_at(poly, theta)
+            assert fr_eval(element, theta) == poly_at(poly, theta)

@@ -12,44 +12,23 @@ the shape of the entries below k, then
               / prod_{beta removable from L_(k-1)} (res alpha_k - res beta).
 
 At m = 1 this is the hook product.  The residues, addable and removable
-nodes, multipartitions and tableaux are all built here with the stdlib,
-so no hook, beta number or kernel of the library takes part: the check
-reads whole values, constant and factors, of all three formulas.
+nodes and tableaux are built here, and the multipartitions and the product
+in support.py, with the stdlib only, so no hook, beta number or kernel of
+the library takes part: the check reads whole values, constant and
+factors, of all three formulas.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from schurkit import schur_element
+from support import fold, multipartitions
 
 FORMULAS = ("product", "symbol", "cancellation")
 SHAPES = [(m, n) for m, top in ((1, 6), (2, 5), (3, 4)) for n in range(1, top + 1)]
 SHAPES += [(4, 3), (5, 2)]
 SLOW_SHAPES = [(m, n) for m, top in ((2, 9), (3, 6), (4, 5)) for n in range(1, top + 1)]
-
-
-def partitions(n, largest=None):
-    """Every partition of n with parts at most largest, in decreasing order."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in partitions(n - part, part):
-            yield (part, *rest)
-
-
-def multipartitions(m, n):
-    """Every m-tuple of partitions of total size n."""
-    if m == 0:
-        if n == 0:
-            yield ()
-        return
-    for size in range(n + 1):
-        for lam in partitions(size):
-            for rest in multipartitions(m - 1, n - size):
-                yield (lam, *rest)
 
 
 def addable(shape):
@@ -114,27 +93,17 @@ def seminormal(m, tableau):
     """The residue product along tableau: its shape, constant and {(s, t, c): exp}.
 
     Each difference res alpha - res beta = (c_alpha - c_beta) + q_a - q_b is
-    a constant when a == b and a form otherwise, oriented so that s < t:
-    (c + q_b - q_a) with b > a is -((-c) + q_a - q_b).
+    one occurrence for fold, which reads it as a constant when a == b and
+    orients it otherwise.
     """
-    constant, factors = Fraction(1), {}
-    shape = ((),) * m
+    occurrences, shape = [], ((),) * m
     for alpha in tableau:
         a, c_alpha = alpha[0], alpha[2] - alpha[1]
         others = [(beta, 1) for beta in addable(shape) if beta != alpha]
         others += [(beta, -1) for beta in removable(shape)]
-        for (b, i, j), exp in others:
-            c = c_alpha - (j - i)
-            if a == b:
-                constant *= Fraction(c) ** exp
-                continue
-            if a < b:
-                key = (a, b, c)
-            else:
-                key, constant = (b, a, -c), -constant
-            factors[key] = factors.get(key, 0) + exp
+        occurrences += [(c_alpha - (j - i), a, b, exp) for (b, i, j), exp in others]
         shape = grow(shape, alpha)
-    return shape, constant, {key: e for key, e in factors.items() if e}
+    return (shape, *fold(occurrences))
 
 
 def mismatches(mp, tableau):
