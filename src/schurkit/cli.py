@@ -134,7 +134,9 @@ def _parse_single_multipartition(args) -> Multipartition:
         raise UsageError(f"--multipartition: nested deeper than {MAX_NESTING} brackets")
     try:
         mp = multipartition(json.loads(args.multipartition))
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+    except json.JSONDecodeError:  # its wording and position differ between interpreters
+        raise UsageError("--multipartition: not valid JSON")
+    except ValueError as exc:  # the int-digit limit of json.loads, or multipartition's refusal
         raise UsageError(f"--multipartition: {exc}")
     if args.m is not None and args.m != len(mp):
         raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} components")
