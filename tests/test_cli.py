@@ -48,22 +48,18 @@ def invoke(capsys, *argv):
 
 
 def test_pinv_text(capsys):
-    code, out, err = invoke(capsys, "pinv", "--m", "2", "--n", "1")
-    assert (code, out, err) == (0, "(q1-q2)\n", "")
+    assert invoke(capsys, "pinv", "--m", "2", "--n", "1") == (0, "(q1-q2)\n", "")
 
 
 def test_pinv_latex_and_json(capsys):
-    code, out, _ = invoke(capsys, "pinv", "--m", "2", "--n", "2", "--format", "latex")
-    assert code == 0
-    assert out == "2*(-1+q_{1}-q_{2})(q_{1}-q_{2})(1+q_{1}-q_{2})\n"
+    assert invoke(capsys, "pinv", "--m", "2", "--n", "2", "--format", "latex") == (
+        0, "2*(-1+q_{1}-q_{2})(q_{1}-q_{2})(1+q_{1}-q_{2})\n", "")
     code, out, _ = invoke(capsys, "pinv", "--m", "2", "--n", "2", "--format", "json")
     assert FactoredRational.from_json(json.loads(out)) == p_invariant(2, 2)
 
 
 def test_enumerate_text_and_json(capsys):
-    code, out, _ = invoke(capsys, "enumerate", "--m", "2", "--n", "1")
-    assert code == 0
-    assert out == "((1);(0))\n((0);(1))\n"
+    assert invoke(capsys, "enumerate", "--m", "2", "--n", "1") == (0, "((1);(0))\n((0);(1))\n", "")
     code, out, _ = invoke(capsys, "enumerate", "--m", "2", "--n", "1", "--format", "json")
     assert json.loads(out) == [[[1], []], [[], [1]]]
 
@@ -91,11 +87,8 @@ def test_schur_sweep_json_round_trip(capsys):
 
 
 def test_schur_single_multipartition(capsys):
-    code, out, _ = invoke(
-        capsys, "schur", "--multipartition", "[[1],[1]]", "--format", "text"
-    )
-    assert code == 0
-    assert out == "((1);(1)): -(-1+q1-q2)(1+q1-q2)\n"
+    assert invoke(capsys, "schur", "--multipartition", "[[1],[1]]", "--format", "text") == (
+        0, "((1);(1)): -(-1+q1-q2)(1+q1-q2)\n", "")
 
 
 def test_schur_latex_rows(capsys):
@@ -107,27 +100,19 @@ def test_schur_latex_rows(capsys):
 
 
 def test_schur_symbol_formula_with_l(capsys):
-    code, out, _ = invoke(
-        capsys, "schur", "--m", "2", "--n", "1", "--formula", "symbol", "--L", "3"
-    )
-    assert code == 0
-    assert "((1);(0)): (q1-q2)" in out
+    assert invoke(capsys, *argv_of("schur --m 2 --n 1 --formula symbol --L 3")) == (
+        0, "((1);(0)): (q1-q2)\n((0);(1)): -(q1-q2)\n", "")
 
 
 def test_verify_three_formulas_summary(capsys):
-    code, out, err = invoke(
-        capsys, "verify", "--suite", "three-formulas", "--m", "2", "--n", "3"
-    )
-    assert (code, err) == (0, "")
-    assert out == "checked 10 multipartitions, 0 mismatches\n"
+    assert invoke(capsys, *argv_of("verify --suite three-formulas --m 2 --n 3")) == (
+        0, "checked 10 multipartitions, 0 mismatches\n", "")
 
 
 def test_verify_pair_suites(capsys):
-    code, out, _ = invoke(capsys, "verify", "--suite", "beta-shift", "--size", "2")
-    assert code == 0
-    assert out == "checked 16 partition pairs, 0 mismatches\n"
-    code, out, _ = invoke(capsys, "verify", "--suite", "x-symmetry", "--size", "2")
-    assert code == 0 and "0 mismatches" in out
+    for suite in ("beta-shift", "x-symmetry"):
+        assert invoke(capsys, "verify", "--suite", suite, "--size", "2") == (
+            0, "checked 16 partition pairs, 0 mismatches\n", "")
 
 
 def test_verify_identity_suites(capsys):
@@ -171,42 +156,26 @@ def test_semisimple_report_json(capsys):
         capsys, "semisimple", "--m", "2", "--n", "2", "--set", "q1=1", "--set", "q2=0"
     )
     assert code == 0
-    assert json.loads(out) == {
-        "p_value": "0",
-        "semisimple": False,
-        "vanishing": [[[1, 1], []], [[1], [1]], [[], [2]]],
-        "agreement": True,
-        "field": "Q",
-    }
+    assert json.loads(out) == {"p_value": "0", "semisimple": False, "agreement": True,
+                               "vanishing": [[[1, 1], []], [[1], [1]], [[], [2]]], "field": "Q"}
 
 
 def test_semisimple_modular_and_rational_values(capsys):
-    code, out, _ = invoke(
-        capsys, "semisimple", "--m", "2", "--n", "1", "--set", "q1=1/2",
-        "--set", "q2=0", "--mod", "7", "--format", "text",
-    )
-    assert code == 0
-    assert "field: Fp:7" in out and "semisimple: yes" in out
+    line = "semisimple --m 2 --n 1 --set q1=1/2 --set q2=0 --mod 7 --format text"
+    assert invoke(capsys, *argv_of(line)) == (0, "field: Fp:7\nP(theta) = 4\nsemisimple: yes\n"
+                                              "vanishing (0): none\nagreement: yes\n", "")
 
 
 def test_semisimple_no_vanishing_flag(capsys):
-    code, out, _ = invoke(
-        capsys, "semisimple", "--m", "2", "--n", "1", "--set", "q1=0",
-        "--set", "q2=0", "--no-vanishing",
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data == {"p_value": "0", "semisimple": False, "field": "Q"}
+    line = "semisimple --m 2 --n 1 --set q1=0 --set q2=0 --no-vanishing"
+    assert invoke(capsys, *argv_of(line)) == (
+        0, '{"p_value": "0", "semisimple": false, "field": "Q"}\n', "")
 
 
 def test_determinism_byte_identical(capsys):
-    argv = ["schur", "--m", "3", "--n", "2", "--format", "json"]
-    first = invoke(capsys, *argv)
-    second = invoke(capsys, *argv)
-    assert first == second
-    argv = ["verify", "--suite", "criterion", "--m", "2", "--n", "1",
-            "--seed", "11", "--trials", "5"]
-    assert invoke(capsys, *argv) == invoke(capsys, *argv)
+    for line in ("schur --m 3 --n 2 --format json",
+                 "verify --suite criterion --m 2 --n 1 --seed 11 --trials 5"):
+        assert invoke(capsys, *argv_of(line)) == invoke(capsys, *argv_of(line))
 
 
 def test_format_output_rejects_unknown_type():
@@ -357,8 +326,7 @@ def test_integrality_mismatch_records(capsys, monkeypatch):
 def test_cli_module_runs_as_a_script():
     done = support.run("verify", "--suite", "hook-beta", "--size", "2")
     assert (done.returncode, done.stdout, done.stderr) == (
-        0, "checked 16 identities, 0 mismatches\n", ""
-    )
+        0, "checked 16 identities, 0 mismatches\n", "")
 
 
 def test_a_closed_pipe_exits_without_a_traceback():
@@ -726,12 +694,13 @@ REFUSALS = {
         " summands, above the budget of 5000000",
 }
 
+# Two usage errors that show the script writes all of its stderr before it ends the process.
+_SCRIPT_ROWS = ("verify --suite beta-shift --size 0", "verify --suite hook-beta --size 0")
+
 # The rows that run in a capped child process instead: line -> (the seconds it may take, its
-# message).  Each guards an input that would run away without its refusal, or (the first two)
-# shows that the script writes all of a usage error before it ends the process.
+# message).  Each guards an input that would run away without its refusal, or is a script row.
 IN_CHILD = {
-    "verify --suite beta-shift --size 0": (10, "--size expects a positive integer, got '0'"),
-    "verify --suite hook-beta --size 0": (10, "--size expects a positive integer, got '0'"),
+    **{line: (10, "--size expects a positive integer, got '0'") for line in _SCRIPT_ROWS},
     f"{_MP} " + "[" * 100_000: (10, "--multipartition: nested deeper than 100 brackets"),
     f"{_MP} " + "[" * 3000 + "]" * 3000: (10, "--multipartition: nested deeper than 100 brackets"),
     f"{_MP} [[{'1' * 5000}]]": (10, f"--multipartition: Exceeds the limit ({DIGITS} digits) for"
@@ -835,8 +804,17 @@ def row_id(line):
     return f"{line[:40]}... ({len(line)} characters)" if len(line) > 100 else line or "(no words)"
 
 
+@pytest.fixture
+def digit_limit():
+    """Run the test in-process under the int-digit limit that the rows assume."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGITS)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize("line", REFUSALS, ids=row_id)
-def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, line):
+def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, line):
     """Exit 2, nothing on stdout, the row on stderr, and nothing built before the refusal."""
     expected = (2, "", f"error: {REFUSALS[line]}\n")
     if line in IN_CHILD:
@@ -850,7 +828,7 @@ def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, line):
 
 
 @pytest.mark.parametrize("line", VALID, ids=row_id)
-def test_every_valid_argv_prints_exactly_its_row(capsys, line):
+def test_every_valid_argv_prints_exactly_its_row(capsys, digit_limit, line):
     assert invoke(capsys, *argv_of(line)) == (0, VALID[line], "")
 
 
@@ -890,19 +868,38 @@ print(json.dumps(results))
 """
 
 
-def _run_everywhere_corpus(python, corpus_file):
-    """[exit code, stdout, stderr] of each argv in corpus_file, then of README's doctests.
+_CHILD_ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1",
+              "PYTHONINTMAXSTRDIGITS": str(DIGITS)}
 
-    Both run under python -S: every argv through cli.run in one child, the doctests in another.
-    """
-    env = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONINTMAXSTRDIGITS": str(DIGITS)}
+
+def _run_in_one_child(python, corpus_file, timeout=support.TIMEOUT):
+    """[exit code, stdout, stderr] of each argv in corpus_file, all run in one python -S child."""
     done = support.run(corpus_file, python=python, head=("-S", "-c", _CORPUS_RUNNER),
-                       timeout=support.TIMEOUT, **env)
+                       timeout=timeout, **_CHILD_ENV)
     assert (done.returncode, done.stderr) == (0, ""), (python, done.stderr)
+    return json.loads(done.stdout)
+
+
+def _run_everywhere_corpus(python, corpus_file):
+    """_run_in_one_child's results, then those of README's doctests run under python -S."""
     doctests = support.run("README.md", python=python, head=("-S", "-m", "doctest"),
-                           timeout=support.TIMEOUT, **env)
-    return json.loads(done.stdout) + [[doctests.returncode, doctests.stdout, doctests.stderr]]
+                           timeout=support.TIMEOUT, **_CHILD_ENV)
+    return (_run_in_one_child(python, corpus_file)
+            + [[doctests.returncode, doctests.stdout, doctests.stderr]])
+
+
+# sm-action at m = 9 walks the m generators of S_m, not its m! permutations (over 60 s), and the
+# trace-identity grid is refused before it is built.  All of them answer within 5 s together.
+LARGE_M = ["verify --suite sm-action --m 9 --n 1", f"{_TRACE} --m 6 --n 3", f"{_TRACE} --m 9 --n 1",
+           f"{_TRACE} --m 1000 --n 1", f"{_TRACE} --m 10000000 --n 1"]
+
+
+def test_large_m_suites_answer_at_once(tmp_path):
+    corpus_file = tmp_path / "argv.json"
+    corpus_file.write_text(json.dumps([argv_of(line) for line in LARGE_M]))
+    expected = [[0, VALID[LARGE_M[0]], ""]]
+    expected += [[2, "", f"error: {REFUSALS[line]}\n"] for line in LARGE_M[1:]]
+    assert _run_in_one_child(sys.executable, corpus_file, timeout=5) == expected
 
 
 @pytest.fixture(scope="module")
@@ -960,7 +957,7 @@ def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monk
                 assert table_parse(argv) == parsed, argv
             else:
                 assert verdict == "error", argv
-        if line not in IN_CHILD:  # the row itself is checked exactly
+        if line not in IN_CHILD or line in _SCRIPT_ROWS:  # no runaway input in-process
             code, out, err = invoke(capsys, *equals_spelling(argv_of(line)))
             assert (code, out) == (2, "") and err.startswith("error: "), line
             assert err.count("\n") == 1, (line, err)
