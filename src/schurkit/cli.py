@@ -18,6 +18,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import factorial, lgamma, log
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ from .partitions import (
 )
 from .schur import (
     FORMULAS,
+    check_p_invariant,
     p_invariant,
     schur_element,
     trace_identity_sides,
@@ -139,7 +141,8 @@ def _parse_single_multipartition(args) -> Multipartition:
     except ValueError as exc:  # the int-digit limit of json.loads, or multipartition's refusal
         raise UsageError(f"--multipartition: {exc}")
     if args.m is not None and args.m != len(mp):
-        raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} components")
+        noun = "component" if len(mp) == 1 else "components"
+        raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} {noun}")
     if args.n is not None and args.n != sum(sum(lam) for lam in mp):
         raise UsageError("--n contradicts the multipartition size")
     return mp
@@ -174,6 +177,13 @@ def _cmd_schur(args) -> int:
 
 
 def _cmd_pinv(args) -> int:
+    check_p_invariant(args.m, args.n)
+    # Refuse, before P is built, a constant n! that the int-digit limit would not print:
+    # lgamma sizes it, and n! >= 10**limit decides exactly within 1 of the limit.
+    limit, log10 = sys.get_int_max_str_digits(), lgamma(args.n + 1) / log(10)
+    if limit and (log10 > limit + 1 or log10 > limit - 1 and factorial(args.n) >= 10**limit):
+        text = f"Exceeds the limit ({limit} digits) for integer string conversion"
+        raise UsageError(f"{text}; {_DIGIT_LIMIT_SETTING}")
     value = p_invariant(args.m, args.n)
     print(format_output(value, args.format))
     return 0
@@ -585,8 +595,8 @@ def run(argv: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> None:
     """The console entry: run argv, flush stdout and stderr, end the process at once.
 
-    os._exit skips interpreter teardown, which would only free the modules,
-    memoized tallies and interned forms that the process is about to drop.
+    os._exit skips interpreter teardown, which would only free the modules
+    and memoized tallies that the process is about to drop.
     An exception that escapes run still gets its traceback, exit code 1 and
     a normal exit.  Tests and embedding code call run, which returns the
     exit code and leaves the process running.

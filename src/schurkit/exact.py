@@ -7,8 +7,9 @@ non-associate irreducibles, so the factored representation is unique
 and equality is a dictionary comparison; no polynomial gcd is ever
 needed.
 
-A form is canonical when s < t; flipping an orientation multiplies the
-ambient constant by (-1)^exponent and never changes the form itself.
+A form is the plain int triple (s, t, c), canonical when 1 <= s < t;
+tuple order is the order every renderer lists factors in.  Flipping an
+orientation multiplies the ambient constant by (-1)^exponent.
 Forms with s == t are constants and fold into the ambient constant.
 Parameters are ints everywhere; the names "q<i>" appear only in
 rendering, in the JSON encoding and in parsing.
@@ -22,7 +23,7 @@ import sys
 from functools import cache
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 FieldElement = Union[Fraction, int]
 
@@ -54,36 +55,18 @@ def qindex(name: str) -> int:
     return int(name[1:])
 
 
-class LinearForm(NamedTuple):
-    """Canonical linear form c + q_s - q_t with 1 <= s < t; construct via canonical_parts.
-
-    The tuple order (s, t, c) is the order every renderer lists factors in;
-    hashing and equality are the tuple's.
-    """
-
-    s: int
-    t: int
-    c: int
-
-    def render(self, latex: bool = False) -> str:
-        if latex:
-            body = f"q_{{{self.s}}}-q_{{{self.t}}}"
-        else:
-            body = f"q{self.s}-q{self.t}"
-        return f"({self.c}+{body})" if self.c else f"({body})"
-
-    def to_json(self) -> dict:
-        """{"c", "pos", "neg"}: the constant and the names of q_s and q_t."""
-        return {"c": self.c, "pos": qvar(self.s), "neg": qvar(self.t)}
+LinearForm = tuple[int, int, int]  # (s, t, c): c + q_s - q_t
 
 
 @cache
 def _factor_text(form: LinearForm, exp: int, latex: bool) -> str:
     """One factor of FactoredRational.render: the form, then ^exp unless exp == 1.
 
-    Forms are interned by canonical_parts, so a sweep formats each distinct factor once.
+    At exp 1, not latex, it is the form's own text, which error messages name.
     """
-    text = form.render(latex=latex)
+    s, t, c = form
+    body = f"q_{{{s}}}-q_{{{t}}}" if latex else f"q{s}-q{t}"
+    text = f"({c}+{body})" if c else f"({body})"
     if exp != 1:
         text += f"^{{{exp}}}" if latex else f"^{exp}"
     return text
@@ -91,39 +74,31 @@ def _factor_text(form: LinearForm, exp: int, latex: bool) -> str:
 
 @cache
 def _factor_json(form: LinearForm, exp: int) -> str:
-    """One entry of the "factors" list of FactoredRational.to_json, as JSON text.
+    """json.dumps of one entry [{"c", "pos", "neg"}, exp] of FactoredRational.to_json's
+    "factors": the form's constant and the names of q_s and q_t, then the exponent."""
+    s, t, c = form
+    return json.dumps([{"c": c, "pos": qvar(s), "neg": qvar(t)}, exp])
 
-    It is json.dumps of that entry, so to_json stays the one definition of the encoding.
-    """
-    return json.dumps([form.to_json(), exp])
 
-
-@cache
 def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], int]:
-    """Reduce c + q_s - q_t to canonical (form, sign), or (None, c) if s == t.
-
-    Memoized on the positional triple, and a flipped orientation is
-    answered from its canonical triple, so every canonical form is one
-    interned LinearForm.  The memo keeps one entry per triple read, so at
-    large m it is what a sweep holds: at n = 1, one per pair s < t.
-    """
+    """Reduce c + q_s - q_t to canonical (form, sign), or (None, c) if s == t."""
     if s < 1 or t < 1:
         raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
     if s == t:
         return None, c
     if s > t:
-        return canonical_parts(-c, t, s)[0], -1
-    return LinearForm(s, t, c), 1
+        return (t, s, -c), -1
+    return (s, t, c), 1
 
 
 class FactoredRational:
-    """A rational constant times a product of LinearForm^exponent.
+    """A rational constant times a product of linear forms (s, t, c) to exponents.
 
     The invariant, which the constructor and _merge keep: no exponent is
-    0, and a zero constant has no factors.  Given canonical LinearForm
-    keys, the value is then canonical, so two instances are equal iff
-    their data coincide, which for these factored products is the same as
-    equality of the rational functions they denote.  Instances are
+    0, and a zero constant has no factors.  Given canonical form keys, the
+    value is then canonical, so two instances are equal iff their data
+    coincide, which for these factored products is the same as equality
+    of the rational functions they denote.  Instances are
     immutable by convention; every operation returns a new value.
     """
 
@@ -192,7 +167,10 @@ class FactoredRational:
         return {
             "num": str(self.constant.numerator),
             "den": str(self.constant.denominator),
-            "factors": [[form.to_json(), exp] for form, exp in self.sorted_factors()],
+            "factors": [
+                [{"c": c, "pos": qvar(s), "neg": qvar(t)}, exp]
+                for (s, t, c), exp in self.sorted_factors()
+            ],
         }
 
     def json_text(self) -> str:
@@ -222,13 +200,13 @@ class ProductBuilder:
     """Turns raw (c, s, t, exp) triples into a canonical value.
 
     Its users are fr_form, apply_permutation, FactoredRational.from_json
-    and schur.verify_mu_identity.  form() canonicalizes at the call
-    (canonical_parts is memoized), flips the sign for an odd exponent on a
-    flipped orientation and adds the exponent under the canonical
-    LinearForm; a form with s == t is a constant and folds in at once, so
-    form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
-    multiplies the one Fraction constant by value**exp.  build() leaves
-    the builder unchanged; the constructor drops the cancelled exponents.
+    and schur.verify_mu_identity.  form() canonicalizes at the call,
+    flips the sign for an odd exponent on a flipped orientation and adds
+    the exponent under the canonical (s, t, c); a form with s == t is a
+    constant and folds in at once, so form(0, 1, 1, exp=-1) raises
+    ZeroDivisionError at the call.  const() multiplies the one Fraction
+    constant by value**exp.  build() leaves the builder unchanged; the
+    constructor drops the cancelled exponents.
     """
 
     __slots__ = ("constant", "factors")
@@ -443,9 +421,10 @@ class SparsePoly:
         return tuple(1 if i == s else 0 for i in range(1, self.m + 1))
 
     def _form_terms(self, form: LinearForm) -> dict[tuple[int, ...], int]:
-        terms = {self._exponent(form.s): 1, self._exponent(form.t): -1}
-        if form.c:
-            terms[(0,) * self.m] = form.c
+        s, t, c = form
+        terms = {self._exponent(s): 1, self._exponent(t): -1}
+        if c:
+            terms[(0,) * self.m] = c
         return terms
 
     def div_form_exact(self, form: LinearForm) -> "SparsePoly":
@@ -465,7 +444,7 @@ class SparsePoly:
             lt = max(p, key=key)
             if any(a < b for a, b in zip(lt, lt_f)):
                 raise NotAPolynomialError(
-                    f"{form.render()} does not divide the numerator exactly"
+                    f"{_factor_text(form, 1, False)} does not divide the numerator exactly"
                 )
             qe = tuple(a - b for a, b in zip(lt, lt_f))
             qc = p[lt] // cf
@@ -532,13 +511,15 @@ def fr_expand(a: FactoredRational, m: int) -> SparsePoly:
     k + B^(t-1).  The keys are unpacked once, after the last factor, as
     the integer constant is applied.
     """
-    beyond = max((form.t for form in a.factors), default=0)
+    beyond = max((t for _, t, _ in a.factors), default=0)
     if beyond > m:
         raise ValueError(f"q{beyond} is beyond the variables q1..q{m}")
     factors = a.sorted_factors()
     for form, exp in factors:
         if exp < 0:
-            raise NotAPolynomialError(f"{form.render()} does not divide the numerator exactly")
+            raise NotAPolynomialError(
+                f"{_factor_text(form, 1, False)} does not divide the numerator exactly"
+            )
     if a.constant.denominator != 1:
         raise NonIntegerConstantError(f"constant {a.constant} is not an integer")
     base = 1 + sum(exp for _, exp in factors)

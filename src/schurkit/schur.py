@@ -20,13 +20,16 @@ Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a tally of one partition
 pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
 formulas memoize their tallies; a kernel computes a fresh one, since
-the beta-shift suite takes each kernel once per pair.  Each entry is
-taken at x = q_s - q_t, s < t, through canonical_parts, which interns
-every form.  The forms of distinct pairs never coincide, so an element
-is its constant times the plain union of its pairs' forms.  X, Y and Z
-each have their own tally, and each formula its own memoized constant,
-so the three formulas stay independent checks.  Kernels and formulas
-accept lists and convert them to tuples before the cache lookup.
+the beta-shift suite takes each kernel once per pair.  An entry (c, exp)
+at x = q_s - q_t, s < t, is the canonical form (s, t, c), and the forms
+of distinct pairs never coincide, so an element is its constant times
+the plain union of its pairs' forms.  X, Y and Z each have their own
+tally, but the product and cancellation constants, hook_product and
+_z_diagonal, multiply the same generalized_hook_length values (they stay
+two functions because bench/tracing.py patches that name here).  The
+independent constant is the symbol route's _row_constant, which
+verify_hook_beta_identity checks against the hooks.  Kernels and
+formulas accept lists and convert them to tuples before the cache lookup.
 
 What the memos hold: one X or Z tally per distinct ordered pair of
 partitions a sweep reads, one Y tally per distinct pair of beta rows,
@@ -59,8 +62,8 @@ from .exact import (
     LinearForm,
     ProductBuilder,
     SparsePoly,
+    _factor_text,
     apply_permutation,
-    canonical_parts,
     fr_expand,
 )
 from .partitions import (
@@ -162,14 +165,14 @@ def _z_tally(lam: Partition, mu: Partition) -> Tally:
 def _union(num: int, den: int, blocks: Iterable[tuple[Tally, int, int]]) -> FactoredRational:
     """num / den times each tally of blocks, a (tally, s, t) with s < t, taken at x = q_s - q_t.
 
-    Every form of a tally at (s, t) has the indices {s, t}, so the tallies
-    of distinct pairs share no form and the factors are a plain union.
+    Every form of a tally at (s, t) is the canonical (s, t, c), so the
+    tallies of distinct pairs share no form and the factors are a plain union.
     """
     factors: dict[LinearForm, int] = {}
     for (sign, entries), s, t in blocks:
         num *= sign
         for c, exp in entries:
-            factors[canonical_parts(c, s, t)[0]] = exp
+            factors[(s, t, c)] = exp
     return FactoredRational(num if den == 1 else Fraction(num, den), factors)
 
 
@@ -291,14 +294,25 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp, mp)
 
 
-# The most factors C(m, 2) * (2n - 1) that p_invariant builds.  Fresh CPython 3.11
-# processes (2 vCPUs) printing P as JSON peaked at 319 MB with 539,100 factors at
-# (600, 2), at 488 MB with 748,713 at (707, 2), the largest m admitted at n = 2, and at
-# 508 MB with about 797,000 at (730, 2) and at (100, 81); (1000, 2), with 1,498,500,
-# takes about 0.9 GB.  At m = 1, P is n! alone and counts n factors: (1, 750000), the
-# largest n admitted there, spends 7.3 s on n! and then meets the int-digit limit.
-# ROADMAP item 5 folds this check into its shared admission helper.
+# The most factors C(m, 2) * (2n - 1) that p_invariant builds.  A fresh CPython 3.11
+# process (2 vCPUs) printing P as JSON peaked at 345 MB at (707, 2), with 748,713 factors
+# the largest m admitted at n = 2, and at 662 MB at (1000, 2) with 1,498,500.  At m = 1,
+# P is n! alone and counts n factors, and the pinv command also sizes n! against the
+# int-digit limit.  ROADMAP item 5 folds these checks into its shared admission helper.
 P_FACTOR_BOUND = 750_000
+
+
+def check_p_invariant(m: int, n: int) -> None:
+    """ValueError, in O(1), for m or n below 1 or P with more than P_FACTOR_BOUND factors."""
+    if m < 1 or n < 1:
+        raise ValueError("p_invariant needs m >= 1 and n >= 1")
+    # at m = 1 there is no pair, and the n factors of n! are all of P
+    rule, factors = ("C(m, 2)*(2n - 1)", comb(m, 2) * (2 * n - 1)) if m > 1 else ("n", n)
+    if factors > P_FACTOR_BOUND:
+        raise ValueError(
+            f"P at --m {m} --n {n} has {rule} = {factors} factors,"
+            f" above the bound of {P_FACTOR_BOUND}"
+        )
 
 
 @cache
@@ -309,18 +323,9 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     specialized algebra being semisimple.  Memoized: callers share the
     returned value, which like every FactoredRational is never mutated.
     It is n! times one tally (1, ((d, 1), ...)) per pair i < j, through
-    the same _union as the Schur elements.  Raises ValueError, before building
-    anything, when P would have more than P_FACTOR_BOUND factors.
+    the same _union as the Schur elements, after check_p_invariant.
     """
-    if m < 1 or n < 1:
-        raise ValueError("p_invariant needs m >= 1 and n >= 1")
-    # at m = 1 there is no pair, and the n factors of n! are all of P
-    rule, factors = ("C(m, 2)*(2n - 1)", comb(m, 2) * (2 * n - 1)) if m > 1 else ("n", n)
-    if factors > P_FACTOR_BOUND:
-        raise ValueError(
-            f"P at --m {m} --n {n} has {rule} = {factors} factors,"
-            f" above the bound of {P_FACTOR_BOUND}"
-        )
+    check_p_invariant(m, n)
     tally = (1, tuple((d, 1) for d in range(1 - n, n))) if m > 1 else None
     pairs = itertools.combinations(range(1, m + 1), 2)
     return _union(factorial(n), 1, ((tally, i, j) for i, j in pairs))
@@ -448,19 +453,21 @@ def vanishes_identically(m: int, summands: Iterable[tuple[int, FactoredRational]
         degree = [0] * m
         idx, exps = [], []
         for form, e in value.factors.items():
-            if form.t > m:
-                raise ValueError(f"{form.render()} is not a form c + q_s - q_t with s, t <= {m}")
+            s, t, _ = form
+            if t > m:
+                text = _factor_text(form, 1, False)
+                raise ValueError(f"{text} is not a form c + q_s - q_t with s, t <= {m}")
             if e < 0:
-                raise ValueError(f"negative exponent {e} on {form.render()}")
+                raise ValueError(f"negative exponent {e} on {_factor_text(form, 1, False)}")
             i = index.setdefault(form, len(index))
             containing[i] = containing.get(i, 0) | 1 << k
-            degree[form.s - 1] += e
-            degree[form.t - 1] += e
+            degree[s - 1] += e
+            degree[t - 1] += e
             idx.append(i)
             exps.append(e)
         degrees = [max(a, b) for a, b in zip(degrees, degree)]
         rows.append((f * value.constant.numerator, idx, exps))
-    compiled = [(form.c, form.s - 1, form.t - 1) for form in index]
+    compiled = [(c, s - 1, t - 1) for s, t, c in index]
     for point in itertools.product(*(range(d + 1) for d in degrees[:-1])):
         q = (*point, 0)
         values = [c + q[s] - q[t] for c, s, t in compiled]
@@ -494,7 +501,7 @@ def verify_trace_identity(m: int, n: int) -> bool:
     if n < 1:
         raise ValueError(f"--suite trace-identity needs --n >= 1, got {n}")
     if m < 1:
-        raise ValueError("level m must be at least 1")
+        raise ValueError(f"--suite trace-identity needs --m >= 1, got {m}")
     if n * n > TRACE_WORK_BUDGET:
         raise ValueError(
             f"trace-identity at --n {n} needs at least {n} nodes times {n} summands,"

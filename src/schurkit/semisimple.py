@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import FactoredRational, FieldElement, Specialization, fr_eval
+from .exact import FactoredRational, FieldElement, Specialization, _factor_text, fr_eval
 from .partitions import Multipartition, enumerate_multipartitions, mp_size
 from .schur import p_invariant, schur_element
 
@@ -72,11 +72,11 @@ class ZeroFormIndex:
             for form, exp in el.factors.items():
                 if exp < 0:
                     raise ValueError(
-                        f"{form.render()} has exponent {exp} in the element of {mp}; "
-                        "the zero-form index needs denominator-free products"
+                        f"{_factor_text(form, 1, False)} has exponent {exp} in the element of"
+                        f" {mp}; the zero-form index needs denominator-free products"
                     )
-                by_c = self._forms.setdefault((form.s, form.t), {})
-                by_c.setdefault(form.c, []).append(i)
+                s, t, c = form
+                self._forms.setdefault((s, t), {}).setdefault(c, []).append(i)
         # field (None for Q, else p) -> positions whose constant is zero there
         self._zero_constants: dict[Optional[int], list[int]] = {}
 

@@ -12,6 +12,7 @@ import shlex
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,14 @@ def test_an_output_above_the_digit_limit_names_the_environment_variable():
     assert constant.isdigit() and len(constant) > DIGITS
 
 
+def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digit_limit):
+    """1558! has 4,300 digits and is printed; 1559! has 4,303 and is refused unbuilt."""
+    assert invoke(capsys, "pinv", "--m", "1", "--n", "1558") == (0, f"{factorial(1558)}\n", "")
+    monkeypatch.setattr(cli_module, "p_invariant", lambda m, n: pytest.fail("built"))
+    refusal = f"error: {REFUSALS['pinv --m 2 --n 1700']}\n"
+    assert invoke(capsys, "pinv", "--m", "1", "--n", "1559") == (2, "", refusal)
+
+
 def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     for found in (f"({limit})", f"({limit} digits)"):  # CPython 3.10, then 3.11 to 3.13
@@ -366,17 +375,24 @@ def test_the_script_skips_teardown_but_not_a_traceback():
     assert done.stderr.startswith("Traceback") and done.stderr.endswith("ZeroDivisionError: division by zero\n")
 
 
+# Runs cli.run on the argv that follows, then writes the process's own peak resident size,
+# VmHWM, in KiB, to stderr.  It is read inside the child: the ru_maxrss that the parent reaps
+# also counts the parent's resident size, which the child inherits at fork.
+_PEAK = (
+    "import sys, schurkit.cli as cli; code = cli.run(sys.argv[1:]); sys.stdout.flush();"
+    " status = open('/proc/self/status').read();"
+    " print(status.split('VmHWM:')[1].split()[0], file=sys.stderr); sys.exit(code)"
+)
+
+
 @pytest.mark.slow
 def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak():
-    """three-formulas at (700,1) peaked at 941 MB when every pair was memoized at every (s, t)."""
+    """three-formulas at (700,1) peaked at 81.7 MB when every linear form was interned."""
     argv = ["verify", "--suite", "three-formulas", "--m", "700", "--n", "1"]
-    with support.start("-m", "schurkit.cli", *argv) as proc:
-        out, err = proc.stdout.read(), proc.stderr.read()
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert (proc.returncode, out, err) == (0, b"checked 700 multipartitions, 0 mismatches\n", b"")
-    peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb <= 314, peak_mb
+    done = support.run(*argv, head=("-S", "-c", _PEAK), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "checked 700 multipartitions, 0 mismatches\n")
+    peak_mb = int(done.stderr) / 1024
+    assert peak_mb <= 27.2, peak_mb
 
 
 def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
@@ -633,7 +649,7 @@ REFUSALS = {
         "length applies only to formula 'symbol', not 'product'",
     "schur --m 2 --n 2 --formula symbol --L 1": "L=1 too small for a partition of length 2",
     "schur --m 2 --n 3 --formula symbol --L 1": "L=1 too small for a partition of length 2",
-    f"{_MP} [[1]] --m 2": "--m 2 contradicts a multipartition with 1 components",
+    f"{_MP} [[1]] --m 2": "--m 2 contradicts a multipartition with 1 component",
     f"{_MP} 'not json'": "--multipartition: not valid JSON",
     f"{_MP} '[[1],]'": "--multipartition: not valid JSON",
     f"{_MP} '[[1,],[]]'": "--multipartition: not valid JSON",
@@ -684,10 +700,10 @@ REFUSALS = {
     # sum is 1 for every m: not a counterexample, but no instance of the claim
     f"{_TRACE} --m 2 --n 0": "--suite trace-identity needs --n >= 1, got 0",
     f"{_TRACE} --m 2 --n -2": "--suite trace-identity needs --n >= 1, got -2",
-    f"{_TRACE} --m 0 --n 1": "level m must be at least 1",
-    f"{_TRACE} --m 0 --n 2": "level m must be at least 1",
-    f"{_TRACE} --m -3 --n 1": "level m must be at least 1",
-    f"{_TRACE} --m -3 --n 2": "level m must be at least 1",
+    f"{_TRACE} --m 0 --n 1": "--suite trace-identity needs --m >= 1, got 0",
+    f"{_TRACE} --m 0 --n 2": "--suite trace-identity needs --m >= 1, got 0",
+    f"{_TRACE} --m -3 --n 1": "--suite trace-identity needs --m >= 1, got -3",
+    f"{_TRACE} --m -3 --n 2": "--suite trace-identity needs --m >= 1, got -3",
     f"{_TRACE} --m 3 --n 11": "trace-identity at --m 3 --n 11 needs 2304 grid points times 4599"
         " summands, above the budget of 5000000",
     f"{_TRACE} --m 3 --n 12": "trace-identity at --m 3 --n 12 needs 3481 grid points times 7868"
@@ -708,6 +724,8 @@ IN_CHILD = {
                                     f" {_SETTING}"),
     "pinv --m 2 --n 1700":  # the constant 1700! has 4,700 digits
         (10, f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"),
+    "pinv --m 1 --n 750000":  # sized before 750000! is built, which takes about 7 s
+        (1, f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"),
     "pinv --m 1000 --n 2": (10, "P at --m 1000 --n 2 has C(m, 2)*(2n - 1) = 1498500 factors,"
                                 " above the bound of 750000"),
     "pinv --m 100000 --n 2": (10, "P at --m 100000 --n 2 has C(m, 2)*(2n - 1) = 14999850000"

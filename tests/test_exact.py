@@ -11,7 +11,6 @@ import pytest
 from schurkit.exact import (
     MAX_MODULUS,
     FactoredRational,
-    LinearForm,
     NonIntegerConstantError,
     NotAPolynomialError,
     PoleError,
@@ -30,7 +29,7 @@ from schurkit.exact import (
 )
 from schurkit.exact import _is_prime
 from schurkit.partitions import enumerate_multipartitions
-from schurkit.schur import schur_element, y_kernel
+from schurkit.schur import FORMULAS, p_invariant, schur_element, x_kernel, y_kernel, z_kernel
 from support import fold, poly_at
 
 
@@ -60,29 +59,42 @@ def random_theta(rng: random.Random, prime=None) -> Specialization:
 
 def test_canonical_orientation():
     form, sign = canonical_parts(0, 2, 1)
-    assert (form, sign) == (LinearForm(1, 2, 0), -1)
+    assert (form, sign) == ((1, 2, 0), -1)
     form, sign = canonical_parts(5, 1, 3)
-    assert (form, sign) == (LinearForm(1, 3, 5), 1)
+    assert (form, sign) == ((1, 3, 5), 1)
     assert canonical_parts(4, 2, 2) == (None, 4)
     form, sign = canonical_parts(-1, 3, 1)
-    assert (form, sign) == (LinearForm(1, 3, 1), -1)
-    # both orientations share one interned form
-    assert canonical_parts(1, 1, 3)[0] is form
+    assert (form, sign) == ((1, 3, 1), -1)
+    # both orientations give one form
+    assert canonical_parts(1, 1, 3)[0] == form
     with pytest.raises(ValueError, match="positive"):
         canonical_parts(1, 0, 2)
 
 
 def test_linear_form_is_a_plain_int_triple():
     form = canonical_parts(-2, 1, 2)[0]
-    assert form == (1, 2, -2) and hash(form) == hash((1, 2, -2))
-    assert (form.s, form.t, form.c) == (1, 2, -2)
-    # hashing and equality are the tuple's, so they run in C
-    assert LinearForm.__hash__ is tuple.__hash__ and LinearForm.__eq__ is tuple.__eq__
+    assert type(form) is tuple and form == (1, 2, -2)
     # tuple order is the render order
-    forms = [LinearForm(2, 3, -5), LinearForm(1, 3, 4), LinearForm(1, 2, 1), LinearForm(1, 2, -1)]
-    assert [f.render() for f in sorted(forms)] == [
-        "(-1+q1-q2)", "(1+q1-q2)", "(4+q1-q3)", "(-5+q2-q3)"
-    ]
+    forms = [(2, 3, -5), (1, 3, 4), (1, 2, 1), (1, 2, -1)]
+    value = FactoredRational(1, dict.fromkeys(forms, 1))
+    assert [form for form, _ in value.sorted_factors()] == sorted(forms)
+    assert value.render() == "(-1+q1-q2)(1+q1-q2)(4+q1-q3)(-5+q2-q3)"
+
+
+def test_every_path_keys_its_factors_by_canonical_int_triples():
+    a = fr_form(3, 2, 1, exp=2) * fr_form(-1, 1, 3)
+    b = fr_form(0, 3, 2, exp=-1)
+    values = [schur_element(((2,), (1,), ()), formula) for formula in FORMULAS]
+    values += [kernel((2, 1), (1,)) for kernel in (x_kernel, z_kernel)]
+    values += [y_kernel((2, 1), (1,), 3), p_invariant(3, 2), a * b, a / b, b**-3, a**2]
+    values += [apply_permutation((3, 1, 2), a / b), FactoredRational.from_json(a.to_json())]
+    values += [fr_form(-2, 3, 1)]
+    for value in values:
+        assert value.factors
+        for form in value.factors:
+            assert type(form) is tuple and len(form) == 3, form
+            assert all(type(k) is int for k in form) and 1 <= form[0] < form[1], form
+
 
 def test_constants_never_stored_as_factors():
     value = fr_form(4, 1, 1, exp=2)
@@ -98,7 +110,7 @@ def test_fr_mul_examples():
     three = fr_const(3) * fr_form(1, 1, 2)
     prod = two * three
     assert prod.constant == 6
-    assert prod.factors == {LinearForm(1, 2, 1): 2}
+    assert prod.factors == {(1, 2, 1): 2}
 
     u = fr_form(0, 1, 3)
     one_plus_u = fr_form(1, 1, 3)
@@ -126,7 +138,7 @@ def test_zero_value():
 def _fold_each_occurrence(occurrences):
     """Reference builder: canonicalize every occurrence as it arrives."""
     constant, factors = fold(occurrences)
-    return FactoredRational(constant, {LinearForm(*k): e for k, e in factors.items()})
+    return FactoredRational(constant, factors)
 
 
 def _random_occurrences(rng):
@@ -254,7 +266,7 @@ def test_fr_expand_cancels_before_division():
 def test_sparse_poly_exact_division():
     diff = fr_expand(fr_form(0, 1, 2), 2)
     total = SparsePoly(2, {(1, 0): 1, (0, 1): 1})  # q1 + q2
-    form = LinearForm(1, 2, 0)
+    form = (1, 2, 0)
     assert (diff * total).div_form_exact(form) == total
     with pytest.raises(NotAPolynomialError):
         SparsePoly(2, {**(diff * total).terms, (0, 0): 1}).div_form_exact(form)
@@ -303,7 +315,8 @@ def test_fr_expand_high_power_fills_the_packing_base():
     generic = SparsePoly(3, {(0, 0, 0): 1})
     for form, exp in value.factors.items():
         for _ in range(exp):
-            generic = generic * fr_expand(fr_form(form.c, form.s, form.t), 3)
+            s, t, c = form
+            generic = generic * fr_expand(fr_form(c, s, t), 3)
     assert fr_expand(value, 3) == generic
 
 
@@ -336,8 +349,8 @@ def _sympy_oracle(sympy, value: FactoredRational, m: int):
     """value as a sympy polynomial dict in q1..qm, or None when it is not an integer polynomial."""
     q = sympy.symbols(f"q1:{m + 1}")
     expr = sympy.Rational(value.constant.numerator, value.constant.denominator)
-    for form, exp in value.factors.items():
-        expr *= (form.c + q[form.s - 1] - q[form.t - 1]) ** exp
+    for (s, t, c), exp in value.factors.items():
+        expr *= (c + q[s - 1] - q[t - 1]) ** exp
     num, den = sympy.fraction(sympy.cancel(expr))
     if not den.is_number:
         return None
@@ -478,7 +491,7 @@ def test_apply_permutation_examples():
     u = fr_form(0, 1, 2)
     swapped = apply_permutation((2, 1), u)
     assert swapped.constant == -1
-    assert swapped.factors == {LinearForm(1, 2, 0): 1}
+    assert swapped.factors == {(1, 2, 0): 1}
     assert apply_permutation((1, 2), u) == u
     assert apply_permutation((2, 1), swapped) == u
 
@@ -666,7 +679,7 @@ def test_json_round_trip():
 def _plain_render(value, latex):
     """FactoredRational.render written out afresh, with nothing memoized."""
     parts = []
-    for (s, t, c), exp in sorted((tuple(form), exp) for form, exp in value.factors.items()):
+    for (s, t, c), exp in sorted(value.factors.items()):
         body = f"q_{{{s}}}-q_{{{t}}}" if latex else f"q{s}-q{t}"
         text = f"({c}+{body})" if c else f"({body})"
         if exp != 1:

@@ -16,7 +16,6 @@ from schurkit.exact import (
     SparsePoly,
     Specialization,
     apply_permutation,
-    canonical_parts,
     fr_const,
     fr_eval,
     fr_expand,
@@ -145,10 +144,6 @@ def test_list_inputs_equal_tuple_inputs():
 # their own canonical product: an oracle that shares no code with src/.
 
 
-def _plain(value):
-    return value.constant, {(f.s, f.t, f.c): exp for f, exp in value.factors.items()}
-
-
 def _oracle_x(lam, mu, s, t):
     mu1 = mu[0] if mu else 0
     mubar = [sum(1 for row in mu if row >= k) for k in range(1, mu1 + 1)]
@@ -189,12 +184,13 @@ def test_tallied_kernels_match_the_node_by_node_oracle():
         for sigma in ((1, 2), (2, 1), (1, 3, 2), (3, 2, 1)):
             s, t = sigma[:2]
             x, z = (apply_permutation(sigma, k(lam, mu)) for k in (x_kernel, z_kernel))
-            assert _plain(x) == _oracle_x(lam, mu, s, t), (lam, mu, s, t)
-            assert _plain(z) == _oracle_z(lam, mu, s, t), (lam, mu, s, t)
+            assert (x.constant, x.factors) == _oracle_x(lam, mu, s, t), (lam, mu, s, t)
+            assert (z.constant, z.factors) == _oracle_z(lam, mu, s, t), (lam, mu, s, t)
             base = max(len(lam), len(mu))
             for length in range(base, base + 4):
                 y = apply_permutation(sigma, y_kernel(lam, mu, length))
-                assert _plain(y) == _oracle_y(lam, mu, length, s, t), (lam, mu, length, s, t)
+                expected = _oracle_y(lam, mu, length, s, t)
+                assert (y.constant, y.factors) == expected, (lam, mu, length, s, t)
 
 
 def _oracle_tally(sign, tally):
@@ -376,7 +372,7 @@ def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear
     held = {
         name: value.cache_info().currsize
         for name, value in vars(schur_module).items()
-        if value is not canonical_parts and callable(getattr(value, "cache_info", None))
+        if callable(getattr(value, "cache_info", None))
     }
     assert sum(held.values()) <= 4, held
 
@@ -907,7 +903,7 @@ def test_vanishes_identically_needs_the_whole_grid(d):
     # a third variable changes nothing, nor a form that vanishes on part of the
     # grid (q2 - q3 at q2 = 0), as a factor or held at the exponent 0
     value3 = value * fr_form(0, 2, 3)
-    held = FactoredRational(value.constant, {**value.factors, canonical_parts(0, 2, 3)[0]: 0})
+    held = FactoredRational(value.constant, {**value.factors, (2, 3, 0): 0})
     assert not vanishes_identically(3, [(1, value3)])
     assert not vanishes_identically(3, [(1, held)])
     assert vanishes_identically(3, [(1, value3), (-1, value3)])
@@ -986,8 +982,8 @@ def test_trace_identity_matches_sympy():
             # the library's element is the same polynomial
             value = schur_element(mp)
             ours = sympy.Rational(value.constant.numerator, value.constant.denominator)
-            for form, exp in value.factors.items():
-                ours *= (form.c + q[form.s - 1] - q[form.t - 1]) ** exp
+            for (s, t, c), exp in value.factors.items():
+                ours *= (c + q[s - 1] - q[t - 1]) ** exp
             assert sympy.expand(element - ours) == 0, mp
         total = sympy.cancel(sympy.together(sympy.Add(*summands)))
         assert total == (1 if m == 1 else 0), (m, n)

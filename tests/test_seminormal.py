@@ -113,8 +113,7 @@ def mismatches(mp, tableau):
     bad = []
     for formula in FORMULAS:
         element = schur_element(mp, formula)
-        got = {(form.s, form.t, form.c): e for form, e in element.factors.items()}
-        if element.constant != constant or got != factors:
+        if element.constant != constant or element.factors != factors:
             bad.append((mp, formula))
     return bad
 
