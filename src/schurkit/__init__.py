@@ -4,55 +4,34 @@ Three independent formulas for the Schur element attached to every
 m-multipartition of n, exact arithmetic for the factored rational
 functions they produce, and the separation-polynomial criterion for
 semisimplicity of specialized algebras.
+
+__all__ is the package's contract.  Every other name, here or in a
+submodule, is internal and may change.
 """
 
 from .exact import (
     FactoredRational,
-    LinearForm,
     NonIntegerConstantError,
     NotAPolynomialError,
     PoleError,
-    ProductBuilder,
     SparsePoly,
     Specialization,
     apply_permutation,
-    canonical_parts,
-    fr_const,
     fr_eval,
     fr_expand,
     fr_form,
-    qindex,
-    qvar,
 )
 from .partitions import (
-    Multipartition,
-    Partition,
-    beta_set,
-    conjugate,
     enumerate_multipartitions,
-    generalized_hook_length,
-    generalized_hooks,
-    hook_length,
-    hook_product,
-    l_symbol,
-    mp_length,
-    mp_size,
     multipartition,
     multipartition_count,
-    num_standard_tableaux,
-    partition,
-    partitions_of,
     permute_components,
 )
 from .schur import (
     FORMULAS,
     p_invariant,
     schur_element,
-    trace_identity_sides,
-    verify_hook_beta_identity,
-    verify_mu_identity,
     verify_trace_identity,
-    verify_x_symmetry,
     x_kernel,
     y_kernel,
     z_kernel,
@@ -62,10 +41,23 @@ from .semisimple import (
     ZeroFormIndex,
     cross_check_criterion,
     is_semisimple,
-    separation_failure_cases,
-    random_specialization,
     schur_elements_table,
-    vanishing_schur_elements,
 )
+
+__all__ = [
+    # values, the specialization they are evaluated at, and the errors a caller handles
+    "FactoredRational", "SparsePoly", "Specialization",
+    "PoleError", "NotAPolynomialError", "NonIntegerConstantError",
+    # building, evaluating, expanding and permuting values
+    "fr_form", "fr_eval", "fr_expand", "apply_permutation",
+    # multipartitions
+    "multipartition", "enumerate_multipartitions", "multipartition_count", "permute_components",
+    # the three formulas, the kernels, the separation polynomial and the trace identity
+    "FORMULAS", "schur_element", "x_kernel", "y_kernel", "z_kernel", "p_invariant",
+    "verify_trace_identity",
+    # the semisimplicity criterion
+    "SemisimplicityReport", "ZeroFormIndex", "cross_check_criterion", "is_semisimple",
+    "schur_elements_table",
+]
 
 __version__ = "0.1.0"

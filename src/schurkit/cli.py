@@ -176,14 +176,19 @@ def _cmd_schur(args) -> int:
     return 0
 
 
-def _cmd_pinv(args) -> int:
-    check_p_invariant(args.m, args.n)
-    # Refuse, before P is built, a constant n! that the int-digit limit would not print:
-    # lgamma sizes it, and n! >= 10**limit decides exactly within 1 of the limit.
-    limit, log10 = sys.get_int_max_str_digits(), lgamma(args.n + 1) / log(10)
-    if limit and (log10 > limit + 1 or log10 > limit - 1 and factorial(args.n) >= 10**limit):
+def _check_factorial_prints(m: int, n: int) -> None:
+    """check_p_invariant(m, n), then refuse, before P is built, an n! that the int-digit
+    limit would not print: lgamma sizes it, and n! >= 10**limit decides exactly within 1
+    of the limit.  n! is the constant of P, and at m = 1 over Q also P(theta)."""
+    check_p_invariant(m, n)
+    limit, log10 = sys.get_int_max_str_digits(), lgamma(n + 1) / log(10)
+    if limit and (log10 > limit + 1 or log10 > limit - 1 and factorial(n) >= 10**limit):
         text = f"Exceeds the limit ({limit} digits) for integer string conversion"
         raise UsageError(f"{text}; {_DIGIT_LIMIT_SETTING}")
+
+
+def _cmd_pinv(args) -> int:
+    _check_factorial_prints(args.m, args.n)
     value = p_invariant(args.m, args.n)
     print(format_output(value, args.format))
     return 0
@@ -219,6 +224,8 @@ def _parse_theta(args, m: int) -> Specialization:
 
 def _cmd_semisimple(args) -> int:
     theta = _parse_theta(args, args.m)
+    if args.m == 1 and args.mod is None:
+        _check_factorial_prints(args.m, args.n)
     if args.no_vanishing:
         p_value = fr_eval(p_invariant(args.m, args.n), theta)
         report = SemisimplicityReport(

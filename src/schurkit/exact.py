@@ -199,14 +199,14 @@ class FactoredRational:
 class ProductBuilder:
     """Turns raw (c, s, t, exp) triples into a canonical value.
 
-    Its users are fr_form, apply_permutation, FactoredRational.from_json
-    and schur.verify_mu_identity.  form() canonicalizes at the call,
-    flips the sign for an odd exponent on a flipped orientation and adds
-    the exponent under the canonical (s, t, c); a form with s == t is a
-    constant and folds in at once, so form(0, 1, 1, exp=-1) raises
-    ZeroDivisionError at the call.  const() multiplies the one Fraction
-    constant by value**exp.  build() leaves the builder unchanged; the
-    constructor drops the cancelled exponents.
+    Its users are fr_form, apply_permutation, schur.verify_mu_identity
+    and FactoredRational.from_json, which only tests call.  form()
+    canonicalizes at the call, flips the sign for an odd exponent on a
+    flipped orientation and adds the exponent under the canonical
+    (s, t, c); a form with s == t is a constant and folds in at once, so
+    form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
+    multiplies the one Fraction constant by value**exp.  build() leaves
+    the builder unchanged; the constructor drops the cancelled exponents.
     """
 
     __slots__ = ("constant", "factors")
@@ -233,12 +233,8 @@ class ProductBuilder:
         return FactoredRational(self.constant, self.factors)
 
 
-def fr_const(value: Union[int, Fraction]) -> FactoredRational:
-    return FactoredRational(Fraction(value), {})
-
-
 def fr_form(c: int, s: int, t: int, exp: int = 1) -> FactoredRational:
-    """The value (c + q_s - q_t)^exp."""
+    """The value (c + q_s - q_t)^exp: the constructor of a value by hand, for any s and t."""
     return ProductBuilder().form(c, s, t, exp=exp).build()
 
 

@@ -297,8 +297,8 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
 # The most factors C(m, 2) * (2n - 1) that p_invariant builds.  A fresh CPython 3.11
 # process (2 vCPUs) printing P as JSON peaked at 345 MB at (707, 2), with 748,713 factors
 # the largest m admitted at n = 2, and at 662 MB at (1000, 2) with 1,498,500.  At m = 1,
-# P is n! alone and counts n factors, and the pinv command also sizes n! against the
-# int-digit limit.  ROADMAP item 5 folds these checks into its shared admission helper.
+# P is n! alone and counts n factors, and the CLI also sizes n! against the int-digit
+# limit.  ROADMAP item 5 folds these checks into its shared admission helper.
 P_FACTOR_BOUND = 750_000
 
 

@@ -24,7 +24,6 @@ from schurkit.cli import SUITES, format_output, mp_text, run
 from schurkit.exact import (
     FactoredRational,
     NotAPolynomialError,
-    fr_const,
     fr_expand,
     fr_form,
 )
@@ -249,11 +248,20 @@ def test_an_output_above_the_digit_limit_names_the_environment_variable():
 
 
 def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digit_limit):
-    """1558! has 4,300 digits and is printed; 1559! has 4,303 and is refused unbuilt."""
+    """1558! has 4,300 digits and is printed; 1559! has 4,303 and is refused unbuilt.
+
+    At m = 1 over Q, semisimple prints P(theta) = n! and is held to the same limit.
+    """
     assert invoke(capsys, "pinv", "--m", "1", "--n", "1558") == (0, f"{factorial(1558)}\n", "")
+    theta = ("--m", "1", "--set", "q1=0")
+    report = {"p_value": str(factorial(1558)), "semisimple": True, "field": "Q"}
+    printed = f"{json.dumps(report)}\n"
+    assert invoke(capsys, "semisimple", *theta, "--n", "1558", "--no-vanishing") == (0, printed, "")
     monkeypatch.setattr(cli_module, "p_invariant", lambda m, n: pytest.fail("built"))
+    monkeypatch.setattr(cli_module, "cross_check_criterion", lambda *args: pytest.fail("built"))
     refusal = f"error: {REFUSALS['pinv --m 2 --n 1700']}\n"
     assert invoke(capsys, "pinv", "--m", "1", "--n", "1559") == (2, "", refusal)
+    assert invoke(capsys, "semisimple", *theta, "--n", "1559") == (2, "", refusal)
 
 
 def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
@@ -312,7 +320,7 @@ def test_trace_identity_mismatch_record(capsys, monkeypatch):
 
 def test_integrality_mismatch_records(capsys, monkeypatch):
     negative, fractional, too_long = enumerate_multipartitions(3, 1)
-    half = fr_const(Fraction(1, 2)) * fr_form(1, 1, 2)
+    half = FactoredRational(Fraction(1, 2), {}) * fr_form(1, 1, 2)
     corrupted = {
         negative: fr_form(0, 1, 3, exp=-1),
         fractional: half,
@@ -573,6 +581,7 @@ def menu_commands(monkeypatch):
 DIGITS = 4300  # CPython's default int-digit limit: the rows assume it, and their children get it
 _COMMANDS = "one of enumerate, schur, pinv, verify, semisimple"
 _SETTING = "set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
+_UNPRINTABLE = f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"
 _MP = "schur --multipartition"
 _CRIT = "verify --suite criterion --m 2 --n 2 --seed 1"
 _TRACE = "verify --suite trace-identity"
@@ -722,10 +731,13 @@ IN_CHILD = {
     f"{_MP} [[{'1' * 5000}]]": (10, f"--multipartition: Exceeds the limit ({DIGITS} digits) for"
                                     f" integer string conversion: value has 5000 digits;"
                                     f" {_SETTING}"),
-    "pinv --m 2 --n 1700":  # the constant 1700! has 4,700 digits
-        (10, f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"),
-    "pinv --m 1 --n 750000":  # sized before 750000! is built, which takes about 7 s
-        (1, f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"),
+    "pinv --m 2 --n 1700": (10, _UNPRINTABLE),  # the constant 1700! has 4,700 digits
+    # sized before n! is built, which takes about 7 s at n = 750000: at m = 1 over Q, P(theta)
+    # is n!, and semisimple refuses it before it enumerates the p(n) partitions of its table
+    "pinv --m 1 --n 750000": (1, _UNPRINTABLE),
+    "semisimple --m 1 --n 1559 --set q1=0 --no-vanishing": (1, _UNPRINTABLE),
+    "semisimple --m 1 --n 1559 --set q1=0": (1, _UNPRINTABLE),
+    "semisimple --m 1 --n 750000 --set q1=0": (1, _UNPRINTABLE),
     "pinv --m 1000 --n 2": (10, "P at --m 1000 --n 2 has C(m, 2)*(2n - 1) = 1498500 factors,"
                                 " above the bound of 750000"),
     "pinv --m 100000 --n 2": (10, "P at --m 100000 --n 2 has C(m, 2)*(2n - 1) = 14999850000"
@@ -999,7 +1011,7 @@ def assert_one_record(capsys, argv, record, summary):
 
 def test_three_formulas_mismatch_record(capsys, monkeypatch):
     target = ((), (1,))
-    wrong = fr_const(2) * schur_element(target, "cancellation")
+    wrong = FactoredRational(2, {}) * schur_element(target, "cancellation")
     real = cli_module.schur_element
 
     def corrupted(mp, formula="cancellation", length=None):
@@ -1025,7 +1037,7 @@ def test_beta_shift_mismatch_records(capsys, monkeypatch):
     # Y wrong only at L = 4 for ((1), ()): the shift from L = 3 fails, nothing else
     monkeypatch.setattr(
         cli_module, "y_kernel",
-        lambda lam, mu, L: fr_const(2) * real_y(lam, mu, L)
+        lambda lam, mu, L: FactoredRational(2, {}) * real_y(lam, mu, L)
         if (lam, mu, L) == ((1,), (), 4) else real_y(lam, mu, L),
     )
     assert_one_record(
@@ -1036,7 +1048,7 @@ def test_beta_shift_mismatch_records(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "y_kernel", real_y)
     monkeypatch.setattr(
         cli_module, "z_kernel",
-        lambda lam, mu: fr_const(2) * real_z(lam, mu) if (lam, mu) == ((), (1,)) else real_z(lam, mu),
+        lambda lam, mu: FactoredRational(2 if (lam, mu) == ((), (1,)) else 1, {}) * real_z(lam, mu),
     )
     assert_one_record(
         capsys, ["beta-shift", "--size", "1"],
@@ -1092,7 +1104,7 @@ def test_sm_action_mismatch_record(capsys, monkeypatch):
     real = cli_module.apply_permutation
     monkeypatch.setattr(
         cli_module, "apply_permutation",
-        lambda sigma, value: fr_const(2) * real(sigma, value)
+        lambda sigma, value: FactoredRational(2, {}) * real(sigma, value)
         if (tuple(sigma), value) == ((2, 1), target) else real(sigma, value),
     )
     assert_one_record(

@@ -2,10 +2,13 @@
 
 A use is an ast.Name, the attribute of an ast.Attribute, or a string
 constant that is an identifier (a name looked up with getattr).  Uses
-count in src/schurkit (but not __init__.py, which only re-exports), in
-tests/ and in the README's doctest examples; a name that only the
-benchmark's tracer patches is dead.  Dunders are called by the
-interpreter and are exempt.
+count in src/schurkit (but not __init__.py, which only re-exports) and
+in the README's doctest examples.  A use in tests/ keeps a method or a
+nested function alive, but a module-level function or class only when
+schurkit.__all__ exports it, or when tests/test_tracing.py requires the
+benchmark's tracer to patch it: a helper that only its own tests call is
+dead.  A name that only the tracer patches is dead too.  Dunders are
+called by the interpreter and are exempt.
 
 Every module-level import of a library module is named in that module
 too; __init__.py, which only re-exports, and __future__ are exempt.
@@ -19,6 +22,7 @@ schurkit, and it alone imports subprocess.
 
 import ast
 
+import schurkit
 from support import ROOT
 
 LIBRARY = sorted((ROOT / "src" / "schurkit").glob("*.py"))
@@ -35,22 +39,30 @@ def names_used(tree):
                 yield node.value
 
 
+# The names that tests/test_tracing.py's kept_for_the_tracer requires to stay patchable.
+TRACED = {"fr_expand", "trace_identity_sides", "__mul__", "div_form_exact", "render", "to_json"}
+
+
+def uses(paths):
+    return {name for path in paths for name in names_used(ast.parse(path.read_text()))}
+
+
 def test_every_definition_is_used():
-    sources = [path for path in LIBRARY if path.name != "__init__.py"]
-    sources += sorted((ROOT / "tests").glob("*.py"))
-    trees = [ast.parse(path.read_text()) for path in sources]
     lines = (ROOT / "README.md").read_text().splitlines()
     examples = [line.strip()[4:] for line in lines if line.strip()[:4] in (">>> ", "... ")]
-    trees.append(ast.parse("\n".join(examples)))
-    used = {name for tree in trees for name in names_used(tree)}
-    defined = {
-        node.name
-        for path in LIBRARY
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    dead = [name for name in sorted(defined - used) if not name.startswith("__")]
-    assert dead == []
+    used = uses(path for path in LIBRARY if path.name != "__init__.py")
+    used.update(names_used(ast.parse("\n".join(examples))))
+    used_by_tests = uses(sorted((ROOT / "tests").glob("*.py")))
+    top_level, inner = set(), set()
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text())
+        body = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                (top_level if node in body else inner).add(node.name)
+    kept = used | (used_by_tests & (set(schurkit.__all__) | TRACED))
+    dead = sorted((top_level - kept) | (inner - used - used_by_tests))
+    assert [name for name in dead if not name.startswith("__")] == []
 
 
 def test_every_import_is_used():

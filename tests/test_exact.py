@@ -19,7 +19,6 @@ from schurkit.exact import (
     Specialization,
     apply_permutation,
     canonical_parts,
-    fr_const,
     fr_eval,
     fr_expand,
     fr_form,
@@ -98,16 +97,16 @@ def test_every_path_keys_its_factors_by_canonical_int_triples():
 
 def test_constants_never_stored_as_factors():
     value = fr_form(4, 1, 1, exp=2)
-    assert value == fr_const(16)
+    assert value == FactoredRational(16, {})
     assert value.factors == {}
 
 
 def test_fr_mul_examples():
     a = fr_form(0, 1, 2)
-    assert a * (a ** -1) == fr_const(1)
+    assert a * (a ** -1) == FactoredRational(1, {})
 
-    two = fr_const(2) * fr_form(1, 1, 2)
-    three = fr_const(3) * fr_form(1, 1, 2)
+    two = FactoredRational(2, {}) * fr_form(1, 1, 2)
+    three = FactoredRational(3, {}) * fr_form(1, 1, 2)
     prod = two * three
     assert prod.constant == 6
     assert prod.factors == {(1, 2, 1): 2}
@@ -126,10 +125,10 @@ def test_fr_equal_examples():
 
 
 def test_zero_value():
-    zero = fr_const(0) * fr_form(1, 1, 2)
+    zero = FactoredRational(0, {}) * fr_form(1, 1, 2)
     assert zero.constant == 0 and zero.factors == {}
     with pytest.raises(ZeroDivisionError):
-        fr_const(1) / zero
+        FactoredRational(1, {}) / zero
 
 
 # ---------------------------------------------------------- builder oracle
@@ -214,7 +213,7 @@ def test_builder_rejects_zero_to_a_negative_power_at_the_call():
         b.const(Fraction(0), -2)
     with pytest.raises(ZeroDivisionError):
         b.form(0, 1, 1, exp=-1)
-    assert b.build() == fr_const(1)
+    assert b.build() == FactoredRational(1, {})
 
 
 # ------------------------------------------------------------------ expand
@@ -244,13 +243,13 @@ def test_fr_expand_rejects_true_quotient():
 
 def test_fr_expand_rejects_fractional_constant():
     with pytest.raises(NonIntegerConstantError):
-        fr_expand(fr_const(Fraction(1, 2)) * fr_form(0, 1, 2), 2)
+        fr_expand(FactoredRational(Fraction(1, 2), {}) * fr_form(0, 1, 2), 2)
 
 
 def test_fr_expand_refuses_a_fractional_constant_before_expanding():
     # Gauss's lemma: a product of the primitive forms c + q_s - q_t is integral iff its
     # constant is, so the refusal names the constant and no coefficient
-    value = fr_const(Fraction(-5, 6)) * fr_form(1, 1, 2, exp=3) * fr_form(0, 2, 3)
+    value = FactoredRational(Fraction(-5, 6), {}) * fr_form(1, 1, 2, exp=3) * fr_form(0, 2, 3)
     with pytest.raises(NonIntegerConstantError, match=r"^constant -5/6 is not an integer$"):
         fr_expand(value, 3)
 
@@ -280,7 +279,7 @@ def test_fr_expand_rejects_variable_outside_the_tuple():
 
 
 def test_fr_expand_with_unused_variables():
-    value = fr_const(-2) * fr_form(1, 1, 3) * fr_form(0, 1, 3)
+    value = FactoredRational(-2, {}) * fr_form(1, 1, 3) * fr_form(0, 1, 3)
     poly = fr_expand(value, 4)
     assert poly.m == 4
     # -2 (1 + q1 - q3)(q1 - q3) = -2 q1 + 2 q3 - 2 q1^2 + 4 q1 q3 - 2 q3^2
@@ -292,11 +291,11 @@ def test_fr_expand_with_unused_variables():
 
 
 def test_fr_expand_constant_only():
-    assert fr_expand(fr_const(-6), 2).terms == {(0, 0): -6}
-    assert fr_expand(fr_const(Fraction(12, 4)), 0).terms == {(): 3}
-    assert fr_expand(fr_const(0), 1).terms == {}
+    assert fr_expand(FactoredRational(-6, {}), 2).terms == {(0, 0): -6}
+    assert fr_expand(FactoredRational(Fraction(12, 4), {}), 0).terms == {(): 3}
+    assert fr_expand(FactoredRational(0, {}), 1).terms == {}
     with pytest.raises(NonIntegerConstantError):
-        fr_expand(fr_const(Fraction(-5, 3)), 1)
+        fr_expand(FactoredRational(Fraction(-5, 3), {}), 1)
 
 
 def test_fr_expand_high_power_fills_the_packing_base():
@@ -331,12 +330,12 @@ def test_fr_expand_rejects_negative_exponents_without_dividing(monkeypatch):
     # distinct canonical forms never divide each other, so a true quotient
     # is rejected before anything is multiplied or divided
     _no_division(monkeypatch)
-    value = (fr_const(4) * fr_form(1, 1, 2, exp=3)) / fr_form(0, 2, 3, exp=2)
+    value = (FactoredRational(4, {}) * fr_form(1, 1, 2, exp=3)) / fr_form(0, 2, 3, exp=2)
     with pytest.raises(NotAPolynomialError, match="does not divide"):
         fr_expand(value, 3)
     # the first denominator form in sorted_factors() order is named, and the
     # quotient error comes before the one for a fractional constant
-    value = (fr_const(Fraction(1, 2)) * fr_form(0, 1, 2)) / (
+    value = (FactoredRational(Fraction(1, 2), {}) * fr_form(0, 1, 2)) / (
         fr_form(2, 2, 3) * fr_form(-1, 1, 3)
     )
     with pytest.raises(NotAPolynomialError) as info:
@@ -346,15 +345,25 @@ def test_fr_expand_rejects_negative_exponents_without_dividing(monkeypatch):
 
 
 def _sympy_oracle(sympy, value: FactoredRational, m: int):
-    """value as a sympy polynomial dict in q1..qm, or None when it is not an integer polynomial."""
+    """value as a sympy polynomial dict in q1..qm, or None when it is not an integer polynomial.
+
+    A product with no negative exponent is multiplied out as sympy Polys over QQ; any other
+    value goes through sympy.cancel.
+    """
     q = sympy.symbols(f"q1:{m + 1}")
-    expr = sympy.Rational(value.constant.numerator, value.constant.denominator)
-    for (s, t, c), exp in value.factors.items():
-        expr *= (c + q[s - 1] - q[t - 1]) ** exp
-    num, den = sympy.fraction(sympy.cancel(expr))
-    if not den.is_number:
-        return None
-    poly = sympy.Poly(sympy.expand(num / den), *q)
+    constant = sympy.Rational(value.constant.numerator, value.constant.denominator)
+    if all(exp > 0 for exp in value.factors.values()):
+        poly = sympy.Poly(constant, *q, domain="QQ")
+        for (s, t, c), exp in value.factors.items():
+            poly *= sympy.Poly(c + q[s - 1] - q[t - 1], *q, domain="QQ") ** exp
+    else:
+        expr = constant
+        for (s, t, c), exp in value.factors.items():
+            expr *= (c + q[s - 1] - q[t - 1]) ** exp
+        num, den = sympy.fraction(sympy.cancel(expr))
+        if not den.is_number:
+            return None
+        poly = sympy.Poly(sympy.expand(num / den), *q)
     coeffs = poly.as_dict()
     if not all(c.is_integer for c in coeffs.values()):
         return None
@@ -369,13 +378,13 @@ def test_fr_expand_matches_sympy(monkeypatch):
             element = schur_element(mp)
             assert fr_expand(element, m).terms == _sympy_oracle(sympy, element, m), mp
     hand_built = [
-        fr_const(Fraction(1, 2)) * fr_form(0, 1, 2) * fr_form(1, 1, 2),
-        fr_const(Fraction(-3, 4)) * fr_form(2, 3, 1, exp=3),
-        fr_const(Fraction(6, 4)) * fr_const(2) * fr_form(-1, 2, 3, exp=2),
+        FactoredRational(Fraction(1, 2), {}) * fr_form(0, 1, 2) * fr_form(1, 1, 2),
+        FactoredRational(Fraction(-3, 4), {}) * fr_form(2, 3, 1, exp=3),
+        FactoredRational(Fraction(6, 4), {}) * FactoredRational(2, {}) * fr_form(-1, 2, 3, exp=2),
         fr_form(1, 1, 2, exp=2) / fr_form(0, 2, 3),
-        (fr_const(Fraction(5, 2)) * fr_form(0, 1, 2)) / fr_form(3, 1, 3),
-        fr_const(Fraction(7, 3)),
-        fr_const(-8),
+        (FactoredRational(Fraction(5, 2), {}) * fr_form(0, 1, 2)) / fr_form(3, 1, 3),
+        FactoredRational(Fraction(7, 3), {}),
+        FactoredRational(-8, {}),
     ]
     for value in hand_built:
         expected = _sympy_oracle(sympy, value, 3)
@@ -413,7 +422,8 @@ def test_fr_eval_over_q_matches_a_fraction_oracle():
     half = {1: Fraction(1, 2), 2: Fraction(-3, 2), 3: Fraction(5, 2)}
     cases = [
         # integral theta, negative exponents, non-integral constant
-        (fr_const(Fraction(3, 4)) * fr_form(1, 1, 2, exp=-2) * fr_form(-2, 2, 3, exp=3), {1: 4, 2: -1, 3: 2}),
+        (FactoredRational(Fraction(3, 4), {}) * fr_form(1, 1, 2, exp=-2) * fr_form(-2, 2, 3, exp=3),
+         {1: 4, 2: -1, 3: 2}),
         # half-integral theta: the exponent sum -1 puts d into the numerator
         (fr_form(0, 1, 3, exp=2) * fr_form(1, 1, 2, exp=-3), half),
         # mixed denominators, d = 6
@@ -421,7 +431,7 @@ def test_fr_eval_over_q_matches_a_fraction_oracle():
         # a zero numerator factor next to a non-zero denominator factor: the value 0
         (fr_form(2, 1, 3) * fr_form(0, 1, 2, exp=-1), half),
         # a zero constant
-        (fr_const(0), half),
+        (FactoredRational(0, {}), half),
     ]
     assert fr_eval(cases[3][0], Specialization(cases[3][1])) == 0
     assert fr_eval(cases[4][0], Specialization(cases[4][1])) == 0
@@ -454,7 +464,7 @@ def test_fr_eval_pole_and_unassigned_parameter_over_q():
 
 
 def test_fr_eval_constant_denominator_mod_p():
-    value = fr_const(Fraction(1, 7))
+    value = FactoredRational(Fraction(1, 7), {})
     with pytest.raises(PoleError):
         fr_eval(value, Specialization({1: 0}, prime=7))
     assert fr_eval(value, Specialization({1: 0}, prime=5)) == pow(7, -1, 5)
@@ -530,7 +540,7 @@ def test_fr_mul_commutative_associative_inverse():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         unit = FactoredRational(Fraction(1), a.factors)
-        assert unit * (unit ** -1) == fr_const(1)
+        assert unit * (unit ** -1) == FactoredRational(1, {})
 
 
 def _field_op(op: str, x, y, prime):
@@ -579,20 +589,21 @@ def test_arithmetic_matches_evaluation_and_stays_canonical():
 def test_a_zero_exponent_never_survives_construction():
     form = canonical_parts(0, 1, 2)[0]
     held = FactoredRational(1, {form: 0})
-    assert held == fr_const(1) and hash(held) == hash(fr_const(1))
+    assert held == FactoredRational(1, {}) and hash(held) == hash(FactoredRational(1, {}))
     assert held.render() == "1" and held.factors == {}
-    a = fr_form(1, 1, 2, exp=2) * fr_form(0, 2, 3, exp=-1) * fr_const(3)
-    assert (a / a).factors == {} and a / a == fr_const(1)
-    assert (a * a**-1) == fr_const(1) and a**0 == fr_const(1)
-    assert FactoredRational(0, {form: 2}) == fr_const(0)
-    assert (fr_const(0) * a).factors == (a * fr_const(0)).factors == (fr_const(0) / a).factors == {}
+    a = fr_form(1, 1, 2, exp=2) * fr_form(0, 2, 3, exp=-1) * FactoredRational(3, {})
+    assert (a / a).factors == {} and a / a == FactoredRational(1, {})
+    assert (a * a**-1) == FactoredRational(1, {}) and a**0 == FactoredRational(1, {})
+    assert FactoredRational(0, {form: 2}) == FactoredRational(0, {})
+    zero = FactoredRational(0, {})
+    assert (zero * a).factors == (a * zero).factors == (zero / a).factors == {}
     for bad in (lambda: a**0.5, lambda: a * 2, lambda: 2 * a, lambda: a / Fraction(2)):
         with pytest.raises(TypeError):
             bad()
     with pytest.raises(ZeroDivisionError):
-        a / fr_const(0)
+        a / FactoredRational(0, {})
     with pytest.raises(ZeroDivisionError):
-        fr_const(0) ** -1
+        FactoredRational(0, {}) ** -1
 
 
 def test_expand_is_multiplicative():
@@ -659,7 +670,7 @@ def test_render_and_sort_order():
     b.form(-1, 1, 2)
     b.form(0, 1, 2)
     assert b.build().render() == "2*(-1+q1-q2)(q1-q2)(1+q1-q2)"
-    assert fr_const(6).render(latex=True) == "6"
+    assert FactoredRational(6, {}).render(latex=True) == "6"
     assert fr_form(1, 1, 2, exp=2).render() == "(1+q1-q2)^2"
     assert fr_form(1, 1, 2).render(latex=True) == "(1+q_{1}-q_{2})"
 
@@ -701,11 +712,11 @@ def test_memoized_factor_text_matches_a_plain_renderer():
     values += [apply_permutation(sigma, y_kernel(lam, mu, 3))
                for lam, mu in (((2,), (1,)), ((1, 1), (3,))) for sigma in ((1, 2), (3, 1, 2))]
     values += [
-        fr_const(Fraction(-3, 4)) * fr_form(2, 1, 3, exp=-2) * fr_form(0, 2, 3, exp=5),
-        fr_const(Fraction(5, 6)) / fr_form(-7, 2, 1),
-        fr_const(Fraction(-1, 2)),
-        fr_const(0),
-        fr_const(-1) * fr_form(0, 1, 2, exp=-1),
+        FactoredRational(Fraction(-3, 4), {}) * fr_form(2, 1, 3, exp=-2) * fr_form(0, 2, 3, exp=5),
+        FactoredRational(Fraction(5, 6), {}) / fr_form(-7, 2, 1),
+        FactoredRational(Fraction(-1, 2), {}),
+        FactoredRational(0, {}),
+        FactoredRational(-1, {}) * fr_form(0, 1, 2, exp=-1),
     ]
     values += [random_factored(random.Random(seed)) for seed in range(40)]
     assert any(e < 0 for value in values for e in value.factors.values())

@@ -16,7 +16,6 @@ from schurkit.exact import (
     SparsePoly,
     Specialization,
     apply_permutation,
-    fr_const,
     fr_eval,
     fr_expand,
     fr_form,
@@ -65,14 +64,14 @@ def small_partitions(max_size):
 
 def test_x_kernel_examples():
     # every kernel is taken at x = q1 - q2; the S_m action moves it to q_s - q_t
-    assert x_kernel((), ()) == fr_const(1)
+    assert x_kernel((), ()) == FactoredRational(1, {})
     assert x_kernel((1,), ()) == fr_form(0, 1, 2)
-    assert x_kernel((), (1,)) == fr_const(-1) * fr_form(0, 1, 2)
+    assert x_kernel((), (1,)) == FactoredRational(-1, {}) * fr_form(0, 1, 2)
     assert apply_permutation((3, 1, 2), x_kernel((1,), ())) == fr_form(0, 3, 1)
 
 
 def test_y_kernel_examples():
-    assert y_kernel((), (), 0) == fr_const(1)
+    assert y_kernel((), (), 0) == FactoredRational(1, {})
     assert y_kernel((1,), (), 1) == fr_form(0, 1, 2)
     # (1+x)(1-x): canonically -(-1+x)(1+x), expanding to 1 - x^2 at x = q1 - q2
     val = y_kernel((1,), (1,), 1)
@@ -87,7 +86,7 @@ def test_y_kernel_requires_large_l():
 
 def test_z_kernel_examples():
     assert z_kernel((1,), ()) == fr_form(0, 1, 2)
-    assert z_kernel((), (1,)) == fr_const(-1) * fr_form(0, 1, 2)
+    assert z_kernel((), (1,)) == FactoredRational(-1, {}) * fr_form(0, 1, 2)
     assert z_kernel((1,), (1,)) == x_kernel((1,), (1,))
 
 
@@ -348,7 +347,7 @@ def test_two_empty_components_have_the_unit_block(length):
     ]
     for s, t in ((1, 2), (2, 5)):
         for tally in tallies:
-            assert schur_module._union(1, 1, [(tally, s, t)]) == fr_const(1)
+            assert schur_module._union(1, 1, [(tally, s, t)]) == FactoredRational(1, {})
 
 
 def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear_caches):
@@ -424,7 +423,7 @@ def test_schur_one_row_level_one_is_factorial():
     for n in range(7):
         mp = ((n,),) if n else ((),)
         for formula in ("product", "symbol", "cancellation"):
-            assert schur_element(mp, formula) == fr_const(factorial(n))
+            assert schur_element(mp, formula) == FactoredRational(factorial(n), {})
 
 
 def test_schur_symbol_l_too_small():
@@ -494,7 +493,7 @@ def test_sm_action_generators_decide_as_all_permutations(monkeypatch):
         mps = list(enumerate_multipartitions(m, n))
         for target in mps:
             # a constant keeps the symmetry of a fixed point; a form breaks it
-            for corruption in (fr_const(2), fr_form(0, 1, 2)):
+            for corruption in (FactoredRational(2, {}), fr_form(0, 1, 2)):
                 table = {mp: schur_element(mp) for mp in mps}
                 table[target] = corruption * table[target]
                 monkeypatch.setattr(cli, "schur_element", table.__getitem__)
@@ -555,9 +554,9 @@ def test_random_multipartition_property_many():
 
 
 def test_p_invariant_examples():
-    assert p_invariant(1, 3) == fr_const(6)
+    assert p_invariant(1, 3) == FactoredRational(6, {})
     assert p_invariant(2, 1) == fr_form(0, 1, 2)
-    expected = fr_const(2) * fr_form(-1, 1, 2) * fr_form(0, 1, 2) * fr_form(1, 1, 2)
+    expected = FactoredRational(2, {}) * fr_form(-1, 1, 2) * fr_form(0, 1, 2) * fr_form(1, 1, 2)
     assert p_invariant(2, 2) == expected
 
 
@@ -578,7 +577,7 @@ def test_p_invariant_bound_is_inclusive(monkeypatch):
     p_invariant.cache_clear()
     for m, n in ((3, 3), (2, 8), (6, 1)):
         assert sum(p_invariant(m, n).factors.values()) == 15
-    assert p_invariant(1, 15) == fr_const(factorial(15))
+    assert p_invariant(1, 15) == FactoredRational(factorial(15), {})
     for m, n in ((3, 4), (2, 9), (7, 1), (1, 16)):
         with pytest.raises(ValueError, match=f"^P at --m {m} --n {n} has .* above the bound of 15$"):
             p_invariant(m, n)
@@ -896,7 +895,7 @@ def test_trace_identity_property_wider():
 def test_vanishes_identically_needs_the_whole_grid(d):
     # prod_{k<d} (-k + q1 - q2) has degree d in q1 and, at q2 = 0, vanishes
     # at q1 = 0..d-1: a grid of d points per variable would miss it
-    value = prod((fr_form(-k, 1, 2) for k in range(d)), start=fr_const(1))
+    value = prod((fr_form(-k, 1, 2) for k in range(d)), start=FactoredRational(1, {}))
     assert all(prod(-k + q1 for k in range(d)) == 0 for q1 in range(d))
     assert not vanishes_identically(2, [(1, value)])
     assert vanishes_identically(2, [(1, value), (-1, value)])
@@ -916,7 +915,7 @@ def test_vanishes_identically_rejects_other_forms():
     with pytest.raises(ValueError, match="negative exponent"):
         vanishes_identically(2, [(1, fr_form(1, 1, 2, exp=-1))])
     with pytest.raises(ValueError, match="^constant 1/2 of summand 1 is not an integer$"):
-        vanishes_identically(2, [(1, fr_form(1, 1, 2)), (2, fr_const(Fraction(1, 2)))])
+        vanishes_identically(2, [(1, fr_form(1, 1, 2)), (2, FactoredRational(Fraction(1, 2), {}))])
 
 
 def test_vanishes_identically_on_sums_that_cancel():
@@ -937,19 +936,19 @@ def test_vanishes_identically_on_sums_that_cancel():
             st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(pairs), st.integers(1, 2)),
                      max_size=3)
         )
-        a_value = fr_const(data.draw(st.integers(1, 3) | st.integers(-3, -1)))
+        a_value = FactoredRational(data.draw(st.integers(1, 3) | st.integers(-3, -1)), {})
         for c, (s, t), exp in factors:
             a_value = a_value * fr_form(c, s, t, exp)
         a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
         if m == 2:
             hypothesis.assume(a != b)
             summands = [(1, a_value * fr_form(a, 1, 2)), (-1, a_value * fr_form(b, 1, 2)),
-                        (-1, fr_const(a - b) * a_value)]
+                        (-1, FactoredRational(a - b, {}) * a_value)]
         else:
             s, t, u = sorted(data.draw(st.permutations(range(1, m + 1)))[:3])
             g = data.draw(st.sampled_from((1, 2, -3)))
             summands = [(g, a_value * fr_form(a, s, t)), (g, a_value * fr_form(b, t, u)),
-                        (-1, fr_const(g) * a_value * fr_form(a + b, s, u))]
+                        (-1, FactoredRational(g, {}) * a_value * fr_form(a + b, s, u))]
         assert vanishes_identically(m, summands)
         total = Counter()
         for f, value in summands:
