@@ -80,17 +80,6 @@ def _factor_json(form: LinearForm, exp: int) -> str:
     return json.dumps([{"c": c, "pos": qvar(s), "neg": qvar(t)}, exp])
 
 
-def canonical_parts(c: int, s: int, t: int, /) -> tuple[Optional[LinearForm], int]:
-    """Reduce c + q_s - q_t to canonical (form, sign), or (None, c) if s == t."""
-    if s < 1 or t < 1:
-        raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
-    if s == t:
-        return None, c
-    if s > t:
-        return (t, s, -c), -1
-    return (s, t, c), 1
-
-
 class FactoredRational:
     """A rational constant times a product of linear forms (s, t, c) to exponents.
 
@@ -223,10 +212,13 @@ class ProductBuilder:
         """Multiply by (c + q_s - q_t)^exp."""
         if s == t:
             return self.const(c, exp)
-        form, sign = canonical_parts(c, s, t)
-        if sign < 0 and exp % 2:
-            self.constant = -self.constant
-        self.factors[form] = self.factors.get(form, 0) + exp
+        if s < 1 or t < 1:
+            raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
+        if s > t:
+            s, t, c = t, s, -c
+            if exp % 2:
+                self.constant = -self.constant
+        self.factors[s, t, c] = self.factors.get((s, t, c), 0) + exp
         return self
 
     def build(self) -> FactoredRational:

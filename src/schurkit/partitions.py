@@ -7,11 +7,11 @@ partitions.  Rows, columns and components are 1-based everywhere.
 Three reads of a partition are memoized, so a sweep makes each of them
 once: conjugate holds one entry per distinct partition, beta_set one per
 distinct (partition, L), and hook_product one per distinct partition.
-conjugate and beta_set take lists too and key their memo on tuple(lam),
-so equal inputs share one result tuple; num_standard_tableaux passes
-tuple(lam) to hook_product.  generalized_hook_length reads
-mu' from the conjugate memo, and generalized_hooks gives every node's
-hook from one read of it.
+Each is the memo itself, keyed on its arguments, so it takes tuples
+only; the exported entries that reach them (the kernels and
+schur_element) convert lists first.  generalized_hook_length reads mu'
+from the conjugate memo, and generalized_hooks gives every node's hook
+from one read of it; hook_product multiplies generalized_hooks(lam, lam).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -69,14 +69,12 @@ def mp_length(mp: Multipartition) -> int:
     return max((len(lam) for lam in mp), default=0)
 
 
-def conjugate(lam: Sequence[int]) -> Partition:
-    """Column counts of the diagram: result_j = #{i : lam_i >= j}; memoized on tuple(lam)."""
-    return _conjugate(tuple(lam))
-
-
 @cache
-def _conjugate(lam: Partition) -> Partition:
-    """One pass from the last row up: the columns lam_(i+1) < j <= lam_i have i nodes."""
+def conjugate(lam: Partition) -> Partition:
+    """Column counts of the diagram: result_j = #{i : lam_i >= j}; memoized.
+
+    One pass from the last row up: the columns lam_(i+1) < j <= lam_i have i nodes.
+    """
     cols: list[int] = []
     for i in range(len(lam), 0, -1):
         cols += [i] * (lam[i - 1] - len(cols))
@@ -88,11 +86,6 @@ def nodes(lam: Partition) -> Iterator[tuple[int, int]]:
     for i, row in enumerate(lam, 1):
         for j in range(1, row + 1):
             yield (i, j)
-
-
-def hook_length(lam: Partition, i: int, j: int) -> int:
-    """Number of nodes at, right of and below (i, j): lam_i - i + lam'_j - j + 1."""
-    return generalized_hook_length(lam, lam, i, j)
 
 
 def generalized_hook_length(lam: Partition, mu: Partition, i: int, j: int) -> int:
@@ -120,18 +113,13 @@ def generalized_hooks(lam: Partition, mu: Partition) -> tuple[int, ...]:
     return tuple(row - i + e for i, row in enumerate(lam) for e in offsets[:row])
 
 
+@cache
 def beta_set(lam: Partition, length: int) -> tuple[int, ...]:
-    """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing; memoized on (tuple(lam), L).
+    """Beta numbers lam_i + L - i for i = 1..L, strictly decreasing; memoized on (lam, L).
 
     L must be at least the number of rows; the result determines both
-    lam and L (its own length).
+    lam and L (its own length).  A refusal is raised again on every call, not memoized.
     """
-    return _beta_set(tuple(lam), length)
-
-
-@cache
-def _beta_set(lam: Partition, length: int) -> tuple[int, ...]:
-    """beta_set of a tuple; a refusal is raised again on every call, not memoized."""
     if length < len(lam):
         raise ValueError(f"L={length} too small for a partition of length {len(lam)}")
     return tuple(row + length - i for i, row in enumerate(lam, 1)) + tuple(
@@ -191,11 +179,8 @@ def permute_components(mp: Multipartition, sigma: Sequence[int]) -> Multipartiti
 
 @cache
 def hook_product(lam: Partition) -> int:
-    """Product of all hook lengths of the diagram; memoized, so lam is a tuple."""
-    prod = 1
-    for i, j in nodes(lam):
-        prod *= hook_length(lam, i, j)
-    return prod
+    """Product of all hook lengths of the diagram, the hooks of lam against itself; memoized."""
+    return prod(generalized_hooks(lam, lam))
 
 
 def num_standard_tableaux(mp: Multipartition) -> int:
@@ -205,11 +190,7 @@ def num_standard_tableaux(mp: Multipartition) -> int:
     per-component hook-length counts, i.e. n! over the product of all
     hook lengths.
     """
-    n = mp_size(mp)
-    denom = 1
-    for lam in mp:
-        denom *= hook_product(tuple(lam))
-    count, rem = divmod(factorial(n), denom)
+    count, rem = divmod(factorial(mp_size(mp)), prod(map(hook_product, mp)))
     if rem:
         raise ArithmeticError("hook product does not divide n!")
     return count

@@ -25,11 +25,13 @@ at x = q_s - q_t, s < t, is the canonical form (s, t, c), and the forms
 of distinct pairs never coincide, so an element is its constant times
 the plain union of its pairs' forms.  X, Y and Z each have their own
 tally, but the product and cancellation constants, hook_product and
-_z_diagonal, multiply the same generalized_hook_length values (they stay
-two functions because bench/tracing.py patches that name here).  The
+_z_diagonal, multiply the same hooks of a partition against itself
+(they stay two functions because bench/tracing.py patches
+generalized_hook_length, which _z_diagonal calls, here).  The
 independent constant is the symbol route's _row_constant, which
-verify_hook_beta_identity checks against the hooks.  Kernels and
-formulas accept lists and convert them to tuples before the cache lookup.
+verify_hook_beta_identity checks against the hooks.  Kernels, formulas
+and verify_hook_beta_identity accept lists and convert them to tuples
+before the cache lookup.
 
 What the memos hold: one X or Z tally per distinct ordered pair of
 partitions a sweep reads, one Y tally per distinct pair of beta rows,
@@ -206,7 +208,7 @@ def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
     of lam and (j - x) over those of mu, divided by (a - b + x) over all
     beta pairs.  Invariant under beta shifts, hence independent of L.
     """
-    tally = _y_tally.__wrapped__(beta_set(lam, length), beta_set(mu, length))
+    tally = _y_tally.__wrapped__(beta_set(tuple(lam), length), beta_set(tuple(mu), length))
     return _union(1, 1, [(tally, 1, 2)])
 
 
@@ -362,8 +364,9 @@ def verify_hook_beta_identity(lam: Partition, length: int) -> bool:
     The beta side is _row_constant, the per-row constant of the symbol route,
     as a reduced fraction num / den.
     """
+    lam = tuple(lam)
     num, den = _row_constant(beta_set(lam, length))
-    return hook_product(tuple(lam)) * den == num
+    return hook_product(lam) * den == num
 
 
 def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:

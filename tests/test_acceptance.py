@@ -1,45 +1,29 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Every check is exact; the sweeps run at the full stated bounds.
+lines.  Criteria 1-7 run the verify suites, as a user runs them, at the
+full stated bounds: every row must exit 0 and print exactly
+`checked N <unit>, 0 mismatches`, with N counted by tests/support.py,
+which shares no code with the library.  The independent oracles of these
+identities each live in one named test: the expansion in
+test_schur.py::test_expanded_degree_bound_small, all of S_m in
+test_schur_equivariance_small_sweep, the expanded trace identity in
+test_trace_identity_grid_agrees_with_expansion, and brute-force
+dimensions in test_partitions.py::test_num_standard_tableaux_matches_enumeration.
 """
 
-import itertools
+import contextlib
+import io
 import json
-import random
 import time
 
 from schurkit.cli import run as cli_run
-from schurkit.exact import (
-    FactoredRational,
-    SparsePoly,
-    apply_permutation,
-    fr_expand,
-)
-from schurkit.partitions import (
-    enumerate_multipartitions,
-    mp_length,
-    num_standard_tableaux,
-    partitions_of,
-    permute_components,
-)
-from schurkit.schur import (
-    schur_element,
-    trace_identity_sides,
-    verify_hook_beta_identity,
-    verify_mu_identity,
-    x_kernel,
-    y_kernel,
-    z_kernel,
-)
-from schurkit.semisimple import (
-    ZeroFormIndex,
-    cross_check_criterion,
-    separation_failure_cases,
-    random_specialization,
-    schur_elements_table,
-)
-from support import standard_fillings_count
+from schurkit.exact import FactoredRational
+from schurkit.schur import schur_element
+from support import multipartitions, partitions
+
+# every (m, n) with m <= 3 and n <= 5, and (1, 6) and (2, 6)
+GRID = [(m, n) for m in (1, 2, 3) for n in range(6)] + [(1, 6), (2, 6)]
 
 
 def _report(number: int, name: str, failures: list, started: float) -> None:
@@ -48,136 +32,79 @@ def _report(number: int, name: str, failures: list, started: float) -> None:
     assert not failures, failures[:5]
 
 
-def _level_size_grid():
-    grid = [(m, n) for m in (1, 2, 3) for n in range(0, 6)]
-    grid += [(m, 6) for m in (1, 2)]
-    return grid
+def _sweep(suite, shapes):
+    """A multipartition suite's rows: at each (m, n) it checks every m-multipartition of n."""
+    return [
+        (f"{suite} --m {m} --n {n}", f"{len(list(multipartitions(m, n)))} multipartitions")
+        for m, n in shapes
+    ]
+
+
+def _pairs(suite, size):
+    """A pair suite's row: it checks every ordered pair of partitions of size <= size."""
+    count = sum(len(partitions(k)) for k in range(size + 1)) ** 2
+    return [(f"{suite} --size {size}", f"{count} partition pairs")]
+
+
+def _run_suites(number, name, rows):
+    """`verify --suite` plus each row's flags: exit 0 and exactly `checked N ..., 0 mismatches`."""
+    started = time.time()
+    failures = []
+    for flags, checked in rows:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_run(["verify", "--suite", *flags.split()])
+        got = (code, out.getvalue(), err.getvalue())
+        if got != (0, f"checked {checked}, 0 mismatches\n", ""):
+            failures.append((flags, got))
+    _report(number, name, failures, started)
 
 
 def test_criterion_1_three_formula_agreement():
-    started = time.time()
-    failures = []
-    for m, n in _level_size_grid():
-        for mp in enumerate_multipartitions(m, n):
-            base = schur_element(mp, "cancellation")
-            if schur_element(mp, "product") != base:
-                failures.append((mp, "product"))
-            ell = mp_length(mp)
-            for L in (ell, ell + 1, ell + 2):
-                if schur_element(mp, "symbol", L) != base:
-                    failures.append((mp, f"symbol:L={L}"))
-    _report(1, "three-formula agreement (m<=3 n<=5; m<=2 n<=6)", failures, started)
+    rows = _sweep("three-formulas", GRID)
+    _run_suites(1, "three-formula agreement (m<=3 n<=5; m<=2 n<=6)", rows)
 
 
 def test_criterion_2_kernel_lemmas():
-    started = time.time()
-    failures = []
-    parts = [lam for k in range(6) for lam in partitions_of(k)]
-    for lam in parts:
-        for mu in parts:
-            x = x_kernel(lam, mu)
-            if x != z_kernel(lam, mu):
-                failures.append((lam, mu, "x=z"))
-            base = max(len(lam), len(mu))
-            for L in (base, base + 1, base + 2):
-                if x != y_kernel(lam, mu, L):
-                    failures.append((lam, mu, f"x=y:L={L}"))
-            if x != apply_permutation((2, 1), x_kernel(mu, lam)):  # X_{lam mu}(x) == X_{mu lam}(-x)
-                failures.append((lam, mu, "swap-negate"))
-    _report(2, "kernel lemmas X=Y, X=Z, swap symmetry (sizes <= 5)", failures, started)
+    rows = _pairs("beta-shift", 5) + _pairs("x-symmetry", 5)
+    _run_suites(2, "kernel lemmas X=Y, X=Z, beta shifts, swap symmetry (sizes <= 5)", rows)
 
 
 def test_criterion_3_support_identities():
-    started = time.time()
-    failures = []
-    for k in range(1, 9):
-        for mu in partitions_of(k):
-            for ell in range(1, mu[0] + 1):
-                if not verify_mu_identity(mu, ell):
-                    failures.append(("mu-identity", mu, ell))
-    for k in range(0, 9):
-        for lam in partitions_of(k):
-            for extra in range(4):
-                if not verify_hook_beta_identity(lam, len(lam) + extra):
-                    failures.append(("hook-beta", lam, extra))
-    _report(3, "telescoping identity (|mu|<=8) and hook/beta identity (|lam|<=8)",
-            failures, started)
+    mu_cases = sum(mu[0] for k in range(1, 9) for mu in partitions(k))
+    hook_cases = 4 * sum(len(partitions(k)) for k in range(9))
+    rows = [("mu-identity --size 8", f"{mu_cases} identities"),
+            ("hook-beta --size 8", f"{hook_cases} identities")]
+    _run_suites(3, "telescoping identity (|mu|<=8) and hook/beta identity (|lam|<=8)", rows)
 
 
 def test_criterion_4_integrality_and_degree():
-    started = time.time()
-    failures = []
-    for m, n in _level_size_grid():
-        bound = n * (m - 1)
-        for mp in enumerate_multipartitions(m, n):
-            element = schur_element(mp, "cancellation")
-            if any(exp < 0 for exp in element.factors.values()):
-                failures.append((mp, "negative exponent"))
-                continue
-            try:
-                poly = fr_expand(element, m)
-            except Exception as exc:
-                failures.append((mp, repr(exc)))
-                continue
-            if any(not isinstance(c, int) for c in poly.terms.values()):
-                failures.append((mp, "non-integer coefficient"))
-            if poly.total_degree() > bound:
-                failures.append((mp, f"degree {poly.total_degree()} > {bound}"))
-    _report(4, "integrality and degree bound n(m-1) over the criterion-1 sweep",
-            failures, started)
+    rows = _sweep("integrality", GRID + [(4, 3)])
+    _run_suites(4, "integrality and degree bound n(m-1) (criterion 1's grid and (4,3))", rows)
 
 
 def test_criterion_5_symmetric_group_equivariance():
-    started = time.time()
-    failures = []
-    for m in (1, 2, 3):
-        for n in range(0, 6):
-            mps = list(enumerate_multipartitions(m, n))
-            elements = {mp: schur_element(mp) for mp in mps}
-            for mp in mps:
-                for sigma in itertools.permutations(range(1, m + 1)):
-                    lhs = elements[permute_components(mp, sigma)]
-                    rhs = apply_permutation(sigma, elements[mp])
-                    if lhs != rhs:
-                        failures.append((mp, sigma))
-    _report(5, "S_m equivariance (m<=3, n<=5, all sigma)", failures, started)
+    rows = _sweep("sm-action", GRID + [(4, 1), (4, 2), (4, 3)])
+    _run_suites(5, "S_m equivariance (criterion 1's grid and m=4 n<=3)", rows)
 
 
 def test_criterion_6_trace_identity():
-    started = time.time()
-    failures = []
-    for m in (1, 2, 3):
-        for n in (1, 2, 3, 4):
-            for mp in enumerate_multipartitions(m, n):
-                if num_standard_tableaux(mp) != standard_fillings_count(mp):
-                    failures.append(("dimension", mp))
-            if trace_identity_sides(m, n) != SparsePoly(m, {}):
-                failures.append(("trace", m, n))
-    _report(6, "trace identity sum f/s = [m=1] with brute-forced dimensions (n<=4)",
-            failures, started)
+    shapes = [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7), (3, 6)]
+    rows = [(f"trace-identity --m {m} --n {n}", "1 identities") for m, n in shapes]
+    _run_suites(6, "trace identity sum f/s = [m=1] (m<=3 n<=5; (4,3), (2,7), (3,6))", rows)
 
 
 def test_criterion_7_semisimplicity_criterion():
-    started = time.time()
-    failures = []
-    rng = random.Random(20240817)
+    rows = []
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4):
-            index = ZeroFormIndex(schur_elements_table(m, n))
-            for prime in (None, 101):
-                for _ in range(100):
-                    theta = random_specialization(m, n, rng, prime=prime)
-                    report = cross_check_criterion(m, n, theta, index)
-                    if not report.agreement:
-                        failures.append(("agreement", m, n, prime, theta.q_values))
-            for name, theta, witness in separation_failure_cases(m, n):
-                report = cross_check_criterion(m, n, theta, index)
-                if report.semisimple or witness not in report.vanishing:
-                    failures.append(("witness", name, m, n))
-                if not report.agreement:
-                    failures.append(("witness-agreement", name, m, n))
-    _report(7, "criterion vs zero-form index, 100 samples/(m,n) over Q and F_101 "
-               "plus targeted failure witnesses", failures, started)
+            # Q and F_101 without --mod, F_7 with it; then the targeted failure witnesses
+            witnesses = (n >= 2) + (m >= 2) + (m >= 2 and n >= 2)
+            for mod, fields in (("", 2), (" --mod 7", 1)):
+                rows.append((f"criterion --m {m} --n {n} --seed 20240817 --trials 100{mod}",
+                             f"{100 * fields + witnesses} specializations"))
+    _run_suites(7, "criterion vs zero-form index, 100 samples per (m,n) and field"
+                   " (Q, F_101, F_7) plus targeted failure witnesses", rows)
 
 
 def test_criterion_8_cli_determinism_and_round_trip(capsys):

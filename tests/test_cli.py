@@ -104,41 +104,6 @@ def test_schur_symbol_formula_with_l(capsys):
         0, "((1);(0)): (q1-q2)\n((0);(1)): -(q1-q2)\n", "")
 
 
-def test_verify_three_formulas_summary(capsys):
-    assert invoke(capsys, *argv_of("verify --suite three-formulas --m 2 --n 3")) == (
-        0, "checked 10 multipartitions, 0 mismatches\n", "")
-
-
-def test_verify_pair_suites(capsys):
-    for suite in ("beta-shift", "x-symmetry"):
-        assert invoke(capsys, "verify", "--suite", suite, "--size", "2") == (
-            0, "checked 16 partition pairs, 0 mismatches\n", "")
-
-
-def test_verify_identity_suites(capsys):
-    code, out, _ = invoke(capsys, "verify", "--suite", "mu-identity", "--size", "4")
-    assert code == 0 and out.endswith("identities, 0 mismatches\n")
-    code, out, _ = invoke(capsys, "verify", "--suite", "hook-beta", "--size", "4")
-    assert code == 0 and out.endswith("identities, 0 mismatches\n")
-
-
-def test_verify_multipartition_suites(capsys):
-    for suite in ("sm-action", "integrality", "trace-identity"):
-        code, out, _ = invoke(capsys, "verify", "--suite", suite, "--m", "2", "--n", "2")
-        assert code == 0, suite
-        assert "0 mismatches" in out
-
-
-def test_verify_criterion_runs(capsys):
-    code, out, _ = invoke(
-        capsys, "verify", "--suite", "criterion", "--m", "2", "--n", "2",
-        "--seed", "5", "--trials", "10",
-    )
-    assert code == 0
-    # 10 per field (Q and F101) plus the three targeted failure cases
-    assert out == "checked 23 specializations, 0 mismatches\n"
-
-
 def test_verify_counterexample_exits_one(capsys, monkeypatch):
     def broken(args):
         yield [{"broken": True}]

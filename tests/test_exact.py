@@ -18,7 +18,6 @@ from schurkit.exact import (
     SparsePoly,
     Specialization,
     apply_permutation,
-    canonical_parts,
     fr_eval,
     fr_expand,
     fr_form,
@@ -57,21 +56,19 @@ def random_theta(rng: random.Random, prime=None) -> Specialization:
 
 
 def test_canonical_orientation():
-    form, sign = canonical_parts(0, 2, 1)
-    assert (form, sign) == ((1, 2, 0), -1)
-    form, sign = canonical_parts(5, 1, 3)
-    assert (form, sign) == ((1, 3, 5), 1)
-    assert canonical_parts(4, 2, 2) == (None, 4)
-    form, sign = canonical_parts(-1, 3, 1)
-    assert (form, sign) == ((1, 3, 1), -1)
-    # both orientations give one form
-    assert canonical_parts(1, 1, 3)[0] == form
+    assert fr_form(0, 2, 1) == FactoredRational(-1, {(1, 2, 0): 1})
+    assert fr_form(5, 1, 3) == FactoredRational(1, {(1, 3, 5): 1})
+    assert fr_form(4, 2, 2) == FactoredRational(4, {})
+    assert fr_form(-1, 3, 1) == FactoredRational(-1, {(1, 3, 1): 1})
+    # both orientations give one form, and an even exponent keeps the sign
+    squared = FactoredRational(1, {(1, 3, 1): 2})
+    assert fr_form(-1, 3, 1, exp=2) == fr_form(1, 1, 3, exp=2) == squared
     with pytest.raises(ValueError, match="positive"):
-        canonical_parts(1, 0, 2)
+        fr_form(1, 0, 2)
 
 
 def test_linear_form_is_a_plain_int_triple():
-    form = canonical_parts(-2, 1, 2)[0]
+    [form] = fr_form(-2, 1, 2).factors
     assert type(form) is tuple and form == (1, 2, -2)
     # tuple order is the render order
     forms = [(2, 3, -5), (1, 3, 4), (1, 2, 1), (1, 2, -1)]
@@ -587,7 +584,7 @@ def test_arithmetic_matches_evaluation_and_stays_canonical():
 
 
 def test_a_zero_exponent_never_survives_construction():
-    form = canonical_parts(0, 1, 2)[0]
+    form = (1, 2, 0)
     held = FactoredRational(1, {form: 0})
     assert held == FactoredRational(1, {}) and hash(held) == hash(FactoredRational(1, {}))
     assert held.render() == "1" and held.factors == {}
