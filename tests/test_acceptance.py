@@ -1,14 +1,15 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion, each run printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criteria 1-7 run the verify suites, as a user runs them, at the
-full stated bounds: every row must exit 0 and print exactly
-`checked N <unit>, 0 mismatches`, with N counted by tests/support.py,
-which shares no code with the library.  The independent oracles of these
-identities each live in one named test: the expansion in
-test_schur.py::test_expanded_degree_bound_small, all of S_m in
-test_schur_equivariance_small_sweep, the expanded trace identity in
-test_trace_identity_grid_agrees_with_expansion, and brute-force
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+Criteria 1-7 run the verify suites, as a user runs them, at the full
+stated bounds.  Each is parametrized by its rows, one `verify --suite`
+argv each, so a failure names the argv: every row must exit 0 and print
+exactly `checked N <unit>, 0 mismatches`, with N counted by
+tests/support.py, which shares no code with the library.  The
+independent oracles of these identities each live in one named test:
+the expansion in test_schur.py::test_expanded_degree_bound_small, all of
+S_m in test_schur_equivariance_small_sweep, the expanded trace identity
+in test_trace_identity_grid_agrees_with_expansion, and brute-force
 dimensions in test_partitions.py::test_num_standard_tableaux_matches_enumeration.
 """
 
@@ -16,6 +17,8 @@ import contextlib
 import io
 import json
 import time
+
+import pytest
 
 from schurkit.cli import run as cli_run
 from schurkit.exact import FactoredRational
@@ -46,55 +49,64 @@ def _pairs(suite, size):
     return [(f"{suite} --size {size}", f"{count} partition pairs")]
 
 
-def _run_suites(number, name, rows):
-    """`verify --suite` plus each row's flags: exit 0 and exactly `checked N ..., 0 mismatches`."""
+def _rows(rows):
+    """Parametrize a criterion by its rows; each row's id is its flags, e.g. `sm-action-m4-n3`."""
+    ids = [flags.replace(" --", "-").replace(" ", "") for flags, _ in rows]
+    return pytest.mark.parametrize("flags, checked", rows, ids=ids)
+
+
+def _run_suite(number, name, flags, checked):
+    """`verify --suite` plus the row's flags: exit 0 and exactly `checked N ..., 0 mismatches`."""
     started = time.time()
-    failures = []
-    for flags, checked in rows:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_run(["verify", "--suite", *flags.split()])
-        got = (code, out.getvalue(), err.getvalue())
-        if got != (0, f"checked {checked}, 0 mismatches\n", ""):
-            failures.append((flags, got))
-    _report(number, name, failures, started)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_run(["verify", "--suite", *flags.split()])
+    got = (code, out.getvalue(), err.getvalue())
+    failures = [] if got == (0, f"checked {checked}, 0 mismatches\n", "") else [(flags, got)]
+    _report(number, f"{name}: {flags}", failures, started)
 
 
-def test_criterion_1_three_formula_agreement():
-    rows = _sweep("three-formulas", GRID)
-    _run_suites(1, "three-formula agreement (m<=3 n<=5; m<=2 n<=6)", rows)
+@_rows(_sweep("three-formulas", GRID))
+def test_criterion_1_three_formula_agreement(flags, checked):
+    _run_suite(1, "three-formula agreement (m<=3 n<=5; m<=2 n<=6)", flags, checked)
 
 
-def test_criterion_2_kernel_lemmas():
-    rows = _pairs("beta-shift", 5) + _pairs("x-symmetry", 5)
-    _run_suites(2, "kernel lemmas X=Y, X=Z, beta shifts, swap symmetry (sizes <= 5)", rows)
+@_rows(_pairs("beta-shift", 5) + _pairs("x-symmetry", 5))
+def test_criterion_2_kernel_lemmas(flags, checked):
+    _run_suite(2, "kernel lemmas X=Y, X=Z, beta shifts, swap symmetry (sizes <= 5)",
+               flags, checked)
 
 
-def test_criterion_3_support_identities():
-    mu_cases = sum(mu[0] for k in range(1, 9) for mu in partitions(k))
-    hook_cases = 4 * sum(len(partitions(k)) for k in range(9))
-    rows = [("mu-identity --size 8", f"{mu_cases} identities"),
-            ("hook-beta --size 8", f"{hook_cases} identities")]
-    _run_suites(3, "telescoping identity (|mu|<=8) and hook/beta identity (|lam|<=8)", rows)
+MU_CASES = sum(mu[0] for k in range(1, 9) for mu in partitions(k))
+HOOK_CASES = 4 * sum(len(partitions(k)) for k in range(9))
 
 
-def test_criterion_4_integrality_and_degree():
-    rows = _sweep("integrality", GRID + [(4, 3)])
-    _run_suites(4, "integrality and degree bound n(m-1) (criterion 1's grid and (4,3))", rows)
+@_rows([("mu-identity --size 8", f"{MU_CASES} identities"),
+        ("hook-beta --size 8", f"{HOOK_CASES} identities")])
+def test_criterion_3_support_identities(flags, checked):
+    _run_suite(3, "telescoping identity (|mu|<=8) and hook/beta identity (|lam|<=8)",
+               flags, checked)
 
 
-def test_criterion_5_symmetric_group_equivariance():
-    rows = _sweep("sm-action", GRID + [(4, 1), (4, 2), (4, 3)])
-    _run_suites(5, "S_m equivariance (criterion 1's grid and m=4 n<=3)", rows)
+@_rows(_sweep("integrality", GRID + [(4, 3)]))
+def test_criterion_4_integrality_and_degree(flags, checked):
+    _run_suite(4, "integrality and degree bound n(m-1) (criterion 1's grid and (4,3))",
+               flags, checked)
 
 
-def test_criterion_6_trace_identity():
-    shapes = [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7), (3, 6)]
-    rows = [(f"trace-identity --m {m} --n {n}", "1 identities") for m, n in shapes]
-    _run_suites(6, "trace identity sum f/s = [m=1] (m<=3 n<=5; (4,3), (2,7), (3,6))", rows)
+@_rows(_sweep("sm-action", GRID + [(4, 1), (4, 2), (4, 3)]))
+def test_criterion_5_symmetric_group_equivariance(flags, checked):
+    _run_suite(5, "S_m equivariance (criterion 1's grid and m=4 n<=3)", flags, checked)
 
 
-def test_criterion_7_semisimplicity_criterion():
+@_rows([(f"trace-identity --m {m} --n {n}", "1 identities")
+        for m, n in [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7), (3, 6)]])
+def test_criterion_6_trace_identity(flags, checked):
+    _run_suite(6, "trace identity sum f/s = [m=1] (m<=3 n<=5; (4,3), (2,7), (3,6))",
+               flags, checked)
+
+
+def _criterion_rows():
     rows = []
     for m in (1, 2, 3):
         for n in (1, 2, 3, 4):
@@ -103,8 +115,13 @@ def test_criterion_7_semisimplicity_criterion():
             for mod, fields in (("", 2), (" --mod 7", 1)):
                 rows.append((f"criterion --m {m} --n {n} --seed 20240817 --trials 100{mod}",
                              f"{100 * fields + witnesses} specializations"))
-    _run_suites(7, "criterion vs zero-form index, 100 samples per (m,n) and field"
-                   " (Q, F_101, F_7) plus targeted failure witnesses", rows)
+    return rows
+
+
+@_rows(_criterion_rows())
+def test_criterion_7_semisimplicity_criterion(flags, checked):
+    _run_suite(7, "criterion vs zero-form index, 100 samples per (m,n) and field"
+                  " (Q, F_101, F_7) plus targeted failure witnesses", flags, checked)
 
 
 def test_criterion_8_cli_determinism_and_round_trip(capsys):
