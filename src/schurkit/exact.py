@@ -83,9 +83,9 @@ def _factor_json(form: LinearForm, exp: int) -> str:
 class FactoredRational:
     """A rational constant times a product of linear forms (s, t, c) to exponents.
 
-    The invariant, which the constructor and _merge keep: no exponent is
-    0, and a zero constant has no factors.  Given canonical form keys, the
-    value is then canonical, so two instances are equal iff their data
+    The invariant, which the constructor and _canonical keep: no exponent
+    is 0, and a zero constant has no factors.  Given canonical form keys,
+    the value is then canonical, so two instances are equal iff their data
     coincide, which for these factored products is the same as equality
     of the rational functions they denote.  Instances are
     immutable by convention; every operation returns a new value.
@@ -109,8 +109,16 @@ class FactoredRational:
     def __hash__(self) -> int:
         return hash((self.constant, frozenset(self.factors.items())))
 
+    @classmethod
+    def _canonical(cls, constant: Fraction, factors: dict[LinearForm, int]) -> "FactoredRational":
+        """Fraction constant * factors, canonical as built: no copy or zero scan of factors."""
+        value = object.__new__(cls)
+        value.constant = constant
+        value.factors = factors if constant else {}
+        return value
+
     def _merge(self, other: "FactoredRational", k: int) -> "FactoredRational":
-        """self * other**k for k = +-1, canonical as built, so it skips the constructor."""
+        """self * other**k for k = +-1."""
         factors = dict(self.factors)
         get = factors.get
         for form, exp in other.factors.items():
@@ -118,10 +126,7 @@ class FactoredRational:
                 factors[form] = e
             else:
                 del factors[form]
-        merged = object.__new__(FactoredRational)
-        merged.constant = self.constant * other.constant**k
-        merged.factors = factors if merged.constant else {}
-        return merged
+        return self._canonical(self.constant * other.constant**k, factors)
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         return self._merge(other, 1) if isinstance(other, FactoredRational) else NotImplemented
@@ -190,10 +195,10 @@ class ProductBuilder:
 
     Its users are fr_form, apply_permutation, schur.verify_mu_identity
     and FactoredRational.from_json, which only tests call.  form()
-    canonicalizes at the call, flips the sign for an odd exponent on a
-    flipped orientation and adds the exponent under the canonical
-    (s, t, c); a form with s == t is a constant and folds in at once, so
-    form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
+    refuses an index below 1, then canonicalizes: it flips the sign for
+    an odd exponent on a flipped orientation and adds the exponent under
+    the canonical (s, t, c); a form with s == t folds into the constant,
+    so form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
     multiplies the one Fraction constant by value**exp.  build() leaves
     the builder unchanged; the constructor drops the cancelled exponents.
     """
@@ -210,10 +215,10 @@ class ProductBuilder:
 
     def form(self, c: int, s: int, t: int, exp: int = 1) -> "ProductBuilder":
         """Multiply by (c + q_s - q_t)^exp."""
-        if s == t:
-            return self.const(c, exp)
         if s < 1 or t < 1:
             raise ValueError(f"parameter indices must be positive, got q{s} and q{t}")
+        if s == t:
+            return self.const(c, exp)
         if s > t:
             s, t, c = t, s, -c
             if exp % 2:

@@ -19,19 +19,20 @@ other pair, and x -> -x is the transposition (1 2).
 Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a tally of one partition
 pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
-formulas memoize their tallies; a kernel computes a fresh one, since
-the beta-shift suite takes each kernel once per pair.  An entry (c, exp)
-at x = q_s - q_t, s < t, is the canonical form (s, t, c), and the forms
-of distinct pairs never coincide, so an element is its constant times
-the plain union of its pairs' forms.  X, Y and Z each have their own
-tally, but the product and cancellation constants, hook_product and
-_z_diagonal, multiply the same hooks of a partition against itself
-(they stay two functions because bench/tracing.py patches
-generalized_hook_length, which _z_diagonal calls, here).  The
-independent constant is the symbol route's _row_constant, which
-verify_hook_beta_identity checks against the hooks.  Kernels, formulas
-and verify_hook_beta_identity accept lists and convert them to tuples
-before the cache lookup.
+formulas memoize their tallies; a kernel computes a fresh one, since the
+beta-shift suite takes each kernel once per pair.  An entry (c, exp) at
+x = q_s - q_t, s < t, is the canonical form (s, t, c), and the forms of
+distinct pairs never coincide, so a value is its constant times the
+plain union of its pairs' forms.  _assemble builds every element and
+kernel in one pass, each entry written once under its form; like P, it
+skips the constructor's copy.  X, Y and Z each have their own tally, but
+the product and cancellation constants, hook_product and _z_diagonal,
+multiply the same hooks of a partition against itself (they stay two
+functions because bench/tracing.py patches generalized_hook_length,
+which _z_diagonal calls, here).  The independent constant is the symbol
+route's _row_constant, which verify_hook_beta_identity checks against
+the hooks.  Kernels, formulas and verify_hook_beta_identity accept lists
+and convert them to tuples before the cache lookup.
 
 What the memos hold: one X or Z tally per distinct ordered pair of
 partitions a sweep reads, one Y tally per distinct pair of beta rows,
@@ -164,30 +165,25 @@ def _z_tally(lam: Partition, mu: Partition) -> Tally:
     return (-1) ** sum(mu), _entries(tally)
 
 
-def _union(num: int, den: int, blocks: Iterable[tuple[Tally, int, int]]) -> FactoredRational:
-    """num / den times each tally of blocks, a (tally, s, t) with s < t, taken at x = q_s - q_t.
-
-    Every form of a tally at (s, t) is the canonical (s, t, c), so the
-    tallies of distinct pairs share no form and the factors are a plain union.
-    """
-    factors: dict[LinearForm, int] = {}
-    for (sign, entries), s, t in blocks:
-        num *= sign
-        for c, exp in entries:
-            factors[(s, t, c)] = exp
-    return FactoredRational(num if den == 1 else Fraction(num, den), factors)
-
-
 def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> FactoredRational:
-    """num / den times the memoized tally(rows[s], rows[t]) at x = q_s - q_t for all s < t.
+    """num / den times tally(rows[s], rows[t]) at x = q_s - q_t, s < t: every element and kernel.
 
+    Each entry (c, exp) is written once, under the canonical (s + 1, t + 1, c): tallies hold
+    no zero exponent and distinct pairs share no form, so the dict is canonical as built.
     Pairs of two empty components of mp are skipped: their tally is (1, ()) on every route
     (on the symbol route their rows are the same staircase).  At n = 1 that leaves m - 1
     pairs per element instead of C(m, 2), so a sweep is quadratic in m, not cubic.
     """
-    live = [s for s, lam in enumerate(mp) if lam]
-    pairs = [(s, t) if s < t else (t, s) for s in live for t in range(len(mp)) if t > s or not mp[t]]
-    return _union(num, den, ((tally(rows[s], rows[t]), s + 1, t + 1) for s, t in pairs))
+    factors: dict[LinearForm, int] = {}
+    for s, lam in enumerate(mp):
+        for t in range(len(mp) if lam else 0):
+            if t > s or not mp[t]:
+                a, b = (s, t) if s < t else (t, s)
+                sign, entries = tally(rows[a], rows[b])
+                num *= sign
+                for c, exp in entries:
+                    factors[a + 1, b + 1, c] = exp
+    return FactoredRational._canonical(Fraction(num, den), factors)
 
 
 def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
@@ -198,7 +194,7 @@ def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _union(1, 1, [(_x_tally.__wrapped__(tuple(lam), tuple(mu)), 1, 2)])
+    return _assemble(1, 1, _x_tally.__wrapped__, (tuple(lam), tuple(mu)), (lam, mu))
 
 
 def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
@@ -208,8 +204,8 @@ def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
     of lam and (j - x) over those of mu, divided by (a - b + x) over all
     beta pairs.  Invariant under beta shifts, hence independent of L.
     """
-    tally = _y_tally.__wrapped__(beta_set(tuple(lam), length), beta_set(tuple(mu), length))
-    return _union(1, 1, [(tally, 1, 2)])
+    rows = beta_set(tuple(lam), length), beta_set(tuple(mu), length)
+    return _assemble(1, 1, _y_tally.__wrapped__, rows, (lam, mu))
 
 
 def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
@@ -218,7 +214,7 @@ def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    return _union(1, 1, [(_z_tally.__wrapped__(tuple(lam), tuple(mu)), 1, 2)])
+    return _assemble(1, 1, _z_tally.__wrapped__, (tuple(lam), tuple(mu)), (lam, mu))
 
 
 def schur_element(
@@ -324,13 +320,12 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     Its non-vanishing under a specialization is equivalent to the
     specialized algebra being semisimple.  Memoized: callers share the
     returned value, which like every FactoredRational is never mutated.
-    It is n! times one tally (1, ((d, 1), ...)) per pair i < j, through
-    the same _union as the Schur elements, after check_p_invariant.
+    It is n! times the canonical forms (i, j, d), after check_p_invariant.
     """
     check_p_invariant(m, n)
-    tally = (1, tuple((d, 1) for d in range(1 - n, n))) if m > 1 else None
     pairs = itertools.combinations(range(1, m + 1), 2)
-    return _union(factorial(n), 1, ((tally, i, j) for i, j in pairs))
+    factors = {(i, j, d): 1 for i, j in pairs for d in range(1 - n, n)}
+    return FactoredRational._canonical(Fraction(factorial(n)), factors)
 
 
 def verify_mu_identity(mu: Partition, ell: int) -> bool:

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -834,15 +835,19 @@ HELP_REQUESTS = [
 ]
 
 
-def _pyenv_pythons():
-    """{"3.10": path to python3, ...} for the CPython 3.10-3.13 versions that pyenv installed.
+def _installed_pythons():
+    """{"3.10": path to python3, ...} for the CPython 3.10-3.13 versions installed here.
 
-    pyenv keeps them under $PYENV_ROOT, ~/.pyenv unless set.
+    pyenv keeps them under $PYENV_ROOT, ~/.pyenv unless set; a version that pyenv lacks
+    is looked up as python3.X on PATH, where actions/setup-python puts it.
     """
     root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
     found = {}
     for version in sorted(root.glob("versions/3.1[0-3]*")):
         found.setdefault(".".join(version.name.split(".")[:2]), version / "bin" / "python3")
+    for minor in ("3.10", "3.11", "3.12", "3.13"):
+        if minor not in found and (path := shutil.which(f"python{minor}")):
+            found[minor] = Path(path)
     return found
 
 
@@ -913,9 +918,9 @@ def everywhere_reference(tmp_path_factory):
 def test_every_installed_python_prints_the_same_bytes(minor, everywhere_reference):
     if minor == "{}.{}".format(*sys.version_info):
         pytest.skip(f"CPython {minor} is the running interpreter")
-    python = _pyenv_pythons().get(minor)
+    python = _installed_pythons().get(minor)
     if python is None or not python.exists():
-        pytest.skip(f"CPython {minor} is not installed under pyenv")
+        pytest.skip(f"CPython {minor} is neither under pyenv nor on PATH")
     corpus, corpus_file, expected = everywhere_reference
     got = _run_everywhere_corpus(python, corpus_file)
     assert len(corpus) >= 185 and len(got) == len(expected) == len(corpus) + 1

@@ -65,6 +65,10 @@ def test_canonical_orientation():
     assert fr_form(-1, 3, 1, exp=2) == fr_form(1, 1, 3, exp=2) == squared
     with pytest.raises(ValueError, match="positive"):
         fr_form(1, 0, 2)
+    # the indices are checked before a form with s == t folds into the constant
+    for q in (0, -3):
+        with pytest.raises(ValueError, match=f"^parameter indices must be positive, got q{q} and q{q}$"):
+            fr_form(2, q, q)
 
 
 def test_linear_form_is_a_plain_int_triple():
@@ -184,7 +188,7 @@ def test_builder_matches_occurrence_fold_and_evaluation():
         occurrences = _random_occurrences(rng)
         b = ProductBuilder()
         for c, s, t, exp in occurrences:
-            if s is None and rng.random() < 0.5:
+            if s is None:  # form() refuses the index None, as any index below 1
                 b.const(c, exp)
             else:
                 b.form(c, s, t, exp=exp)

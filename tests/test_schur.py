@@ -316,14 +316,9 @@ def test_two_empty_components_have_the_unit_block(length):
     """The pair every route skips: X and Z of ((), ()), and Y of two staircases, are 1."""
     staircase = tuple(range(length - 1, -1, -1))
     assert l_symbol(((), ()), length) == (staircase, staircase)
-    tallies = [
-        schur_module._x_tally.__wrapped__((), ()),
-        schur_module._z_tally.__wrapped__((), ()),
-        schur_module._y_tally.__wrapped__(staircase, staircase),
-    ]
-    for s, t in ((1, 2), (2, 5)):
-        for tally in tallies:
-            assert schur_module._union(1, 1, [(tally, s, t)]) == FactoredRational(1, {})
+    assert schur_module._x_tally.__wrapped__((), ()) == (1, ())
+    assert schur_module._z_tally.__wrapped__((), ()) == (1, ())
+    assert schur_module._y_tally.__wrapped__(staircase, staircase) == (1, ())
 
 
 def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear_caches):
@@ -354,16 +349,18 @@ def test_a_sweep_visits_only_pairs_with_a_non_empty_component(monkeypatch, clear
 
 
 def _blocks(mp, formula):
-    """The per-pair values, each its tally at x = q_s - q_t, whose union is the element."""
+    """The factors of each pair s < t, built by _assemble on the two components and moved
+    from x = q_1 - q_2 to x = q_s - q_t: their union is the element's."""
     if formula == "symbol":
         rows, tally = l_symbol(mp, mp_length(mp)), schur_module._y_tally
     else:
         rows = mp
         tally = schur_module._x_tally if formula == "product" else schur_module._z_tally
-    return [
-        schur_module._union(1, 1, [(tally(a, b), s, t)])
-        for (s, a), (t, b) in itertools.combinations(enumerate(rows, 1), 2)
-    ]
+    blocks = []
+    for s, t in itertools.combinations(range(len(mp)), 2):
+        block = schur_module._assemble(1, 1, tally, (rows[s], rows[t]), (mp[s], mp[t]))
+        blocks.append({(s + 1, t + 1, c): e for (_, _, c), e in block.factors.items()})
+    return blocks
 
 
 def test_an_element_is_the_disjoint_union_of_its_blocks():
@@ -371,8 +368,36 @@ def test_an_element_is_the_disjoint_union_of_its_blocks():
         for formula in FORMULAS:
             blocks = _blocks(mp, formula)
             element = schur_element(mp, formula)
-            assert len(element.factors) == sum(len(b.factors) for b in blocks), (mp, formula)
-            assert element.factors == {form: e for b in blocks for form, e in b.factors.items()}
+            assert len(element.factors) == sum(map(len, blocks)), (mp, formula)
+            assert element.factors == {form: e for b in blocks for form, e in b.items()}
+
+
+def _values_built_without_the_constructor():
+    """(m, value) for the values that _assemble or FactoredRational._canonical build."""
+    for m, n in ((4, 4), (3, 5)):
+        for mp in enumerate_multipartitions(m, n):
+            for formula in FORMULAS:
+                yield m, schur_element(mp, formula)
+    yield 3, p_invariant(3, 4)
+    for lam, mu in itertools.product(small_partitions(4), repeat=2):
+        if sum(lam) + sum(mu) <= 4:
+            yield 2, x_kernel(lam, mu)
+            yield 2, z_kernel(lam, mu)
+            yield 2, y_kernel(lam, mu, 4)
+            yield 2, y_kernel(lam, mu, 6)
+
+
+def test_values_that_skip_the_constructor_are_canonical():
+    count = 0
+    for m, value in _values_built_without_the_constructor():
+        assert type(value.constant) is Fraction
+        assert 0 not in value.factors.values()
+        assert all(1 <= s < t <= m for s, t, _ in value.factors)
+        built = FactoredRational(value.constant, value.factors)
+        assert value == built and hash(value) == hash(built)
+        count += 1
+    # P, then four kernels on each of the 1 + 2 + 5 + 10 + 20 pairs of sizes 0 to 4
+    assert count == 3 * (multipartition_count(4, 4) + multipartition_count(3, 5)) + 1 + 4 * 38
 
 
 # ------------------------------------------------------------ Schur element
