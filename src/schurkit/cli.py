@@ -4,9 +4,12 @@ Subcommands: enumerate, schur, pinv, verify, semisimple.  All JSON goes
 to stdout, diagnostics to stderr; exit code 0 on success, 1 when a
 verify suite finds a counterexample, 2 on usage errors.  Output is a
 pure function of argv plus the seed, so repeated runs are byte
-identical.  parse_args reads argv against one table of flags: FLAGS,
-COMMANDS, and SUITES for the flags of each verify suite, so no command
-imports argparse or gettext or builds a parser.
+identical.  enumerate prints each multipartition as it is enumerated;
+every other command writes its stdout once its output is built, so a
+usage error writes nothing to stdout.  parse_args reads argv against
+one table of flags: FLAGS, COMMANDS, and SUITES for the flags of each
+verify suite, so no command imports argparse or gettext or builds a
+parser.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _report_text(report: SemisimplicityReport, latex: bool = False) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    mps = list(enumerate_multipartitions(args.m, args.n))
+    mps = enumerate_multipartitions(args.m, args.n)
     if args.format == "json":
         print(json.dumps([mp_json(mp) for mp in mps]))
     else:
@@ -152,27 +155,24 @@ def _cmd_schur(args) -> int:
     if args.multipartition is not None:
         mps = [_parse_single_multipartition(args)]
     elif args.m is not None and args.n is not None:
-        mps = list(enumerate_multipartitions(args.m, args.n))
+        mps = enumerate_multipartitions(args.m, args.n)
     else:
         raise UsageError("schur needs either --multipartition or both --m and --n")
 
-    rows = [(mp, schur_element(mp, args.formula, args.L)) for mp in mps]
+    # Each row is rendered as its element is built and stdout is written once, so a row
+    # refused mid-sweep (the symbol route's L, say) still leaves stdout empty.
+    elements = ((mp, schur_element(mp, args.formula, args.L)) for mp in mps)
     if args.format == "json":
         # json.dumps of {"multipartition": ..., "schur": el.to_json()} per row, byte for byte
-        payload = [
+        rows = (
             f'{{"multipartition": {json.dumps(mp_json(mp))}, "schur": {el.json_text()}}}'
-            for mp, el in rows
-        ]
-        if args.multipartition is not None:
-            print(payload[0])
-        else:
-            print("[" + ", ".join(payload) + "]")
+            for mp, el in elements
+        )
+        print(next(rows) if args.multipartition is not None else "[" + ", ".join(rows) + "]")
     elif args.format == "latex":
-        for mp, el in rows:
-            print(f"${mp_text(mp)}$ & ${el.render(latex=True)}$ \\\\")
+        print("\n".join(f"${mp_text(mp)}$ & ${el.render(latex=True)}$ \\\\" for mp, el in elements))
     else:
-        for mp, el in rows:
-            print(f"{mp_text(mp)}: {el.render()}")
+        print("\n".join(f"{mp_text(mp)}: {el.render()}" for mp, el in elements))
     return 0
 
 
@@ -311,13 +311,12 @@ def _suite_sm_action(args):
     transposition = (2, 1, *range(3, m + 1)) if m > 1 else (1,)
     cycle = (*range(2, m + 1), 1)
     generators = [transposition] if cycle == transposition else [transposition, cycle]
-    mps = list(enumerate_multipartitions(m, args.n))
-    elements = {mp: schur_element(mp) for mp in mps}
-    for mp in mps:
+    elements = {mp: schur_element(mp) for mp in enumerate_multipartitions(m, args.n)}
+    for mp, element in elements.items():
         yield [
             {"multipartition": mp_json(mp), "sigma": list(sigma)}
             for sigma in generators
-            if elements[permute_components(mp, sigma)] != apply_permutation(sigma, elements[mp])
+            if elements[permute_components(mp, sigma)] != apply_permutation(sigma, element)
         ]
 
 

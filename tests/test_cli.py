@@ -312,10 +312,17 @@ def test_cli_module_runs_as_a_script():
         0, "checked 16 identities, 0 mismatches\n", "")
 
 
-def test_a_closed_pipe_exits_without_a_traceback():
-    argv = ["schur", "--m", "4", "--n", "6", "--format", "json"]
-    # about 700 kB of output: far more than a pipe buffers, so the write meets the closed end
-    with support.start("-m", "schurkit.cli", *argv) as proc:
+@pytest.mark.parametrize(
+    "command",
+    [
+        # about 700 kB of output, written once: far more than a pipe buffers
+        "schur --m 4 --n 6 --format json",
+        # 16,790,136 rows, printed as they are enumerated, in a 1 GB address space
+        "enumerate --m 3 --n 30",
+    ],
+)
+def test_a_closed_pipe_exits_without_a_traceback(command):
+    with support.start("-m", "schurkit.cli", *command.split()) as proc:
         try:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
@@ -359,14 +366,33 @@ _PEAK = (
 )
 
 
+# command -> (SHA-256 of its stdout, bound on its peak in MB), each bound well below the
+# command's peak before the change that set it.
+PEAKS = {
+    # 81.7 MB when every linear form was interned
+    "verify --suite three-formulas --m 700 --n 1": (
+        hashlib.sha256(b"checked 700 multipartitions, 0 mismatches\n").hexdigest(), 27.2
+    ),
+    # 205.7 MB when the sweep held every element and every row's JSON text
+    "schur --m 700 --n 1 --format json": (
+        "264bc1a57333501028136ced2f2e16b6f5b02e1fba64810ecc45182b4a03b397", 175
+    ),
+    # 118.8 MB when the listing was held; a flat bound, as each row is printed when enumerated
+    "enumerate --m 300 --n 2": (
+        "04ce6623f6fe7a109a3b9245dc991f3be9d4e8edc547fffd7d9b40a1e7b36546", 20
+    ),
+}
+
+
 @pytest.mark.slow
-def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak():
-    """three-formulas at (700,1) peaked at 81.7 MB when every linear form was interned."""
-    argv = ["verify", "--suite", "three-formulas", "--m", "700", "--n", "1"]
-    done = support.run(*argv, head=("-S", "-c", _PEAK), timeout=60)
-    assert (done.returncode, done.stdout) == (0, "checked 700 multipartitions, 0 mismatches\n")
+@pytest.mark.parametrize("command", PEAKS)
+def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak(command):
+    digest, bound_mb = PEAKS[command]
+    done = support.run(*command.split(), head=("-S", "-c", _PEAK), timeout=60)
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
     peak_mb = int(done.stderr) / 1024
-    assert peak_mb <= 27.2, peak_mb
+    assert peak_mb <= bound_mb, peak_mb
 
 
 def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():

@@ -24,6 +24,7 @@ import ast
 
 import schurkit
 from support import ROOT
+from test_tracing import KEPT_FOR_THE_TRACER
 
 LIBRARY = sorted((ROOT / "src" / "schurkit").glob("*.py"))
 
@@ -39,8 +40,8 @@ def names_used(tree):
                 yield node.value
 
 
-# The names that tests/test_tracing.py's kept_for_the_tracer requires to stay patchable.
-TRACED = {"fr_expand", "trace_identity_sides", "__mul__", "div_form_exact", "render", "to_json"}
+# The names that tests/test_tracing.py requires the tracer to keep patchable.
+TRACED = {attr for _, attr in KEPT_FOR_THE_TRACER}
 
 
 def uses(paths):
