@@ -4,8 +4,8 @@ Subcommands: enumerate, schur, pinv, verify, semisimple.  All JSON goes
 to stdout, diagnostics to stderr; exit code 0 on success, 1 when a
 verify suite finds a counterexample, 2 on usage errors.  Output is a
 pure function of argv plus the seed, so repeated runs are byte
-identical.  enumerate prints each multipartition as it is enumerated;
-every other command writes its stdout once its output is built, so a
+identical.  enumerate's text prints each row as it is enumerated; its
+JSON, like every other output, is written once when it is built, so a
 usage error writes nothing to stdout.  parse_args reads argv against
 one table of flags: FLAGS, COMMANDS, and SUITES for the flags of each
 verify suite, so no command imports argparse or gettext or builds a
@@ -121,7 +121,7 @@ def _report_text(report: SemisimplicityReport, latex: bool = False) -> str:
 def _cmd_enumerate(args) -> int:
     mps = enumerate_multipartitions(args.m, args.n)
     if args.format == "json":
-        print(json.dumps([mp_json(mp) for mp in mps]))
+        print("[" + ", ".join(json.dumps(mp_json(mp)) for mp in mps) + "]")  # holds no lists
     else:
         for mp in mps:
             print(mp_text(mp))
@@ -161,18 +161,17 @@ def _cmd_schur(args) -> int:
 
     # Each row is rendered as its element is built and stdout is written once, so a row
     # refused mid-sweep (the symbol route's L, say) still leaves stdout empty.
-    elements = ((mp, schur_element(mp, args.formula, args.L)) for mp in mps)
+    texts = ((mp, format_output(schur_element(mp, args.formula, args.L), args.format))
+             for mp in mps)
     if args.format == "json":
-        # json.dumps of {"multipartition": ..., "schur": el.to_json()} per row, byte for byte
-        rows = (
-            f'{{"multipartition": {json.dumps(mp_json(mp))}, "schur": {el.json_text()}}}'
-            for mp, el in elements
-        )
+        # json.dumps of {"multipartition": ..., "schur": element.to_json()} per row, byte for byte
+        rows = (f'{{"multipartition": {json.dumps(mp_json(mp))}, "schur": {text}}}'
+                for mp, text in texts)
         print(next(rows) if args.multipartition is not None else "[" + ", ".join(rows) + "]")
     elif args.format == "latex":
-        print("\n".join(f"${mp_text(mp)}$ & ${el.render(latex=True)}$ \\\\" for mp, el in elements))
+        print("\n".join(f"${mp_text(mp)}$ & ${text}$ \\\\" for mp, text in texts))
     else:
-        print("\n".join(f"{mp_text(mp)}: {el.render()}" for mp, el in elements))
+        print("\n".join(f"{mp_text(mp)}: {text}" for mp, text in texts))
     return 0
 
 

@@ -17,7 +17,6 @@ rendering, in the JSON encoding and in parsing.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from functools import cache
@@ -77,7 +76,7 @@ def _factor_json(form: LinearForm, exp: int) -> str:
     """json.dumps of one entry [{"c", "pos", "neg"}, exp] of FactoredRational.to_json's
     "factors": the form's constant and the names of q_s and q_t, then the exponent."""
     s, t, c = form
-    return json.dumps([{"c": c, "pos": qvar(s), "neg": qvar(t)}, exp])
+    return f'[{{"c": {c}, "pos": "{qvar(s)}", "neg": "{qvar(t)}"}}, {exp}]'
 
 
 class FactoredRational:
