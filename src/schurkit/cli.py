@@ -9,7 +9,9 @@ JSON, like every other output, is written once when it is built, so a
 usage error writes nothing to stdout.  parse_args reads argv against
 one table of flags: FLAGS, COMMANDS, and SUITES for the flags of each
 verify suite, so no command imports argparse or gettext or builds a
-parser.
+parser.  Beside them WORK states each command's work as a closed form of
+its flags, which run admits (schur.admit) before the command builds
+anything.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import factorial, lgamma, log
+from functools import partial
+from math import isqrt, lgamma, log
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -40,16 +43,21 @@ from .partitions import (
     Multipartition,
     enumerate_multipartitions,
     mp_length,
+    mp_size,
     multipartition,
     partitions_of,
     permute_components,
 )
 from .schur import (
     FORMULAS,
-    check_p_invariant,
+    admit,
+    multipartitions_within,
     p_invariant,
+    p_invariant_work,
+    partitions_within,
     schur_element,
     trace_identity_sides,
+    trace_identity_work,
     verify_hook_beta_identity,
     verify_mu_identity,
     verify_trace_identity,
@@ -175,19 +183,7 @@ def _cmd_schur(args) -> int:
     return 0
 
 
-def _check_factorial_prints(m: int, n: int) -> None:
-    """check_p_invariant(m, n), then refuse, before P is built, an n! that the int-digit
-    limit would not print: lgamma sizes it, and n! >= 10**limit decides exactly within 1
-    of the limit.  n! is the constant of P, and at m = 1 over Q also P(theta)."""
-    check_p_invariant(m, n)
-    limit, log10 = sys.get_int_max_str_digits(), lgamma(n + 1) / log(10)
-    if limit and (log10 > limit + 1 or log10 > limit - 1 and factorial(n) >= 10**limit):
-        text = f"Exceeds the limit ({limit} digits) for integer string conversion"
-        raise UsageError(f"{text}; {_DIGIT_LIMIT_SETTING}")
-
-
 def _cmd_pinv(args) -> int:
-    _check_factorial_prints(args.m, args.n)
     value = p_invariant(args.m, args.n)
     print(format_output(value, args.format))
     return 0
@@ -223,8 +219,6 @@ def _parse_theta(args, m: int) -> Specialization:
 
 def _cmd_semisimple(args) -> int:
     theta = _parse_theta(args, args.m)
-    if args.m == 1 and args.mod is None:
-        _check_factorial_prints(args.m, args.n)
     if args.no_vanishing:
         p_value = fr_eval(p_invariant(args.m, args.n), theta)
         report = SemisimplicityReport(
@@ -461,6 +455,120 @@ COMMANDS = {
 }
 
 
+# ------------------------------------------------------------- admission
+#
+# Every command's work is a closed form of its flags, admitted by schur.admit before the
+# command builds anything.  The weights are the units of WORK_BUDGET that one counted item
+# costs, each set from fresh CPython 3.11 runs (2 vCPUs): the larger of its microseconds and
+# its peak bytes over 16.  The elements of a sweep or a table each cost their components
+# times their nodes: with that many forms or fewer, an element is written once per pair.
+
+
+def _sized(name: str, args) -> str:
+    return f"{name} at --m {args.m} --n {args.n}"
+
+
+def _elements(args) -> tuple:
+    return ("elements", partial(multipartitions_within, args.m, args.n))
+
+
+def _factorial_digits(n: int):
+    return lambda: lgamma(n + 1) / log(10)
+
+
+def _admit_enumerate(args) -> None:
+    where = _sized("enumerate", args)
+    if args.format == "json":  # every row's text is held until the array is printed
+        admit(where, 1, _elements(args), ("components", args.m))
+    else:  # one row at a time: a row of 10,000,000 components peaked at 852 MB
+        admit(where, 6, ("components", args.m))
+    # the partitions of each size up to n, pooled before the first row: 5 us and 165 B each
+    admit(where, 10, ("pooled partitions", partial(partitions_within, args.n)))
+
+
+def _admit_schur(args) -> None:
+    if args.multipartition is not None:
+        mp = _parse_single_multipartition(args)
+        m, n, length = len(mp), mp_size(mp), mp_length(mp)
+        where, elements = "schur --multipartition", ()
+        # the constant's hook products: that of lam |- k is k!/f^lam >= sqrt(k!)
+        digits = lambda: sum(lgamma(sum(lam) + 1) for lam in mp) / log(100)
+    elif args.m is not None and args.n is not None:
+        m, n, length = args.m, args.n, args.n
+        where, elements, digits = _sized("schur", args), (_elements(args),), None
+    else:
+        return  # refused by the handler
+    # the sweep (700, 1) as JSON: 490,000 units, 133 MB
+    admit(where, 16, *elements, ("components", m), ("nodes", max(n, 1)), digits=digits)
+    if args.formula == "symbol":  # a row's beta numbers are below n + L
+        length = max(length if args.L is None else args.L, 0)
+        admit(where, 1, *elements, ("rows", m), ("bit operations", max(n + length, 1) ** 2))
+
+
+def _admit_pinv(args) -> None:
+    admit(*p_invariant_work(args.m, args.n), digits=_factorial_digits(args.n))  # P's constant
+
+
+def _admit_semisimple(args) -> None:
+    at_level_1 = args.m == 1 and args.mod is None  # prints P(theta) = n!
+    digits = _factorial_digits(args.n) if at_level_1 else None
+    admit(*p_invariant_work(args.m, args.n), digits=digits)
+    if not args.no_vanishing:  # the zero-form table: (2, 22) at 2,156,440 units peaked at 174 MB
+        admit(_sized("semisimple", args), 10, _elements(args), ("components", args.m),
+              ("nodes", args.n))
+
+
+def _admit_sweep(args) -> None:
+    # three-formulas (2, 20) at 993,680 units: 4.5 s, 168 MB of pair tallies
+    admit(_sized(args.suite, args), 10, _elements(args), ("components", args.m),
+          ("nodes", max(args.n, 1)))
+
+
+def _admit_criterion(args) -> None:
+    where, weight, forms = p_invariant_work(args.m, args.n)
+    admit(where, weight, forms)
+    _admit_sweep(args)
+    # each trial, and at most three targeted cases, evaluates P: (2, 1) at 28 us a trial
+    trials = args.trials * (1 if args.mod is not None else 2) + 3
+    admit(_sized(args.suite, args), 30, ("specializations", trials), forms)
+
+
+def _pairs(size: int) -> tuple:
+    def count(cap: int) -> int | str:
+        parts = partitions_within(size, isqrt(cap))
+        return parts * parts if isinstance(parts, int) else f"{parts}^2"
+
+    return ("partition pairs", count)
+
+
+def _admit_pairs(weight: int):
+    return lambda args: admit(f"{args.suite} at --size {args.size}", weight, _pairs(args.size))
+
+
+def _admit_partitions(args) -> None:
+    # mu-identity and hook-beta at --size 30: 4.4 us and 81 B per partition and node
+    partitions = ("partitions", partial(partitions_within, args.size))
+    admit(f"{args.suite} at --size {args.size}", 6, partitions, ("nodes", args.size))
+
+
+# handler or suite driver -> the function that admits its work, read off its flags alone
+WORK = {
+    _cmd_enumerate: _admit_enumerate,
+    _cmd_schur: _admit_schur,
+    _cmd_pinv: _admit_pinv,
+    _cmd_semisimple: _admit_semisimple,
+    _suite_three_formulas: _admit_sweep,
+    _suite_sm_action: _admit_sweep,
+    _suite_integrality: _admit_sweep,
+    _suite_criterion: _admit_criterion,
+    _suite_trace_identity: lambda args: admit(*trace_identity_work(args.m, args.n)),
+    _suite_beta_shift: _admit_pairs(150),  # 112 us a pair at --size 11
+    _suite_x_symmetry: _admit_pairs(80),  # 70 us a pair at --size 12
+    _suite_mu_identity: _admit_partitions,
+    _suite_hook_beta: _admit_partitions,
+}
+
+
 def _help(command: Optional[str]) -> str:
     """The help text of one command, or of schurkit when command is None."""
     if command is None:
@@ -586,9 +694,12 @@ _DIGIT_LIMIT_SETTING = (
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv, execute, and return the exit code (0 ok, 1 mismatch, 2 usage)."""
+    """Parse argv, admit its work, execute; the exit code is 0 ok, 1 mismatch, 2 usage."""
     try:
         handler, args = parse_args(argv)
+        admission = WORK.get(SUITES[args.suite][0] if handler is _cmd_verify else handler)
+        if admission is not None:
+            admission(args)
         return handler(args)
     except ValueError as exc:
         text = re.sub(r"(Exceeds the limit \(\d+)\) ", r"\1 digits) ", str(exc), count=1)

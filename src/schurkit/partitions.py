@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from math import factorial, prod
+from math import factorial, inf, prod
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -143,6 +143,14 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
+def validate_shape(m: int, n: int) -> None:
+    """ValueError unless m >= 1 and n >= 0: the shapes that P_{m,n} is defined for."""
+    if m < 1:
+        raise ValueError("level m must be at least 1")
+    if n < 0:
+        raise ValueError("size n must be non-negative")
+
+
 def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
     """All m-multipartitions of n, each exactly once.
 
@@ -151,10 +159,7 @@ def enumerate_multipartitions(m: int, n: int) -> Iterator[Multipartition]:
     varying fastest.  The order is fixed so that serialized output is
     stable across runs.
     """
-    if m < 1:
-        raise ValueError("level m must be at least 1")
-    if n < 0:
-        raise ValueError("size n must be non-negative")
+    validate_shape(m, n)
     pools = [tuple(partitions_of(k)) for k in range(n + 1)]
     # Stars and bars: n stars among n + m - 1 slots, the rest bars; star i at slot pos
     # lies in part pos - i.  combinations() yields the slot sets in increasing lex
@@ -196,25 +201,40 @@ def num_standard_tableaux(mp: Multipartition) -> int:
     return count
 
 
-def multipartition_count(m: int, n: int) -> int:
-    """Number of m-multipartitions of n: the partition counts p(0..n), convolved m times.
+def partition_counts(n: int, cap: float = inf) -> list[int]:
+    """[p(0), ..., p(n)] by Euler's pentagonal recurrence, cut after the first value above cap.
 
-    p(k) comes from Euler's pentagonal recurrence, p(k) = sum over j >= 1 of
-    (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)), in O(n^1.5) steps, and the
-    last convolution forms only its n-th term.
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)), in O(k^1.5)
+    steps; p grows as exp(pi sqrt(2k/3)), so a cap stops it within a few dozen values.
     """
-    if m < 1:
-        return int(n == 0)
-    p = [1] + [0] * n
+    p = [1] if n >= 0 else []
     for k in range(1, n + 1):
+        if p[-1] > cap:
+            break
         total, j, g = 0, 1, 1  # g = j(3j-1)/2, the j-th generalized pentagonal number
         while g <= k:
             term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
             total += term if j % 2 else -term
             j += 1
             g += 3 * j - 2
-        p[k] = total
-    counts = p  # m = 1
-    for _ in range(m - 2):
-        counts = [sum(counts[j] * p[k - j] for j in range(k + 1)) for k in range(n + 1)]
-    return p[n] if m == 1 else sum(counts[j] * p[n - j] for j in range(n + 1))
+        p.append(total)
+    return p
+
+
+def multipartition_count(m: int, n: int) -> int:
+    """Number of m-multipartitions of n: the m-th convolution power of p(0..n), at n.
+
+    The power is taken by repeated squaring, in O(n^2 log m) steps.
+    """
+    if m < 1 or n < 0:
+        return int(n == 0)
+
+    def convolve(a: list[int], b: list[int]) -> list[int]:
+        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n + 1)]
+
+    counts, power = [1] + [0] * n, partition_counts(n)
+    while m:
+        if m & 1:
+            counts = convolve(counts, power)
+        m, power = m >> 1, convolve(power, power)
+    return counts[n]

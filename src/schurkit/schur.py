@@ -46,17 +46,23 @@ node.
 
 sum_L f^L / s_L = [m = 1] holds iff the numerator N of _trace_summands
 is zero.  verify_trace_identity decides that by exact integer evaluation
-on a grid, and refuses a run whose size, read off (m, n) alone, exceeds
-TRACE_WORK_BUDGET.
+on a grid.
+
+admit is the one admission rule: a run states its work as a weight times
+counts read off its arguments alone, and is refused before it builds
+anything when that passes WORK_BUDGET.  p_invariant and
+verify_trace_identity admit their own work; the CLI admits every other
+command's from its flags.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
-from functools import cache
-from math import comb, factorial, lcm, prod
+from functools import cache, partial
+from math import comb, factorial, isqrt, lcm, prod
 from operator import neg
 from typing import Callable, Iterable
 
@@ -83,6 +89,8 @@ from .partitions import (
     multipartition_count,
     nodes,
     num_standard_tableaux,
+    partition_counts,
+    validate_shape,
 )
 
 FORMULAS = ("product", "symbol", "cancellation")
@@ -292,25 +300,82 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
     return _assemble(prod(map(_z_diagonal, mp)), 1, _z_tally, mp, mp)
 
 
-# The most factors C(m, 2) * (2n - 1) that p_invariant builds.  A fresh CPython 3.11
-# process (2 vCPUs) printing P as JSON peaked at 345 MB at (707, 2), with 748,713 factors
-# the largest m admitted at n = 2, and at 662 MB at (1000, 2) with 1,498,500.  At m = 1,
-# P is n! alone and counts n factors, and the CLI also sizes n! against the int-digit
-# limit.  ROADMAP item 5 folds these checks into its shared admission helper.
-P_FACTOR_BOUND = 750_000
+# The work budget of every command, and of the library calls that size their own work.  A
+# unit is about a microsecond of CPython 3.11 on 2 vCPUs, or 16 bytes at peak, whichever a run
+# spends faster, so an admitted run takes up to about 30 s and 480 MB.  The weight of each
+# kind of work, the units one of its counted items costs, was set from measured runs.
+WORK_BUDGET = 30_000_000
 
 
-def check_p_invariant(m: int, n: int) -> None:
-    """ValueError, in O(1), for m or n below 1 or P with more than P_FACTOR_BOUND factors."""
+def admit(where: str, weight: int, *factors: tuple, digits: Callable[[], float] | None = None):
+    """ValueError unless weight times the product of the counts in factors fits WORK_BUDGET.
+
+    A factor is (noun, count), its count at least 1: an int, or a function of a cap that
+    returns the count, or once the count passes the cap the text of a bound above it, shown
+    as "at least" that text.  The product is refused as soon as it passes the budget, so a
+    cheap count put first caps a costly one.  The message states the budget in the items
+    counted: WORK_BUDGET // weight.  digits, called once the work fits, bounds from below the
+    log10 of an integer that the run prints; more than one past sys.get_int_max_str_digits()
+    is refused as CPython refuses to print it.
+    """
+    allowed, work, terms = WORK_BUDGET // weight, 1, []
+    for noun, count in factors:
+        if callable(count):
+            count = count(allowed // max(work, 1))
+        least = isinstance(count, str)
+        terms.append(f"{'at least ' if least else ''}{count} {noun[:-1] if count == 1 else noun}")
+        if least or (work := work * count) > allowed:
+            terms = " times ".join(terms)
+            raise ValueError(f"{where} needs {terms}, above the budget of {allowed}")
+    limit = sys.get_int_max_str_digits()
+    if digits is not None and limit and digits() > limit + 1:
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion;"
+                         " use sys.set_int_max_str_digits() to increase the limit")
+
+
+def multipartitions_within(m: int, n: int, cap: int) -> int | str:
+    """multipartition_count(m, n) as a count of admit: past cap, the text of a lower bound.
+
+    Two bounds come first, each in a few dozen steps: the C(n + m - 1, n) size compositions
+    of n, each holding a multipartition, multiplied up one factor at a time; then p(n), the
+    multipartitions with every node in the first component.  Within a cap of WORK_BUDGET they
+    leave n < 85 and m <= cap, where the count itself is cheap.  m < 1 and n < 0 are refused
+    as enumerate_multipartitions refuses them.
+    """
+    validate_shape(m, n)
+    if n <= 1:
+        return m if n else 1
+    k, bound = min(n, m - 1), 1
+    for j in range(1, k + 1):  # C(n + m - 1 - k + j, j) grows with j up to C(n + m - 1, k)
+        bound = bound * (n + m - 1 - k + j) // j
+        if bound > cap:
+            return str(bound)
+    p = partition_counts(n, cap)
+    if len(p) <= n:
+        return str(p[-1])
+    return p[n] if m == 1 else multipartition_count(m, n)
+
+
+def partitions_within(size: int, cap: int) -> int | str:
+    """The partitions of sizes 0..size, sum of p(k), as a count of admit."""
+    total = 0
+    for count in partition_counts(size, cap):
+        total += count
+        if total > cap:
+            return str(total)
+    return total
+
+
+def p_invariant_work(m: int, n: int) -> tuple:
+    """The work of P as admit reads it: 40 units per form, so at most 750,000 forms.
+
+    P has C(m, 2) * (2n - 1) forms, and at m = 1 the n factors of n! alone.  A fresh CPython
+    3.11 process printing P as JSON peaked at 345 MB at (707, 2), with 748,713 forms, and at
+    662 MB at (1000, 2), with 1,498,500.
+    """
     if m < 1 or n < 1:
         raise ValueError("p_invariant needs m >= 1 and n >= 1")
-    # at m = 1 there is no pair, and the n factors of n! are all of P
-    rule, factors = ("C(m, 2)*(2n - 1)", comb(m, 2) * (2 * n - 1)) if m > 1 else ("n", n)
-    if factors > P_FACTOR_BOUND:
-        raise ValueError(
-            f"P at --m {m} --n {n} has {rule} = {factors} factors,"
-            f" above the bound of {P_FACTOR_BOUND}"
-        )
+    return f"P at --m {m} --n {n}", 40, ("forms", comb(m, 2) * (2 * n - 1) or n)
 
 
 @cache
@@ -320,9 +385,9 @@ def p_invariant(m: int, n: int) -> FactoredRational:
     Its non-vanishing under a specialization is equivalent to the
     specialized algebra being semisimple.  Memoized: callers share the
     returned value, which like every FactoredRational is never mutated.
-    It is n! times the canonical forms (i, j, d), after check_p_invariant.
+    It is n! times the canonical forms (i, j, d), once p_invariant_work is admitted.
     """
-    check_p_invariant(m, n)
+    admit(*p_invariant_work(m, n))
     pairs = itertools.combinations(range(1, m + 1), 2)
     factors = {(i, j, d): 1 for i, j in pairs for d in range(1 - n, n)}
     return FactoredRational._canonical(Fraction(factorial(n)), factors)
@@ -369,14 +434,6 @@ def verify_x_symmetry(lam: Partition, mu: Partition) -> bool:
     return x_kernel(lam, mu) == apply_permutation((2, 1), x_kernel(mu, lam))
 
 
-# The most grid points times summands verify_trace_identity evaluates: every point
-# evaluates every summand.  The time of one such evaluation still grows with n, so the
-# budget is set from runs on CPython 3.11 (2 vCPUs): (2,23) at 3.7M took 14 s, (4,5)
-# at 4.4M 2.8 s and (3,10) at 5.3M 7.8 s, while (2,24) at 5.7M took 47 s and (3,11)
-# at 10.6M 16-37 s.  (1,46), charged n nodes per summand, at 4.9M took 15-24 s.
-TRACE_WORK_BUDGET = 5_000_000
-
-
 def _grid_side(m: int, n: int) -> int:
     """The values on each side of the grid verify_trace_identity evaluates, for m >= 2.
 
@@ -384,8 +441,40 @@ def _grid_side(m: int, n: int) -> int:
     forms), and the pairs with |lam| + |mu| <= n (= n at m = 2) all occur.  The largest
     exponent of (c + x) in their Z tallies is max{j : j(|c| + j) <= n}, at ((|c| + j)^j, ()),
     and summed over c these count the (a, b) >= 1 with ab <= n; deg_{q_s} D is m - 1 times that.
+    The count is sum_k n // k, read off its terms up to sqrt(n) and their mirror images.
     """
-    return (m - 1) * sum(n // k for k in range(1, n + 1)) - n + 1
+    r = isqrt(n)
+    pairs = 2 * sum(n // k for k in range(1, r + 1)) - r * r
+    return (m - 1) * pairs - n + 1
+
+
+def trace_identity_work(m: int, n: int) -> tuple:
+    """The work of verify_trace_identity as admit reads it: 6 units per grid point and summand.
+
+    Every grid point evaluates every summand, so the work is the _grid_side(m, n)^(m - 1)
+    points times the multipartitions; at m = 1 the grid is one point and a summand costs its n
+    nodes.  The side is at least n, so an n above the cap bounds the points unsized.  The
+    budget of 5,000,000 is set from runs on CPython 3.11 (2 vCPUs): (2,23) at 3.7M took 14 s,
+    (4,5) at 4.4M 2.8 s and (3,10) at 5.3M 7.8 s, while (2,24) at 5.7M took 47 s.
+    """
+    if n < 1:
+        raise ValueError(f"--suite trace-identity needs --n >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"--suite trace-identity needs --m >= 1, got {m}")
+
+    def points(cap: int) -> int | str:
+        if n > cap:
+            return str(n)
+        side, count = _grid_side(m, n), 1
+        for _ in range(m - 1):
+            count *= side
+            if count > cap:
+                return f"{side}^{m - 1}"
+        return count
+
+    cost = ("nodes", n) if m == 1 else ("grid points", points)
+    summands = ("summands", partial(multipartitions_within, m, n))
+    return f"trace-identity at --m {m} --n {n}", 6, cost, summands
 
 
 def _trace_summands(m: int, n: int) -> list[tuple[int, FactoredRational]]:
@@ -490,34 +579,9 @@ def verify_trace_identity(m: int, n: int) -> bool:
     by vanishes_identically, by exact integer evaluation and without
     expanding anything.
 
-    Raises ValueError when n < 1 or m < 1, and, before any element is built, when the
-    work sized from (m, n) alone exceeds TRACE_WORK_BUDGET: n^2 (at least p(n) >= n
-    summands of n nodes), then _grid_side(m, n)^(m - 1) points, multiplied out only
-    until they pass it, then max(points, n) per summand (at m = 1, on one point, its
-    nodes).  The grid evaluated still comes from the cofactors: this moves only refusals.
+    Raises ValueError when n < 1 or m < 1, and, before any element is built, when
+    trace_identity_work is not admitted.  The grid evaluated still comes from the
+    cofactors: the work read off (m, n) only decides refusals.
     """
-    if n < 1:
-        raise ValueError(f"--suite trace-identity needs --n >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"--suite trace-identity needs --m >= 1, got {m}")
-    if n * n > TRACE_WORK_BUDGET:
-        raise ValueError(
-            f"trace-identity at --n {n} needs at least {n} nodes times {n} summands,"
-            f" above the budget of {TRACE_WORK_BUDGET}"
-        )
-    side, points = _grid_side(m, n), 1
-    for _ in range(m - 1):
-        points *= side
-        if points > TRACE_WORK_BUDGET:
-            raise ValueError(
-                f"trace-identity at --m {m} --n {n} needs at least {side}^{m - 1} grid points,"
-                f" above the budget of {TRACE_WORK_BUDGET} grid points times summands"
-            )
-    summands = multipartition_count(m, n)
-    if max(points, n) * summands > TRACE_WORK_BUDGET:
-        cost = f"{points} grid points" if points >= n else f"{n} nodes"
-        raise ValueError(
-            f"trace-identity at --m {m} --n {n} needs {cost} times"
-            f" {summands} summands, above the budget of {TRACE_WORK_BUDGET}"
-        )
+    admit(*trace_identity_work(m, n))
     return vanishes_identically(m, _trace_summands(m, n))

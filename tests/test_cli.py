@@ -495,7 +495,8 @@ _UNPRINTABLE = f"Exceeds the limit ({DIGITS} digits) for integer string conversi
 _MP = "schur --multipartition"
 _CRIT = "verify --suite criterion --m 2 --n 2 --seed 1"
 _TRACE = "verify --suite trace-identity"
-_GRID = "grid points, above the budget of 5000000 grid points times summands"
+_GRID = "grid points, above the budget of 5000000"
+_P = "forms, above the budget of 750000"
 _MOD = ("must exceed --n 5: n! vanishes mod p, so every specialization would be non-semisimple"
         " and only one side checked")
 
@@ -567,7 +568,10 @@ REFUSALS = {
     **dict.fromkeys(["enumerate --m 2 --n -1", "schur --m 2 --n -1 --format json",
                      "verify --suite integrality --m 2 --n -1"], "size n must be non-negative"),
     **dict.fromkeys(["pinv --m 0 --n 1", "semisimple --m 0 --n 1",
-                     "semisimple --m 1 --n -1 --set q1=0"], "p_invariant needs m >= 1 and n >= 1"),
+                     "semisimple --m 1 --n -1 --set q1=0",
+                     # P is admitted before the criterion suite builds its table
+                     "verify --suite criterion --m 2 --n 0 --seed 1"],
+                    "p_invariant needs m >= 1 and n >= 1"),
     # schur
     "schur": "schur needs either --multipartition or both --m and --n",
     "schur --m 2": "schur needs either --multipartition or both --m and --n",
@@ -576,6 +580,8 @@ REFUSALS = {
         "length applies only to formula 'symbol', not 'product'",
     "schur --m 2 --n 2 --formula symbol --L 1": "L=1 too small for a partition of length 2",
     "schur --m 2 --n 3 --formula symbol --L 1": "L=1 too small for a partition of length 2",
+    f"{_MP} [[1],[]] --formula symbol --L 3872": "schur --multipartition needs 2 rows times"
+        " 15000129 bit operations, above the budget of 30000000",
     f"{_MP} [[1]] --m 2": "--m 2 contradicts a multipartition with 1 component",
     f"{_MP} 'not json'": "--multipartition: not valid JSON",
     f"{_MP} '[[1],]'": "--multipartition: not valid JSON",
@@ -656,19 +662,16 @@ IN_CHILD = {
     "semisimple --m 1 --n 1559 --set q1=0 --no-vanishing": (1, _UNPRINTABLE),
     "semisimple --m 1 --n 1559 --set q1=0": (1, _UNPRINTABLE),
     "semisimple --m 1 --n 750000 --set q1=0": (1, _UNPRINTABLE),
-    "pinv --m 1000 --n 2": (10, "P at --m 1000 --n 2 has C(m, 2)*(2n - 1) = 1498500 factors,"
-                                " above the bound of 750000"),
-    "pinv --m 100000 --n 2": (10, "P at --m 100000 --n 2 has C(m, 2)*(2n - 1) = 14999850000"
-                                  " factors, above the bound of 750000"),
-    "pinv --m 1000000000 --n 2": (10, "P at --m 1000000000 --n 2 has C(m, 2)*(2n - 1) ="
-                                      " 1499999998500000000 factors, above the bound of 750000"),
-    "semisimple --m 2 --n 1000000000 --set q1=0 --set q2=1 --no-vanishing": (10, "P at --m 2"
-        " --n 1000000000 has C(m, 2)*(2n - 1) = 1999999999 factors, above the bound of 750000"),
-    "pinv --m 1 --n 1000000000":
-        (1, "P at --m 1 --n 1000000000 has n = 1000000000 factors, above the bound of 750000"),
+    "pinv --m 1000 --n 2": (10, f"P at --m 1000 --n 2 needs 1498500 {_P}"),
+    "pinv --m 100000 --n 2": (10, f"P at --m 100000 --n 2 needs 14999850000 {_P}"),
+    "pinv --m 1000000000 --n 2": (10, f"P at --m 1000000000 --n 2 needs 1499999998500000000 {_P}"),
+    "semisimple --m 2 --n 1000000000 --set q1=0 --set q2=1 --no-vanishing":
+        (10, f"P at --m 2 --n 1000000000 needs 1999999999 {_P}"),
+    "pinv --m 1 --n 1000000000": (1, f"P at --m 1 --n 1000000000 needs 1000000000 {_P}"),
     "semisimple --set q1=0 --m 1 --n 1000000000":
-        (1, "P at --m 1 --n 1000000000 has n = 1000000000 factors, above the bound of 750000"),
-    "semisimple --m 1000000000 --n 2 --set q2=0": (10, "missing --set for q1"),
+        (1, f"P at --m 1 --n 1000000000 needs 1000000000 {_P}"),
+    "semisimple --m 1000000000 --n 2 --set q2=0":
+        (10, f"P at --m 1000000000 --n 2 needs 1499999998500000000 {_P}"),
     "semisimple --m 2 --n 2 --set q1=1e999999999 --set q2=0":
         (10, f"--set 'q1=1e999999999': decimal exponent above the {DIGITS}-digit limit"),
     f"semisimple --m 1 --n 1 --set q1=2.5E-{DIGITS + 1}":
@@ -679,6 +682,42 @@ IN_CHILD = {
         (5, f"trace-identity at --m 1000 --n 1 needs at least 999^999 {_GRID}"),
     f"{_TRACE} --m 10000000 --n 1":
         (5, f"trace-identity at --m 10000000 --n 1 needs at least 9999999^9999999 {_GRID}"),
+    # each ran past 30 s or out of a 1 GB address space before its work was admitted
+    "schur --m 40 --n 4": (1, "schur at --m 40 --n 4 needs 158670 elements times 40 components,"
+                              " above the budget of 1875000"),
+    "schur --m 100000000 --n 1":
+        (1, "schur at --m 100000000 --n 1 needs 100000000 elements, above the budget of 1875000"),
+    "enumerate --m 100000000 --n 1": (1, "enumerate at --m 100000000 --n 1 needs 100000000"
+                                         " components, above the budget of 5000000"),
+    "enumerate --m 3 --n 101 --format json": (1, "enumerate at --m 3 --n 101 needs at least"
+                                                 " 30167357 elements, above the budget of 30000000"),
+    f"{_MP} '[[9999999999]]'": (1, "schur --multipartition needs 1 component times 9999999999"
+                                   " nodes, above the budget of 1875000"),
+    # the hook product of (k) is k!, sized by lgamma before it is built
+    f"{_MP} '[[1000000]]'": (1, _UNPRINTABLE),
+    f"{_MP} '[[100000]]'": (1, _UNPRINTABLE),
+    "verify --suite sm-action --m 1000000 --n 1": (1, "sm-action at --m 1000000 --n 1 needs"
+        " 1000000 elements times 1000000 components, above the budget of 3000000"),
+    "verify --suite sm-action --m 9 --n 13":
+        (1, "sm-action at --m 9 --n 13 needs 12994290 elements, above the budget of 3000000"),
+    "verify --suite sm-action --m 2 --n 40":
+        (1, "sm-action at --m 2 --n 40 needs 9035539 elements, above the budget of 3000000"),
+    "verify --suite criterion --m 3 --n 20 --seed 1 --trials 1": (1, "criterion at --m 3 --n 20"
+        " needs 341649 elements times 3 components times 20 nodes, above the budget of 3000000"),
+    "verify --suite criterion --m 40 --n 5 --seed 1 --mod 7 --trials 2": (1, "criterion at --m 40"
+        " --n 5 needs 1614048 elements times 40 components, above the budget of 3000000"),
+    "verify --suite beta-shift --size 14": (1, "beta-shift at --size 14 needs at least 508^2"
+                                               " partition pairs, above the budget of 200000"),
+    "verify --suite x-symmetry --size 40": (1, "x-symmetry at --size 40 needs at least 684^2"
+                                               " partition pairs, above the budget of 375000"),
+    "semisimple --m 2 --n 30 --set q1=0 --set q2=100": (1, "semisimple at --m 2 --n 30 needs"
+        " 589128 elements times 2 components times 30 nodes, above the budget of 3000000"),
+    "semisimple --m 2 --n 40 --set q1=1 --set q2=3":
+        (1, "semisimple at --m 2 --n 40 needs 9035539 elements, above the budget of 3000000"),
+    # over F_p, P(theta) = n! mod p is cheap, but the zero-form table holds p(1559) elements
+    "semisimple --m 1 --n 1559 --set q1=0 --mod 1567": (1, "semisimple at --m 1 --n 1559 needs"
+                                                         " at least 3087735 elements, above the"
+                                                         " budget of 3000000"),
 }
 REFUSALS.update((line, message) for line, (_, message) in IN_CHILD.items())
 
@@ -709,6 +748,8 @@ VALID = {
     "schur --m 2 --n 1 --format latex":
         "$((1);(0))$ & $(q_{1}-q_{2})$ \\\\\n$((0);(1))$ & $-(q_{1}-q_{2})$ \\\\\n",
     "schur --m 2 --n 1 --formula symbol --L 3": "((1);(0)): (q1-q2)\n((0);(1)): -(q1-q2)\n",
+    # 2 rows times (1 + 3871)^2 bit operations, just inside the budget of 30000000
+    f"{_MP} [[1],[]] --formula symbol --L 3871": "((1);(0)): (q1-q2)\n",
     f"{_MP} [[1],[1]] --format text": "((1);(1)): -(-1+q1-q2)(1+q1-q2)\n",
     "pinv --m 2 --n 1": "(q1-q2)\n",
     "pinv --m 2 --n 2 --format latex": "2*(-1+q_{1}-q_{2})(q_{1}-q_{2})(1+q_{1}-q_{2})\n",
@@ -804,6 +845,207 @@ def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, 
 @pytest.mark.parametrize("line", VALID, ids=row_id)
 def test_every_valid_argv_prints_exactly_its_row(capsys, digit_limit, line):
     assert invoke(capsys, *argv_of(line)) == (0, VALID[line], "")
+
+
+# work -> the argv just inside its budget and the argv just past it.  Most of these runs take
+# seconds or hundreds of MB, so only their admission runs here; VALID and REFUSALS hold the
+# symbol route's edge, whose run is cheap.
+BUDGET_EDGES = {
+    "P": ("pinv --m 707 --n 2", "pinv --m 708 --n 2"),
+    "trace-identity": (f"{_TRACE} --m 2 --n 23", f"{_TRACE} --m 2 --n 24"),
+    "schur": ("schur --m 1875000 --n 0", "schur --m 1875001 --n 0"),
+    "enumerate json": ("enumerate --m 30000000 --n 0 --format json",
+                       "enumerate --m 30000001 --n 0 --format json"),
+    "enumerate row": ("enumerate --m 5000000 --n 0", "enumerate --m 5000001 --n 0"),
+    "pooled partitions": ("enumerate --m 1 --n 55", "enumerate --m 1 --n 56"),
+    "sweeps": ("verify --suite sm-action --m 3000000 --n 0",
+               "verify --suite sm-action --m 3000001 --n 0"),
+    "criterion trials": ("verify --suite criterion --m 2 --n 1 --seed 1 --trials 499998",
+                         "verify --suite criterion --m 2 --n 1 --seed 1 --trials 499999"),
+    "semisimple table": ("semisimple --m 2 --n 22 --set q1=0 --set q2=1",
+                         "semisimple --m 2 --n 23 --set q1=0 --set q2=1"),
+    "beta-shift": ("verify --suite beta-shift --size 13", "verify --suite beta-shift --size 14"),
+    "x-symmetry": ("verify --suite x-symmetry --size 14", "verify --suite x-symmetry --size 15"),
+    "mu-identity": ("verify --suite mu-identity --size 37", "verify --suite mu-identity --size 38"),
+}
+
+
+def admission_of(argv):
+    """The admission that run makes for argv, without the command it admits."""
+    handler, args = cli_module.parse_args(argv)
+    driver = SUITES[args.suite][0] if handler is cli_module._cmd_verify else handler
+    return functools.partial(cli_module.WORK[driver], args)
+
+
+@pytest.mark.parametrize("work", BUDGET_EDGES)
+def test_each_budget_admits_its_edge_and_refuses_one_past_it(digit_limit, work):
+    inside, outside = BUDGET_EDGES[work]
+    admission_of(argv_of(inside))()
+    with pytest.raises(ValueError, match=", above the budget of "):
+        admission_of(argv_of(outside))()
+
+
+def test_the_counts_that_admission_reads_match_brute_force():
+    """Elements, forms per element, P's forms and partition pairs, against the oracles."""
+    within = schur_module.multipartitions_within
+    for m in range(1, 5):
+        for n in range(7):
+            mps = list(support.multipartitions(m, n))
+            assert within(m, n, 10**9) == len(mps), (m, n)
+            for cap in range(len(mps)):  # below the count: the count, or a bound above the cap
+                got = within(m, n, cap)
+                assert got == len(mps) or cap < int(got) < len(mps), (m, n, cap)
+            # an element's forms, with multiplicity, are the nodes of lam^s against each t != s:
+            # at most the components times the nodes that a sweep charges it
+            for mp in mps:
+                forms = sum(len(support.nodes(lam)) for lam in mp) * (m - 1)
+                assert sum(schur_element(mp).factors.values()) == forms <= m * max(n, 1), mp
+            if n:
+                forms = [(i, j, d) for i in range(m) for j in range(i + 1, m) for d in range(1 - n, n)]
+                assert schur_module.p_invariant_work(m, n)[2] == ("forms", len(forms) or n)
+    for size in range(8):
+        parts = sum(len(support.partitions(k)) for k in range(size + 1))
+        assert schur_module.partitions_within(size, 10**9) == parts
+        assert cli_module._pairs(size)[1](10**9) == parts**2
+
+
+# ------------------------------------------------- generated argv: the exit-code contract
+
+# Value pools: small, negative, huge and malformed ints, JSON multipartitions and --set tokens.
+# The slow variant adds the sizes between small and huge, whose admitted runs take seconds.
+GENERATED_INTS = ("0", "1", "2", "3", "7", "-1", "-7", "9999999999", "1" + "0" * 40, "x", "",
+                  "1.5", "2e3", "0x10")
+GENERATED_SIZES = ("13", "40", "101")
+GENERATED_MPS = ("[[1],[]]", "[[2,1],[1]]", "[[]]", "[]", "[[1,2]]", "[[-1]]", "[[1.5]]", "null",
+                 "[[1]", '{"0": [1]}', "[[9999999999]]", "[[100000]]", "[" * 200,
+                 "[[" + "1" * 5000 + "]]")
+GENERATED_SETS = ("q1=0", "q2=1/2", "q3=-3", "q1=2.5", "q1", "q0=1", "x=1", "q1=x",
+                  "q1=1e999999999", f"q2=1e{DIGITS}")
+ANSWER_SECONDS = 45  # the budget's 30 s, with room for a loaded host
+
+# Runs every argv of the JSON list in the file argv[1] through schurkit.cli.run in this one
+# process and prints, for each, [exit code or the exception that escaped, stdout length,
+# stderr, seconds, streamed].  Only enumerate's text is streamed: it is cut after 64 kB as a
+# reader that closes the pipe cuts it.  Stdout is counted, not kept.
+_GENERATED_RUNNER = """
+import contextlib, io, json, sys, time
+import schurkit.cli as cli
+class Counted(io.TextIOBase):
+    def __init__(self, cut):
+        self.size, self.cut = 0, cut
+    def write(self, text):
+        self.size += len(text)
+        if self.size > self.cut:
+            raise BrokenPipeError
+        return len(text)
+with open(sys.argv[1]) as corpus:
+    argvs = json.load(corpus)
+results = []
+for argv in argvs:
+    try:
+        handler, args = cli.parse_args(argv)
+        streamed = handler is cli._cmd_enumerate and args.format == "text"
+    except ValueError:
+        streamed = False
+    out, err = Counted(65536 if streamed else float("inf")), io.StringIO()
+    started = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    except BrokenPipeError if streamed else ():
+        code = "cut"
+    except BaseException as exc:
+        code = repr(exc)[:300]
+    results.append([code, out.size, err.getvalue(), time.perf_counter() - started, streamed])
+print(json.dumps(results))
+"""
+
+
+def _generated_argvs(count, ints):
+    """count argv drawn by hypothesis: from the flag tables, and one-token changes of VALID rows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tokens = (*ints, *GENERATED_MPS, *GENERATED_SETS, *SUITES, "--bogus", "-h", "json",
+              *(f"--{flag}" for flag in cli_module.FLAGS if isinstance(flag, str)))
+
+    def values(command, flag):
+        convert = cli_module.FLAGS.get((command, flag), cli_module.FLAGS[flag])[0]
+        if isinstance(convert, tuple):
+            return st.sampled_from((*convert, "bogus"))
+        if convert is str:
+            return st.sampled_from(GENERATED_MPS)
+        return st.sampled_from(GENERATED_SETS if convert is list else ints)
+
+    @st.composite
+    def from_tables(draw):
+        command = draw(st.sampled_from(list(cli_module.COMMANDS)))
+        _, _, required, optional = cli_module.COMMANDS[command]
+        words, flags = [command], [*required, *optional]
+        if command == "verify":
+            suite = draw(st.sampled_from(list(SUITES)))
+            _, _, needs, takes = SUITES[suite]
+            words, flags = ["verify", "--suite", suite], [*needs, *takes]
+        groups = []
+        for flag in flags:
+            if draw(st.integers(0, 3)) == 0 and flag not in required:
+                continue
+            convert = cli_module.FLAGS.get((command, flag), cli_module.FLAGS[flag])[0]
+            repeats = draw(st.integers(0, 3)) if convert is list else 1
+            for _ in range(repeats):
+                groups.append([f"--{flag}"] if convert is bool else
+                              [f"--{flag}", draw(values(command, flag))])
+        groups = draw(st.permutations(groups))
+        return words + [word for group in groups for word in group]
+
+    @st.composite
+    def changed_row(draw):
+        argv = list(argv_of(draw(st.sampled_from(list(VALID)))))
+        i = draw(st.integers(0, len(argv) - 1))
+        token = draw(st.sampled_from(tokens))
+        change = draw(st.sampled_from(("replace", "insert", "delete")))
+        if change == "delete":
+            return argv[:i] + argv[i + 1:]
+        return argv[:i] + [token] + argv[i + (change == "replace"):]
+
+    drawn = []
+
+    @hypothesis.settings(max_examples=count, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(argv=st.one_of(from_tables(), changed_row()))
+    def draw(argv):
+        drawn.append(argv)
+
+    draw()
+    return drawn
+
+
+def _check_generated(tmp_path, argvs, batch):
+    """Each argv exits 0, 1 or 2 with no exception, a refusal as one error line and nothing
+    on stdout, and each answers within ANSWER_SECONDS unless it streams enumerate's text."""
+    for start in range(0, len(argvs), batch):
+        corpus = argvs[start:start + batch]
+        corpus_file = tmp_path / f"argv{start}.json"
+        corpus_file.write_text(json.dumps(corpus))
+        done = support.run(corpus_file, head=("-S", "-c", _GENERATED_RUNNER),
+                           timeout=support.TIMEOUT, **_CHILD_ENV)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+        for argv, (code, out_size, err, seconds, streamed) in zip(corpus, json.loads(done.stdout)):
+            line = shlex.join(argv)[:200]
+            assert code in (0, 1, 2) or (code == "cut" and streamed), (line, code, err)
+            if code == 2:
+                assert out_size == 0 and err.startswith("error: "), (line, out_size, err)
+                assert err.count("\n") == 1 and err.endswith("\n"), (line, err)
+            assert streamed or seconds < ANSWER_SECONDS, (line, seconds)
+
+
+def test_generated_argv_keep_the_exit_code_contract(tmp_path):
+    _check_generated(tmp_path, _generated_argvs(200, GENERATED_INTS), batch=200)
+
+
+@pytest.mark.slow
+def test_generated_argv_keep_the_exit_code_contract_further(tmp_path):
+    ints = GENERATED_INTS + GENERATED_SIZES
+    _check_generated(tmp_path, _generated_argvs(2000, ints), batch=100)
 
 
 HELP_REQUESTS = [

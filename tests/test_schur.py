@@ -564,13 +564,13 @@ def test_p_invariant_factor_count():
 def test_p_invariant_bound_is_inclusive(monkeypatch):
     # C(m, 2)*(2n - 1) = 15 at (3, 3), (2, 8) and (6, 1), and n = 15 at m = 1, where P is n!
     # alone; the memo is cleared, since a hit checks nothing
-    monkeypatch.setattr(schur_module, "P_FACTOR_BOUND", 15)
+    monkeypatch.setattr(schur_module, "WORK_BUDGET", 15 * schur_module.p_invariant_work(1, 1)[1])
     p_invariant.cache_clear()
     for m, n in ((3, 3), (2, 8), (6, 1)):
         assert sum(p_invariant(m, n).factors.values()) == 15
     assert p_invariant(1, 15) == FactoredRational(factorial(15), {})
     for m, n in ((3, 4), (2, 9), (7, 1), (1, 16)):
-        with pytest.raises(ValueError, match=f"^P at --m {m} --n {n} has .* above the bound of 15$"):
+        with pytest.raises(ValueError, match=f"^P at --m {m} --n {n} needs .* above the budget of 15$"):
             p_invariant(m, n)
     p_invariant.cache_clear()
 
@@ -721,25 +721,18 @@ def test_trace_identity_budget_counts_the_grid(monkeypatch, m, n):
     # a summand costs every grid point, or at m = 1 (one point) its n nodes
     work = max(points, n) * summands
     cost = f"{points} grid points" if m > 1 else f"{n} nodes"
-    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work - 1)
+    weight = schur_module.trace_identity_work(m, n)[1]
+    monkeypatch.setattr(schur_module, "WORK_BUDGET", weight * (work - 1))
     message = f"needs {cost} times {summands} summands, above the budget of {work - 1}$"
     with pytest.raises(ValueError, match=message):
         verify_trace_identity(m, n)
-    # below side^(m-1) the run is refused before the summands are counted,
-    # and below n^2 before the grid is sized
-    if points > n * n:
-        monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", points - 1)
-        message = (
-            rf"needs at least {side}\^{m - 1} grid points,"
-            rf" above the budget of {points - 1} grid points times summands$"
-        )
+    # below side^(m-1) the run is refused before the summands are counted
+    if m > 1:
+        monkeypatch.setattr(schur_module, "WORK_BUDGET", weight * (points - 1))
+        message = rf"needs at least {side}\^{m - 1} grid points, above the budget of {points - 1}$"
         with pytest.raises(ValueError, match=message):
             verify_trace_identity(m, n)
-    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", n * n - 1)
-    message = f"needs at least {n} nodes times {n} summands, above the budget of {n * n - 1}$"
-    with pytest.raises(ValueError, match=message):
-        verify_trace_identity(m, n)
-    monkeypatch.setattr(schur_module, "TRACE_WORK_BUDGET", work)
+    monkeypatch.setattr(schur_module, "WORK_BUDGET", weight * work)
     assert verify_trace_identity(m, n)
     assert spy.sizes == [points, points]
 
@@ -760,8 +753,8 @@ def test_trace_identity_refuses_a_large_m_before_building_elements(monkeypatch):
     "m, n, message",
     [
         (2, 24, "at --m 2 --n 24 needs 61 grid points times 94235 summands"),
-        (2, 5000, "at --n 5000 needs at least 5000 nodes times 5000 summands"),
-        (1, 60, "at --m 1 --n 60 needs 60 nodes times 966467 summands"),
+        (2, 5000, "at --m 2 --n 5000 needs 38377 grid points times at least 5001 summands"),
+        (1, 60, "at --m 1 --n 60 needs 60 nodes times at least 89134 summands"),
     ],
 )
 def test_trace_identity_refusals_build_nothing(monkeypatch, m, n, message):
