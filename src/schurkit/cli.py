@@ -9,9 +9,9 @@ JSON, like every other output, is written once when it is built, so a
 usage error writes nothing to stdout.  parse_args reads argv against
 one table of flags: FLAGS, COMMANDS, and SUITES for the flags of each
 verify suite, so no command imports argparse or gettext or builds a
-parser.  Beside them WORK states each command's work as a closed form of
-its flags, which run admits (schur.admit) before the command builds
-anything.
+parser.  A row of COMMANDS or SUITES is all that states a command: its
+handler, the admission that refuses its work (a closed form of its
+flags, schur.admit) before anything is built, its summary and its flags.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import isqrt, lgamma, log
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -80,9 +80,15 @@ class UsageError(ValueError):
     pass
 
 
+@cache
+def _component_text(lam: tuple) -> str:
+    return "(" + ",".join(map(str, lam)) + ")"
+
+
 def mp_text(mp: Multipartition) -> str:
-    comps = ["(" + ",".join(str(v) for v in lam) + ")" if lam else "(0)" for lam in mp]
-    return "(" + ";".join(comps) + ")"
+    # An empty component is written inline: a cache call on each of the 298 empty components
+    # of a (300, 2) row costs more than the text it saves.
+    return "(" + ";".join([_component_text(lam) if lam else "(0)" for lam in mp]) + ")"
 
 
 def mp_json(mp: Multipartition) -> list:
@@ -160,12 +166,9 @@ def _parse_single_multipartition(args) -> Multipartition:
 
 
 def _cmd_schur(args) -> int:
-    if args.multipartition is not None:
-        mps = [_parse_single_multipartition(args)]
-    elif args.m is not None and args.n is not None:
-        mps = enumerate_multipartitions(args.m, args.n)
-    else:
-        raise UsageError("schur needs either --multipartition or both --m and --n")
+    # the admission put the parsed --multipartition in place of its text, or left it None
+    single = args.multipartition is not None
+    mps = [args.multipartition] if single else enumerate_multipartitions(args.m, args.n)
 
     # Each row is rendered as its element is built and stdout is written once, so a row
     # refused mid-sweep (the symbol route's L, say) still leaves stdout empty.
@@ -175,7 +178,7 @@ def _cmd_schur(args) -> int:
         # json.dumps of {"multipartition": ..., "schur": element.to_json()} per row, byte for byte
         rows = (f'{{"multipartition": {json.dumps(mp_json(mp))}, "schur": {text}}}'
                 for mp, text in texts)
-        print(next(rows) if args.multipartition is not None else "[" + ", ".join(rows) + "]")
+        print(next(rows) if single else "[" + ", ".join(rows) + "]")
     elif args.format == "latex":
         print("\n".join(f"${mp_text(mp)}$ & ${text}$ \\\\" for mp, text in texts))
     else:
@@ -232,6 +235,108 @@ def _cmd_semisimple(args) -> int:
         report = cross_check_criterion(args.m, args.n, theta)
     print(format_output(report, args.format))
     return 0
+
+
+# ------------------------------------------------------------- admission
+#
+# A row of SUITES or COMMANDS carries the admission of its work: a closed form of its flags
+# alone, which schur.admit refuses past its share of the budget before anything is built.
+# The weights are the units of WORK_BUDGET that one counted item costs, each set from fresh
+# CPython 3.11 runs (2 vCPUs): the larger of its microseconds and its peak bytes over 16.
+# The elements of a sweep or a table each cost their components times their nodes: with
+# that many forms or fewer, an element is written once per pair.
+
+
+def _sized(name: str, args) -> str:
+    return f"{name} at --m {args.m} --n {args.n}"
+
+
+def _elements(args) -> tuple:
+    return ("elements", partial(multipartitions_within, args.m, args.n))
+
+
+def _factorial_digits(n: int):
+    return lambda: lgamma(n + 1) / log(10)
+
+
+def _admit_enumerate(args) -> None:
+    where = _sized("enumerate", args)
+    if args.format == "json":  # every row's text is held until the array is printed
+        admit(where, 1, _elements(args), ("components", args.m))
+    else:  # one row at a time: a row of 10,000,000 components peaked at 852 MB
+        admit(where, 6, ("components", args.m))
+    # the partitions of each size up to n, pooled before the first row: 5 us and 165 B each
+    admit(where, 10, ("pooled partitions", partial(partitions_within, args.n)))
+
+
+def _admit_schur(args) -> None:
+    """Read schur's input once: the parsed --multipartition replaces its text, or a sweep."""
+    if args.multipartition is not None:
+        mp = args.multipartition = _parse_single_multipartition(args)
+        m, n, length = len(mp), mp_size(mp), mp_length(mp)
+        where, elements = "schur --multipartition", ()
+        # the constant's hook products: that of lam |- k is k!/f^lam >= sqrt(k!)
+        digits = lambda: sum(lgamma(sum(lam) + 1) for lam in mp) / log(100)
+    elif args.m is not None and args.n is not None:
+        m, n, length = args.m, args.n, args.n
+        where, elements, digits = _sized("schur", args), (_elements(args),), None
+    else:
+        raise UsageError("schur needs either --multipartition or both --m and --n")
+    # the sweep (700, 1) as JSON: 490,000 units, 133 MB
+    admit(where, 16, *elements, ("components", m), ("nodes", max(n, 1)), digits=digits)
+    if args.formula == "symbol":  # a row's beta numbers are below n + L
+        length = max(length if args.L is None else args.L, 0)
+        admit(where, 1, *elements, ("rows", m), ("bit operations", max(n + length, 1) ** 2))
+
+
+def _admit_pinv(args) -> None:
+    admit(*p_invariant_work(args.m, args.n), digits=_factorial_digits(args.n))  # P's constant
+
+
+def _admit_semisimple(args) -> None:
+    at_level_1 = args.m == 1 and args.mod is None  # prints P(theta) = n!
+    digits = _factorial_digits(args.n) if at_level_1 else None
+    admit(*p_invariant_work(args.m, args.n), digits=digits)
+    if not args.no_vanishing:  # the zero-form table: (2, 22) at 2,156,440 units peaked at 174 MB
+        admit(_sized("semisimple", args), 10, _elements(args), ("components", args.m),
+              ("nodes", args.n))
+
+
+def _admit_sweep(args) -> None:
+    # three-formulas (2, 20) at 993,680 units: 4.5 s, 168 MB of pair tallies
+    admit(_sized(args.suite, args), 10, _elements(args), ("components", args.m),
+          ("nodes", max(args.n, 1)))
+
+
+def _admit_criterion(args) -> None:
+    where, weight, forms = p_invariant_work(args.m, args.n)
+    admit(where, weight, forms)
+    _admit_sweep(args)
+    # each trial, and at most three targeted cases, evaluates P: (2, 1) at 28 us a trial
+    trials = args.trials * (1 if args.mod is not None else 2) + 3
+    admit(_sized(args.suite, args), 30, ("specializations", trials), forms)
+
+
+def _pairs(size: int) -> tuple:
+    def count(cap: int) -> int | str:
+        parts = partitions_within(size, isqrt(cap))
+        return parts * parts if isinstance(parts, int) else f"{parts}^2"
+
+    return ("partition pairs", count)
+
+
+def _admit_pairs(weight: int):
+    return lambda args: admit(f"{args.suite} at --size {args.size}", weight, _pairs(args.size))
+
+
+def _admit_trace_identity(args) -> None:
+    admit(*trace_identity_work(args.m, args.n))
+
+
+def _admit_partitions(args) -> None:
+    # mu-identity and hook-beta at --size 30: 4.4 us and 81 B per partition and node
+    partitions = ("partitions", partial(partitions_within, args.size))
+    admit(f"{args.suite} at --size {args.size}", 6, partitions, ("nodes", args.size))
 
 
 # ------------------------------------------------------------ verify suites
@@ -375,23 +480,25 @@ def _suite_criterion(args):
         ]
 
 
-# name -> (driver, unit, required flags, optional flags with their defaults).  A driver
-# yields, for each case it checks, the list of that case's mismatch records ([] if none).
+# name -> (driver, admission, unit, required flags, optional flags with their defaults).  A
+# driver yields, for each case it checks, the list of that case's mismatch records ([] if none).
 SUITES = {
-    "three-formulas": (_suite_three_formulas, "multipartitions", ("m", "n"), {}),
-    "beta-shift": (_suite_beta_shift, "partition pairs", (), {"size": 5}),
-    "x-symmetry": (_suite_x_symmetry, "partition pairs", (), {"size": 5}),
-    "mu-identity": (_suite_mu_identity, "identities", (), {"size": 5}),
-    "hook-beta": (_suite_hook_beta, "identities", (), {"size": 5}),
-    "sm-action": (_suite_sm_action, "multipartitions", ("m", "n"), {}),
-    "integrality": (_suite_integrality, "multipartitions", ("m", "n"), {}),
-    "trace-identity": (_suite_trace_identity, "identities", ("m", "n"), {}),
-    "criterion": (_suite_criterion, "specializations", ("m", "n", "seed"), {"trials": 100, "mod": None}),
+    "three-formulas": (_suite_three_formulas, _admit_sweep, "multipartitions", ("m", "n"), {}),
+    # a pair took 112 us in beta-shift at --size 11 and 70 us in x-symmetry at --size 12
+    "beta-shift": (_suite_beta_shift, _admit_pairs(150), "partition pairs", (), {"size": 5}),
+    "x-symmetry": (_suite_x_symmetry, _admit_pairs(80), "partition pairs", (), {"size": 5}),
+    "mu-identity": (_suite_mu_identity, _admit_partitions, "identities", (), {"size": 5}),
+    "hook-beta": (_suite_hook_beta, _admit_partitions, "identities", (), {"size": 5}),
+    "sm-action": (_suite_sm_action, _admit_sweep, "multipartitions", ("m", "n"), {}),
+    "integrality": (_suite_integrality, _admit_sweep, "multipartitions", ("m", "n"), {}),
+    "trace-identity": (_suite_trace_identity, _admit_trace_identity, "identities", ("m", "n"), {}),
+    "criterion": (_suite_criterion, _admit_criterion, "specializations", ("m", "n", "seed"),
+                  {"trials": 100, "mod": None}),
 }
 
 
 def _cmd_verify(args) -> int:
-    driver, unit = SUITES[args.suite][:2]
+    driver, _, unit = SUITES[args.suite][:3]
     cases = list(driver(args))
     if not cases:
         raise UsageError(f"--suite {args.suite} checked no {unit}")
@@ -432,140 +539,20 @@ FLAGS = {
     "no-vanishing": (bool, "skip the zero-form index query for vanishing Schur elements"),
 }
 
-# command -> (handler, summary, required flags, optional flags with their defaults).
-# verify also takes the flags of the suite that --suite names, as SUITES lists them.
+# command -> (handler, admission, summary, required flags, optional flags with their
+# defaults).  verify also takes the flags of the suite that --suite names, and the suite's
+# row admits its work, as SUITES lists them.
 COMMANDS = {
-    "enumerate": (_cmd_enumerate, "list all m-multipartitions of n", ("m", "n"),
+    "enumerate": (_cmd_enumerate, _admit_enumerate, "list all m-multipartitions of n", ("m", "n"),
                   {"format": "text"}),
-    "schur": (
-        _cmd_schur,
-        "compute Schur elements",
-        (),
-        {"m": None, "n": None, "multipartition": None, "formula": "cancellation", "L": None,
-         "format": "text"},
-    ),
-    "pinv": (_cmd_pinv, "the semisimplicity-separation polynomial", ("m", "n"), {"format": "text"}),
-    "verify": (_cmd_verify, "run a named identity suite", ("suite",), {}),
-    "semisimple": (
-        _cmd_semisimple,
-        "decide semisimplicity of a specialization",
-        ("m", "n"),
-        {"set": (), "mod": None, "no-vanishing": False, "format": "json"},
-    ),
-}
-
-
-# ------------------------------------------------------------- admission
-#
-# Every command's work is a closed form of its flags, admitted by schur.admit before the
-# command builds anything.  The weights are the units of WORK_BUDGET that one counted item
-# costs, each set from fresh CPython 3.11 runs (2 vCPUs): the larger of its microseconds and
-# its peak bytes over 16.  The elements of a sweep or a table each cost their components
-# times their nodes: with that many forms or fewer, an element is written once per pair.
-
-
-def _sized(name: str, args) -> str:
-    return f"{name} at --m {args.m} --n {args.n}"
-
-
-def _elements(args) -> tuple:
-    return ("elements", partial(multipartitions_within, args.m, args.n))
-
-
-def _factorial_digits(n: int):
-    return lambda: lgamma(n + 1) / log(10)
-
-
-def _admit_enumerate(args) -> None:
-    where = _sized("enumerate", args)
-    if args.format == "json":  # every row's text is held until the array is printed
-        admit(where, 1, _elements(args), ("components", args.m))
-    else:  # one row at a time: a row of 10,000,000 components peaked at 852 MB
-        admit(where, 6, ("components", args.m))
-    # the partitions of each size up to n, pooled before the first row: 5 us and 165 B each
-    admit(where, 10, ("pooled partitions", partial(partitions_within, args.n)))
-
-
-def _admit_schur(args) -> None:
-    if args.multipartition is not None:
-        mp = _parse_single_multipartition(args)
-        m, n, length = len(mp), mp_size(mp), mp_length(mp)
-        where, elements = "schur --multipartition", ()
-        # the constant's hook products: that of lam |- k is k!/f^lam >= sqrt(k!)
-        digits = lambda: sum(lgamma(sum(lam) + 1) for lam in mp) / log(100)
-    elif args.m is not None and args.n is not None:
-        m, n, length = args.m, args.n, args.n
-        where, elements, digits = _sized("schur", args), (_elements(args),), None
-    else:
-        return  # refused by the handler
-    # the sweep (700, 1) as JSON: 490,000 units, 133 MB
-    admit(where, 16, *elements, ("components", m), ("nodes", max(n, 1)), digits=digits)
-    if args.formula == "symbol":  # a row's beta numbers are below n + L
-        length = max(length if args.L is None else args.L, 0)
-        admit(where, 1, *elements, ("rows", m), ("bit operations", max(n + length, 1) ** 2))
-
-
-def _admit_pinv(args) -> None:
-    admit(*p_invariant_work(args.m, args.n), digits=_factorial_digits(args.n))  # P's constant
-
-
-def _admit_semisimple(args) -> None:
-    at_level_1 = args.m == 1 and args.mod is None  # prints P(theta) = n!
-    digits = _factorial_digits(args.n) if at_level_1 else None
-    admit(*p_invariant_work(args.m, args.n), digits=digits)
-    if not args.no_vanishing:  # the zero-form table: (2, 22) at 2,156,440 units peaked at 174 MB
-        admit(_sized("semisimple", args), 10, _elements(args), ("components", args.m),
-              ("nodes", args.n))
-
-
-def _admit_sweep(args) -> None:
-    # three-formulas (2, 20) at 993,680 units: 4.5 s, 168 MB of pair tallies
-    admit(_sized(args.suite, args), 10, _elements(args), ("components", args.m),
-          ("nodes", max(args.n, 1)))
-
-
-def _admit_criterion(args) -> None:
-    where, weight, forms = p_invariant_work(args.m, args.n)
-    admit(where, weight, forms)
-    _admit_sweep(args)
-    # each trial, and at most three targeted cases, evaluates P: (2, 1) at 28 us a trial
-    trials = args.trials * (1 if args.mod is not None else 2) + 3
-    admit(_sized(args.suite, args), 30, ("specializations", trials), forms)
-
-
-def _pairs(size: int) -> tuple:
-    def count(cap: int) -> int | str:
-        parts = partitions_within(size, isqrt(cap))
-        return parts * parts if isinstance(parts, int) else f"{parts}^2"
-
-    return ("partition pairs", count)
-
-
-def _admit_pairs(weight: int):
-    return lambda args: admit(f"{args.suite} at --size {args.size}", weight, _pairs(args.size))
-
-
-def _admit_partitions(args) -> None:
-    # mu-identity and hook-beta at --size 30: 4.4 us and 81 B per partition and node
-    partitions = ("partitions", partial(partitions_within, args.size))
-    admit(f"{args.suite} at --size {args.size}", 6, partitions, ("nodes", args.size))
-
-
-# handler or suite driver -> the function that admits its work, read off its flags alone
-WORK = {
-    _cmd_enumerate: _admit_enumerate,
-    _cmd_schur: _admit_schur,
-    _cmd_pinv: _admit_pinv,
-    _cmd_semisimple: _admit_semisimple,
-    _suite_three_formulas: _admit_sweep,
-    _suite_sm_action: _admit_sweep,
-    _suite_integrality: _admit_sweep,
-    _suite_criterion: _admit_criterion,
-    _suite_trace_identity: lambda args: admit(*trace_identity_work(args.m, args.n)),
-    _suite_beta_shift: _admit_pairs(150),  # 112 us a pair at --size 11
-    _suite_x_symmetry: _admit_pairs(80),  # 70 us a pair at --size 12
-    _suite_mu_identity: _admit_partitions,
-    _suite_hook_beta: _admit_partitions,
+    "schur": (_cmd_schur, _admit_schur, "compute Schur elements", (),
+              {"m": None, "n": None, "multipartition": None, "formula": "cancellation", "L": None,
+               "format": "text"}),
+    "pinv": (_cmd_pinv, _admit_pinv, "the semisimplicity-separation polynomial", ("m", "n"),
+             {"format": "text"}),
+    "verify": (_cmd_verify, None, "run a named identity suite", ("suite",), {}),
+    "semisimple": (_cmd_semisimple, _admit_semisimple, "decide semisimplicity of a specialization",
+                   ("m", "n"), {"set": (), "mod": None, "no-vanishing": False, "format": "json"}),
 }
 
 
@@ -577,10 +564,10 @@ def _help(command: Optional[str]) -> str:
             "Exact Schur elements of degenerate cyclotomic Hecke algebras.",
             "commands:",
         ]
-        lines += [f"  {name:<11} {summary}" for name, (_, summary, _, _) in COMMANDS.items()]
+        lines += [f"  {name:<11} {summary}" for name, (_, _, summary, _, _) in COMMANDS.items()]
         lines.append("schurkit COMMAND --help lists the flags of COMMAND")
         return "\n".join(lines)
-    _, summary, required, optional = COMMANDS[command]
+    _, _, summary, required, optional = COMMANDS[command]
     lines = [f"usage: schurkit {command} [--flag value | --flag=value ...]", summary]
     for flag in (*required, *optional):
         convert, text = FLAGS.get((command, flag), FLAGS[flag])
@@ -593,7 +580,7 @@ def _help(command: Optional[str]) -> str:
         lines.append(f"  --{flag:<16} {text}")
     if command == "verify":
         lines.append("suites: the unit they count, then their flags ([--flag default] is optional)")
-        for name, (_, unit, needs, takes) in SUITES.items():
+        for name, (_, _, unit, needs, takes) in SUITES.items():
             flags = [f"--{flag}" for flag in needs]
             flags += [f"[--{flag} {default}]" if default else f"[--{flag}]" for flag, default in takes.items()]
             lines.append(f"  {name:<15} {unit}: {' '.join(flags)}")
@@ -613,7 +600,8 @@ def _takes_value_from(word: Optional[str]) -> bool:
 
 
 def parse_args(argv: Sequence[str]):
-    """Read argv against COMMANDS, SUITES and FLAGS: (handler, flags) or (_show_help, text).
+    """Read argv against COMMANDS, SUITES and FLAGS: (handler, admission, flags) of the row
+    that argv names, the suite's admission for verify, or (_show_help, None, text).
 
     The flags are attributes named after them, "-" read as "_".  -h or --help answers
     with the help of the command before it.  A value that cannot be converted, a missing
@@ -625,14 +613,14 @@ def parse_args(argv: Sequence[str]):
     words = iter(argv)
     for word in words:
         if word in ("-h", "--help"):
-            return _show_help, _help(command)
+            return _show_help, None, _help(command)
         if command is None and word[:1] != "-":
             if word not in COMMANDS:
                 raise UsageError(f"unknown command {word!r}, expected one of {', '.join(COMMANDS)}")
-            command, (_, _, required, optional) = word, COMMANDS[word]
+            command, (*_, required, optional) = word, COMMANDS[word]
             known = {*required, *optional}
             if command == "verify":  # any flag of any suite; --suite decides which it keeps
-                for _, _, needs, takes in SUITES.values():
+                for *_, needs, takes in SUITES.values():
                     known.update(needs, takes)
             continue
         flag, eq, value = word[2:].partition("=")
@@ -666,10 +654,10 @@ def parse_args(argv: Sequence[str]):
         given[flag] = value
     if command is None:
         raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}")
-    handler, _, required, optional = COMMANDS[command]
+    handler, admission, _, required, optional = COMMANDS[command]
     where = command
     if "suite" in given:
-        _, _, needs, optional = SUITES[given["suite"]]
+        _, admission, _, needs, optional = SUITES[given["suite"]]
         required, where = (*required, *needs), f"--suite {given['suite']}"
     missing = [flag for flag in required if flag not in given]
     if missing:
@@ -679,8 +667,8 @@ def parse_args(argv: Sequence[str]):
     foreign = [flag for flag in given if flag not in required and flag not in optional]
     if foreign:
         raise UsageError(f"{where} does not take --{foreign[0]}")
-    values = {**optional, **given}
-    return handler, SimpleNamespace(**{flag.replace("-", "_"): v for flag, v in values.items()})
+    values = {flag.replace("-", "_"): v for flag, v in {**optional, **given}.items()}
+    return handler, admission, SimpleNamespace(**values)
 
 
 # The advice that ends CPython's refusal to turn an int of more than
@@ -696,9 +684,8 @@ _DIGIT_LIMIT_SETTING = (
 def run(argv: Sequence[str]) -> int:
     """Parse argv, admit its work, execute; the exit code is 0 ok, 1 mismatch, 2 usage."""
     try:
-        handler, args = parse_args(argv)
-        admission = WORK.get(SUITES[args.suite][0] if handler is _cmd_verify else handler)
-        if admission is not None:
+        handler, admission, args = parse_args(argv)
+        if admission is not None:  # help builds nothing
             admission(args)
         return handler(args)
     except ValueError as exc:

@@ -62,7 +62,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, factorial, isqrt, lcm, prod
+from math import ceil, comb, factorial, isqrt, lcm, prod
 from operator import neg
 from typing import Callable, Iterable
 
@@ -306,6 +306,12 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
 # kind of work, the units one of its counted items costs, was set from measured runs.
 WORK_BUDGET = 30_000_000
 
+# A printed integer of D digits, multiplied up over n nodes, costs up to n * D / 19 products
+# of 64-bit words, and its text about as much again.  admit counts its digits in thousands of
+# words, one more factor beside the nodes.  Per node and thousand words, a schur constant
+# took 5 to 7 us and P's n! 1.5 us, well inside the 16 and 40 units of their weights.
+THOUSAND_WORDS = 19_000  # digits
+
 
 def admit(where: str, weight: int, *factors: tuple, digits: Callable[[], float] | None = None):
     """ValueError unless weight times the product of the counts in factors fits WORK_BUDGET.
@@ -314,10 +320,13 @@ def admit(where: str, weight: int, *factors: tuple, digits: Callable[[], float] 
     returns the count, or once the count passes the cap the text of a bound above it, shown
     as "at least" that text.  The product is refused as soon as it passes the budget, so a
     cheap count put first caps a costly one.  The message states the budget in the items
-    counted: WORK_BUDGET // weight.  digits, called once the work fits, bounds from below the
-    log10 of an integer that the run prints; more than one past sys.get_int_max_str_digits()
-    is refused as CPython refuses to print it.
+    counted: WORK_BUDGET // weight.  digits, called once the other counts fit, bounds from
+    below the log10 of an integer that the run builds and prints.  More than one past
+    sys.get_int_max_str_digits() is refused as CPython refuses to print it; below that, and
+    whatever the limit, the digits are work too: one more count, of thousands of words.
     """
+    if digits is not None:
+        factors += (("thousand words", partial(_printed_words, digits)),)
     allowed, work, terms = WORK_BUDGET // weight, 1, []
     for noun, count in factors:
         if callable(count):
@@ -327,10 +336,15 @@ def admit(where: str, weight: int, *factors: tuple, digits: Callable[[], float] 
         if least or (work := work * count) > allowed:
             terms = " times ".join(terms)
             raise ValueError(f"{where} needs {terms}, above the budget of {allowed}")
-    limit = sys.get_int_max_str_digits()
-    if digits is not None and limit and digits() > limit + 1:
+
+
+def _printed_words(digits: Callable[[], float], cap: int) -> int:
+    """The count of admit's digits, in thousands of 64-bit words, once they can be printed."""
+    count, limit = digits(), sys.get_int_max_str_digits()
+    if limit and count > limit + 1:
         raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion;"
                          " use sys.set_int_max_str_digits() to increase the limit")
+    return max(ceil(count / THOUSAND_WORDS), 1)
 
 
 def multipartitions_within(m: int, n: int, cap: int) -> int | str:

@@ -59,7 +59,7 @@ def test_verify_counterexample_exits_one(capsys, monkeypatch):
     def broken(args):
         yield [{"broken": True}]
 
-    monkeypatch.setitem(SUITES, "three-formulas", (broken, "things", (), {}))
+    monkeypatch.setitem(SUITES, "three-formulas", (broken, None, "things", (), {}))
     code, out, _ = invoke(capsys, "verify", "--suite", "three-formulas")
     assert code == 1
     lines = out.splitlines()
@@ -119,7 +119,7 @@ def test_verify_help_lists_every_suite_with_its_unit_and_flags(capsys):
     assert code == 0
     assert "  beta-shift      partition pairs: [--size 5]\n" in out
     assert "  criterion       specializations: --m --n --seed [--trials 100] [--mod]\n" in out
-    for name, (_, unit, _, _) in SUITES.items():
+    for name, (_, _, unit, _, _) in SUITES.items():
         assert f"  {name:<15} {unit}: " in out
 
 
@@ -159,6 +159,29 @@ def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digi
     assert invoke(capsys, "semisimple", *theta, "--n", "1559") == (2, "", refusal)
 
 
+def test_printed_digits_are_work_whatever_the_digit_limit():
+    """With no int-digit limit, a constant's digits are refused as work, and 2000! is printed."""
+    refusals = {
+        f"{_MP} [[1000000]]": "schur --multipartition needs 1 component times 1000000 nodes times"
+                              " 147 thousand words, above the budget of 1875000",
+        "pinv --m 1 --n 750000": "P at --m 1 --n 750000 needs 750000 forms times 215 thousand"
+                                 " words, above the budget of 750000",
+    }
+    for line, message in refusals.items():
+        done = support.run(*argv_of(line), timeout=1, PYTHONINTMAXSTRDIGITS="0")
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = {f"{_MP} [[2000]]": f"((2000)): {factorial(2000)}\n",
+                   "pinv --m 1 --n 1558": f"{factorial(1558)}\n"}
+    finally:
+        sys.set_int_max_str_digits(before)
+    for line, out in printed.items():
+        done = support.run(*argv_of(line), PYTHONINTMAXSTRDIGITS="0")
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
 def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     for found in (f"({limit})", f"({limit} digits)"):  # CPython 3.10, then 3.11 to 3.13
@@ -179,6 +202,16 @@ def test_a_long_symbol_finishes(capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, "((1);(0)): (q1-q2)\n", "")
 
 
+def test_the_multipartition_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    real = cli_module.multipartition
+    monkeypatch.setattr(cli_module, "multipartition", lambda data: calls.append(data) or real(data))
+    assert invoke(capsys, "schur", "--multipartition", "[[2,1],[1]]")[0] == 0
+    assert calls == [[[2, 1], [1]]]
+    assert invoke(capsys, "schur", "--m", "2", "--n", "2")[0] == 0
+    assert len(calls) == 1
+
+
 def test_schur_refusals_are_the_librarys():
     with pytest.raises(ValueError) as info:
         schur_element(((2,), ()), "product", 2)
@@ -190,7 +223,7 @@ def test_schur_refusals_are_the_librarys():
 
 
 def test_verify_fails_when_nothing_checked(capsys, monkeypatch):
-    monkeypatch.setitem(SUITES, "three-formulas", (lambda args: iter(()), "things", (), {}))
+    monkeypatch.setitem(SUITES, "three-formulas", (lambda args: iter(()), None, "things", (), {}))
     assert invoke(capsys, "verify", "--suite", "three-formulas") == (
         2, "", "error: --suite three-formulas checked no things\n"
     )
@@ -448,7 +481,7 @@ def oracle_parse(argv):
 
 def table_parse(argv):
     """(command, attributes) as the flag table reads argv, for an argv it accepts."""
-    handler, args = cli_module.parse_args(argv)
+    handler, _, args = cli_module.parse_args(argv)
     (command,) = [name for name, entry in cli_module.COMMANDS.items() if entry[0] is handler]
     args = vars(args)
     if "set" in args:
@@ -871,10 +904,9 @@ BUDGET_EDGES = {
 
 
 def admission_of(argv):
-    """The admission that run makes for argv, without the command it admits."""
-    handler, args = cli_module.parse_args(argv)
-    driver = SUITES[args.suite][0] if handler is cli_module._cmd_verify else handler
-    return functools.partial(cli_module.WORK[driver], args)
+    """The admission of the row that argv names, bound to its flags, without its command."""
+    _, admission, args = cli_module.parse_args(argv)
+    return functools.partial(admission, args)
 
 
 @pytest.mark.parametrize("work", BUDGET_EDGES)
@@ -943,7 +975,7 @@ with open(sys.argv[1]) as corpus:
 results = []
 for argv in argvs:
     try:
-        handler, args = cli.parse_args(argv)
+        handler, _, args = cli.parse_args(argv)
         streamed = handler is cli._cmd_enumerate and args.format == "text"
     except ValueError:
         streamed = False
@@ -979,11 +1011,11 @@ def _generated_argvs(count, ints):
     @st.composite
     def from_tables(draw):
         command = draw(st.sampled_from(list(cli_module.COMMANDS)))
-        _, _, required, optional = cli_module.COMMANDS[command]
+        *_, required, optional = cli_module.COMMANDS[command]
         words, flags = [command], [*required, *optional]
         if command == "verify":
             suite = draw(st.sampled_from(list(SUITES)))
-            _, _, needs, takes = SUITES[suite]
+            *_, needs, takes = SUITES[suite]
             words, flags = ["verify", "--suite", suite], [*needs, *takes]
         groups = []
         for flag in flags:
