@@ -12,6 +12,10 @@ verify suite, so no command imports argparse or gettext or builds a
 parser.  A row of COMMANDS or SUITES is all that states a command: its
 handler, the admission that refuses its work (a closed form of its
 flags, schur.admit) before anything is built, its summary and its flags.
+Every refusal of this module comes before the handler runs, as the
+admission also parses --multipartition and --set onto the flags: a
+handler or suite driver meets only the library's refusals (the symbol
+route's --L, a printed integer past the digit limit) and "checked no".
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from math import isqrt, lgamma, log
+from math import ceil, isqrt, lcm, lgamma, log, log10
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -47,9 +51,11 @@ from .partitions import (
     multipartition,
     partitions_of,
     permute_components,
+    validate_shape,
 )
 from .schur import (
     FORMULAS,
+    THOUSAND_WORDS,
     admit,
     multipartitions_within,
     p_invariant,
@@ -74,10 +80,6 @@ from .semisimple import (
     random_specialization,
     schur_elements_table,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 @cache
@@ -150,18 +152,18 @@ MAX_NESTING = 100
 def _parse_single_multipartition(args) -> Multipartition:
     brackets = re.sub(r"[^][{}]", "", re.sub(r'"(?:[^"\\]|\\.)*"?', "", args.multipartition))
     if max(itertools.accumulate(1 if c in "[{" else -1 for c in brackets), default=0) > MAX_NESTING:
-        raise UsageError(f"--multipartition: nested deeper than {MAX_NESTING} brackets")
+        raise ValueError(f"--multipartition: nested deeper than {MAX_NESTING} brackets")
     try:
         mp = multipartition(json.loads(args.multipartition))
     except json.JSONDecodeError:  # its wording and position differ between interpreters
-        raise UsageError("--multipartition: not valid JSON")
+        raise ValueError("--multipartition: not valid JSON")
     except ValueError as exc:  # the int-digit limit of json.loads, or multipartition's refusal
-        raise UsageError(f"--multipartition: {exc}")
+        raise ValueError(f"--multipartition: {exc}")
     if args.m is not None and args.m != len(mp):
         noun = "component" if len(mp) == 1 else "components"
-        raise UsageError(f"--m {args.m} contradicts a multipartition with {len(mp)} {noun}")
+        raise ValueError(f"--m {args.m} contradicts a multipartition with {len(mp)} {noun}")
     if args.n is not None and args.n != sum(sum(lam) for lam in mp):
-        raise UsageError("--n contradicts the multipartition size")
+        raise ValueError("--n contradicts the multipartition size")
     return mp
 
 
@@ -192,36 +194,8 @@ def _cmd_pinv(args) -> int:
     return 0
 
 
-def _parse_theta(args, m: int) -> Specialization:
-    values: dict[int, Fraction] = {}
-    for token in args.set:
-        key, _, raw = token.partition("=")
-        if not raw:
-            raise UsageError(f"--set expects name=value, got {token!r}")
-        try:
-            val = rational_from_text(raw)
-        except ValueError as exc:
-            raise UsageError(f"--set {token!r}: {exc}")
-        try:
-            s = qindex(key)
-        except ValueError:
-            raise UsageError(f"--set {token!r}: name must be q<i> with 1 <= i <= {m}")
-        if s > m:
-            raise UsageError(f"--set {token!r}: --m {m} has parameters q1..q{m}")
-        if s in values:
-            raise UsageError(f"--set {token!r}: {key} is already set")
-        values[s] = val
-    missing = next((s for s in range(1, m + 1) if s not in values), None)
-    if missing is not None:
-        raise UsageError(f"missing --set for q{missing}")
-    try:
-        return Specialization(values, prime=args.mod)
-    except (ValueError, ArithmeticError) as exc:
-        raise UsageError(str(exc))
-
-
 def _cmd_semisimple(args) -> int:
-    theta = _parse_theta(args, args.m)
+    theta = args.set  # the admission put the Specialization in place of the --set tokens
     if args.no_vanishing:
         p_value = fr_eval(p_invariant(args.m, args.n), theta)
         report = SemisimplicityReport(
@@ -241,6 +215,7 @@ def _cmd_semisimple(args) -> int:
 #
 # A row of SUITES or COMMANDS carries the admission of its work: a closed form of its flags
 # alone, which schur.admit refuses past its share of the budget before anything is built.
+# It also parses --multipartition and --set and checks --mod, so no handler refuses a flag.
 # The weights are the units of WORK_BUDGET that one counted item costs, each set from fresh
 # CPython 3.11 runs (2 vCPUs): the larger of its microseconds and its peak bytes over 16.
 # The elements of a sweep or a table each cost their components times their nodes: with
@@ -255,16 +230,13 @@ def _elements(args) -> tuple:
     return ("elements", partial(multipartitions_within, args.m, args.n))
 
 
-def _factorial_digits(n: int):
-    return lambda: lgamma(n + 1) / log(10)
-
-
 def _admit_enumerate(args) -> None:
     where = _sized("enumerate", args)
     if args.format == "json":  # every row's text is held until the array is printed
         admit(where, 1, _elements(args), ("components", args.m))
     else:  # one row at a time: a row of 10,000,000 components peaked at 852 MB
         admit(where, 6, ("components", args.m))
+        validate_shape(args.m, args.n)  # as counting the elements does for JSON
     # the partitions of each size up to n, pooled before the first row: 5 us and 165 B each
     admit(where, 10, ("pooled partitions", partial(partitions_within, args.n)))
 
@@ -281,7 +253,7 @@ def _admit_schur(args) -> None:
         m, n, length = args.m, args.n, args.n
         where, elements, digits = _sized("schur", args), (_elements(args),), None
     else:
-        raise UsageError("schur needs either --multipartition or both --m and --n")
+        raise ValueError("schur needs either --multipartition or both --m and --n")
     # the sweep (700, 1) as JSON: 490,000 units, 133 MB
     admit(where, 16, *elements, ("components", m), ("nodes", max(n, 1)), digits=digits)
     if args.formula == "symbol":  # a row's beta numbers are below n + L
@@ -290,16 +262,116 @@ def _admit_schur(args) -> None:
 
 
 def _admit_pinv(args) -> None:
-    admit(*p_invariant_work(args.m, args.n), digits=_factorial_digits(args.n))  # P's constant
+    """P's forms, then its constant n!, built and printed: 1.6 to 1.8 us per factor and
+    thousand words at n = 40,000 to 238,000.  semisimple prints n! as P(theta) at m = 1 over Q."""
+    where, weight, forms = p_invariant_work(args.m, args.n)
+    admit(where, weight, forms)
+    admit(where, 2, ("factors", args.n), digits=lambda: lgamma(args.n + 1) / log(10))
+
+
+def _parse_theta(args) -> Specialization:
+    values: dict[int, Fraction] = {}
+    for token in args.set:
+        key, _, raw = token.partition("=")
+        if not raw:
+            raise ValueError(f"--set expects name=value, got {token!r}")
+        try:
+            val = rational_from_text(raw)
+        except ValueError as exc:
+            raise ValueError(f"--set {token!r}: {exc}")
+        try:
+            s = qindex(key)
+        except ValueError:
+            raise ValueError(f"--set {token!r}: name must be q<i> with 1 <= i <= {args.m}")
+        if s > args.m:
+            raise ValueError(f"--set {token!r}: --m {args.m} has parameters q1..q{args.m}")
+        if s in values:
+            raise ValueError(f"--set {token!r}: {key} is already set")
+        values[s] = val
+    missing = next((s for s in range(1, args.m + 1) if s not in values), None)
+    if missing is not None:
+        raise ValueError(f"missing --set for q{missing}")
+    try:
+        return Specialization(values, prime=args.mod)
+    except ArithmeticError as exc:  # a denominator that vanishes mod p
+        raise ValueError(str(exc))
+
+
+def _log10(x: Fraction) -> float:
+    """log10 of x > 0 at any size: math.log10 reads an int past the float range."""
+    return log10(x.numerator) - log10(x.denominator)
+
+
+def _log10_span(x: Fraction, n: int) -> float:
+    """log10 of prod_{|d|<n} |d + x|, to float precision or below it, for x >= 0 not an
+    integer below n.  About k = round(x) and f = x - k in [-1/2, 1/2], the factors are
+    |f| at d = -k if k < n, and j + f and i - f for the j and i from 1 left in the span."""
+    k = round(x)
+    f = float(x - k)
+    if k < n:
+        ln = lgamma(k + n + f) - lgamma(1 + f) + lgamma(n - k - f) - lgamma(1 - f)
+        return ln / log(10) + _log10(abs(x - k))
+    if k < n << 20:  # the difference of the two lgammas then keeps nine digits
+        return (lgamma(k + n + f) - lgamma(k - n + 1 + f)) / log(10)
+    return (2 * n - 1) * _log10(x - n + 1)  # every factor is at least x - n + 1
+
+
+def _log10_span_above(x: Fraction, n: int) -> float:
+    """An upper bound on log10 of prod_{|d|<n} (|d| + x), x >= 0."""
+    if x >= n << 20:
+        return (2 * n - 1) * _log10(x + n)
+    y = float(x) + 1
+    return (log(y) + 2 * (lgamma(n + y) - lgamma(1 + y))) / log(10)
+
+
+def _thousand_words(digits: float) -> int:
+    return max(ceil(digits * (1 + 1e-6) / THOUSAND_WORDS), 1)
+
+
+def _admit_p_value(args, theta: Specialization) -> None:
+    """P(theta) over Q at m >= 2, sized from theta before fr_eval builds it.
+
+    P(theta) = n! prod_{s<t} prod_{|d|<n} (d + x), x = theta_s - theta_t, and its reduced
+    denominator is at least 1, so log10 |P(theta)|, rounded down, bounds the digits of its
+    printed numerator from below; when some x is an integer in (-n, n), P(theta) = 0.
+    fr_eval multiplies n! by each form's integer d D + D x, at most D (n - 1 + |x|) over the
+    common denominator D, then reduces that numerator over D to the power of the forms.
+    Both are work, as measured on fr_eval at n = 500 to 40,000 and D = 1 to 10^500: 1.2 to
+    2.2 us per 30-bit word of a form and thousand words of the numerator, and 3,700 to 8,500
+    us per thousand words of each side of the reduction, which a numerator of 0 skips.
+    """
+    n, values = args.n, theta.q_values.values()
+    where, (_, _, (_, forms)) = f"P(theta) at --m {args.m} --n {n}", p_invariant_work(args.m, n)
+    xs = [abs(a - b) for a, b in itertools.combinations(values, 2)]
+    factorial = lgamma(n + 1) / log(10)
+    vanishes = any(x.denominator == 1 and x < n for x in xs)
+    digits = 0
+    if not vanishes:
+        spans = [_log10_span(x, n) for x in xs]
+        digits = factorial + sum(spans) - 1e-6 * (factorial + sum(map(abs, spans))) - 1
+    admit(where, 1, digits=lambda: digits)  # the digit limit first: P(theta) is printed
+    d = lcm(*(v.denominator for v in values))
+    form_bits = int(d * (n - 1 + max(xs))).bit_length()
+    form_words = forms * max(-(-form_bits // sys.int_info.bits_per_digit), 1)
+    built = factorial + sum((2 * n - 1) * log10(d) + _log10_span_above(x, n) for x in xs)
+    numerator = ("numerator thousand words", _thousand_words(built))
+    admit(where, 2, ("form words", form_words), numerator)
+    if not vanishes:
+        denominator = ("denominator thousand words", _thousand_words(forms * log10(d)))
+        admit(where, 9000, numerator, denominator)
 
 
 def _admit_semisimple(args) -> None:
-    at_level_1 = args.m == 1 and args.mod is None  # prints P(theta) = n!
-    digits = _factorial_digits(args.n) if at_level_1 else None
-    admit(*p_invariant_work(args.m, args.n), digits=digits)
+    if args.m == 1 and args.mod is None:  # prints P(theta) = n!
+        _admit_pinv(args)
+    else:
+        admit(*p_invariant_work(args.m, args.n))
     if not args.no_vanishing:  # the zero-form table: (2, 22) at 2,156,440 units peaked at 174 MB
         admit(_sized("semisimple", args), 10, _elements(args), ("components", args.m),
               ("nodes", args.n))
+    theta = args.set = _parse_theta(args)  # read once: the Specialization replaces the tokens
+    if theta.prime is None and args.m > 1:
+        _admit_p_value(args, theta)
 
 
 def _admit_sweep(args) -> None:
@@ -315,6 +387,13 @@ def _admit_criterion(args) -> None:
     # each trial, and at most three targeted cases, evaluates P: (2, 1) at 28 us a trial
     trials = args.trials * (1 if args.mod is not None else 2) + 3
     admit(_sized(args.suite, args), 30, ("specializations", trials), forms)
+    if args.mod is not None:
+        Specialization({}, prime=args.mod)  # refuses a modulus that is not prime
+        if args.mod <= args.n:
+            raise ValueError(
+                f"--mod {args.mod} must exceed --n {args.n}: n! vanishes mod p, so every"
+                " specialization would be non-semisimple and only one side checked"
+            )
 
 
 def _pairs(size: int) -> tuple:
@@ -447,13 +526,6 @@ def _suite_trace_identity(args):
 
 
 def _suite_criterion(args):
-    if args.mod is not None:
-        Specialization({}, prime=args.mod)  # refuses a modulus that is not prime, before the table
-        if args.mod <= args.n:
-            raise UsageError(
-                f"--mod {args.mod} must exceed --n {args.n}: n! vanishes mod p, so every"
-                " specialization would be non-semisimple and only one side checked"
-            )
     index = ZeroFormIndex(schur_elements_table(args.m, args.n))
     rng = random.Random(args.seed)
     for prime in [args.mod] if args.mod is not None else [None, 101]:
@@ -501,7 +573,7 @@ def _cmd_verify(args) -> int:
     driver, _, unit = SUITES[args.suite][:3]
     cases = list(driver(args))
     if not cases:
-        raise UsageError(f"--suite {args.suite} checked no {unit}")
+        raise ValueError(f"--suite {args.suite} checked no {unit}")
     mismatches = [record for records in cases for record in records]
     for record in mismatches:
         print(json.dumps(record))
@@ -605,7 +677,7 @@ def parse_args(argv: Sequence[str]):
 
     The flags are attributes named after them, "-" read as "_".  -h or --help answers
     with the help of the command before it.  A value that cannot be converted, a missing
-    value and a flag given twice raise UsageError where they stand; an unknown word or
+    value and a flag given twice raise ValueError where they stand; an unknown word or
     flag, a missing flag, and a flag that the command or its suite does not take raise it
     once every word is read.
     """
@@ -616,7 +688,7 @@ def parse_args(argv: Sequence[str]):
             return _show_help, None, _help(command)
         if command is None and word[:1] != "-":
             if word not in COMMANDS:
-                raise UsageError(f"unknown command {word!r}, expected one of {', '.join(COMMANDS)}")
+                raise ValueError(f"unknown command {word!r}, expected one of {', '.join(COMMANDS)}")
             command, (*_, required, optional) = word, COMMANDS[word]
             known = {*required, *optional}
             if command == "verify":  # any flag of any suite; --suite decides which it keeps
@@ -630,30 +702,30 @@ def parse_args(argv: Sequence[str]):
         convert = FLAGS.get((command, flag), FLAGS[flag])[0]
         if convert is bool:
             if eq:
-                raise UsageError(f"--{flag} takes no value")
+                raise ValueError(f"--{flag} takes no value")
             given[flag] = True
             continue
         if not eq:
             value = next(words, None)
             if not _takes_value_from(value):
-                raise UsageError(f"--{flag} expects a value")
+                raise ValueError(f"--{flag} expects a value")
         if convert is list:
             given.setdefault(flag, []).append(value)
             continue
         if flag in given:
-            raise UsageError(f"--{flag} is given twice")
+            raise ValueError(f"--{flag} is given twice")
         if isinstance(convert, tuple):
             if value not in convert:
-                raise UsageError(f"--{flag} expects one of {', '.join(convert)}, got {value!r}")
+                raise ValueError(f"--{flag} expects one of {', '.join(convert)}, got {value!r}")
         elif convert is not str:
             try:
                 value = convert(value)
             except ValueError:
                 kind = "a positive integer" if convert is _positive_int else "an integer"
-                raise UsageError(f"--{flag} expects {kind}, got {value!r}") from None
+                raise ValueError(f"--{flag} expects {kind}, got {value!r}") from None
         given[flag] = value
     if command is None:
-        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}")
+        raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}")
     handler, admission, _, required, optional = COMMANDS[command]
     where = command
     if "suite" in given:
@@ -661,12 +733,12 @@ def parse_args(argv: Sequence[str]):
         required, where = (*required, *needs), f"--suite {given['suite']}"
     missing = [flag for flag in required if flag not in given]
     if missing:
-        raise UsageError(f"{where} requires --{missing[0]}")
+        raise ValueError(f"{where} requires --{missing[0]}")
     if stray is not None:
-        raise UsageError(f"{command} does not take {stray!r}")
+        raise ValueError(f"{command} does not take {stray!r}")
     foreign = [flag for flag in given if flag not in required and flag not in optional]
     if foreign:
-        raise UsageError(f"{where} does not take --{foreign[0]}")
+        raise ValueError(f"{where} does not take --{foreign[0]}")
     values = {flag.replace("-", "_"): v for flag, v in {**optional, **given}.items()}
     return handler, admission, SimpleNamespace(**values)
 

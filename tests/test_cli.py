@@ -7,7 +7,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
+import random
 import shlex
 import shutil
 import sys
@@ -15,6 +17,7 @@ import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,8 @@ from schurkit.cli import SUITES, format_output, mp_text, run
 from schurkit.exact import (
     FactoredRational,
     NotAPolynomialError,
+    Specialization,
+    fr_eval,
     fr_expand,
     fr_form,
 )
@@ -34,7 +39,7 @@ from schurkit.partitions import (
     multipartition,
     partitions_of,
 )
-from schurkit.schur import FORMULAS, schur_element, trace_identity_sides
+from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
 import support
 
@@ -159,13 +164,17 @@ def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digi
     assert invoke(capsys, "semisimple", *theta, "--n", "1559") == (2, "", refusal)
 
 
+# SHA-256 of 60000!, 260,635 digits, and a newline: printing it again here would take a second
+_FACTORIAL_60000 = "0fe706903c7c580f20aced3252f090afde5e1ce85b546d476f5b551f3a7a92fa"
+
+
 def test_printed_digits_are_work_whatever_the_digit_limit():
     """With no int-digit limit, a constant's digits are refused as work, and 2000! is printed."""
     refusals = {
         f"{_MP} [[1000000]]": "schur --multipartition needs 1 component times 1000000 nodes times"
                               " 147 thousand words, above the budget of 1875000",
-        "pinv --m 1 --n 750000": "P at --m 1 --n 750000 needs 750000 forms times 215 thousand"
-                                 " words, above the budget of 750000",
+        "pinv --m 1 --n 750000": "P at --m 1 --n 750000 needs 750000 factors times 215 thousand"
+                                 " words, above the budget of 15000000",
     }
     for line, message in refusals.items():
         done = support.run(*argv_of(line), timeout=1, PYTHONINTMAXSTRDIGITS="0")
@@ -180,6 +189,10 @@ def test_printed_digits_are_work_whatever_the_digit_limit():
     for line, out in printed.items():
         done = support.run(*argv_of(line), PYTHONINTMAXSTRDIGITS="0")
         assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+    # n! is charged at its own weight, 2 units per factor and thousand words, not at P's 40
+    done = support.run("pinv", "--m", "1", "--n", "60000", timeout=20, PYTHONINTMAXSTRDIGITS="0")
+    assert (done.returncode, len(done.stdout), done.stderr) == (0, 260_636, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _FACTORIAL_60000
 
 
 def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
@@ -359,6 +372,15 @@ def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak(command):
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
     peak_mb = int(done.stderr) / 1024
     assert peak_mb <= bound_mb, peak_mb
+
+
+@pytest.mark.slow
+def test_a_vanishing_p_value_at_n_100000_is_printed():
+    """P(theta) = 0 has no digits to refuse, and fr_eval's work at (2, 100000) is admitted."""
+    line = "semisimple --m 2 --n 100000 --set q1=0 --set q2=1 --no-vanishing"
+    done = support.run(*argv_of(line), timeout=60, PYTHONINTMAXSTRDIGITS=str(DIGITS))
+    printed = '{"p_value": "0", "semisimple": false, "field": "Q"}\n'
+    assert (done.returncode, done.stdout, done.stderr) == (0, printed, "")
 
 
 def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
@@ -655,6 +677,15 @@ REFUSALS = {
     "semisimple --m 1 --n 1 --set q1=1 --mod 3317044064679887385961981": "modulus"
         " 3317044064679887385961981 is too large: primality is decided only below"
         " 3317044064679887385961981",
+    # P(theta) over Q is sized from theta.  These values pass the digit limit, as their forms
+    # are close to 0, and are charged for fr_eval's products of forms of 477 words, then for
+    # reducing the numerator over D^forms, D = 10^3500
+    f"semisimple --m 2 --n 1000 --set q1=0 --set q2=1e-{DIGITS} --no-vanishing":
+        "P(theta) at --m 2 --n 1000 needs 953523 form words times 453 numerator thousand words,"
+        " above the budget of 15000000",
+    "semisimple --m 2 --n 200 --set q1=0 --set q2=1e-3500 --no-vanishing":
+        "P(theta) at --m 2 --n 200 needs 74 numerator thousand words times 74 denominator"
+        " thousand words, above the budget of 3333",
     # the criterion suite
     f"{_CRIT} --mod 561": "561 is not prime",
     f"{_CRIT} --mod 0": "0 is not prime",
@@ -705,6 +736,10 @@ IN_CHILD = {
         (1, f"P at --m 1 --n 1000000000 needs 1000000000 {_P}"),
     "semisimple --m 1000000000 --n 2 --set q2=0":
         (10, f"P at --m 1000000000 --n 2 needs 1499999998500000000 {_P}"),
+    # P(theta) over Q, sized from theta: fr_eval spent 30.6 s at n = 100000 before the digit
+    # limit refused the value, and ran past 60 s at n = 375000
+    "semisimple --m 2 --n 100000 --set q1=0 --set q2=1/2 --no-vanishing": (1, _UNPRINTABLE),
+    "semisimple --m 2 --n 375000 --set q1=0 --set q2=1/2 --no-vanishing": (1, _UNPRINTABLE),
     "semisimple --m 2 --n 2 --set q1=1e999999999 --set q2=0":
         (10, f"--set 'q1=1e999999999': decimal exponent above the {DIGITS}-digit limit"),
     f"semisimple --m 1 --n 1 --set q1=2.5E-{DIGITS + 1}":
@@ -861,6 +896,14 @@ def digit_limit():
     sys.set_int_max_str_digits(before)
 
 
+# The refusals that the library makes while a handler builds: the symbol route's --L, which
+# schur_element checks row by row.  Every other refusal comes before the handler runs.
+REFUSED_WHILE_BUILT = [
+    "schur --m 2 --n 1 --L 2", "schur --m 2 --n 2 --formula product --L 2",
+    "schur --m 2 --n 2 --formula symbol --L 1", "schur --m 2 --n 3 --formula symbol --L 1",
+]
+
+
 @pytest.mark.parametrize("line", REFUSALS, ids=row_id)
 def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, line):
     """Exit 2, nothing on stdout, the row on stderr, and nothing built before the refusal."""
@@ -872,6 +915,10 @@ def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, 
         return
     monkeypatch.setattr(cli_module, "schur_elements_table", lambda m, n: pytest.fail("built"))
     monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: pytest.fail("built"))
+    if line not in REFUSED_WHILE_BUILT:
+        for table in (cli_module.COMMANDS, SUITES):
+            for name, (_, *rest) in list(table.items()):
+                monkeypatch.setitem(table, name, (lambda args: pytest.fail("handled"), *rest))
     assert invoke(capsys, *argv_of(line)) == expected
 
 
@@ -900,6 +947,9 @@ BUDGET_EDGES = {
     "beta-shift": ("verify --suite beta-shift --size 13", "verify --suite beta-shift --size 14"),
     "x-symmetry": ("verify --suite x-symmetry --size 14", "verify --suite x-symmetry --size 15"),
     "mu-identity": ("verify --suite mu-identity --size 37", "verify --suite mu-identity --size 38"),
+    # fr_eval's work on P(theta) over Q; P(theta) = 0, so the digit limit refuses neither
+    "P(theta)": ("semisimple --m 2 --n 101351 --set q1=0 --set q2=1 --no-vanishing",
+                 "semisimple --m 2 --n 101352 --set q1=0 --set q2=1 --no-vanishing"),
 }
 
 
@@ -915,6 +965,41 @@ def test_each_budget_admits_its_edge_and_refuses_one_past_it(digit_limit, work):
     admission_of(argv_of(inside))()
     with pytest.raises(ValueError, match=", above the budget of "):
         admission_of(argv_of(outside))()
+
+
+def test_p_values_are_sized_between_their_bounds(monkeypatch):
+    """Each pair's span, prod_{|d|<n} |d + x|, is sized in closed form to a millionth of its
+    exact log10, and its products |d| + x from above.  The digits that semisimple's admission
+    then reads for P(theta) are 0 exactly when P(theta) = 0, else log10 |P(theta)| less at
+    most two, and never above the digits of the printed numerator."""
+    near = [Fraction(1, 10**30), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 10**30)]
+    for n in (1, 2, 3, 5, 8, 13, 21, 30):
+        for x in {k + f for k in (0, 1, n - 1, n, n + 1, 7 * n, 10**40) for f in near} - {0}:
+            if x < 0:
+                continue
+            exact = math.prod(abs(d + x) for d in range(1 - n, n))
+            log_exact = math.log10(exact.numerator) - math.log10(exact.denominator)
+            assert abs(cli_module._log10_span(x, n) - log_exact) < 1e-6 * (1 + abs(log_exact))
+            above = math.prod(abs(d) + x for d in range(1 - n, n))
+            assert math.log10(above.numerator) - math.log10(above.denominator) <= (
+                cli_module._log10_span_above(x, n) + 1e-9), (x, n)
+    charged = []
+    monkeypatch.setattr(cli_module, "admit", lambda where, weight, *factors, digits=None:
+                        charged.append(digits and digits()))
+    rng = random.Random(5)
+    values = [0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 1001), Fraction(1, 10**30),
+              Fraction(10**25 + 1, 7), 10**40]
+    for _ in range(100):
+        m, n = rng.choice((2, 2, 3)), rng.randint(1, 30)
+        theta = Specialization({s: rng.choice(values) + rng.randint(-40, 40) for s in range(1, m + 1)})
+        charged.clear()
+        cli_module._admit_p_value(SimpleNamespace(m=m, n=n), theta)
+        value = fr_eval(p_invariant(m, n), theta)
+        if value == 0:
+            assert charged[0] == 0, theta
+        else:
+            log_value = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+            assert log_value - 2 < charged[0] <= math.log10(abs(value.numerator)), theta
 
 
 def test_the_counts_that_admission_reads_match_brute_force():
