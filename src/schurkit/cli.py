@@ -232,8 +232,11 @@ def _elements(args) -> tuple:
 
 def _admit_enumerate(args) -> None:
     where = _sized("enumerate", args)
-    if args.format == "json":  # every row's text is held until the array is printed
-        admit(where, 1, _elements(args), ("components", args.m))
+    if args.format == "json":  # every row's text is held until the array is printed: at
+        # (300, 2) and (2, 30), 10 and 5 bytes for each element's components and nodes
+        admit(where, 1, _elements(args), ("components and nodes", args.m + args.n))
+        # and a row is built whole: one of 1,000,000 empty components peaked at 161 MB
+        admit(where, 10, ("components", args.m))
     else:  # one row at a time: a row of 10,000,000 components peaked at 852 MB
         admit(where, 6, ("components", args.m))
         validate_shape(args.m, args.n)  # as counting the elements does for JSON
@@ -333,7 +336,8 @@ def _admit_p_value(args, theta: Specialization) -> None:
 
     P(theta) = n! prod_{s<t} prod_{|d|<n} (d + x), x = theta_s - theta_t, and its reduced
     denominator is at least 1, so log10 |P(theta)|, rounded down, bounds the digits of its
-    printed numerator from below; when some x is an integer in (-n, n), P(theta) = 0.
+    printed numerator from below; when some x is an integer in (-n, n), P(theta) = 0.  At
+    m = 2 the digits of the reduced denominator are bounded from below too.
     fr_eval multiplies n! by each form's integer d D + D x, at most D (n - 1 + |x|) over the
     common denominator D, then reduces that numerator over D to the power of the forms.
     Both are work, as measured on fr_eval at n = 500 to 40,000 and D = 1 to 10^500: 1.2 to
@@ -359,6 +363,10 @@ def _admit_p_value(args, theta: Specialization) -> None:
     if not vanishes:
         denominator = ("denominator thousand words", _thousand_words(forms * log10(d)))
         admit(where, 9000, numerator, denominator)
+        if args.m == 2:  # x = a/b in lowest terms: each d + x is (db + a)/b, and db + a is
+            # prime to b, so P(theta) reduces to a denominator of b^(2n-1) / gcd(n!, b^(2n-1))
+            reduced = (2 * n - 1) * log10(xs[0].denominator) - factorial
+            admit(where, 1, digits=lambda: reduced - 1e-6 * (reduced + 2 * factorial) - 1)
 
 
 def _admit_semisimple(args) -> None:

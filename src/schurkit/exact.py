@@ -21,7 +21,7 @@ import re
 import sys
 from functools import cache
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Optional, Sequence, Union
 
 FieldElement = Union[Fraction, int]
@@ -344,7 +344,8 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
 
     Over Q the q_s share one denominator d, z_s = q_s * d, so a form is
     (c*d + z_s - z_t) / d: the factors multiply as ints, and one Fraction
-    is built at the end, with d to the power of the exponent sum.
+    is built at the end, with d to the power of the exponent sum.  Every
+    form is evaluated, and checked for a pole, before any is multiplied.
     """
     if theta.prime is not None:
         p, value = theta.prime, theta.value_of
@@ -358,19 +359,21 @@ def fr_eval(a: FactoredRational, theta: Specialization) -> FieldElement:
         return result
     d = lcm(*(v.denominator for v in theta.q_values.values()))
     z = {s: v.numerator * (d // v.denominator) for s, v in theta.q_values.items()}
-    num, den = a.constant.numerator, a.constant.denominator
-    degree = 0
+    above, below, degree = [], [], 0  # the powers of the numerator and of the denominator
     for (s, t, c), exp in a.factors.items():
         if s not in z or t not in z:
             theta.value_of(s if t in z else t)  # raises: the parameter is not assigned
         v = c * d + z[s] - z[t]
         if exp >= 0:
-            num *= v**exp
+            above.append(v**exp)
         elif v:
-            den *= v**-exp
+            below.append(v**-exp)
         else:
             raise PoleError("denominator factor evaluates to zero")
         degree += exp
+    if 0 in above:  # every pole is ruled out, so a form that is 0 ends it unmultiplied
+        return Fraction(0)
+    num, den = prod(above, start=a.constant.numerator), prod(below, start=a.constant.denominator)
     return Fraction(num, den * d**degree) if degree >= 0 else Fraction(num * d**-degree, den)
 
 

@@ -3,20 +3,23 @@
 Nothing here imports schurkit: each oracle derives by another route what
 the library computes, so a bug cannot hide in both.  Every child process
 a test starts goes through start or run, which give it the source tree
-on its path, a 1 GB address space and a deadline.
+on its path, or the installed package, a 1 GB address space and a deadline.
 """
 
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from functools import cache
 from math import prod
 from pathlib import Path
+from subprocess import TimeoutExpired
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 60  # seconds: the CPU time any child gets, and the longest wait on a slow one
+CLI = (sys.executable, "-m", "schurkit.cli")  # the command a child runs unless told another
 
 # ------------------------------------------------------------------ oracles
 
@@ -119,35 +122,37 @@ def _cap():
     resource.setrlimit(resource.RLIMIT_CPU, (TIMEOUT, TIMEOUT))
 
 
-def start(*args, python=sys.executable, **env):
-    """`python *args` started in the repository root, with stdout and stderr as pipes.
+def start(*argv, prefix=CLI, checkout=True, **env):
+    """`*prefix *argv`, the CLI by default, started with stdout and stderr as pipes.
 
-    The child's environment is this one plus env, with src first on
-    PYTHONPATH and stdout block-buffered, as a user's is, so a lost flush
-    loses output.  It gets a 1 GB address space and is killed after TIMEOUT
-    seconds of CPU time, so a loop in the library ends even while its test
-    blocks on it.
+    The child's environment is this one plus env, with stdout block-buffered,
+    as a user's is, so a lost flush loses output.  It runs in the repository
+    root with src first on PYTHONPATH, or with checkout False in the temporary
+    directory, where it meets the installed package.  It gets a 1 GB address
+    space and is killed after TIMEOUT seconds of CPU time, so a loop in the
+    library ends even while its test blocks on it.
     """
     env = {**os.environ, **env}
     env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if checkout:
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [str(python), *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=env, cwd=ROOT, preexec_fn=_cap,
+        [*prefix, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, cwd=ROOT if checkout else tempfile.gettempdir(), preexec_fn=_cap,
     )
 
 
-def run(*argv, head=("-m", "schurkit.cli"), python=sys.executable, timeout=10, **env):
-    """Run `python *head *argv`, the CLI by default, as start does, and wait for it.
+def run(*argv, prefix=CLI, timeout=10, checkout=True, **env):
+    """Run `*prefix *argv` as start does, and wait for it.
 
     stdout and stderr come back as str, decoded without newline translation.
     A child still running after timeout seconds is killed and raises
-    subprocess.TimeoutExpired, which fails the test.
+    TimeoutExpired, which fails a test.
     """
-    with start(*head, *argv, python=python, **env) as proc:
+    with start(*argv, prefix=prefix, checkout=checkout, **env) as proc:
         try:
             out, err = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
+        except TimeoutExpired:
             proc.kill()
             raise
     return subprocess.CompletedProcess(proc.args, proc.returncode, out.decode(), err.decode())

@@ -13,7 +13,6 @@ import random
 import shlex
 import shutil
 import sys
-import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -41,7 +40,9 @@ from schurkit.partitions import (
 )
 from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
 
+import contract
 import support
+from contract import DIGITS, IN_CHILD, REFUSALS, SCRIPT_ROWS, SETTING, TRACE, VALID
 
 REFERENCE = support.ROOT / "bench" / "reference.json"
 
@@ -50,14 +51,6 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_enumerate_large_m(capsys):
-    code, out, err = invoke(capsys, "enumerate", "--m", "2000", "--n", "1")
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    assert len(lines) == 2000
-    assert lines[0] == "((1);" + ";".join(["(0)"] * 1999) + ")"
 
 
 def test_verify_counterexample_exits_one(capsys, monkeypatch):
@@ -107,18 +100,6 @@ def test_semisimple_no_vanishing_evaluates_p_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_semisimple_large_prime_is_prompt(capsys):
-    started = time.perf_counter()
-    code, out, _ = invoke(
-        capsys, "semisimple", "--m", "2", "--n", "3", "--set", "q1=0", "--set", "q2=9",
-        "--mod", "1000000000000000003",
-    )
-    assert time.perf_counter() - started < 5
-    assert code == 0
-    report = json.loads(out)
-    assert report["field"] == "Fp:1000000000000000003" and report["semisimple"]
-
-
 def test_verify_help_lists_every_suite_with_its_unit_and_flags(capsys):
     code, out, _ = invoke(capsys, "verify", "--help")
     assert code == 0
@@ -138,15 +119,6 @@ def test_schur_rejects_non_array_component():
         assert REFUSALS[line] == f"--multipartition: {info.value}", raw
 
 
-def test_an_output_above_the_digit_limit_names_the_environment_variable():
-    line = "pinv --m 2 --n 1700"
-    assert "PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none" in REFUSALS[line]
-    done = support.run(*argv_of(line), PYTHONINTMAXSTRDIGITS="0")
-    assert (done.returncode, done.stderr) == (0, "")
-    constant = done.stdout.partition("*")[0]
-    assert constant.isdigit() and len(constant) > DIGITS
-
-
 def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digit_limit):
     """1558! has 4,300 digits and is printed; 1559! has 4,303 and is refused unbuilt.
 
@@ -164,37 +136,6 @@ def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digi
     assert invoke(capsys, "semisimple", *theta, "--n", "1559") == (2, "", refusal)
 
 
-# SHA-256 of 60000!, 260,635 digits, and a newline: printing it again here would take a second
-_FACTORIAL_60000 = "0fe706903c7c580f20aced3252f090afde5e1ce85b546d476f5b551f3a7a92fa"
-
-
-def test_printed_digits_are_work_whatever_the_digit_limit():
-    """With no int-digit limit, a constant's digits are refused as work, and 2000! is printed."""
-    refusals = {
-        f"{_MP} [[1000000]]": "schur --multipartition needs 1 component times 1000000 nodes times"
-                              " 147 thousand words, above the budget of 1875000",
-        "pinv --m 1 --n 750000": "P at --m 1 --n 750000 needs 750000 factors times 215 thousand"
-                                 " words, above the budget of 15000000",
-    }
-    for line, message in refusals.items():
-        done = support.run(*argv_of(line), timeout=1, PYTHONINTMAXSTRDIGITS="0")
-        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        printed = {f"{_MP} [[2000]]": f"((2000)): {factorial(2000)}\n",
-                   "pinv --m 1 --n 1558": f"{factorial(1558)}\n"}
-    finally:
-        sys.set_int_max_str_digits(before)
-    for line, out in printed.items():
-        done = support.run(*argv_of(line), PYTHONINTMAXSTRDIGITS="0")
-        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
-    # n! is charged at its own weight, 2 units per factor and thousand words, not at P's 40
-    done = support.run("pinv", "--m", "1", "--n", "60000", timeout=20, PYTHONINTMAXSTRDIGITS="0")
-    assert (done.returncode, len(done.stdout), done.stderr) == (0, 260_636, "")
-    assert hashlib.sha256(done.stdout.encode()).hexdigest() == _FACTORIAL_60000
-
-
 def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     for found in (f"({limit})", f"({limit} digits)"):  # CPython 3.10, then 3.11 to 3.13
@@ -205,14 +146,8 @@ def test_the_digit_limit_is_worded_as_on_python_3_11_everywhere(capsys, monkeypa
 
         monkeypatch.setattr(cli_module, "parse_args", refuse)
         expected = (f"error: Exceeds the limit ({limit} digits) for integer string conversion:"
-                    f" value has 5000 digits; {_SETTING}\n")
+                    f" value has 5000 digits; {SETTING}\n")
         assert invoke(capsys, "pinv") == (2, "", expected), found
-
-
-def test_a_long_symbol_finishes(capsys):
-    done = support.run("schur", "--multipartition", "[[1],[]]", "--formula", "symbol",
-                       "--L", "1000")
-    assert (done.returncode, done.stdout, done.stderr) == (0, "((1);(0)): (q1-q2)\n", "")
 
 
 def test_the_multipartition_is_parsed_once(capsys, monkeypatch):
@@ -281,23 +216,17 @@ def test_integrality_mismatch_records(capsys, monkeypatch):
     assert summary == "checked 3 multipartitions, 3 mismatches"
 
 
-def test_cli_module_runs_as_a_script():
-    done = support.run("verify", "--suite", "hook-beta", "--size", "2")
-    assert (done.returncode, done.stdout, done.stderr) == (
-        0, "checked 16 identities, 0 mismatches\n", "")
-
-
 @pytest.mark.parametrize(
     "command",
     [
-        # about 700 kB of output, written once: far more than a pipe buffers
+        # about 456 kB of output, written once: far more than a pipe buffers
         "schur --m 4 --n 6 --format json",
         # 16,790,136 rows, printed as they are enumerated, in a 1 GB address space
         "enumerate --m 3 --n 30",
     ],
 )
 def test_a_closed_pipe_exits_without_a_traceback(command):
-    with support.start("-m", "schurkit.cli", *command.split()) as proc:
+    with support.start(*command.split()) as proc:
         try:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
@@ -308,25 +237,15 @@ def test_a_closed_pipe_exits_without_a_traceback(command):
     assert proc.returncode == 1
 
 
-def test_the_script_writes_all_of_stdout_before_it_exits(capsys):
-    argv = ["schur", "--m", "4", "--n", "6", "--format", "json"]
-    assert run(argv) == 0
-    expected = capsys.readouterr().out
-    assert len(expected) > 400_000  # far more than a pipe buffers
-    done = support.run(*argv)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == expected
-
-
 def test_the_script_skips_teardown_but_not_a_traceback():
     code = (
         "import atexit, sys, schurkit.cli as cli; atexit.register(print, 'teardown');"
         " cli.main(sys.argv[1:])"
     )
-    done = support.run("enumerate", "--m", "1", "--n", "1", head=("-c", code))
+    done = support.run("enumerate", "--m", "1", "--n", "1", prefix=(sys.executable, "-c", code))
     assert (done.returncode, done.stdout, done.stderr) == (0, "((1))\n", "")
     code = "import schurkit.cli as cli; cli.run = lambda argv: 1 / 0; cli.main([])"
-    done = support.run(head=("-c", code))
+    done = support.run(prefix=(sys.executable, "-c", code))
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("Traceback") and done.stderr.endswith("ZeroDivisionError: division by zero\n")
 
@@ -367,26 +286,17 @@ PEAKS = {
 @pytest.mark.parametrize("command", PEAKS)
 def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak(command):
     digest, bound_mb = PEAKS[command]
-    done = support.run(*command.split(), head=("-S", "-c", _PEAK), timeout=60)
+    done = support.run(*command.split(), prefix=(sys.executable, "-S", "-c", _PEAK), timeout=60)
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
     peak_mb = int(done.stderr) / 1024
     assert peak_mb <= bound_mb, peak_mb
 
 
-@pytest.mark.slow
-def test_a_vanishing_p_value_at_n_100000_is_printed():
-    """P(theta) = 0 has no digits to refuse, and fr_eval's work at (2, 100000) is admitted."""
-    line = "semisimple --m 2 --n 100000 --set q1=0 --set q2=1 --no-vanishing"
-    done = support.run(*argv_of(line), timeout=60, PYTHONINTMAXSTRDIGITS=str(DIGITS))
-    printed = '{"p_value": "0", "semisimple": false, "field": "Q"}\n'
-    assert (done.returncode, done.stdout, done.stderr) == (0, printed, "")
-
-
 def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
     unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext'}"
     code = f"import sys, schurkit.cli; print(sorted({unwanted} & set(sys.modules)))"
-    done = support.run(head=("-S", "-c", code))
+    done = support.run(prefix=(sys.executable, "-S", "-c", code))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
@@ -543,338 +453,15 @@ def menu_commands(monkeypatch):
 
 # -------------------------------------------- every refusal and every valid argv, exactly
 
-DIGITS = 4300  # CPython's default int-digit limit: the rows assume it, and their children get it
-_COMMANDS = "one of enumerate, schur, pinv, verify, semisimple"
-_SETTING = "set the environment variable PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
-_UNPRINTABLE = f"Exceeds the limit ({DIGITS} digits) for integer string conversion; {_SETTING}"
-_MP = "schur --multipartition"
-_CRIT = "verify --suite criterion --m 2 --n 2 --seed 1"
-_TRACE = "verify --suite trace-identity"
-_GRID = "grid points, above the budget of 5000000"
-_P = "forms, above the budget of 750000"
-_MOD = ("must exceed --n 5: n! vanishes mod p, so every specialization would be non-semisimple"
-        " and only one side checked")
-
-# argv, as a shell splits the line -> the message of the one line "error: <message>" that it
-# writes to stderr.  Each exits 2 and writes nothing to stdout.  The rows of IN_CHILD join.
-REFUSALS = {
-    # the command and its flags
-    "": f"expected a command, {_COMMANDS}",
-    "bogus": f"unknown command 'bogus', expected {_COMMANDS}",
-    "bogus-command": f"unknown command 'bogus-command', expected {_COMMANDS}",
-    "--m 2 enumerate --m 2 --n 1": f"unknown command '2', expected {_COMMANDS}",
-    "enumerate --m 2 --n 1 --bogus 1": "enumerate does not take '--bogus'",
-    "enumerate --m 2 --n 1 -m 1": "enumerate does not take '-m'",
-    "enumerate --m 2 --n": "--n expects a value",
-    "enumerate --m 2 --n --format json": "--n expects a value",
-    "enumerate --m x --n 1": "--m expects an integer, got 'x'",
-    "enumerate --m= --n 1": "--m expects an integer, got ''",
-    "enumerate --m 2 --n 1 --format latex": "--format expects one of json, text, got 'latex'",
-    "enumerate --m 2 --n 1 --form json": "enumerate does not take '--form'",
-    "enumerate --m 2 --m 3 --n 1": "--m is given twice",
-    "pinv --m 2": "pinv requires --n",
-    "pinv --m 2 --n 1 --format yaml": "--format expects one of json, latex, text, got 'yaml'",
-    "pinv --m 2 --n 1 stray": "pinv does not take 'stray'",
-    "pinv --m 2 --n 1 -3": "pinv does not take '-3'",
-    "pinv --m 2 --n 1 --format json --format text": "--format is given twice",
-    "schur --formula plain --m 1 --n 1":
-        "--formula expects one of product, symbol, cancellation, got 'plain'",
-    "schur --mult [[1],[1]]": "schur does not take '--mult'",
-    "verify": "verify requires --suite",
-    "verify --suite nonsense":
-        "--suite expects one of three-formulas, beta-shift, x-symmetry, mu-identity, hook-beta,"
-        " sm-action, integrality, trace-identity, criterion, got 'nonsense'",
-    "verify --suite beta-shift --suite hook-beta": "--suite is given twice",
-    "verify --suite beta-shift --size -3": "--size expects a positive integer, got '-3'",
-    "verify --suite beta-shift --size x": "--size expects a positive integer, got 'x'",
-    "verify --suite beta-shift --si 3": "verify does not take '--si'",
-    "verify --suite mu-identity --size 0": "--size expects a positive integer, got '0'",
-    f"{_CRIT} --seed 2": "--seed is given twice",
-    f"{_CRIT} --trials -3": "--trials expects a positive integer, got '-3'",
-    f"{_CRIT} --trials -5": "--trials expects a positive integer, got '-5'",
-    f"{_CRIT} --trials 0": "--trials expects a positive integer, got '0'",
-    "semisimple --m 1 --n 1 --set": "--set expects a value",
-    "semisimple --m 1 --n 1 --set -q1=0": "--set expects a value",
-    "semisimple --m 1 --n 1 --set q1=0 --no-vanishing=1": "--no-vanishing takes no value",
-    "semisimple --m 1 --n 1 --set q1=0 --no-van": "semisimple does not take '--no-van'",
-    "semisimple --m 1 --n 1 --set q1=0 --mod --format text": "--mod expects a value",
-    # the flags of each verify suite
-    "verify --suite sm-action": "--suite sm-action requires --m",
-    "verify --suite criterion --m 2 --n 1": "--suite criterion requires --seed",
-    "verify --suite criterion --m 2 --n 2": "--suite criterion requires --seed",
-    "verify --suite three-formulas --m 2 --n 1 --size 3":
-        "--suite three-formulas does not take --size",
-    "verify --suite three-formulas --m 2 --n 1 --trials 2":
-        "--suite three-formulas does not take --trials",
-    "verify --suite beta-shift --m 2": "--suite beta-shift does not take --m",
-    "verify --suite beta-shift --m 3": "--suite beta-shift does not take --m",
-    "verify --suite x-symmetry --size 2 --seed 1": "--suite x-symmetry does not take --seed",
-    "verify --suite mu-identity --trials 4": "--suite mu-identity does not take --trials",
-    "verify --suite hook-beta --mod 7": "--suite hook-beta does not take --mod",
-    "verify --suite sm-action --m 2 --n 1 --size 2": "--suite sm-action does not take --size",
-    "verify --suite integrality --m 2 --n 1 --seed 5": "--suite integrality does not take --seed",
-    f"{_TRACE} --m 2 --n 1 --trials 3": "--suite trace-identity does not take --trials",
-    "verify --suite criterion --m 2 --n 1 --seed 5 --size 2":
-        "--suite criterion does not take --size",
-    # the bounds on m and n, refused by the library before a row is written
-    **dict.fromkeys(["enumerate --m 0 --n 1", "enumerate --m 0 --n 1 --format json",
-                     "schur --m 0 --n 1", "verify --suite three-formulas --m 0 --n 1",
-                     "verify --suite sm-action --m 0 --n 2"], "level m must be at least 1"),
-    **dict.fromkeys(["enumerate --m 2 --n -1", "schur --m 2 --n -1 --format json",
-                     "verify --suite integrality --m 2 --n -1"], "size n must be non-negative"),
-    **dict.fromkeys(["pinv --m 0 --n 1", "semisimple --m 0 --n 1",
-                     "semisimple --m 1 --n -1 --set q1=0",
-                     # P is admitted before the criterion suite builds its table
-                     "verify --suite criterion --m 2 --n 0 --seed 1"],
-                    "p_invariant needs m >= 1 and n >= 1"),
-    # schur
-    "schur": "schur needs either --multipartition or both --m and --n",
-    "schur --m 2": "schur needs either --multipartition or both --m and --n",
-    "schur --m 2 --n 1 --L 2": "length applies only to formula 'symbol', not 'cancellation'",
-    "schur --m 2 --n 2 --formula product --L 2":
-        "length applies only to formula 'symbol', not 'product'",
-    "schur --m 2 --n 2 --formula symbol --L 1": "L=1 too small for a partition of length 2",
-    "schur --m 2 --n 3 --formula symbol --L 1": "L=1 too small for a partition of length 2",
-    f"{_MP} [[1],[]] --formula symbol --L 3872": "schur --multipartition needs 2 rows times"
-        " 15000129 bit operations, above the budget of 30000000",
-    f"{_MP} [[1]] --m 2": "--m 2 contradicts a multipartition with 1 component",
-    f"{_MP} 'not json'": "--multipartition: not valid JSON",
-    f"{_MP} '[[1],]'": "--multipartition: not valid JSON",
-    f"{_MP} '[[1,],[]]'": "--multipartition: not valid JSON",
-    f"{_MP} '[[1]'": "--multipartition: not valid JSON",
-    f"{_MP} '[[1],[]]x'": "--multipartition: not valid JSON",
-    f"{_MP} '[[1],{{}}]'": "--multipartition: a partition must be an iterable of ints, got {}",
-    f"""{_MP} '[[1],"21"]'""":
-        "--multipartition: a partition must be an iterable of ints, got '21'",
-    f"""{_MP} '{{"0": [1]}}'""":
-        "--multipartition: a multipartition must be an iterable of partitions, got {'0': [1]}",
-    f"{_MP} '[[1.5]]'": "--multipartition: parts must be ints, got 1.5",
-    f"{_MP} '[[true]]'": "--multipartition: parts must be ints, got True",
-    f"{_MP} '[1]'": "--multipartition: a partition must be an iterable of ints, got 1",
-    f"{_MP} 5": "--multipartition: a multipartition must be an iterable of partitions, got 5",
-    f"{_MP} null": "--multipartition: a multipartition must be an iterable of partitions, got None",
-    f"{_MP} '[[1],[true]]'": "--multipartition: parts must be ints, got True",
-    # semisimple: --set and --mod
-    "semisimple --m 1 --n 1 --set q1": "--set expects name=value, got 'q1'",
-    "semisimple --m 1 --n 1 --set q1=x": "--set 'q1=x': not a rational value",
-    "semisimple --m 1 --n 1 --set zz=1": "--set 'zz=1': name must be q<i> with 1 <= i <= 1",
-    "semisimple --m 2 --n 2 --set q1=0 --set q2=3 --set q3=5":
-        "--set 'q3=5': --m 2 has parameters q1..q2",
-    "semisimple --m 2 --n 2 --set q1=0 --set q2=3 --set q0=5":
-        "--set 'q0=5': name must be q<i> with 1 <= i <= 2",
-    "semisimple --m 2 --n 2 --set q1=0 --set q2=3 --set x=3":  # there is no indeterminate x to set
-        "--set 'x=3': name must be q<i> with 1 <= i <= 2",
-    "semisimple --m 2 --n 2 --set q2=3 --set q1=0 --set q1=1": "--set 'q1=1': q1 is already set",
-    "semisimple --m 2 --n 2 --set q2=3 --set q1=0 --set q1=0": "--set 'q1=0': q1 is already set",
-    "semisimple --m 2 --n 1 --set q1=1": "missing --set for q2",
-    # Fraction reads "1_0" from Python 3.11 and "1 / 2" from 3.12 on; 3.10 reads neither
-    "semisimple --m 2 --n 2 --set q1=1_0 --set q2=0": "--set 'q1=1_0': not a rational value",
-    "semisimple --m 2 --n 2 --set 'q1=1 / 2' --set q2=0": "--set 'q1=1 / 2': not a rational value",
-    "semisimple --m 2 --n 2 --set 'q1=1/ 2' --set q2=0": "--set 'q1=1/ 2': not a rational value",
-    "semisimple --m 2 --n 2 --set q1=1e1_0 --set q2=0": "--set 'q1=1e1_0': not a rational value",
-    "semisimple --m 1 --n 1 --set q1=1 --mod 4": "4 is not prime",
-    "semisimple --m 1 --n 1 --set q1=1 --mod 561": "561 is not prime",  # a Carmichael number
-    "semisimple --m 1 --n 1 --set q1=1 --mod 3317044064679887385961981": "modulus"
-        " 3317044064679887385961981 is too large: primality is decided only below"
-        " 3317044064679887385961981",
-    # P(theta) over Q is sized from theta.  These values pass the digit limit, as their forms
-    # are close to 0, and are charged for fr_eval's products of forms of 477 words, then for
-    # reducing the numerator over D^forms, D = 10^3500
-    f"semisimple --m 2 --n 1000 --set q1=0 --set q2=1e-{DIGITS} --no-vanishing":
-        "P(theta) at --m 2 --n 1000 needs 953523 form words times 453 numerator thousand words,"
-        " above the budget of 15000000",
-    "semisimple --m 2 --n 200 --set q1=0 --set q2=1e-3500 --no-vanishing":
-        "P(theta) at --m 2 --n 200 needs 74 numerator thousand words times 74 denominator"
-        " thousand words, above the budget of 3333",
-    # the criterion suite
-    f"{_CRIT} --mod 561": "561 is not prime",
-    f"{_CRIT} --mod 0": "0 is not prime",
-    f"{_CRIT} --mod -5": "-5 is not prime",
-    "verify --suite criterion --m 2 --n 5 --seed 1 --mod 2 --trials 2": f"--mod 2 {_MOD}",
-    "verify --suite criterion --m 2 --n 5 --seed 1 --mod 3 --trials 2": f"--mod 3 {_MOD}",
-    "verify --suite criterion --m 2 --n 5 --seed 1 --mod 5 --trials 2": f"--mod 5 {_MOD}",
-    # the trace-identity suite.  n = 0 has the single empty multipartition with s = 1, so the
-    # sum is 1 for every m: not a counterexample, but no instance of the claim
-    f"{_TRACE} --m 2 --n 0": "--suite trace-identity needs --n >= 1, got 0",
-    f"{_TRACE} --m 2 --n -2": "--suite trace-identity needs --n >= 1, got -2",
-    f"{_TRACE} --m 0 --n 1": "--suite trace-identity needs --m >= 1, got 0",
-    f"{_TRACE} --m 0 --n 2": "--suite trace-identity needs --m >= 1, got 0",
-    f"{_TRACE} --m -3 --n 1": "--suite trace-identity needs --m >= 1, got -3",
-    f"{_TRACE} --m -3 --n 2": "--suite trace-identity needs --m >= 1, got -3",
-    f"{_TRACE} --m 3 --n 11": "trace-identity at --m 3 --n 11 needs 2304 grid points times 4599"
-        " summands, above the budget of 5000000",
-    f"{_TRACE} --m 3 --n 12": "trace-identity at --m 3 --n 12 needs 3481 grid points times 7868"
-        " summands, above the budget of 5000000",
-}
-
-# Two usage errors that show the script writes all of its stderr before it ends the process.
-_SCRIPT_ROWS = ("verify --suite beta-shift --size 0", "verify --suite hook-beta --size 0")
-
-# The rows that run in a capped child process instead: line -> (the seconds it may take, its
-# message).  Each guards an input that would run away without its refusal, or is a script row.
-IN_CHILD = {
-    **{line: (10, "--size expects a positive integer, got '0'") for line in _SCRIPT_ROWS},
-    f"{_MP} " + "[" * 100_000: (10, "--multipartition: nested deeper than 100 brackets"),
-    f"{_MP} " + "[" * 3000 + "]" * 3000: (10, "--multipartition: nested deeper than 100 brackets"),
-    f"{_MP} [[{'1' * 5000}]]": (10, f"--multipartition: Exceeds the limit ({DIGITS} digits) for"
-                                    f" integer string conversion: value has 5000 digits;"
-                                    f" {_SETTING}"),
-    "pinv --m 2 --n 1700": (10, _UNPRINTABLE),  # the constant 1700! has 4,700 digits
-    # sized before n! is built, which takes about 7 s at n = 750000: at m = 1 over Q, P(theta)
-    # is n!, and semisimple refuses it before it enumerates the p(n) partitions of its table
-    "pinv --m 1 --n 750000": (1, _UNPRINTABLE),
-    "semisimple --m 1 --n 1559 --set q1=0 --no-vanishing": (1, _UNPRINTABLE),
-    "semisimple --m 1 --n 1559 --set q1=0": (1, _UNPRINTABLE),
-    "semisimple --m 1 --n 750000 --set q1=0": (1, _UNPRINTABLE),
-    "pinv --m 1000 --n 2": (10, f"P at --m 1000 --n 2 needs 1498500 {_P}"),
-    "pinv --m 100000 --n 2": (10, f"P at --m 100000 --n 2 needs 14999850000 {_P}"),
-    "pinv --m 1000000000 --n 2": (10, f"P at --m 1000000000 --n 2 needs 1499999998500000000 {_P}"),
-    "semisimple --m 2 --n 1000000000 --set q1=0 --set q2=1 --no-vanishing":
-        (10, f"P at --m 2 --n 1000000000 needs 1999999999 {_P}"),
-    "pinv --m 1 --n 1000000000": (1, f"P at --m 1 --n 1000000000 needs 1000000000 {_P}"),
-    "semisimple --set q1=0 --m 1 --n 1000000000":
-        (1, f"P at --m 1 --n 1000000000 needs 1000000000 {_P}"),
-    "semisimple --m 1000000000 --n 2 --set q2=0":
-        (10, f"P at --m 1000000000 --n 2 needs 1499999998500000000 {_P}"),
-    # P(theta) over Q, sized from theta: fr_eval spent 30.6 s at n = 100000 before the digit
-    # limit refused the value, and ran past 60 s at n = 375000
-    "semisimple --m 2 --n 100000 --set q1=0 --set q2=1/2 --no-vanishing": (1, _UNPRINTABLE),
-    "semisimple --m 2 --n 375000 --set q1=0 --set q2=1/2 --no-vanishing": (1, _UNPRINTABLE),
-    "semisimple --m 2 --n 2 --set q1=1e999999999 --set q2=0":
-        (10, f"--set 'q1=1e999999999': decimal exponent above the {DIGITS}-digit limit"),
-    f"semisimple --m 1 --n 1 --set q1=2.5E-{DIGITS + 1}":
-        (10, f"--set 'q1=2.5E-{DIGITS + 1}': decimal exponent above the {DIGITS}-digit limit"),
-    f"{_TRACE} --m 6 --n 3": (5, f"trace-identity at --m 6 --n 3 needs at least 23^5 {_GRID}"),
-    f"{_TRACE} --m 9 --n 1": (5, f"trace-identity at --m 9 --n 1 needs at least 8^8 {_GRID}"),
-    f"{_TRACE} --m 1000 --n 1":
-        (5, f"trace-identity at --m 1000 --n 1 needs at least 999^999 {_GRID}"),
-    f"{_TRACE} --m 10000000 --n 1":
-        (5, f"trace-identity at --m 10000000 --n 1 needs at least 9999999^9999999 {_GRID}"),
-    # each ran past 30 s or out of a 1 GB address space before its work was admitted
-    "schur --m 40 --n 4": (1, "schur at --m 40 --n 4 needs 158670 elements times 40 components,"
-                              " above the budget of 1875000"),
-    "schur --m 100000000 --n 1":
-        (1, "schur at --m 100000000 --n 1 needs 100000000 elements, above the budget of 1875000"),
-    "enumerate --m 100000000 --n 1": (1, "enumerate at --m 100000000 --n 1 needs 100000000"
-                                         " components, above the budget of 5000000"),
-    "enumerate --m 3 --n 101 --format json": (1, "enumerate at --m 3 --n 101 needs at least"
-                                                 " 30167357 elements, above the budget of 30000000"),
-    f"{_MP} '[[9999999999]]'": (1, "schur --multipartition needs 1 component times 9999999999"
-                                   " nodes, above the budget of 1875000"),
-    # the hook product of (k) is k!, sized by lgamma before it is built
-    f"{_MP} '[[1000000]]'": (1, _UNPRINTABLE),
-    f"{_MP} '[[100000]]'": (1, _UNPRINTABLE),
-    "verify --suite sm-action --m 1000000 --n 1": (1, "sm-action at --m 1000000 --n 1 needs"
-        " 1000000 elements times 1000000 components, above the budget of 3000000"),
-    "verify --suite sm-action --m 9 --n 13":
-        (1, "sm-action at --m 9 --n 13 needs 12994290 elements, above the budget of 3000000"),
-    "verify --suite sm-action --m 2 --n 40":
-        (1, "sm-action at --m 2 --n 40 needs 9035539 elements, above the budget of 3000000"),
-    "verify --suite criterion --m 3 --n 20 --seed 1 --trials 1": (1, "criterion at --m 3 --n 20"
-        " needs 341649 elements times 3 components times 20 nodes, above the budget of 3000000"),
-    "verify --suite criterion --m 40 --n 5 --seed 1 --mod 7 --trials 2": (1, "criterion at --m 40"
-        " --n 5 needs 1614048 elements times 40 components, above the budget of 3000000"),
-    "verify --suite beta-shift --size 14": (1, "beta-shift at --size 14 needs at least 508^2"
-                                               " partition pairs, above the budget of 200000"),
-    "verify --suite x-symmetry --size 40": (1, "x-symmetry at --size 40 needs at least 684^2"
-                                               " partition pairs, above the budget of 375000"),
-    "semisimple --m 2 --n 30 --set q1=0 --set q2=100": (1, "semisimple at --m 2 --n 30 needs"
-        " 589128 elements times 2 components times 30 nodes, above the budget of 3000000"),
-    "semisimple --m 2 --n 40 --set q1=1 --set q2=3":
-        (1, "semisimple at --m 2 --n 40 needs 9035539 elements, above the budget of 3000000"),
-    # over F_p, P(theta) = n! mod p is cheap, but the zero-form table holds p(1559) elements
-    "semisimple --m 1 --n 1559 --set q1=0 --mod 1567": (1, "semisimple at --m 1 --n 1559 needs"
-                                                         " at least 3087735 elements, above the"
-                                                         " budget of 3000000"),
-}
-REFUSALS.update((line, message) for line, (_, message) in IN_CHILD.items())
 
 # Refusals of argv that argparse accepted: unique-prefix abbreviations and a single-valued
 # flag given twice (argparse kept the last value).
 NARROWED = [
-    "schur --mult [[1],[1]]", "enumerate --m 2 --n 1 --form json",
+    "schur --mult [[1],[1]]", "enumerate --m 2 --n 1 --form json", "enumerate --m 2 --m 3 --n 1",
     "semisimple --m 1 --n 1 --set q1=0 --no-van", "verify --suite beta-shift --si 3",
-    "enumerate --m 2 --m 3 --n 1", "pinv --m 2 --n 1 --format json --format text",
-    "verify --suite beta-shift --suite hook-beta", f"{_CRIT} --seed 2",
+    "pinv --m 2 --n 1 --format json --format text", "verify --suite beta-shift --suite hook-beta",
+    "verify --suite criterion --m 2 --n 2 --seed 1 --seed 2",
 ]
-
-_THETA = "semisimple --m 2 --n 2 --set q1=1 --set q2=0"
-_Q12 = '[{"c": %d, "pos": "q1", "neg": "q2"}, 1]'  # c + q1 - q2 as a JSON factor
-_SEMISIMPLE = ('{"p_value": "%s", "semisimple": true, "vanishing": [], "agreement": true,'
-               ' "field": "%s"}\n')
-
-# argv -> all that it writes to stdout, with exit code 0 and nothing on stderr.  Most refusals
-# have a neighbour here, the same argv without the refused flag or with an accepted value.
-VALID = {
-    # what each command prints in each of its formats
-    "enumerate --m 2 --n 1": "((1);(0))\n((0);(1))\n",
-    "enumerate --m 2 --n 1 --format json": "[[[1], []], [[], [1]]]\n",
-    "schur --m 2 --n 1 --formula cancellation --format json":
-        '[{"multipartition": [[1], []], "schur": {"num": "1", "den": "1", "factors": [%s]}},'
-        ' {"multipartition": [[], [1]], "schur": {"num": "-1", "den": "1", "factors": [%s]}}]\n'
-        % (_Q12 % 0, _Q12 % 0),
-    "schur --m 2 --n 1 --format latex":
-        "$((1);(0))$ & $(q_{1}-q_{2})$ \\\\\n$((0);(1))$ & $-(q_{1}-q_{2})$ \\\\\n",
-    "schur --m 2 --n 1 --formula symbol --L 3": "((1);(0)): (q1-q2)\n((0);(1)): -(q1-q2)\n",
-    # 2 rows times (1 + 3871)^2 bit operations, just inside the budget of 30000000
-    f"{_MP} [[1],[]] --formula symbol --L 3871": "((1);(0)): (q1-q2)\n",
-    f"{_MP} [[1],[1]] --format text": "((1);(1)): -(-1+q1-q2)(1+q1-q2)\n",
-    "pinv --m 2 --n 1": "(q1-q2)\n",
-    "pinv --m 2 --n 2 --format latex": "2*(-1+q_{1}-q_{2})(q_{1}-q_{2})(1+q_{1}-q_{2})\n",
-    "pinv --m 2 --n 2 --format json":
-        '{"num": "2", "den": "1", "factors": [%s, %s, %s]}\n' % (_Q12 % -1, _Q12 % 0, _Q12 % 1),
-    _THETA: '{"p_value": "0", "semisimple": false,'
-        ' "vanishing": [[[1, 1], []], [[1], [1]], [[], [2]]], "agreement": true, "field": "Q"}\n',
-    "semisimple --m 2 --n 1 --set q1=1/2 --set q2=0 --mod 7 --format text":
-        "field: Fp:7\nP(theta) = 4\nsemisimple: yes\nvanishing (0): none\nagreement: yes\n",
-    "semisimple --m 2 --n 1 --set q1=0 --set q2=0 --no-vanishing":
-        '{"p_value": "0", "semisimple": false, "field": "Q"}\n',
-    # the summary lines that the benchmark's expand workload gates on
-    f"{_TRACE} --m 2 --n 7": "checked 1 identities, 0 mismatches\n",
-    f"{_TRACE} --m 3 --n 4": "checked 1 identities, 0 mismatches\n",
-    "verify --suite integrality --m 4 --n 4": "checked 105 multipartitions, 0 mismatches\n",
-    "enumerate --m 3 --n 2 --format json":
-        "[[[2], [], []], [[1, 1], [], []], [[1], [1], []], [[1], [], [1]], [[], [2], []],"
-        " [[], [1, 1], []], [[], [1], [1]], [[], [], [2]], [[], [], [1, 1]]]\n",
-    "schur --m 2 --n 2 --formula symbol --L 4 --format text":
-        "((2);(0)): 2*(q1-q2)(1+q1-q2)\n((1,1);(0)): 2*(-1+q1-q2)(q1-q2)\n"
-        "((1);(1)): -(-1+q1-q2)(1+q1-q2)\n((0);(2)): 2*(-1+q1-q2)(q1-q2)\n"
-        "((0);(1,1)): 2*(q1-q2)(1+q1-q2)\n",
-    f"{_MP} [[1],[]] --m 2 --n 1": "((1);(0)): (q1-q2)\n",
-    "pinv --m 1 --n 5": "120\n",
-    "verify --suite three-formulas --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
-    "verify --suite beta-shift": "checked 361 partition pairs, 0 mismatches\n",
-    "verify --suite beta-shift --size 2": "checked 16 partition pairs, 0 mismatches\n",
-    "verify --suite x-symmetry --size 2": "checked 16 partition pairs, 0 mismatches\n",
-    "verify --suite mu-identity": "checked 42 identities, 0 mismatches\n",
-    "verify --suite hook-beta": "checked 76 identities, 0 mismatches\n",
-    "verify --suite sm-action --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
-    "verify --suite sm-action --m 9 --n 1": "checked 9 multipartitions, 0 mismatches\n",
-    "verify --suite integrality --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
-    f"{_TRACE} --m 2 --n 1": "checked 1 identities, 0 mismatches\n",
-    "verify --suite criterion --m 2 --n 1 --seed 5": "checked 201 specializations, 0 mismatches\n",
-    "verify --suite criterion --m 2 --n 2 --seed -4 --trials 3 --mod 7":
-        "checked 6 specializations, 0 mismatches\n",
-    "verify --suite criterion --m 2 --n 5 --seed 1 --mod 7 --trials 2":
-        "checked 5 specializations, 0 mismatches\n",
-    "semisimple --m 1 --n 1 --set q1=-1/2 --no-vanishing --format text":
-        "field: Q\nP(theta) = 1\nsemisimple: yes\n",
-    "semisimple --m 1 --n 1 --set q1=1 --mod 2": _SEMISIMPLE % ("1", "Fp:2"),
-    "semisimple --m 1 --n 1 --set q1=1 --mod 101": _SEMISIMPLE % ("1", "Fp:101"),
-    "semisimple --m 2 --n 2 --set q1=0 --set q2=5 --mod 11": _SEMISIMPLE % ("2", "Fp:11"),
-    "semisimple --m 2 --n 2 --set q1=0 --set q2=3": _SEMISIMPLE % ("-48", "Q"),
-    "semisimple --m 2 --n 2 --set q2=3 --set q1=1": _SEMISIMPLE % ("-12", "Q"),
-    "semisimple --m 2 --n 2 --set 'q1= 1/2 ' --set q2=0 --no-vanishing":
-        '{"p_value": "-3/4", "semisimple": true, "field": "Q"}\n',
-    # an exponent at the limit itself is read, as an int of that many digits is
-    f"semisimple --m 2 --n 2 --set q1=1e{DIGITS} --set q2=1e{DIGITS} --no-vanishing":
-        '{"p_value": "0", "semisimple": false, "field": "Q"}\n',
-    f"{_THETA} --format latex": "Q & 0 & no & ((1,1);(0)), ((1);(1)), ((0);(2)) & yes \\\\\n",
-    f"{_THETA} --format latex --no-vanishing": "Q & 0 & no & - & - \\\\\n",
-    f"{_THETA} --format text": "field: Q\nP(theta) = 0\nsemisimple: no\n"
-        "vanishing (3): ((1,1);(0)), ((1);(1)), ((0);(2))\nagreement: yes\n",
-    f"{_THETA} --format text --no-vanishing --mod 7": "field: Fp:7\nP(theta) = 0\nsemisimple: no\n",
-}
 
 
 @functools.cache
@@ -907,11 +494,8 @@ REFUSED_WHILE_BUILT = [
 @pytest.mark.parametrize("line", REFUSALS, ids=row_id)
 def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, line):
     """Exit 2, nothing on stdout, the row on stderr, and nothing built before the refusal."""
-    expected = (2, "", f"error: {REFUSALS[line]}\n")
     if line in IN_CHILD:
-        seconds = IN_CHILD[line][0]
-        done = support.run(*argv_of(line), timeout=seconds, PYTHONINTMAXSTRDIGITS=str(DIGITS))
-        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert contract.check(contract.refusal(line), support.CLI) == ""
         return
     monkeypatch.setattr(cli_module, "schur_elements_table", lambda m, n: pytest.fail("built"))
     monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: pytest.fail("built"))
@@ -919,7 +503,7 @@ def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, 
         for table in (cli_module.COMMANDS, SUITES):
             for name, (_, *rest) in list(table.items()):
                 monkeypatch.setitem(table, name, (lambda args: pytest.fail("handled"), *rest))
-    assert invoke(capsys, *argv_of(line)) == expected
+    assert invoke(capsys, *argv_of(line)) == (2, "", f"error: {REFUSALS[line]}\n")
 
 
 @pytest.mark.parametrize("line", VALID, ids=row_id)
@@ -927,15 +511,30 @@ def test_every_valid_argv_prints_exactly_its_row(capsys, digit_limit, line):
     assert invoke(capsys, *argv_of(line)) == (0, VALID[line], "")
 
 
+@pytest.mark.parametrize("row", contract.CHILD_ROWS, ids=lambda row: f"{row.line} ({row.digits})")
+def test_every_child_row_holds_in_its_own_process(row):
+    assert contract.check(row, support.CLI) == ""
+
+
+@pytest.mark.slow
+def test_every_row_holds_through_main_in_its_own_child():
+    """Each row through main(), which flushes stdout and skips teardown, in python -S."""
+    prefix = (sys.executable, "-S", "-m", "schurkit.cli")
+    failed = [report for row in contract.ROWS if (report := contract.check(row, prefix))]
+    assert not failed, "\n".join(failed)
+
+
 # work -> the argv just inside its budget and the argv just past it.  Most of these runs take
 # seconds or hundreds of MB, so only their admission runs here; VALID and REFUSALS hold the
 # symbol route's edge, whose run is cheap.
 BUDGET_EDGES = {
     "P": ("pinv --m 707 --n 2", "pinv --m 708 --n 2"),
-    "trace-identity": (f"{_TRACE} --m 2 --n 23", f"{_TRACE} --m 2 --n 24"),
+    "trace-identity": (f"{TRACE} --m 2 --n 23", f"{TRACE} --m 2 --n 24"),
     "schur": ("schur --m 1875000 --n 0", "schur --m 1875001 --n 0"),
-    "enumerate json": ("enumerate --m 30000000 --n 0 --format json",
-                       "enumerate --m 30000001 --n 0 --format json"),
+    "enumerate json": ("enumerate --m 2 --n 31 --format json",
+                       "enumerate --m 2 --n 32 --format json"),
+    "enumerate json row": ("enumerate --m 3000000 --n 0 --format json",
+                           "enumerate --m 3000001 --n 0 --format json"),
     "enumerate row": ("enumerate --m 5000000 --n 0", "enumerate --m 5000001 --n 0"),
     "pooled partitions": ("enumerate --m 1 --n 55", "enumerate --m 1 --n 56"),
     "sweeps": ("verify --suite sm-action --m 3000000 --n 0",
@@ -971,7 +570,8 @@ def test_p_values_are_sized_between_their_bounds(monkeypatch):
     """Each pair's span, prod_{|d|<n} |d + x|, is sized in closed form to a millionth of its
     exact log10, and its products |d| + x from above.  The digits that semisimple's admission
     then reads for P(theta) are 0 exactly when P(theta) = 0, else log10 |P(theta)| less at
-    most two, and never above the digits of the printed numerator."""
+    most two, and never above the digits of the printed numerator; at m = 2, those of its
+    reduced denominator are at most its log10, and at least that less the digits of n!."""
     near = [Fraction(1, 10**30), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 10**30)]
     for n in (1, 2, 3, 5, 8, 13, 21, 30):
         for x in {k + f for k in (0, 1, n - 1, n, n + 1, 7 * n, 10**40) for f in near} - {0}:
@@ -1000,6 +600,9 @@ def test_p_values_are_sized_between_their_bounds(monkeypatch):
         else:
             log_value = math.log10(abs(value.numerator)) - math.log10(value.denominator)
             assert log_value - 2 < charged[0] <= math.log10(abs(value.numerator)), theta
+            if m == 2:  # the reduced denominator's digits, from below, within those of n!
+                log_den = math.log10(value.denominator)
+                assert charged[-1] <= log_den <= charged[-1] + math.log10(factorial(n)) + 2, theta
 
 
 def test_the_counts_that_admission_reads_match_brute_force():
@@ -1028,11 +631,10 @@ def test_the_counts_that_admission_reads_match_brute_force():
 
 # ------------------------------------------------- generated argv: the exit-code contract
 
-# Value pools: small, negative, huge and malformed ints, JSON multipartitions and --set tokens.
-# The slow variant adds the sizes between small and huge, whose admitted runs take seconds.
+# Token pools for one-token changes of VALID rows, with the sizes that from_tables draws:
+# small, negative, huge and malformed ints, JSON multipartitions and --set tokens.
 GENERATED_INTS = ("0", "1", "2", "3", "7", "-1", "-7", "9999999999", "1" + "0" * 40, "x", "",
                   "1.5", "2e3", "0x10")
-GENERATED_SIZES = ("13", "40", "101")
 GENERATED_MPS = ("[[1],[]]", "[[2,1],[1]]", "[[]]", "[]", "[[1,2]]", "[[-1]]", "[[1.5]]", "null",
                  "[[1]", '{"0": [1]}', "[[9999999999]]", "[[100000]]", "[" * 200,
                  "[[" + "1" * 5000 + "]]")
@@ -1078,39 +680,39 @@ print(json.dumps(results))
 """
 
 
-def _generated_argvs(count, ints):
+def _generated_argvs(count, sizes):
     """count argv drawn by hypothesis: from the flag tables, and one-token changes of VALID rows."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    tokens = (*ints, *GENERATED_MPS, *GENERATED_SETS, *SUITES, "--bogus", "-h", "json",
-              *(f"--{flag}" for flag in cli_module.FLAGS if isinstance(flag, str)))
-
-    def values(command, flag):
-        convert = cli_module.FLAGS.get((command, flag), cli_module.FLAGS[flag])[0]
-        if isinstance(convert, tuple):
-            return st.sampled_from((*convert, "bogus"))
-        if convert is str:
-            return st.sampled_from(GENERATED_MPS)
-        return st.sampled_from(GENERATED_SETS if convert is list else ints)
+    tokens = (*GENERATED_INTS, *sizes, *GENERATED_MPS, *GENERATED_SETS, *SUITES, "--bogus", "-h",
+              "json", *(f"--{flag}" for flag in cli_module.FLAGS if isinstance(flag, str)))
 
     @st.composite
     def from_tables(draw):
+        """A command or suite with its required flags and most optional ones, each with a value
+        that it accepts: --set names each parameter of the drawn --m once, --multipartition
+        has the drawn --m and --n, and --L follows --formula symbol."""
         command = draw(st.sampled_from(list(cli_module.COMMANDS)))
         *_, required, optional = cli_module.COMMANDS[command]
-        words, flags = [command], [*required, *optional]
+        words = [command]
         if command == "verify":
             suite = draw(st.sampled_from(list(SUITES)))
-            *_, needs, takes = SUITES[suite]
-            words, flags = ["verify", "--suite", suite], [*needs, *takes]
-        groups = []
-        for flag in flags:
-            if draw(st.integers(0, 3)) == 0 and flag not in required:
-                continue
+            *_, required, optional = SUITES[suite]
+            words += ["--suite", suite]
+        given, groups = {}, []
+        for flag in [*required, *optional]:
             convert = cli_module.FLAGS.get((command, flag), cli_module.FLAGS[flag])[0]
-            repeats = draw(st.integers(0, 3)) if convert is list else 1
-            for _ in range(repeats):
-                groups.append([f"--{flag}"] if convert is bool else
-                              [f"--{flag}", draw(values(command, flag))])
+            m, n = int(given.get("m", 1)), int(given.get("n", 1))
+            if flag == "L" and given.get("formula") != "symbol":
+                continue
+            if convert is list:
+                groups += [[f"--{flag}", f"q{s}={draw(st.sampled_from(('0', '1/2', '-3')))}"]
+                           for s in range(1, m + 1)]
+            elif flag in required or draw(st.integers(0, 3)):
+                given[flag] = (draw(st.sampled_from(convert)) if isinstance(convert, tuple)
+                               else json.dumps([[n]] + [[]] * (m - 1)) if convert is str
+                               else draw(st.sampled_from(("7", "101") if flag == "mod" else sizes)))
+                groups.append([f"--{flag}"] if convert is bool else [f"--{flag}", given[flag]])
         groups = draw(st.permutations(groups))
         return words + [word for group in groups for word in group]
 
@@ -1143,7 +745,7 @@ def _check_generated(tmp_path, argvs, batch):
         corpus = argvs[start:start + batch]
         corpus_file = tmp_path / f"argv{start}.json"
         corpus_file.write_text(json.dumps(corpus))
-        done = support.run(corpus_file, head=("-S", "-c", _GENERATED_RUNNER),
+        done = support.run(corpus_file, prefix=(sys.executable, "-S", "-c", _GENERATED_RUNNER),
                            timeout=support.TIMEOUT, **_CHILD_ENV)
         assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
         for argv, (code, out_size, err, seconds, streamed) in zip(corpus, json.loads(done.stdout)):
@@ -1156,13 +758,13 @@ def _check_generated(tmp_path, argvs, batch):
 
 
 def test_generated_argv_keep_the_exit_code_contract(tmp_path):
-    _check_generated(tmp_path, _generated_argvs(200, GENERATED_INTS), batch=200)
+    _check_generated(tmp_path, _generated_argvs(200, ("1", "2", "3")), batch=200)
 
 
 @pytest.mark.slow
 def test_generated_argv_keep_the_exit_code_contract_further(tmp_path):
-    ints = GENERATED_INTS + GENERATED_SIZES
-    _check_generated(tmp_path, _generated_argvs(2000, ints), batch=100)
+    sizes = ("1", "2", "3", "13", "40", "101")  # and those whose admitted runs take seconds
+    _check_generated(tmp_path, _generated_argvs(2000, sizes), batch=100)
 
 
 HELP_REQUESTS = [
@@ -1209,34 +811,20 @@ _CHILD_ENV = {"PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1",
               "PYTHONINTMAXSTRDIGITS": str(DIGITS)}
 
 
-def _run_in_one_child(python, corpus_file, timeout=support.TIMEOUT):
+def _run_in_one_child(python, corpus_file):
     """[exit code, stdout, stderr] of each argv in corpus_file, all run in one python -S child."""
-    done = support.run(corpus_file, python=python, head=("-S", "-c", _CORPUS_RUNNER),
-                       timeout=timeout, **_CHILD_ENV)
+    done = support.run(corpus_file, prefix=(python, "-S", "-c", _CORPUS_RUNNER),
+                       timeout=support.TIMEOUT, **_CHILD_ENV)
     assert (done.returncode, done.stderr) == (0, ""), (python, done.stderr)
     return json.loads(done.stdout)
 
 
 def _run_everywhere_corpus(python, corpus_file):
     """_run_in_one_child's results, then those of README's doctests run under python -S."""
-    doctests = support.run("README.md", python=python, head=("-S", "-m", "doctest"),
+    doctests = support.run("README.md", prefix=(python, "-S", "-m", "doctest"),
                            timeout=support.TIMEOUT, **_CHILD_ENV)
     return (_run_in_one_child(python, corpus_file)
             + [[doctests.returncode, doctests.stdout, doctests.stderr]])
-
-
-# sm-action at m = 9 walks the m generators of S_m, not its m! permutations (over 60 s), and the
-# trace-identity grid is refused before it is built.  All of them answer within 5 s together.
-LARGE_M = ["verify --suite sm-action --m 9 --n 1", f"{_TRACE} --m 6 --n 3", f"{_TRACE} --m 9 --n 1",
-           f"{_TRACE} --m 1000 --n 1", f"{_TRACE} --m 10000000 --n 1"]
-
-
-def test_large_m_suites_answer_at_once(tmp_path):
-    corpus_file = tmp_path / "argv.json"
-    corpus_file.write_text(json.dumps([argv_of(line) for line in LARGE_M]))
-    expected = [[0, VALID[LARGE_M[0]], ""]]
-    expected += [[2, "", f"error: {REFUSALS[line]}\n"] for line in LARGE_M[1:]]
-    assert _run_in_one_child(sys.executable, corpus_file, timeout=5) == expected
 
 
 @pytest.fixture(scope="module")
@@ -1294,7 +882,7 @@ def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monk
                 assert table_parse(argv) == parsed, argv
             else:
                 assert verdict == "error", argv
-        if line not in IN_CHILD or line in _SCRIPT_ROWS:  # no runaway input in-process
+        if line not in IN_CHILD or line in SCRIPT_ROWS:  # no runaway input in-process
             code, out, err = invoke(capsys, *equals_spelling(argv_of(line)))
             assert (code, out) == (2, "") and err.startswith("error: "), line
             assert err.count("\n") == 1, (line, err)

@@ -455,9 +455,14 @@ def test_fr_eval_over_q_matches_a_fraction_oracle():
 
 
 def test_fr_eval_pole_and_unassigned_parameter_over_q():
-    # (1 + q1 - q2) vanishes at q1 = 1/2, q2 = 3/2; a zero numerator factor does not hide it
+    # at q1 = 1/2, q2 = 3/2, q3 = 1/2 both (1 + q1 - q2) and (-1 + q2 - q3) vanish: the one in
+    # the denominator is a pole, whichever comes first
     value = fr_form(1, 1, 2, exp=-1) * fr_form(-1, 2, 3)
     theta = Specialization({1: Fraction(1, 2), 2: Fraction(3, 2), 3: Fraction(1, 2)})
+    with pytest.raises(PoleError):
+        fr_eval(value, theta)
+    value = fr_form(1, 1, 2) * fr_form(-1, 2, 3, exp=-1)
+    assert list(value.factors) == [(1, 2, 1), (2, 3, -1)]
     with pytest.raises(PoleError):
         fr_eval(value, theta)
     with pytest.raises(ValueError, match="q3"):
