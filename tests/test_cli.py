@@ -42,7 +42,7 @@ from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_
 
 import contract
 import support
-from contract import DIGITS, IN_CHILD, REFUSALS, SCRIPT_ROWS, SETTING, TRACE, VALID
+from contract import DIGITS, REFUSALS, SCRIPT_ROWS, SETTING, TRACE, UNPRINTABLE, VALID
 
 REFERENCE = support.ROOT / "bench" / "reference.json"
 
@@ -131,7 +131,7 @@ def test_pinv_prints_n_factorial_up_to_the_digit_limit(capsys, monkeypatch, digi
     assert invoke(capsys, "semisimple", *theta, "--n", "1558", "--no-vanishing") == (0, printed, "")
     monkeypatch.setattr(cli_module, "p_invariant", lambda m, n: pytest.fail("built"))
     monkeypatch.setattr(cli_module, "cross_check_criterion", lambda *args: pytest.fail("built"))
-    refusal = f"error: {REFUSALS['pinv --m 2 --n 1700']}\n"
+    refusal = f"error: {UNPRINTABLE}\n"
     assert invoke(capsys, "pinv", "--m", "1", "--n", "1559") == (2, "", refusal)
     assert invoke(capsys, "semisimple", *theta, "--n", "1559") == (2, "", refusal)
 
@@ -494,9 +494,6 @@ REFUSED_WHILE_BUILT = [
 @pytest.mark.parametrize("line", REFUSALS, ids=row_id)
 def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, line):
     """Exit 2, nothing on stdout, the row on stderr, and nothing built before the refusal."""
-    if line in IN_CHILD:
-        assert contract.check(contract.refusal(line), support.CLI) == ""
-        return
     monkeypatch.setattr(cli_module, "schur_elements_table", lambda m, n: pytest.fail("built"))
     monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: pytest.fail("built"))
     if line not in REFUSED_WHILE_BUILT:
@@ -511,7 +508,8 @@ def test_every_valid_argv_prints_exactly_its_row(capsys, digit_limit, line):
     assert invoke(capsys, *argv_of(line)) == (0, VALID[line], "")
 
 
-@pytest.mark.parametrize("row", contract.CHILD_ROWS, ids=lambda row: f"{row.line} ({row.digits})")
+@pytest.mark.parametrize("row", contract.CHILD_ROWS,
+                         ids=lambda row: f"{row_id(row.line)} ({row.digits})")
 def test_every_child_row_holds_in_its_own_process(row):
     assert contract.check(row, support.CLI) == ""
 
@@ -832,7 +830,7 @@ def everywhere_reference(tmp_path_factory):
     """The corpus every supported Python must print alike, its file, and the running one's bytes."""
     with pytest.MonkeyPatch.context() as patch:
         menus = menu_commands(patch)
-    corpus = readme_commands() + menus + [list(argv_of(line)) for line in (*VALID, *REFUSALS)]
+    corpus = readme_commands() + menus + [list(argv_of(row.line)) for row in contract.ROWS]
     corpus_file = tmp_path_factory.mktemp("corpus") / "argv.json"
     corpus_file.write_text(json.dumps(corpus))
     return corpus, corpus_file, _run_everywhere_corpus(sys.executable, corpus_file)
@@ -865,14 +863,15 @@ def equals_spelling(argv):
 
 
 def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monkeypatch):
-    accepted = readme_commands() + menu_commands(monkeypatch) + [argv_of(line) for line in VALID]
+    accepted = readme_commands() + menu_commands(monkeypatch) + [
+        argv_of(row.line) for row in contract.ROWS if row.code == 0]
     assert len(readme_commands()) >= 8
     corpus = accepted + [equals_spelling(argv) for argv in accepted]
     for argv in corpus:
         verdict, parsed = oracle_parse(argv)
         assert verdict == "ok", argv
         assert table_parse(argv) == parsed, argv
-    for line in REFUSALS:
+    for line in [row.line for row in contract.ROWS if row.code == 2]:
         if line in NARROWED:
             assert oracle_parse(argv_of(line))[0] == "ok", line
             continue
@@ -882,7 +881,7 @@ def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monk
                 assert table_parse(argv) == parsed, argv
             else:
                 assert verdict == "error", argv
-        if line not in IN_CHILD or line in SCRIPT_ROWS:  # no runaway input in-process
+        if line in REFUSALS or line in SCRIPT_ROWS:  # no runaway input in-process
             code, out, err = invoke(capsys, *equals_spelling(argv_of(line)))
             assert (code, out) == (2, "") and err.startswith("error: "), line
             assert err.count("\n") == 1, (line, err)
