@@ -1,6 +1,10 @@
 """The CLI contract, stated once: each argv of schurkit with its exit code, stdout and stderr.
 
-tests/test_cli.py checks each row in-process or in a child, a slow test in its own
+The rows are every argv -> output fact that the repository pins: the usage contract, the
+acceptance grid (criteria 1-7 of tests/test_acceptance.py, each count from support's oracles),
+the stdout of the benchmark's build menu (the digests of bench/reference.json) and README's
+commands.  tests/test_cli.py and tests/test_acceptance.py check each row in-process, by
+check_in_process, or in a child, by check; a slow test runs each in its own
 `python -S -m schurkit.cli`, and CI through the installed script, outside the checkout:
 
     python tests/contract.py schurkit    # the command that each row's argv follows
@@ -9,7 +13,10 @@ It names the schurkit package that the command imports, fails if that is in the 
 an editable install's is, and prints each failing row with what it expected and what came back.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import re
 import shlex
 import sys
@@ -224,9 +231,6 @@ VALID = {
         "field: Fp:7\nP(theta) = 4\nsemisimple: yes\nvanishing (0): none\nagreement: yes\n",
     "semisimple --m 2 --n 1 --set q1=0 --set q2=0 --no-vanishing":
         '{"p_value": "0", "semisimple": false, "field": "Q"}\n',
-    # the summary lines that the benchmark's expand workload gates on
-    f"{TRACE} --m 2 --n 7": "checked 1 identities, 0 mismatches\n",
-    f"{TRACE} --m 3 --n 4": "checked 1 identities, 0 mismatches\n",
     "verify --suite integrality --m 4 --n 4": "checked 105 multipartitions, 0 mismatches\n",
     "enumerate --m 3 --n 2 --format json":
         "[[[2], [], []], [[1, 1], [], []], [[1], [1], []], [[1], [], [1]], [[], [2], []],"
@@ -237,17 +241,13 @@ VALID = {
         "((0);(1,1)): 2*(q1-q2)(1+q1-q2)\n",
     f"{_MP} [[1],[]] --m 2 --n 1": "((1);(0)): (q1-q2)\n",
     "pinv --m 1 --n 5": "120\n",
-    "verify --suite three-formulas --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
     "verify --suite beta-shift": "checked 361 partition pairs, 0 mismatches\n",
     "verify --suite beta-shift --size 2": "checked 16 partition pairs, 0 mismatches\n",
     "verify --suite x-symmetry --size 2": "checked 16 partition pairs, 0 mismatches\n",
     "verify --suite mu-identity": "checked 42 identities, 0 mismatches\n",
     "verify --suite hook-beta": "checked 76 identities, 0 mismatches\n",
-    "verify --suite sm-action --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
     # the m generators of S_m, not its m! permutations, which took over 60 s
     "verify --suite sm-action --m 9 --n 1": "checked 9 multipartitions, 0 mismatches\n",
-    "verify --suite integrality --m 2 --n 1": "checked 2 multipartitions, 0 mismatches\n",
-    f"{TRACE} --m 2 --n 1": "checked 1 identities, 0 mismatches\n",
     "verify --suite criterion --m 2 --n 1 --seed 5": "checked 201 specializations, 0 mismatches\n",
     "verify --suite criterion --m 2 --n 2 --seed -4 --trials 3 --mod 7":
         "checked 6 specializations, 0 mismatches\n",
@@ -270,6 +270,16 @@ VALID = {
     f"{_THETA} --format text": "field: Q\nP(theta) = 0\nsemisimple: no\n"
         "vanishing (3): ((1,1);(0)), ((1);(1)), ((0);(2))\nagreement: yes\n",
     f"{_THETA} --format text --no-vanishing --mod 7": "field: Fp:7\nP(theta) = 0\nsemisimple: no\n",
+    # README's commands that no other row states; a comment there is the first line printed
+    "enumerate --m 2 --n 2": "((2);(0))\n((1,1);(0))\n((1);(1))\n((0);(2))\n((0);(1,1))\n",
+    f"{_MP} '[[2,1],[1]]' --format latex":
+        "$((2,1);(1))$ & $-3*(-2+q_{1}-q_{2})(q_{1}-q_{2})^{2}(2+q_{1}-q_{2})$ \\\\\n",
+    "pinv --m 2 --n 2": "2*(-1+q1-q2)(q1-q2)(1+q1-q2)\n",
+    "verify --suite criterion --m 2 --n 2 --seed 7": "checked 203 specializations, 0 mismatches\n",
+    "semisimple --m 2 --n 2 --set q1=1/2 --set q2=0 --mod 101": _SEMISIMPLE % ("75", "Fp:101"),
+    # the schur and pinv outputs of the benchmark's build menu, by the digests it gates on
+    **{line: f"sha256:{digest}" for line, digest in
+       json.loads((support.ROOT / "bench" / "reference.json").read_text()).items()},
 }
 
 
@@ -288,6 +298,41 @@ class Row(NamedTuple):
 def _refused(line: str, seconds: float, message: str, digits: int = DIGITS) -> Row:
     """A refusal: exit 2, nothing on stdout, the one line "error: <message>" on stderr."""
     return Row(line, 2, "", f"error: {message}\n", seconds, digits)
+
+
+def _checked(flags: str, count: int, unit: str) -> Row:
+    """A verify suite: exit 0 and exactly the line "checked <count> <unit>, 0 mismatches"."""
+    return Row(f"verify --suite {flags}", 0, f"checked {count} {unit}, 0 mismatches\n", "")
+
+
+def _sweep(suite: str, shapes) -> list:  # every m-multipartition of n, at each (m, n)
+    return [_checked(f"{suite} --m {m} --n {n}", len(list(support.multipartitions(m, n))),
+                     "multipartitions") for m, n in shapes]
+
+
+_SHAPES = [(m, n) for m in (1, 2, 3) for n in range(6)] + [(1, 6), (2, 6)]
+_PAIRS = sum(len(support.partitions(k)) for k in range(6)) ** 2  # of partitions of size <= 5
+
+# The acceptance grid: criterion -> the rows that check one of the paper's results at its full
+# stated bound, each count by an oracle of support that shares no code with the library.
+ACCEPTANCE = {
+    1: _sweep("three-formulas", _SHAPES),
+    2: [_checked(f"{suite} --size 5", _PAIRS, "partition pairs")
+        for suite in ("beta-shift", "x-symmetry")],
+    3: [_checked("mu-identity --size 8",
+                 sum(mu[0] for k in range(1, 9) for mu in support.partitions(k)), "identities"),
+        _checked("hook-beta --size 8",
+                 4 * sum(len(support.partitions(k)) for k in range(9)), "identities")],
+    4: _sweep("integrality", _SHAPES + [(4, 3)]),
+    5: _sweep("sm-action", _SHAPES + [(4, 1), (4, 2), (4, 3)]),
+    6: [_checked(f"trace-identity --m {m} --n {n}", 1, "identities")
+        for m, n in [(m, n) for m in (1, 2, 3) for n in range(1, 6)] + [(4, 3), (2, 7), (3, 6)]],
+    # Q and F_101 without --mod, F_7 with it; then the targeted failure witnesses
+    7: [_checked(f"criterion --m {m} --n {n} --seed 20240817 --trials 100{mod}",
+                 100 * (2 - bool(mod)) + (n >= 2) + (m >= 2) + (m >= 2 and n >= 2),
+                 "specializations")
+        for m in (1, 2, 3) for n in (1, 2, 3, 4) for mod in ("", " --mod 7")],
+}
 
 
 # The rows that run only in a child, each in its own process: those that guard an input that
@@ -385,7 +430,7 @@ CHILD_ROWS = [
         "sha256:0fe706903c7c580f20aced3252f090afde5e1ce85b546d476f5b551f3a7a92fa", "", 20, 0),
     # 455,867 bytes, all written before the script ends
     Row("schur --m 4 --n 6 --format json", 0,
-        "sha256:f158e675df880f3308cf03788320a2f5bf3c4dfa0e63c7e54681299fa43d330d", ""),
+        VALID["schur --m 4 --n 6 --formula cancellation --format json"], ""),
     Row(f"{_MP} [[1],[]] --formula symbol --L 1000", 0, "((1);(0)): (q1-q2)\n", ""),
     Row("enumerate --m 2000 --n 1", 0,
         "sha256:2963603d7f91f106edaf092473e898b4d35938b2bc66015a918b6448a4e062c2", ""),
@@ -399,8 +444,22 @@ CHILD_ROWS = [
 ]
 
 
-ROWS = [*(Row(line, 0, out, "") for line, out in VALID.items()),
-        *(_refused(line, DEADLINE, message) for line, message in REFUSALS.items()), *CHILD_ROWS]
+# The rows that tier-1 checks in-process; CHILD_ROWS run in a child, and ROWS is all of them.
+VALID_ROWS = [Row(line, 0, out, "") for line, out in VALID.items()]
+REFUSED_ROWS = [_refused(line, DEADLINE, message) for line, message in REFUSALS.items()]
+ROWS = [*VALID_ROWS, *REFUSED_ROWS, *(row for rows in ACCEPTANCE.values() for row in rows),
+        *CHILD_ROWS]
+
+
+def _verdict(row: Row, command: str, got) -> str:
+    """"" if got, (exit code, stdout, stderr), is what the row states, else a report of both."""
+    if isinstance(got, tuple) and row.out.startswith("sha256:"):
+        got = (got[0], f"sha256:{hashlib.sha256(got[1].encode()).hexdigest()}", got[2])
+    expected = (row.code, row.out, row.err)
+    if got == expected:
+        return ""
+    return (f"{command[:300]} (int-digit limit {row.digits})\n"
+            f"  expected {repr(expected)[:600]}\n  got      {repr(got)[:600]}")
 
 
 def check(row: Row, prefix, checkout=True) -> str:
@@ -413,15 +472,29 @@ def check(row: Row, prefix, checkout=True) -> str:
     except support.TimeoutExpired:
         got = f"no answer within {row.seconds} s"
     else:
-        out = done.stdout
-        if row.out.startswith("sha256:"):
-            out = f"sha256:{hashlib.sha256(out.encode()).hexdigest()}"
-        got = (done.returncode, out, done.stderr)
-    expected = (row.code, row.out, row.err)
-    if got == expected:
-        return ""
-    return (f"{shlex.join([*map(str, prefix), *argv])[:300]} (int-digit limit {row.digits})\n"
-            f"  expected {repr(expected)[:600]}\n  got      {repr(got)[:600]}")
+        got = (done.returncode, done.stdout, done.stderr)
+    return _verdict(row, shlex.join([*map(str, prefix), *argv]), got)
+
+
+@contextlib.contextmanager
+def digit_limit(digits: int):
+    """Run the block under the int-digit limit digits, 0 for none, and restore the one before."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def check_in_process(row: Row, run) -> str:
+    """check's verdict on run(argv) in this process, under the row's int-digit limit; run is
+    schurkit.cli.run, which the caller passes, as nothing here imports schurkit.  The row's
+    deadline is not kept."""
+    out, err = io.StringIO(), io.StringIO()
+    with digit_limit(row.digits), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(shlex.split(row.line))
+    return _verdict(row, row.line, (code, out.getvalue(), err.getvalue()))
 
 
 def origin(prefix) -> str:

@@ -38,13 +38,11 @@ from schurkit.partitions import (
     multipartition,
     partitions_of,
 )
-from schurkit.schur import FORMULAS, p_invariant, schur_element, trace_identity_sides
+from schurkit.schur import p_invariant, schur_element, trace_identity_sides
 
 import contract
 import support
 from contract import DIGITS, REFUSALS, SCRIPT_ROWS, SETTING, TRACE, UNPRINTABLE, VALID
-
-REFERENCE = support.ROOT / "bench" / "reference.json"
 
 
 def invoke(capsys, *argv):
@@ -300,22 +298,6 @@ def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-BUILD_COMMANDS = [
-    f"schur --m 4 --n 6 --formula {formula} --format {fmt}"
-    for formula in FORMULAS
-    for fmt in ("json", "latex", "text")
-] + [f"pinv --m 5 --n 8 --format {fmt}" for fmt in ("json", "latex", "text")]
-
-
-@pytest.mark.parametrize("command", BUILD_COMMANDS)
-def test_build_workload_stdout_digests(capsys, command):
-    """The schur/pinv stdout that the benchmark's build workload gates on, byte for byte."""
-    digest = json.loads(REFERENCE.read_text())[command]
-    code, out, err = invoke(capsys, *command.split())
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 # ------------------------------------ parity with the argparse parser it replaced
 
 
@@ -421,24 +403,6 @@ def table_parse(argv):
     return command, args
 
 
-def readme_command_lines():
-    return [line for line in (support.ROOT / "README.md").read_text().splitlines()
-            if line.startswith("schurkit ")]
-
-
-def readme_commands():
-    return [shlex.split(line, comments=True)[1:] for line in readme_command_lines()]
-
-
-def test_readme_commands_run_and_their_comments_are_their_output(capsys):
-    for line, argv in zip(readme_command_lines(), readme_commands()):
-        code, out, err = invoke(capsys, *argv)
-        assert (code, err) == (0, ""), line
-        comment = line.partition(" # ")[2].strip()
-        if comment:
-            assert out.splitlines()[0] == comment, line
-
-
 def menu_commands(monkeypatch):
     """One round of every benchmark workload, as the seed 1 plan draws it."""
     spec = importlib.util.spec_from_file_location("schurkit_bench_workloads",
@@ -470,17 +434,16 @@ def argv_of(line):
     return tuple(shlex.split(line))
 
 
-def row_id(line):
+def row_id(row):
+    line = row.line
     return f"{line[:40]}... ({len(line)} characters)" if len(line) > 100 else line or "(no words)"
 
 
 @pytest.fixture
 def digit_limit():
     """Run the test in-process under the int-digit limit that the rows assume."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(DIGITS)
-    yield
-    sys.set_int_max_str_digits(before)
+    with contract.digit_limit(DIGITS):
+        yield
 
 
 # The refusals that the library makes while a handler builds: the symbol route's --L, which
@@ -491,25 +454,30 @@ REFUSED_WHILE_BUILT = [
 ]
 
 
-@pytest.mark.parametrize("line", REFUSALS, ids=row_id)
-def test_every_refusal_prints_exactly_its_row(capsys, monkeypatch, digit_limit, line):
+@pytest.mark.parametrize("row", contract.REFUSED_ROWS, ids=row_id)
+def test_every_refusal_prints_exactly_its_row(monkeypatch, row):
     """Exit 2, nothing on stdout, the row on stderr, and nothing built before the refusal."""
     monkeypatch.setattr(cli_module, "schur_elements_table", lambda m, n: pytest.fail("built"))
     monkeypatch.setattr(schur_module, "num_standard_tableaux", lambda mp: pytest.fail("built"))
-    if line not in REFUSED_WHILE_BUILT:
+    if row.line not in REFUSED_WHILE_BUILT:
         for table in (cli_module.COMMANDS, SUITES):
             for name, (_, *rest) in list(table.items()):
                 monkeypatch.setitem(table, name, (lambda args: pytest.fail("handled"), *rest))
-    assert invoke(capsys, *argv_of(line)) == (2, "", f"error: {REFUSALS[line]}\n")
+    assert contract.check_in_process(row, run) == ""
 
 
-@pytest.mark.parametrize("line", VALID, ids=row_id)
-def test_every_valid_argv_prints_exactly_its_row(capsys, digit_limit, line):
-    assert invoke(capsys, *argv_of(line)) == (0, VALID[line], "")
+@pytest.mark.parametrize("row", contract.VALID_ROWS, ids=row_id)
+def test_every_valid_argv_prints_exactly_its_row(row):
+    assert contract.check_in_process(row, run) == ""
 
 
-@pytest.mark.parametrize("row", contract.CHILD_ROWS,
-                         ids=lambda row: f"{row_id(row.line)} ({row.digits})")
+def test_no_argv_is_a_row_twice():
+    """So no row runs twice in tier-1: each is checked by the one test of its table."""
+    rows = [(argv_of(row.line), row.digits) for row in contract.ROWS]
+    assert len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("row", contract.CHILD_ROWS, ids=lambda row: f"{row_id(row)} ({row.digits})")
 def test_every_child_row_holds_in_its_own_process(row):
     assert contract.check(row, support.CLI) == ""
 
@@ -830,7 +798,7 @@ def everywhere_reference(tmp_path_factory):
     """The corpus every supported Python must print alike, its file, and the running one's bytes."""
     with pytest.MonkeyPatch.context() as patch:
         menus = menu_commands(patch)
-    corpus = readme_commands() + menus + [list(argv_of(row.line)) for row in contract.ROWS]
+    corpus = menus + [list(argv_of(row.line)) for row in contract.ROWS]
     corpus_file = tmp_path_factory.mktemp("corpus") / "argv.json"
     corpus_file.write_text(json.dumps(corpus))
     return corpus, corpus_file, _run_everywhere_corpus(sys.executable, corpus_file)
@@ -863,9 +831,8 @@ def equals_spelling(argv):
 
 
 def test_the_flag_table_reads_every_argv_as_the_argparse_parser_did(capsys, monkeypatch):
-    accepted = readme_commands() + menu_commands(monkeypatch) + [
+    accepted = menu_commands(monkeypatch) + [
         argv_of(row.line) for row in contract.ROWS if row.code == 0]
-    assert len(readme_commands()) >= 8
     corpus = accepted + [equals_spelling(argv) for argv in accepted]
     for argv in corpus:
         verdict, parsed = oracle_parse(argv)
