@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import json  # at module level: bench/tracing.py times rendering by replacing cli.json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
 from math import ceil, isqrt, lcm, lgamma, log, log10
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Optional, Sequence
 
 from .exact import (
     FactoredRational,
@@ -343,6 +342,7 @@ def _admit_p_value(args, theta: Specialization) -> None:
     Both are work, as measured on fr_eval at n = 500 to 40,000 and D = 1 to 10^500: 1.2 to
     2.2 us per 30-bit word of a form and thousand words of the numerator, and 3,700 to 8,500
     us per thousand words of each side of the reduction, which a numerator of 0 skips.
+    Printing it is work too, quadratic in the printed thousands of words.
     """
     n, values = args.n, theta.q_values.values()
     where, (_, _, (_, forms)) = f"P(theta) at --m {args.m} --n {n}", p_invariant_work(args.m, n)
@@ -363,10 +363,16 @@ def _admit_p_value(args, theta: Specialization) -> None:
     if not vanishes:
         denominator = ("denominator thousand words", _thousand_words(forms * log10(d)))
         admit(where, 9000, numerator, denominator)
+        reduced = 0
         if args.m == 2:  # x = a/b in lowest terms: each d + x is (db + a)/b, and db + a is
             # prime to b, so P(theta) reduces to a denominator of b^(2n-1) / gcd(n!, b^(2n-1))
             reduced = (2 * n - 1) * log10(xs[0].denominator) - factorial
-            admit(where, 1, digits=lambda: reduced - 1e-6 * (reduced + 2 * factorial) - 1)
+            reduced -= 1e-6 * (reduced + 2 * factorial) + 1
+            admit(where, 1, digits=lambda: reduced)
+        # str prints the numerator and the reduced denominator in time quadratic in their
+        # digits, whatever the digit limit: 6,450 to 6,660 us per thousand words squared
+        printed = ("printed thousand words", _thousand_words(max(digits, 0) + max(reduced, 0)))
+        admit(where, 7000, printed, printed)
 
 
 def _admit_semisimple(args) -> None:
@@ -534,6 +540,8 @@ def _suite_trace_identity(args):
 
 
 def _suite_criterion(args):
+    import random  # here, not at the top: no other command pays for its import
+
     index = ZeroFormIndex(schur_elements_table(args.m, args.n))
     rng = random.Random(args.seed)
     for prime in [args.mod] if args.mod is not None else [None, 101]:
@@ -636,7 +644,7 @@ COMMANDS = {
 }
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     """The help text of one command, or of schurkit when command is None."""
     if command is None:
         lines = [
@@ -673,7 +681,7 @@ def _show_help(text: str) -> int:
     return 0
 
 
-def _takes_value_from(word: Optional[str]) -> bool:
+def _takes_value_from(word: str | None) -> bool:
     # As argparse reads it: a word that starts with "-" is a flag, not a value, unless it
     # is a negative integer or holds a space.
     return word is not None and (word[:1] != "-" or word[1:].isdecimal() or " " in word)
@@ -775,7 +783,7 @@ def run(argv: Sequence[str]) -> int:
         return 2
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
+def main(argv: Sequence[str] | None = None) -> None:
     """The console entry: run argv, flush stdout and stderr, end the process at once.
 
     os._exit skips interpreter teardown, which would only free the modules

@@ -21,10 +21,10 @@ import re
 import sys
 from functools import cache
 from fractions import Fraction
+from collections.abc import Mapping, Sequence
 from math import lcm, prod
-from typing import Mapping, Optional, Sequence, Union
 
-FieldElement = Union[Fraction, int]
+FieldElement = Fraction | int
 
 
 class PoleError(ArithmeticError):
@@ -204,7 +204,7 @@ class ProductBuilder:
         self.constant = Fraction(1)
         self.factors: dict[LinearForm, int] = {}
 
-    def const(self, value: Union[int, Fraction], exp: int = 1) -> "ProductBuilder":
+    def const(self, value: int | Fraction, exp: int = 1) -> "ProductBuilder":
         self.constant *= Fraction(value) ** exp
         return self
 
@@ -313,15 +313,15 @@ class Specialization:
 
     def __init__(
         self,
-        q_values: Mapping[int, Union[int, Fraction, str]],
-        prime: Optional[int] = None,
+        q_values: Mapping[int, int | Fraction | str],
+        prime: int | None = None,
     ):
         if prime is not None and not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
         self.prime = prime
         self.q_values = {int(s): self.constant_value(v) for s, v in q_values.items()}
 
-    def constant_value(self, v: Union[int, Fraction, str]) -> FieldElement:
+    def constant_value(self, v: int | Fraction | str) -> FieldElement:
         """v as an element of the field: a Fraction over Q, a residue mod p over F_p."""
         frac = rational_from_text(v) if isinstance(v, str) else Fraction(v)
         if self.prime is None:

@@ -60,11 +60,11 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import cache, partial
 from math import ceil, comb, factorial, isqrt, lcm, prod
 from operator import neg
-from typing import Callable, Iterable
 
 from .exact import (
     FactoredRational,
@@ -302,8 +302,11 @@ def _schur_cancellation(mp: Multipartition) -> FactoredRational:
 
 # The work budget of every command, and of the library calls that size their own work.  A
 # unit is about a microsecond of CPython 3.11 on 2 vCPUs, or 16 bytes at peak, whichever a run
-# spends faster, so an admitted run takes up to about 30 s and 480 MB.  The weight of each
-# kind of work, the units one of its counted items costs, was set from measured runs.
+# spends faster, so an admitted run takes up to about 30 s and 480 MB.  The one exception is
+# the text listing of enumerate: it is charged for the one row that it holds at a time, so its
+# memory is bounded, but not for the listing, so its time is not; it runs until the listing
+# ends or its reader closes the pipe.  The weight of each kind of work, the units one of its
+# counted items costs, was set from measured runs.
 WORK_BUDGET = 30_000_000
 
 # A printed integer of D digits, multiplied up over n nodes, costs up to n * D / 19 products

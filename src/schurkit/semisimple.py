@@ -17,22 +17,23 @@ factor by factor, so agreement compares two independent computations.
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .exact import FactoredRational, FieldElement, Specialization, _factor_text, fr_eval
+from .exact import FactoredRational, Specialization, _factor_text, fr_eval
 from .partitions import Multipartition, enumerate_multipartitions, mp_size
 from .schur import p_invariant, schur_element
 
 
-class SemisimplicityReport(NamedTuple):
-    """Outcome of the criterion check for one specialization."""
+class SemisimplicityReport(
+    namedtuple("SemisimplicityReport", "p_value semisimple vanishing agreement field")
+):
+    """Outcome of the criterion check for one specialization: p_value, theta(P) in the field;
+    semisimple, whether it is nonzero; vanishing, the multipartitions whose elements vanish,
+    and agreement, whether that list is empty exactly when the algebra is semisimple (both
+    None when the index was not queried); field, "Q" or "Fp:<p>"."""
 
-    p_value: FieldElement
-    semisimple: bool
-    vanishing: Optional[list[Multipartition]]
-    agreement: Optional[bool]
-    field: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data: dict = {"p_value": str(self.p_value), "semisimple": self.semisimple}
@@ -78,7 +79,7 @@ class ZeroFormIndex:
                 s, t, c = form
                 self._forms.setdefault((s, t), {}).setdefault(c, []).append(i)
         # field (None for Q, else p) -> positions whose constant is zero there
-        self._zero_constants: dict[Optional[int], list[int]] = {}
+        self._zero_constants: dict[int | None, list[int]] = {}
 
     def _constant_hits(self, theta: Specialization) -> list[int]:
         hits = self._zero_constants.get(theta.prime)
@@ -108,7 +109,7 @@ def vanishing_schur_elements(
     m: int,
     n: int,
     theta: Specialization,
-    index: Optional[ZeroFormIndex] = None,
+    index: ZeroFormIndex | None = None,
 ) -> list[Multipartition]:
     """All multipartitions whose Schur element vanishes under theta.
 
@@ -134,7 +135,7 @@ def cross_check_criterion(
     m: int,
     n: int,
     theta: Specialization,
-    index: Optional[ZeroFormIndex] = None,
+    index: ZeroFormIndex | None = None,
 ) -> SemisimplicityReport:
     """Evaluate the criterion AND find the vanishing Schur elements, reporting agreement.
 
@@ -154,9 +155,9 @@ def cross_check_criterion(
 
 
 def random_specialization(
-    m: int, n: int, rng: random.Random, prime: Optional[int] = None
+    m: int, n: int, rng, prime: int | None = None
 ) -> Specialization:
-    """Draw one random specialization for criterion sweeps.
+    """Draw one random specialization for criterion sweeps from rng, a random.Random.
 
     Over the rationals the q values are integers in [-n, n], a box small
     enough that non-semisimple collisions are common; over F_p they are

@@ -420,6 +420,10 @@ CHILD_ROWS = [
              " nodes times 147 thousand words, above the budget of 1875000", 0),
     _refused("pinv --m 1 --n 750000", 1, "P at --m 1 --n 750000 needs 750000 factors times 215"
              " thousand words, above the budget of 15000000", 0),
+    # P(theta) printed: fr_eval took about 7 s and str about 28 s at the edge below, n = 617
+    _refused("semisimple --m 2 --n 700 --set q1=0 --set q2=1e1000 --no-vanishing", 1, "P(theta) at"
+             " --m 2 --n 700 needs 74 printed thousand words times 74 printed thousand words,"
+             " above the budget of 4285", 0),
     Row(f"{_MP} [[2000]]", 0,
         "sha256:fe3360d1dea2bb87415d22c8fb243e11ec3ccba855269367931a8a3439126a41", "", digits=0),
     Row("pinv --m 1 --n 1558", 0,
@@ -442,6 +446,72 @@ CHILD_ROWS = [
     Row("semisimple --m 2 --n 100000 --set q1=0 --set q2=1 --no-vanishing", 0,
         '{"p_value": "0", "semisimple": false, "field": "Q"}\n', "", 2),
 ]
+
+
+def _edge(line: str, out: str, digits: int = DIGITS) -> Row:
+    """An admitted run at the edge of its budget: exit 0 and its stdout, within 90 s."""
+    return Row(line, 0, out, "", 90, digits)
+
+
+_ONE = "checked 1 %s, 0 mismatches\n"
+
+# work -> the row just inside its budget, and the argv just past it.  tier-1 checks only their
+# admission; the slow job runs each inside row in its own child through check, where support
+# caps it at 60 s of CPU and 1 GB, twice what the budget promises, as 90 s is three times.
+# The symbol route's edge runs cheaply, so VALID and REFUSALS hold it.  Not in ROWS.
+BUDGET_EDGES = {
+    "P": (_edge("pinv --m 707 --n 2",
+                "sha256:d86224daa36c81c524a2dcb5ff9e1f5bc08a86522c11f658e55667025a27e12a"),
+          "pinv --m 708 --n 2"),
+    "trace-identity": (_edge(f"{TRACE} --m 2 --n 23", _ONE % "identities"), f"{TRACE} --m 2 --n 24"),
+    "schur": (_edge("schur --m 1875000 --n 0",
+                    "sha256:5d25d189122f80fac3d7e5ef16160c39ba037783916e706c63d00224d5249de4"),
+              "schur --m 1875001 --n 0"),
+    "enumerate json": (
+        _edge("enumerate --m 2 --n 31 --format json",
+              "sha256:39e105b333dd25e21ae1b55da3fd57d72a644401e8e1797ad97fe07e541a5964"),
+        "enumerate --m 2 --n 32 --format json"),
+    "enumerate json row": (
+        _edge("enumerate --m 3000000 --n 0 --format json",
+              "sha256:de0ae2416d035cb29d8e1f1e291657fef9ab698799cd362328314734ca955587"),
+        "enumerate --m 3000001 --n 0 --format json"),
+    "enumerate row": (
+        _edge("enumerate --m 5000000 --n 0",
+              "sha256:a46e1dcb1785bba65f35fad4707f696432c574ffc11a046d5b3e13763c365e8b"),
+        "enumerate --m 5000001 --n 0"),
+    "pooled partitions": (
+        _edge("enumerate --m 1 --n 55",
+              "sha256:8697870418f6d3046dd17f2d741da3d2f1ae6718d49c0e9686affeab8feceabf"),
+        "enumerate --m 1 --n 56"),
+    "sweeps": (_edge("verify --suite sm-action --m 3000000 --n 0", _ONE % "multipartitions"),
+               "verify --suite sm-action --m 3000001 --n 0"),
+    "criterion trials": (
+        _edge("verify --suite criterion --m 2 --n 1 --seed 1 --trials 499998",
+              "checked 999997 specializations, 0 mismatches\n"),
+        "verify --suite criterion --m 2 --n 1 --seed 1 --trials 499999"),
+    "semisimple table": (
+        _edge("semisimple --m 2 --n 22 --set q1=0 --set q2=1",
+              "sha256:b487611c4dbe67b545725b62759bde198343e75f59c101a53acb937dbb42bf99"),
+        "semisimple --m 2 --n 23 --set q1=0 --set q2=1"),
+    "beta-shift": (_edge("verify --suite beta-shift --size 13",
+                         "checked 139129 partition pairs, 0 mismatches\n"),
+                   "verify --suite beta-shift --size 14"),
+    "x-symmetry": (_edge("verify --suite x-symmetry --size 14",
+                         "checked 258064 partition pairs, 0 mismatches\n"),
+                   "verify --suite x-symmetry --size 15"),
+    "mu-identity": (_edge("verify --suite mu-identity --size 37",
+                          "checked 1243966 identities, 0 mismatches\n"),
+                    "verify --suite mu-identity --size 38"),
+    # fr_eval's work on P(theta) over Q; P(theta) = 0, so the digit limit refuses neither
+    "P(theta)": (_edge("semisimple --m 2 --n 101351 --set q1=0 --set q2=1 --no-vanishing",
+                       '{"p_value": "0", "semisimple": false, "field": "Q"}\n'),
+                 "semisimple --m 2 --n 101352 --set q1=0 --set q2=1 --no-vanishing"),
+    # str of P(theta) with no digit limit, its numerator's 1,234,000 digits
+    "P(theta) printed": (
+        _edge("semisimple --m 2 --n 617 --set q1=0 --set q2=1e1000 --no-vanishing",
+              "sha256:e9b6d085e1ec9f6065078af74d7f07ef416132e1d7eb3119e8ae9fe4467cf7ae", 0),
+        "semisimple --m 2 --n 618 --set q1=0 --set q2=1e1000 --no-vanishing"),
+}
 
 
 # The rows that tier-1 checks in-process; CHILD_ROWS run in a child, and ROWS is all of them.

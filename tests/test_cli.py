@@ -291,8 +291,8 @@ def test_a_sweep_at_level_700_holds_a_third_of_its_old_peak(command):
     assert peak_mb <= bound_mb, peak_mb
 
 
-def test_cli_import_skips_dataclasses_inspect_argparse_and_gettext():
-    unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext'}"
+def test_cli_import_skips_dataclasses_inspect_argparse_gettext_typing_and_random():
+    unwanted = "{'dataclasses', 'inspect', 'argparse', 'gettext', 'typing', 'random'}"
     code = f"import sys, schurkit.cli; print(sorted({unwanted} & set(sys.modules)))"
     done = support.run(prefix=(sys.executable, "-S", "-c", code))
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
@@ -490,46 +490,27 @@ def test_every_row_holds_through_main_in_its_own_child():
     assert not failed, "\n".join(failed)
 
 
-# work -> the argv just inside its budget and the argv just past it.  Most of these runs take
-# seconds or hundreds of MB, so only their admission runs here; VALID and REFUSALS hold the
-# symbol route's edge, whose run is cheap.
-BUDGET_EDGES = {
-    "P": ("pinv --m 707 --n 2", "pinv --m 708 --n 2"),
-    "trace-identity": (f"{TRACE} --m 2 --n 23", f"{TRACE} --m 2 --n 24"),
-    "schur": ("schur --m 1875000 --n 0", "schur --m 1875001 --n 0"),
-    "enumerate json": ("enumerate --m 2 --n 31 --format json",
-                       "enumerate --m 2 --n 32 --format json"),
-    "enumerate json row": ("enumerate --m 3000000 --n 0 --format json",
-                           "enumerate --m 3000001 --n 0 --format json"),
-    "enumerate row": ("enumerate --m 5000000 --n 0", "enumerate --m 5000001 --n 0"),
-    "pooled partitions": ("enumerate --m 1 --n 55", "enumerate --m 1 --n 56"),
-    "sweeps": ("verify --suite sm-action --m 3000000 --n 0",
-               "verify --suite sm-action --m 3000001 --n 0"),
-    "criterion trials": ("verify --suite criterion --m 2 --n 1 --seed 1 --trials 499998",
-                         "verify --suite criterion --m 2 --n 1 --seed 1 --trials 499999"),
-    "semisimple table": ("semisimple --m 2 --n 22 --set q1=0 --set q2=1",
-                         "semisimple --m 2 --n 23 --set q1=0 --set q2=1"),
-    "beta-shift": ("verify --suite beta-shift --size 13", "verify --suite beta-shift --size 14"),
-    "x-symmetry": ("verify --suite x-symmetry --size 14", "verify --suite x-symmetry --size 15"),
-    "mu-identity": ("verify --suite mu-identity --size 37", "verify --suite mu-identity --size 38"),
-    # fr_eval's work on P(theta) over Q; P(theta) = 0, so the digit limit refuses neither
-    "P(theta)": ("semisimple --m 2 --n 101351 --set q1=0 --set q2=1 --no-vanishing",
-                 "semisimple --m 2 --n 101352 --set q1=0 --set q2=1 --no-vanishing"),
-}
-
-
 def admission_of(argv):
     """The admission of the row that argv names, bound to its flags, without its command."""
     _, admission, args = cli_module.parse_args(argv)
     return functools.partial(admission, args)
 
 
-@pytest.mark.parametrize("work", BUDGET_EDGES)
-def test_each_budget_admits_its_edge_and_refuses_one_past_it(digit_limit, work):
-    inside, outside = BUDGET_EDGES[work]
-    admission_of(argv_of(inside))()
-    with pytest.raises(ValueError, match=", above the budget of "):
-        admission_of(argv_of(outside))()
+@pytest.mark.parametrize("work", contract.BUDGET_EDGES)
+def test_each_budget_admits_its_edge_and_refuses_one_past_it(work):
+    inside, outside = contract.BUDGET_EDGES[work]
+    with contract.digit_limit(inside.digits):
+        admission_of(argv_of(inside.line))()
+        with pytest.raises(ValueError, match=", above the budget of "):
+            admission_of(argv_of(outside))()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("work", contract.BUDGET_EDGES)
+def test_each_budget_edge_runs_in_its_own_child(work):
+    """The inside edge as its own python -S child, within its row's 90 s and support's caps."""
+    inside, _ = contract.BUDGET_EDGES[work]
+    assert contract.check(inside, (sys.executable, "-S", "-m", "schurkit.cli")) == ""
 
 
 def test_p_values_are_sized_between_their_bounds(monkeypatch):
@@ -551,7 +532,7 @@ def test_p_values_are_sized_between_their_bounds(monkeypatch):
                 cli_module._log10_span_above(x, n) + 1e-9), (x, n)
     charged = []
     monkeypatch.setattr(cli_module, "admit", lambda where, weight, *factors, digits=None:
-                        charged.append(digits and digits()))
+                        digits and charged.append(digits()))
     rng = random.Random(5)
     values = [0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 1001), Fraction(1, 10**30),
               Fraction(10**25 + 1, 7), 10**40]
