@@ -25,10 +25,10 @@ import json  # at module level: bench/tracing.py times rendering by replacing cl
 import os
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, partial
 from math import ceil, isqrt, lcm, lgamma, log, log10
-from collections.abc import Sequence
 from types import SimpleNamespace
 
 from .exact import (

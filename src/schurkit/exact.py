@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping, Sequence
 from functools import cache
 from fractions import Fraction
-from collections.abc import Mapping, Sequence
 from math import lcm, prod
 
 FieldElement = Fraction | int

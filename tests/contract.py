@@ -5,7 +5,8 @@ acceptance grid (criteria 1-7 of tests/test_acceptance.py, each count from suppo
 the stdout of the benchmark's build menu (the digests of bench/reference.json) and README's
 commands.  tests/test_cli.py and tests/test_acceptance.py check each row in-process, by
 check_in_process, or in a child, by check; a slow test runs each in its own
-`python -S -m schurkit.cli`, and CI through the installed script, outside the checkout:
+`python -S -m schurkit.cli`, as another runs each run at a budget's edge (BUDGET_EDGES, not
+rows of ROWS), and CI runs every row through the installed script, outside the checkout:
 
     python tests/contract.py schurkit    # the command that each row's argv follows
 
@@ -453,17 +454,17 @@ def _edge(line: str, out: str, digits: int = DIGITS) -> Row:
     return Row(line, 0, out, "", 90, digits)
 
 
-_ONE = "checked 1 %s, 0 mismatches\n"
-
 # work -> the row just inside its budget, and the argv just past it.  tier-1 checks only their
-# admission; the slow job runs each inside row in its own child through check, where support
-# caps it at 60 s of CPU and 1 GB, twice what the budget promises, as 90 s is three times.
-# The symbol route's edge runs cheaply, so VALID and REFUSALS hold it.  Not in ROWS.
+# admission.  The slow job runs each inside row in its own child through check, within the
+# row's 90 s and support's 60 s of CPU and 1 GB: three and two times the budget's promise of
+# about 30 s and 480 MB, so a breach fails and host noise does not.  They are not in ROWS;
+# the symbol route's edge runs cheaply, so VALID and REFUSALS hold it.
 BUDGET_EDGES = {
     "P": (_edge("pinv --m 707 --n 2",
                 "sha256:d86224daa36c81c524a2dcb5ff9e1f5bc08a86522c11f658e55667025a27e12a"),
           "pinv --m 708 --n 2"),
-    "trace-identity": (_edge(f"{TRACE} --m 2 --n 23", _ONE % "identities"), f"{TRACE} --m 2 --n 24"),
+    "trace-identity": (_edge(f"{TRACE} --m 2 --n 23", "checked 1 identities, 0 mismatches\n"),
+                       f"{TRACE} --m 2 --n 24"),
     "schur": (_edge("schur --m 1875000 --n 0",
                     "sha256:5d25d189122f80fac3d7e5ef16160c39ba037783916e706c63d00224d5249de4"),
               "schur --m 1875001 --n 0"),
@@ -483,7 +484,8 @@ BUDGET_EDGES = {
         _edge("enumerate --m 1 --n 55",
               "sha256:8697870418f6d3046dd17f2d741da3d2f1ae6718d49c0e9686affeab8feceabf"),
         "enumerate --m 1 --n 56"),
-    "sweeps": (_edge("verify --suite sm-action --m 3000000 --n 0", _ONE % "multipartitions"),
+    "sweeps": (_edge("verify --suite sm-action --m 3000000 --n 0",
+                     "checked 1 multipartitions, 0 mismatches\n"),
                "verify --suite sm-action --m 3000001 --n 0"),
     "criterion trials": (
         _edge("verify --suite criterion --m 2 --n 1 --seed 1 --trials 499998",

@@ -42,7 +42,7 @@ from schurkit.schur import p_invariant, schur_element, trace_identity_sides
 
 import contract
 import support
-from contract import DIGITS, REFUSALS, SCRIPT_ROWS, SETTING, TRACE, UNPRINTABLE, VALID
+from contract import DIGITS, REFUSALS, SCRIPT_ROWS, SETTING, UNPRINTABLE, VALID
 
 
 def invoke(capsys, *argv):
