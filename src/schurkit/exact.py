@@ -172,30 +172,18 @@ class FactoredRational:
         num, den = self.constant.numerator, self.constant.denominator
         return f'{{"num": "{num}", "den": "{den}", "factors": [{factors}]}}'
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FactoredRational":
-        """Inverse of to_json; ValueError on a malformed encoding."""
-        b = ProductBuilder()
-        try:
-            b.const(Fraction(int(data["num"]), int(data["den"])))
-            for form, exp in data["factors"]:
-                b.form(int(form["c"]), qindex(form["pos"]), qindex(form["neg"]), exp=int(exp))
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed factored value: {exc!r}") from exc
-        return b.build()
-
 
 class ProductBuilder:
     """Turns raw (c, s, t, exp) triples into a canonical value.
 
-    Its users are fr_form, apply_permutation, schur.verify_mu_identity
-    and FactoredRational.from_json, which only tests call.  form()
-    refuses an index below 1, then canonicalizes: it flips the sign for
-    an odd exponent on a flipped orientation and adds the exponent under
-    the canonical (s, t, c); a form with s == t folds into the constant,
-    so form(0, 1, 1, exp=-1) raises ZeroDivisionError at the call.  const()
-    multiplies the one Fraction constant by value**exp.  build() leaves
-    the builder unchanged; the constructor drops the cancelled exponents.
+    Its users are fr_form, apply_permutation and schur.verify_mu_identity.
+    form() refuses an index below 1, then canonicalizes: it flips the sign
+    for an odd exponent on a flipped orientation and adds the exponent
+    under the canonical (s, t, c); a form with s == t folds into the
+    constant, so form(0, 1, 1, exp=-1) raises ZeroDivisionError at the
+    call.  const() multiplies the one Fraction constant by value**exp.
+    build() leaves the builder unchanged; the constructor drops the
+    cancelled exponents.
     """
 
     __slots__ = ("constant", "factors")
@@ -276,6 +264,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# The most digits that an admitted run prints: schur.THOUSAND_WORDS digits times the
+# isqrt(WORK_BUDGET // 7000) thousand words that cli._admit_p_value lets P(theta) print.
+PRINTED_DIGITS = 1_235_000
+
+
 def rational_from_text(text: str) -> Fraction:
     """The rational number that text denotes, as Fraction reads it; ValueError otherwise.
 
@@ -284,7 +277,8 @@ def rational_from_text(text: str) -> Fraction:
     optional sign, then an integer, a fraction a/b or a decimal with an optional
     exponent, with white space only at the ends.  Fraction writes out 10^exponent
     for a decimal exponent, so the exponent is first held to the interpreter's
-    integer digit limit, sys.get_int_max_str_digits().
+    integer digit limit, sys.get_int_max_str_digits(), and whatever that limit,
+    to PRINTED_DIGITS.
     """
     if "_" in text or len(text.split()) > 1:
         raise ValueError("not a rational value")
@@ -295,6 +289,8 @@ def rational_from_text(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     if limit and exponent > limit:
         raise ValueError(f"decimal exponent above the {limit}-digit limit")
+    if exponent > PRINTED_DIGITS:
+        raise ValueError(f"decimal exponent above {PRINTED_DIGITS}, the most digits a run prints")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

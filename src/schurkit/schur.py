@@ -18,9 +18,10 @@ other pair, and x -> -x is the transposition (1 2).
 
 Each formula is a constant times one kernel per pair s < t, so both the
 kernels and the formulas read their forms off a tally of one partition
-pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  The
-formulas memoize their tallies; a kernel computes a fresh one, since the
-beta-shift suite takes each kernel once per pair.  An entry (c, exp) at
+pair: (sign, ((c, exp), ...)), meaning sign * prod (c + x)^exp.  Each
+tally is memoized, and _assemble alone reads the memo or, for a value of
+fewer than three components, the tally's body: its one pair is the whole
+value, so no sweep or table reads it twice.  An entry (c, exp) at
 x = q_s - q_t, s < t, is the canonical form (s, t, c), and the forms of
 distinct pairs never coincide, so a value is its constant times the
 plain union of its pairs' forms.  _assemble builds every element and
@@ -32,17 +33,17 @@ functions because bench/tracing.py patches generalized_hook_length,
 which _z_diagonal calls, here).  The independent constant is the symbol
 route's _row_constant, which verify_hook_beta_identity checks against
 the hooks.  Kernels, formulas and verify_hook_beta_identity accept lists
-and convert them to tuples before the cache lookup.
+and convert them to tuples, the keys of the memos they read.
 
-What the memos hold: one X or Z tally per distinct ordered pair of
-partitions a sweep reads, one Y tally per distinct pair of beta rows,
-one _row_constant per distinct row, that is per (partition, L), and one
-_z_diagonal per distinct partition; hook_product, conjugate and the beta
-rows are partitions' memos, one entry per partition or per (partition,
-L).  The tallies are read row by row: X from row ranges of contents and
-mu's column offsets, Y from the rows as bit sets, Z from
-generalized_hooks, which reads mu' once per pair instead of once per
-node.
+What the memos hold: from three components on, one X or Z tally per
+distinct ordered pair of partitions a sweep reads and one Y tally per
+distinct pair of beta rows; one _row_constant per distinct row, that is
+per (partition, L), and one _z_diagonal per distinct partition;
+hook_product, conjugate and the beta rows are partitions' memos, one
+entry per partition or per (partition, L).  The tallies are read row by
+row: X from row ranges of contents and mu's column offsets, Y from the
+rows as bit sets, Z from generalized_hooks, which reads mu' once per
+pair instead of once per node.
 
 sum_L f^L / s_L = [m = 1] holds iff the numerator N of _trace_summands
 is zero.  verify_trace_identity decides that by exact integer evaluation
@@ -182,6 +183,8 @@ def _assemble(num: int, den: int, tally: Callable, rows: tuple, mp: tuple) -> Fa
     (on the symbol route their rows are the same staircase).  At n = 1 that leaves m - 1
     pairs per element instead of C(m, 2), so a sweep is quadratic in m, not cubic.
     """
+    if len(mp) < 3:
+        tally = tally.__wrapped__
     factors: dict[LinearForm, int] = {}
     for s, lam in enumerate(mp):
         for t in range(len(mp) if lam else 0):
@@ -202,7 +205,7 @@ def x_kernel(lam: Partition, mu: Partition) -> FactoredRational:
     (j - i + mu'_k - k + 1 + x) / (j - i + mu'_k - k + x) for k up to
     mu_1.  Empty partitions contribute empty products.
     """
-    return _assemble(1, 1, _x_tally.__wrapped__, (tuple(lam), tuple(mu)), (lam, mu))
+    return _assemble(1, 1, _x_tally, (tuple(lam), tuple(mu)), (lam, mu))
 
 
 def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
@@ -213,7 +216,7 @@ def y_kernel(lam: Partition, mu: Partition, length: int) -> FactoredRational:
     beta pairs.  Invariant under beta shifts, hence independent of L.
     """
     rows = beta_set(tuple(lam), length), beta_set(tuple(mu), length)
-    return _assemble(1, 1, _y_tally.__wrapped__, rows, (lam, mu))
+    return _assemble(1, 1, _y_tally, rows, (lam, mu))
 
 
 def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
@@ -222,7 +225,7 @@ def z_kernel(lam: Partition, mu: Partition) -> FactoredRational:
     (generalized hook of lam against mu + x) over the nodes of lam times
     (generalized hook of mu against lam - x) over the nodes of mu.
     """
-    return _assemble(1, 1, _z_tally.__wrapped__, (tuple(lam), tuple(mu)), (lam, mu))
+    return _assemble(1, 1, _z_tally, (tuple(lam), tuple(mu)), (lam, mu))
 
 
 def schur_element(

@@ -374,6 +374,10 @@ CHILD_ROWS = [
              f"--set 'q1=1e999999999': decimal exponent above the {DIGITS}-digit limit"),
     _refused(f"semisimple --m 1 --n 1 --set q1=2.5E-{DIGITS + 1}", 10,
              f"--set 'q1=2.5E-{DIGITS + 1}': decimal exponent above the {DIGITS}-digit limit"),
+    # with no digit limit, Fraction spent 8.2 s writing out 10^10000000 before P(theta) was sized
+    _refused("semisimple --m 2 --n 2 --set q1=0 --set q2=1e100000000 --no-vanishing", 1,
+             "--set 'q2=1e100000000': decimal exponent above 1235000, the most digits a run"
+             " prints", 0),
     _refused(f"{TRACE} --m 6 --n 3", 5, f"trace-identity at --m 6 --n 3 needs at least 23^5 {_GRID}"),
     _refused(f"{TRACE} --m 9 --n 1", 5, f"trace-identity at --m 9 --n 1 needs at least 8^8 {_GRID}"),
     _refused(f"{TRACE} --m 1000 --n 1", 5,

@@ -273,6 +273,10 @@ PEAKS = {
     "enumerate --m 300 --n 2 --format json": (
         "d29d7045b5beacf1f090459fe43519ed4418071dfd96a68410d3d18fe70d229c", 170
     ),
+    # 168.4 MB when a sweep of two components memoized every pair tally
+    "verify --suite three-formulas --m 2 --n 20": (
+        hashlib.sha256(b"checked 24842 multipartitions, 0 mismatches\n").hexdigest(), 56
+    ),
     # 118.8 MB when the listing was held; a flat bound, as each row is printed when enumerated
     "enumerate --m 300 --n 2": (
         "04ce6623f6fe7a109a3b9245dc991f3be9d4e8edc547fffd7d9b40a1e7b36546", 20

@@ -3,12 +3,13 @@
 A use is an ast.Name, the attribute of an ast.Attribute, or a string
 constant that is an identifier (a name looked up with getattr).  Uses
 count in src/schurkit (but not __init__.py, which only re-exports) and
-in the README's doctest examples.  A use in tests/ keeps a method or a
-nested function alive, but a module-level function or class only when
-schurkit.__all__ exports it, or when tests/test_tracing.py requires the
-benchmark's tracer to patch it: a helper that only its own tests call is
-dead.  A name that only the tracer patches is dead too.  Dunders are
-called by the interpreter and are exempt.
+in the README's doctest examples.  A use in tests/ keeps a function
+nested in a function alive, but a module-level function or class, or a
+function defined in a class body, only when schurkit.__all__ exports its
+name, or when tests/test_tracing.py requires the benchmark's tracer to
+patch it: a helper or method that only its own tests call is dead.  A
+name that only the tracer patches is dead too.  Dunders are called by
+the interpreter and are exempt.
 
 Every module-level import of a library module is named in that module
 too; __init__.py, which only re-exports, and __future__ are exempt.
@@ -54,15 +55,16 @@ def test_every_definition_is_used():
     used = uses(path for path in LIBRARY if path.name != "__init__.py")
     used.update(names_used(ast.parse("\n".join(examples))))
     used_by_tests = uses(sorted((ROOT / "tests").glob("*.py")))
-    top_level, inner = set(), set()
+    outer, inner = set(), set()  # defined in a module or class body, or in a function
     for path in LIBRARY:
         tree = ast.parse(path.read_text())
         body = set(tree.body)
+        body.update(*(node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                (top_level if node in body else inner).add(node.name)
+                (outer if node in body else inner).add(node.name)
     kept = used | (used_by_tests & (set(schurkit.__all__) | TRACED))
-    dead = sorted((top_level - kept) | (inner - used - used_by_tests))
+    dead = sorted((outer - kept) | (inner - used - used_by_tests))
     assert [name for name in dead if not name.startswith("__")] == []
 
 

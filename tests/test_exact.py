@@ -4,12 +4,13 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 import pytest
 
 from schurkit.exact import (
     MAX_MODULUS,
+    PRINTED_DIGITS,
     FactoredRational,
     NonIntegerConstantError,
     NotAPolynomialError,
@@ -27,7 +28,10 @@ from schurkit.exact import (
 )
 from schurkit.exact import _is_prime
 from schurkit.partitions import enumerate_multipartitions
-from schurkit.schur import FORMULAS, p_invariant, schur_element, x_kernel, y_kernel, z_kernel
+from schurkit.schur import FORMULAS, THOUSAND_WORDS, WORK_BUDGET, p_invariant, schur_element
+from schurkit.schur import x_kernel, y_kernel, z_kernel
+
+import contract
 from support import fold, poly_at
 
 
@@ -87,8 +91,7 @@ def test_every_path_keys_its_factors_by_canonical_int_triples():
     values = [schur_element(((2,), (1,), ()), formula) for formula in FORMULAS]
     values += [kernel((2, 1), (1,)) for kernel in (x_kernel, z_kernel)]
     values += [y_kernel((2, 1), (1,), 3), p_invariant(3, 2), a * b, a / b, b**-3, a**2]
-    values += [apply_permutation((3, 1, 2), a / b), FactoredRational.from_json(a.to_json())]
-    values += [fr_form(-2, 3, 1)]
+    values += [apply_permutation((3, 1, 2), a / b), fr_form(-2, 3, 1)]
     for value in values:
         assert value.factors
         for form in value.factors:
@@ -488,6 +491,12 @@ def test_specialization_validation():
     assert Specialization({1: "-3/6", 2: "2.5"}, prime=7).q_values == {1: 3, 2: 6}
     with pytest.raises(ValueError, match=f"^decimal exponent above the {limit}-digit limit$"):
         Specialization({1: f"1e{limit + 1}"})  # Fraction would write out 10^(limit + 1)
+    # cli._admit_p_value charges 7,000 units per printed thousand words, squared
+    assert PRINTED_DIGITS == THOUSAND_WORDS * isqrt(WORK_BUDGET // 7000)
+    for digits in (0, PRINTED_DIGITS + 1):
+        with contract.digit_limit(digits):
+            with pytest.raises(ValueError, match=f"^decimal exponent above {PRINTED_DIGITS},"):
+                Specialization({1: f"1e-{PRINTED_DIGITS + 1}"})
     for text in ("1/0", "q1", "1e", ""):
         with pytest.raises(ValueError, match="^not a rational value$"):
             rational_from_text(text)
@@ -681,16 +690,6 @@ def test_render_and_sort_order():
     assert fr_form(1, 1, 2).render(latex=True) == "(1+q_{1}-q_{2})"
 
 
-def test_json_round_trip():
-    rng = random.Random(29)
-    for _ in range(100):
-        value = random_factored(rng)
-        data = value.to_json()
-        assert FactoredRational.from_json(data) == value
-    encoded = fr_form(1, 1, 2, exp=2).to_json()
-    assert encoded["factors"] == [[{"c": 1, "pos": "q1", "neg": "q2"}, 2]]
-
-
 def _plain_render(value, latex):
     """FactoredRational.render written out afresh, with nothing memoized."""
     parts = []
@@ -731,6 +730,8 @@ def test_memoized_factor_text_matches_a_plain_renderer():
         FactoredRational(-1, {}) * fr_form(0, 1, 2, exp=-1),
     ]
     values += [random_factored(random.Random(seed)) for seed in range(40)]
+    rng = random.Random(29)
+    values += [random_factored(rng) for _ in range(100)]
     assert any(e < 0 for value in values for e in value.factors.values())
     assert any(value.constant.denominator != 1 for value in values)
     for value in values:
@@ -738,27 +739,15 @@ def test_memoized_factor_text_matches_a_plain_renderer():
         assert value.render(latex=True) == _plain_render(value, latex=True)
         assert value.json_text() == json.dumps(_plain_json(value))
         assert value.to_json() == _plain_json(value)
-
-
-def test_from_json_rejects_malformed_encodings():
-    good = fr_form(1, 1, 2, exp=2).to_json()
-    assert FactoredRational.from_json(good) == fr_form(1, 1, 2, exp=2)
-    for name in ("x", "q0", "q", "q-1", "Q1", "q01", "q1 ", "q²", 1, None):
-        for slot in ("pos", "neg"):
-            form = dict(good["factors"][0][0], **{slot: name})
-            with pytest.raises(ValueError, match="parameter name"):
-                FactoredRational.from_json(dict(good, factors=[[form, 2]]))
-    for key in ("num", "den", "factors"):
-        with pytest.raises(ValueError, match="malformed"):
-            FactoredRational.from_json({k: v for k, v in good.items() if k != key})
-    for key in ("c", "pos", "neg"):
-        form = {k: v for k, v in good["factors"][0][0].items() if k != key}
-        with pytest.raises(ValueError, match="malformed"):
-            FactoredRational.from_json(dict(good, factors=[[form, 2]]))
+    encoded = fr_form(1, 1, 2, exp=2).to_json()
+    assert encoded["factors"] == [[{"c": 1, "pos": "q1", "neg": "q2"}, 2]]
 
 
 def test_qindex_inverts_qvar():
     assert [qindex(qvar(s)) for s in (1, 2, 10, 123)] == [1, 2, 10, 123]
+    for name in ("x", "q0", "q", "q-1", "Q1", "q01", "q1 ", "q²", 1, None):
+        with pytest.raises(ValueError, match="parameter name"):
+            qindex(name)
     with pytest.raises(ValueError):
         qvar(0)
 

@@ -255,7 +255,7 @@ def test_each_route_builds_without_the_others(
     def refuse(*args):
         raise RuntimeError(f"{broken} is off")
 
-    refuse.__wrapped__ = refuse  # the kernels call a tally past its cache
+    refuse.__wrapped__ = refuse  # _assemble reads a two-component tally past its cache
     monkeypatch.setattr(schur_module, broken, refuse)
     clear_caches()
     for other in set(FORMULAS) - {formula}:
@@ -278,10 +278,23 @@ def _misses(cached):
     return cached.cache_info().misses
 
 
-def test_the_beta_shift_suite_leaves_the_tally_caches_empty(capsys, clear_caches):
+TWO_COMPONENT_RUNS = {
+    "verify --suite beta-shift --size 4": "checked 144 partition pairs, 0 mismatches\n",
+    "verify --suite three-formulas --m 2 --n 5": "checked 36 multipartitions, 0 mismatches\n",
+    "semisimple --m 2 --n 4 --set q1=0 --set q2=3":
+        '{"p_value": "0", "semisimple": false, "vanishing": [[[4], []], [[3], [1]], [[2], [1, 1]],'
+        ' [[1], [1, 1, 1]], [[], [1, 1, 1, 1]]], "agreement": true, "field": "Q"}\n',
+    "verify --suite criterion --m 2 --n 4 --seed 1 --trials 20":
+        "checked 43 specializations, 0 mismatches\n",
+}
+
+
+@pytest.mark.parametrize("line", TWO_COMPONENT_RUNS)
+def test_two_components_leave_the_tally_caches_empty(capsys, clear_caches, line):
+    """Kernels and elements of two components read each tally once, so none is memoized."""
     clear_caches()
-    assert cli.run(["verify", "--suite", "beta-shift", "--size", "4"]) == 0
-    assert capsys.readouterr().out == "checked 144 partition pairs, 0 mismatches\n"
+    assert cli.run(line.split()) == 0
+    assert capsys.readouterr().out == TWO_COMPONENT_RUNS[line]
     for tally in (schur_module._x_tally, schur_module._y_tally, schur_module._z_tally):
         assert tally.cache_info().currsize == 0, tally
 
